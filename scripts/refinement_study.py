@@ -34,7 +34,7 @@ def main():
         print(f"=== {cfg.stem} (T = {base.T})")
         rows = []
         for n in ladder:
-            scn = dataclasses.replace(base, n=n, _cache={})
+            scn = dataclasses.replace(base, n=n)
             traj, _ = run(scn)
             rows.append((n, fan_max(traj, 1), fan_max(traj, 2),
                          conservative_residual(traj).max_linf))

@@ -5,6 +5,13 @@ of the stored speeds, then carry the gradient functional of their family, its
 Riccati coefficients, the decaying barrier and the running a-priori upper
 bound.  Tracing stops where the stored solution stops being trustworthy: the
 physical boundary or the influence cone of the artificial right boundary.
+
+A fan of paths is traced in lockstep (``trace_fan``): the positions of all
+live paths form one array, and each stored time step takes one RK4 step for
+all of them, each stage one call of ``Trajectory.interpolate``.  A path joins
+at its own launch time and leaves the live set when it exits, so launch fans
+and the P2 boundary fans share the loop.  The arithmetic is the single-path
+tracer's, elementwise, so a path does not depend on the fan it was traced in.
 """
 from __future__ import annotations
 
@@ -56,8 +63,9 @@ class CharPath:
         return self.t.size
 
 
-def trace(history: Trajectory, x0: float, family: int, t0: float = 0.0) -> CharPath:
-    """RK4 path of dx/dt = lambda_family launched from (x0, t0)."""
+def trace_fan(history: Trajectory, x0, family: int, t0=0.0) -> list:
+    """RK4 paths of dx/dt = lambda_family launched from the points (x0, t0),
+    traced in lockstep: one RK4 step for every live path per stored step."""
     if family not in (1, 2):
         raise DomainError("family must be 1 or 2")
     if history.snapshot_stride > 10:
@@ -68,65 +76,94 @@ def trace(history: Trajectory, x0: float, family: int, t0: float = 0.0) -> CharP
     scn = history.scenario
     x_max = history.grid.x_max
     lam_abs = scn.speed_bounds.lambda_abs_max
-    if not 0.0 <= x0 <= x_max:
-        raise DomainError(f"launch point {x0} outside [0, {x_max}]")
+    x0, t0 = (a.ravel() for a in np.broadcast_arrays(
+        np.asarray(x0, dtype=float), np.asarray(t0, dtype=float)))
+    outside = ~((0.0 <= x0) & (x0 <= x_max))
+    if outside.any():
+        raise DomainError(f"launch point {x0[outside][0]} outside [0, {x_max}]")
+    if x0.size == 0:
+        return []
     # Launch no closer to the wall than the first cell center, the innermost
     # point the stored fields can interpolate without clamping.
-    x0 = max(x0, 0.5 * history.grid.dx)
-    k0 = int(np.searchsorted(times, t0 - 1e-14, side="left"))
-    k0 = min(k0, len(times) - 1)
+    x0 = np.maximum(x0, 0.5 * history.grid.dx)
+    k0 = np.minimum(np.searchsorted(times, t0 - 1e-14, side="left"), len(times) - 1)
+    stack = "lam1" if family == 1 else "lam2"
 
-    def lam(xq: float, tq: float) -> float:
-        return history.lam_at(min(max(xq, 0.0), x_max), tq, family)
+    def lam(xq, when):
+        return history.interpolate(np.minimum(np.maximum(xq, 0.0), x_max), when,
+                                   (stack,))[0]
 
     # Samples are recorded only inside the trusted domain: past a wall margin
     # (fixed physical fraction of the window plus a cell-scaled floor, since
     # the innermost strip is outside the scheme's asymptotic range) and inside
     # the influence cone of the artificial right boundary.  Leftward paths
     # terminate at the margin; rightward launches start recording beyond it.
+    # A path is live from its own launch index until it exits.  Row k of
+    # ``xs`` holds the positions at stored time k; ``recorded`` marks which
+    # of them are samples.
     wall_band = max(WALL_BAND_CELLS * history.grid.dx,
                     scn.wall_margin_frac * scn.x_interest)
-    ts, xs = [], []
-    reason = "end"
-    x = x0
-    if x0 >= wall_band:
-        ts.append(times[k0])
-        xs.append(x0)
-    for k in range(k0, len(times) - 1):
+    paths_idx = np.arange(x0.size)
+    recorded = np.zeros((len(times), x0.size), dtype=bool)
+    xs = np.zeros((len(times), x0.size))
+    xs[k0, paths_idx] = x0
+    recorded[k0, paths_idx] = x0 >= wall_band
+    reasons = np.full(x0.size, "end", dtype=object)
+    running = np.ones(x0.size, dtype=bool)
+    # The three RK4 stage times of every step, located in the run at once.
+    first = int(k0.min())
+    t_start, t_end = times[first:-1], times[first + 1:]
+    stage_times = [history.time_weights(tq) for tq in
+                   (t_start, t_start + 0.5 * (t_end - t_start), t_end)]
+    for k in range(first, len(times) - 1):
+        live = np.flatnonzero(running & (k0 <= k))
+        if live.size == 0:
+            if not running.any():
+                break
+            continue
         t_k, t_k1 = times[k], times[k + 1]
         h = t_k1 - t_k
-        v1 = lam(x, t_k)
-        v2 = lam(x + 0.5 * h * v1, t_k + 0.5 * h)
-        v3 = lam(x + 0.5 * h * v2, t_k + 0.5 * h)
-        v4 = lam(x + h * v3, t_k1)
-        x_new = x + h / 6.0 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-        if x_new < wall_band and v1 < 0.0:
-            reason = "left"
-            break
-        if x_new > x_max - lam_abs * t_k1:
-            reason = "cone"
-            break
-        if x_new >= wall_band:
-            ts.append(t_k1)
-            xs.append(x_new)
-        x = x_new
-    if not ts:
-        ts, xs = [times[k0]], [min(max(x0, wall_band), x_max)]
+        at_k, at_mid, at_k1 = ([part[k - first] for part in when]
+                               for when in stage_times)
+        xl = xs[k, live]
+        v1 = lam(xl, at_k)
+        v2 = lam(xl + 0.5 * h * v1, at_mid)
+        v3 = lam(xl + 0.5 * h * v2, at_mid)
+        v4 = lam(xl + h * v3, at_k1)
+        x_new = xl + h / 6.0 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+        left = (x_new < wall_band) & (v1 < 0.0)
+        cone = ~left & (x_new > x_max - lam_abs * t_k1)
+        reasons[live[left]] = "left"
+        reasons[live[cone]] = "cone"
+        stays = ~(left | cone)
+        running[live[~stays]] = False
+        live, x_new = live[stays], x_new[stays]
+        xs[k + 1, live] = x_new
+        recorded[k + 1, live] = x_new >= wall_band
 
-    t_arr = np.asarray(ts)
-    x_arr = np.asarray(xs)
-    cols = {"z": [], "w": [], "zx": [], "wx": [], "lam1": [], "lam2": []}
-    for tq, xq in zip(t_arr, x_arr):
-        s = history.sample(xq, tq)
-        for key in cols:
-            cols[key].append(s[key])
-    z = np.asarray(cols["z"])
-    w = np.asarray(cols["w"])
-    zx = np.asarray(cols["zx"])
-    wx = np.asarray(cols["wx"])
-    lam_arr = np.asarray(cols["lam1"] if family == 1 else cols["lam2"])
-    a = np.asarray(scn.profile.a(x_arr), dtype=float)
-    ax = np.asarray(scn.profile.a_prime(x_arr), dtype=float)
+    t_parts, x_parts = [], []
+    for j in paths_idx:
+        rows = np.flatnonzero(recorded[:, j])
+        if rows.size:
+            t_parts.append(times[rows])
+            x_parts.append(xs[rows, j])
+        else:
+            t_parts.append(times[k0[j]:k0[j] + 1])
+            x_parts.append(np.array([min(max(float(x0[j]), wall_band), x_max)]))
+    z, w, zx, wx, lam_s = (np.split(arr, np.cumsum([p.size for p in t_parts])[:-1])
+                           for arr in history.interpolate(
+                               np.concatenate(x_parts),
+                               history.time_weights(np.concatenate(t_parts)),
+                               ("z", "w", "zx", "wx", stack)))
+    return [_char_path(scn, family, float(x0[j]), float(t0[j]), t_parts[j],
+                       x_parts[j], z[j], w[j], lam_s[j], zx[j], wx[j], reasons[j])
+            for j in paths_idx]
+
+
+def _char_path(scn, family, x0, t0, t, x, z, w, lam, zx, wx, reason) -> CharPath:
+    """One traced path with its functional and Riccati coefficients."""
+    a = np.asarray(scn.profile.a(x), dtype=float)
+    ax = np.asarray(scn.profile.a_prime(x), dtype=float)
     phi, psi = phi_psi_zw(z, w, zx, wx, a, scn.law)
     A, B, C, Ah, Bh, Ch = coeffs_zw(z, w, a, ax, scn.law)
     if family == 1:
@@ -134,40 +171,43 @@ def trace(history: Trajectory, x0: float, family: int, t0: float = 0.0) -> CharP
     else:
         value, other = psi, phi
         A, B, C = Ah, Bh, Ch
-    return CharPath(family, x0, t0, t_arr, x_arr, z, w, lam_arr, zx, wx, a, ax,
+    return CharPath(family, x0, t0, t, x, z, w, lam, zx, wx, a, ax,
                     np.asarray(value), np.asarray(other),
                     np.asarray(A), np.asarray(B), np.asarray(C), reason)
 
 
-def launch_fan(history: Trajectory, family: int, count: Optional[int] = None):
-    """Equispaced launch points across the trusted part of the reporting
-    window at t = 0 (the wall margin is excluded; see trace).  Launches that
-    exit before collecting three samples are nudged away from the wall so the
-    whole fan stays usable."""
+def trace(history: Trajectory, x0: float, family: int, t0: float = 0.0) -> CharPath:
+    """RK4 path of dx/dt = lambda_family launched from (x0, t0)."""
+    return trace_fan(history, x0, family, t0)[0]
+
+
+def launch_fan(history: Trajectory, family: int):
+    """``fan`` equispaced launch points across the trusted part of the
+    reporting window at t = 0 (the wall margin is excluded; see trace_fan).
+    Launches that exit before collecting three samples are nudged away from
+    the wall, up to four times, so the whole fan stays usable."""
     scn = history.scenario
-    count = scn.fan if count is None else count
     lo = max(WALL_BAND_CELLS * history.grid.dx,
              scn.wall_margin_frac * scn.x_interest)
-    spacing = (scn.x_interest - lo) / count
-    paths = []
-    for k in range(count):
-        x0 = lo + (k + 0.5) * spacing
-        path = trace(history, float(x0), family)
-        for _ in range(4):
-            if path.n >= 3 or x0 + 0.5 * spacing > scn.x_interest:
-                break
-            x0 += 0.5 * spacing
-            path = trace(history, float(x0), family)
-        paths.append(path)
+    spacing = (scn.x_interest - lo) / scn.fan
+    x0 = lo + (np.arange(scn.fan) + 0.5) * spacing
+    paths = trace_fan(history, x0, family)
+    for _ in range(4):
+        short = [k for k, path in enumerate(paths)
+                 if path.n < 3 and x0[k] + 0.5 * spacing <= scn.x_interest]
+        if not short:
+            break
+        x0[short] += 0.5 * spacing
+        for k, path in zip(short, trace_fan(history, x0[short], family)):
+            paths[k] = path
     return paths
 
 
-def boundary_fan(history: Trajectory, family: int, count: Optional[int] = None):
-    """Launches from the inflow boundary (x = 0) at equispaced times."""
+def boundary_fan(history: Trajectory, family: int):
+    """``fan`` launches from the inflow boundary (x = 0) at equispaced times."""
     scn = history.scenario
-    count = scn.fan if count is None else count
-    t0s = (np.arange(count) + 0.5) / count * scn.T
-    return [trace(history, 0.0, family, t0=float(t0)) for t0 in t0s]
+    t0s = (np.arange(scn.fan) + 0.5) / scn.fan * scn.T
+    return trace_fan(history, np.zeros(scn.fan), family, t0s)
 
 
 @dataclass

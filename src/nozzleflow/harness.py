@@ -349,10 +349,12 @@ def characteristic_pass(traj: Trajectory, delta1=None, M=None, alpha=None) -> di
     tol_base = scn.margin_tol_factor * traj.grid.dx * lip
     result = {"tolerance": tol_base, "lip": lip, "families": {}, "paths": []}
     all_ok = True
+    traced = []
     for family in (1, 2):
         paths = chars.launch_fan(traj, family)
         if scn.problem == "P2":
             paths += chars.boundary_fan(traj, family)
+        traced += paths
         max_res, max_alt = 0.0, None
         minima = {"lower": math.inf, "upper": math.inf, "subsolution": math.inf}
         speed_margin = math.inf
@@ -396,14 +398,18 @@ def characteristic_pass(traj: Trajectory, delta1=None, M=None, alpha=None) -> di
                 "min_sub": br.min_sub, "ok": path_ok,
             })
         all_ok = all_ok and fam_ok
+        exits = {reason: sum(path.exit_reason == reason for path in paths)
+                 for reason in ("end", "left", "cone")}
         result["families"][str(family)] = {
-            "paths": len(paths), "residual_max": max_res,
+            "paths": len(paths), "exits": exits,
+            "samples": sum(path.n for path in paths),
+            "residual_max": max_res,
             "residual_max_alt_reading": max_alt,
             "min_margins": {k: (None if math.isinf(v) else v) for k, v in minima.items()},
             "speed_margin": None if math.isinf(speed_margin) else speed_margin,
             "bounds_ok": fam_ok,
         }
-    implied = derivative_bound_estimate(traj, delta1, M, alpha)
+    implied = derivative_bound_estimate(traj, delta1, M, alpha, traced)
     result["derivative_bounds"] = implied
     all_ok = all_ok and implied["ok"]
     result["ok"] = all_ok
@@ -411,9 +417,10 @@ def characteristic_pass(traj: Trajectory, delta1=None, M=None, alpha=None) -> di
 
 
 def derivative_bound_estimate(traj: Trajectory, delta1: float, M: float,
-                              alpha: float) -> dict:
+                              alpha: float, paths) -> dict:
     """Bound max |z_x|, |w_x| implied by the barrier and the running upper
-    bound, compared against the measured extremes."""
+    bound along the traced ``paths`` (both families), compared against the
+    measured extremes."""
     scn = traj.scenario
     law = scn.law
     arrays = scn.runtime_arrays()
@@ -430,12 +437,11 @@ def derivative_bound_estimate(traj: Trajectory, delta1: float, M: float,
     # transport identity can then grow them by at most the integral of
     # C - B^2/(4A) along the path.
     growth = 0.0
-    for family in (1, 2):
-        for path in chars.launch_fan(traj, family, count=max(4, scn.fan // 2)):
-            if path.n < 2:
-                continue
-            ub = apriori_upper_bound(path.t, path.A, path.B, path.C, 0.0)
-            growth = max(growth, float(np.abs(ub).max()))
+    for path in paths:
+        if path.n < 2:
+            continue
+        ub = apriori_upper_bound(path.t, path.A, path.B, path.C, 0.0)
+        growth = max(growth, float(np.abs(ub).max()))
     value_bound = max(delta1, scn.delta2) + growth
     if law.is_log_branch:
         log_max = max(abs(math.log(gap_min)), abs(math.log(gap_max)))

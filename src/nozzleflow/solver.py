@@ -88,6 +88,9 @@ class Scenario:
     _KIND_FOR = {"P1": "m", "P2": "r", "P3": "l"}
 
     def __post_init__(self):
+        # Derived state belongs to this instance: ``dataclasses.replace``
+        # hands over the original's dict, whose grid may be for another n.
+        self._cache = {}
         if self.problem not in self._KIND_FOR:
             raise DomainError(f"problem must be P1, P2 or P3, got {self.problem!r}")
         if self.region.kind != self._KIND_FOR[self.problem]:
@@ -268,7 +271,7 @@ def step(fld: Field, dt: float, scn: Scenario) -> Field:
 
 
 class Trajectory:
-    """Stored snapshots of one run plus interpolation helpers."""
+    """Stored snapshots of one run plus their space-time interpolator."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -331,6 +334,8 @@ class Trajectory:
         return self._materialize()["w_edge"]
 
     def _stack(self, name: str) -> np.ndarray:
+        if name in ("z", "w"):
+            return self.z if name == "z" else self.w
         if name not in self._caches:
             z, w = self.z, self.w
             if name in ("lam1", "lam2"):
@@ -342,37 +347,41 @@ class Trajectory:
                 self._caches["wx"] = np.gradient(w, self.grid.dx, axis=1)
         return self._caches[name]
 
-    def _locate(self, x: float, t: float):
+    def time_weights(self, t):
+        """Locate the times ``t`` in the stored run: the bracketing snapshot
+        indices ``k`` <= ``k2`` and the weight ``tau`` of the later one.
+        Times past the run take its first or last snapshot."""
         times = self.times
-        k = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 1))
-        k2 = min(k + 1, len(times) - 1)
-        tau = 0.0 if k2 == k else float(np.clip((t - times[k]) / (times[k2] - times[k]), 0.0, 1.0))
-        xi = x / self.grid.dx - 0.5
-        i = int(np.clip(np.floor(xi), 0, self.grid.n - 2))
-        frac = float(np.clip(xi - i, 0.0, 1.0))
-        return k, k2, tau, i, frac
+        last = len(times) - 1
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(times, t, side="right") - 1, 0, last)
+        k2 = np.minimum(k + 1, last)
+        moving = k2 != k
+        span = np.where(moving, times[k2] - times[k], 1.0)
+        tau = np.where(moving, np.clip((t - times[k]) / span, 0.0, 1.0), 0.0)
+        return k, k2, tau
 
-    def sample(self, x: float, t: float) -> dict:
-        """Bilinear space-time interpolation of the stored fields."""
-        k, k2, tau, i, frac = self._locate(x, t)
-
-        def bil(stack):
-            lo = (1.0 - frac) * stack[k, i] + frac * stack[k, i + 1]
-            hi = (1.0 - frac) * stack[k2, i] + frac * stack[k2, i + 1]
-            return float((1.0 - tau) * lo + tau * hi)
-
-        return {
-            "z": bil(self.z), "w": bil(self.w),
-            "zx": bil(self._stack("zx")), "wx": bil(self._stack("wx")),
-            "lam1": bil(self._stack("lam1")), "lam2": bil(self._stack("lam2")),
-        }
-
-    def lam_at(self, x: float, t: float, family: int) -> float:
-        k, k2, tau, i, frac = self._locate(x, t)
-        stack = self._stack("lam1" if family == 1 else "lam2")
-        lo = (1.0 - frac) * stack[k, i] + frac * stack[k, i + 1]
-        hi = (1.0 - frac) * stack[k2, i] + frac * stack[k2, i + 1]
-        return float((1.0 - tau) * lo + tau * hi)
+    def interpolate(self, x, when, names) -> list:
+        """Bilinear space-time interpolation of the stored stacks ``names``
+        (any of z, w, zx, wx, lam1, lam2) at positions ``x`` and at the times
+        ``when = time_weights(t)`` locates.  ``t`` has the shape of ``x``, or
+        is one time shared by every point.  Positions past the grid take its
+        outermost pair of cells."""
+        k, k2, tau = when
+        # np.minimum(np.maximum(...)) is np.clip without its per-call cost,
+        # which dominates at the few dozen points of one RK4 stage.
+        xi = np.asarray(x, dtype=float) / self.grid.dx - 0.5
+        i = np.minimum(np.maximum(np.floor(xi), 0), self.grid.n - 2)
+        frac = np.minimum(np.maximum(xi - i, 0.0), 1.0)
+        i = i.astype(np.intp)
+        i1, rest, stay = i + 1, 1.0 - frac, 1.0 - tau
+        out = []
+        for name in names:
+            stack = self._stack(name)
+            lo = rest * stack[k, i] + frac * stack[k, i1]
+            hi = rest * stack[k2, i] + frac * stack[k2, i1]
+            out.append(stay * lo + tau * hi)
+        return out
 
     def save(self, path):
         if self.scenario.config_text is None:

@@ -25,7 +25,6 @@ def desk_scenario(name, **overrides):
     """Desk scenario from the shipped config, optionally shrunk for speed."""
     scn = load_config(CONFIG_DIR / f"{name}.cfg").to_scenario()
     if overrides:
-        overrides.setdefault("_cache", {})
         scn = dataclasses.replace(scn, **overrides)
     return scn
 

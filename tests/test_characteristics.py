@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import desk_scenario, region_l, region_m, uniform_scenario
-from nozzleflow.characteristics import (CharPath, bound_check, launch_fan,
+from nozzleflow.characteristics import (WALL_BAND_CELLS, CharPath,
+                                        bound_check, boundary_fan, launch_fan,
                                         riccati_residual, trace)
 from nozzleflow.errors import DomainError, InvalidStateError, ResolutionError
 from nozzleflow.region import RegionSpec
+from nozzleflow.riccati import coeffs_zw, phi_psi_zw
 from nozzleflow.solver import run
 
 
@@ -56,8 +58,7 @@ class TestTrace:
         mid_x = 0.5 * (path.x[1:] + path.x[:-1])
         mid_t = 0.5 * (path.t[1:] + path.t[:-1])
         rate = np.diff(path.x) / np.diff(path.t)
-        lam_mid = np.array([p1_run.lam_at(float(x), float(t), 2)
-                            for x, t in zip(mid_x, mid_t)])
+        lam_mid, = p1_run.interpolate(mid_x, p1_run.time_weights(mid_t), ("lam2",))
         assert float(np.abs(rate - lam_mid).max()) < 5e-7
 
     def test_resolution_guard(self, law53):
@@ -119,7 +120,7 @@ class TestResidual:
         base = desk_scenario("p3_desk", T=1.0)
         res = {}
         for n in (400, 800):
-            scn = dataclasses.replace(base, n=n, _cache={})
+            scn = dataclasses.replace(base, n=n)
             traj, _ = run(scn)
             res[n] = max(riccati_residual(p).max_norm
                          for p in launch_fan(traj, 1) if p.n >= 3)
@@ -183,3 +184,156 @@ class TestBounds:
         assert len(samples) == path.n
         assert all(s.in_band for s in samples)
         assert samples[0].Phi == pytest.approx(float(path.value[0]))
+
+
+# ---------------------------------------------------------------------------
+# the lockstep fan engine against a scalar, one-path-at-a-time reference
+# ---------------------------------------------------------------------------
+
+def _ref_locate(traj, x, t):
+    times = traj.times
+    k = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 1))
+    k2 = min(k + 1, len(times) - 1)
+    tau = 0.0 if k2 == k else float(np.clip((t - times[k]) / (times[k2] - times[k]), 0.0, 1.0))
+    xi = x / traj.grid.dx - 0.5
+    i = int(np.clip(np.floor(xi), 0, traj.grid.n - 2))
+    frac = float(np.clip(xi - i, 0.0, 1.0))
+    return k, k2, tau, i, frac
+
+
+def _ref_value(traj, name, x, t):
+    k, k2, tau, i, frac = _ref_locate(traj, x, t)
+    stack = traj._stack(name)
+    lo = (1.0 - frac) * stack[k, i] + frac * stack[k, i + 1]
+    hi = (1.0 - frac) * stack[k2, i] + frac * stack[k2, i + 1]
+    return float((1.0 - tau) * lo + tau * hi)
+
+
+def reference_trace(history, x0, family, t0=0.0):
+    """The scalar RK4 tracer the lockstep engine replaced, kept verbatim in
+    its arithmetic: one path, one interpolation per RK4 stage."""
+    times = history.times
+    scn = history.scenario
+    x_max = history.grid.x_max
+    lam_abs = scn.speed_bounds.lambda_abs_max
+    x0 = max(x0, 0.5 * history.grid.dx)
+    k0 = int(np.searchsorted(times, t0 - 1e-14, side="left"))
+    k0 = min(k0, len(times) - 1)
+    name = "lam1" if family == 1 else "lam2"
+
+    def lam(xq, tq):
+        return _ref_value(history, name, min(max(xq, 0.0), x_max), tq)
+
+    wall_band = max(WALL_BAND_CELLS * history.grid.dx,
+                    scn.wall_margin_frac * scn.x_interest)
+    ts, xs = [], []
+    reason = "end"
+    x = x0
+    if x0 >= wall_band:
+        ts.append(times[k0])
+        xs.append(x0)
+    for k in range(k0, len(times) - 1):
+        t_k, t_k1 = times[k], times[k + 1]
+        h = t_k1 - t_k
+        v1 = lam(x, t_k)
+        v2 = lam(x + 0.5 * h * v1, t_k + 0.5 * h)
+        v3 = lam(x + 0.5 * h * v2, t_k + 0.5 * h)
+        v4 = lam(x + h * v3, t_k1)
+        x_new = x + h / 6.0 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+        if x_new < wall_band and v1 < 0.0:
+            reason = "left"
+            break
+        if x_new > x_max - lam_abs * t_k1:
+            reason = "cone"
+            break
+        if x_new >= wall_band:
+            ts.append(t_k1)
+            xs.append(x_new)
+        x = x_new
+    if not ts:
+        ts, xs = [times[k0]], [min(max(x0, wall_band), x_max)]
+    t_arr, x_arr = np.asarray(ts), np.asarray(xs)
+    cols = {key: np.array([_ref_value(history, key, xq, tq)
+                           for tq, xq in zip(t_arr, x_arr)])
+            for key in ("z", "w", "zx", "wx", name)}
+    a = np.asarray(scn.profile.a(x_arr), dtype=float)
+    ax = np.asarray(scn.profile.a_prime(x_arr), dtype=float)
+    phi, psi = phi_psi_zw(cols["z"], cols["w"], cols["zx"], cols["wx"], a, scn.law)
+    A, B, C, Ah, Bh, Ch = coeffs_zw(cols["z"], cols["w"], a, ax, scn.law)
+    if family == 1:
+        value, other = phi, psi
+    else:
+        value, other = psi, phi
+        A, B, C = Ah, Bh, Ch
+    return CharPath(family, x0, t0, t_arr, x_arr, cols["z"], cols["w"],
+                    cols[name], cols["zx"], cols["wx"], a, ax, value, other,
+                    A, B, C, reason)
+
+
+def reference_launch_fan(history, family):
+    scn = history.scenario
+    lo = max(WALL_BAND_CELLS * history.grid.dx,
+             scn.wall_margin_frac * scn.x_interest)
+    spacing = (scn.x_interest - lo) / scn.fan
+    paths, nudged = [], 0
+    for k in range(scn.fan):
+        x0 = lo + (k + 0.5) * spacing
+        path = reference_trace(history, float(x0), family)
+        for _ in range(4):
+            if path.n >= 3 or x0 + 0.5 * spacing > scn.x_interest:
+                break
+            x0 += 0.5 * spacing
+            nudged += 1
+            path = reference_trace(history, float(x0), family)
+        paths.append(path)
+    return paths, nudged
+
+
+def reference_boundary_fan(history, family):
+    scn = history.scenario
+    t0s = (np.arange(scn.fan) + 0.5) / scn.fan * scn.T
+    return [reference_trace(history, 0.0, family, t0=float(t0)) for t0 in t0s]
+
+
+_ARRAYS = ("t", "x", "z", "w", "lam", "zx", "wx", "a", "ax", "value", "other",
+           "A", "B", "C")
+
+
+def assert_same_paths(got, want):
+    assert len(got) == len(want)
+    for g, r in zip(got, want):
+        assert (g.family, g.x0, g.t0, g.exit_reason) == \
+            (r.family, r.x0, r.t0, r.exit_reason)
+        for name in _ARRAYS:
+            assert np.array_equal(getattr(g, name), getattr(r, name)), name
+
+
+class TestLockstepMatchesScalarReference:
+    def test_p1_fans_and_single_traces(self, p1_run):
+        for family in (1, 2):
+            ref, _ = reference_launch_fan(p1_run, family)
+            assert_same_paths(launch_fan(p1_run, family), ref)
+            assert_same_paths([trace(p1_run, 0.6, family)],
+                              [reference_trace(p1_run, 0.6, family)])
+
+    def test_p2_launch_and_boundary_fans_exit_at_the_cone(self):
+        traj = run(desk_scenario("p2_desk", n=120))[0]
+        exits = set()
+        for family in (1, 2):
+            ref, _ = reference_launch_fan(traj, family)
+            assert_same_paths(launch_fan(traj, family), ref)
+            ref_b = reference_boundary_fan(traj, family)
+            assert_same_paths(boundary_fan(traj, family), ref_b)
+            exits |= {p.exit_reason for p in ref + ref_b}
+        assert "cone" in exits
+
+    def test_p3_left_exits_and_nudged_launches(self):
+        traj = run(desk_scenario("p3_desk", n=300, T=1.0))[0]
+        nudges, exits = 0, set()
+        for family in (1, 2):
+            ref, nudged = reference_launch_fan(traj, family)
+            assert_same_paths(launch_fan(traj, family), ref)
+            nudges += nudged
+            exits |= {p.exit_reason for p in ref}
+        assert exits == {"left"}
+        assert nudges > 0

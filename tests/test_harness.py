@@ -5,6 +5,7 @@ import pytest
 
 from conftest import desk_scenario, region_l, small_config, uniform_scenario
 from nozzleflow import solver
+from nozzleflow.characteristics import launch_fan
 from nozzleflow.config import load_config
 from nozzleflow.errors import DomainError
 from nozzleflow.harness import (EXIT_BLOWUP, EXIT_CERT, EXIT_MONITOR, EXIT_OK,
@@ -111,6 +112,11 @@ class TestCharacteristicPass:
             assert stats["paths"] >= scn.fan
             assert stats["bounds_ok"]
             assert stats["speed_margin"] > 0
+            fan = launch_fan(traj, int(fam))
+            assert stats["samples"] == sum(path.n for path in fan)
+            assert stats["exits"] == {
+                reason: sum(path.exit_reason == reason for path in fan)
+                for reason in ("end", "left", "cone")}
         assert result["derivative_bounds"]["ok"]
 
     def test_weak_barrier_scale_fails(self, p1_small_run):

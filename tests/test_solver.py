@@ -180,7 +180,7 @@ class TestRun:
 
         scn = desk_scenario("p1_desk", n=200, T=0.02)
         shifted = dataclasses.replace(
-            scn, z0=lambda x, f=scn.z0: f(x) + 0.2, _cache={})
+            scn, z0=lambda x, f=scn.z0: f(x) + 0.2)
         monitors = Monitors(shifted)
         run(shifted, monitors)
         report = monitors.finalize()
@@ -220,3 +220,11 @@ class TestScenarioValidation:
             Grid(0.01, 100, 0.5, 2.0)
         grid = Grid(0.01, 100, 0.5, 1.0)
         assert grid.cells()[0] == pytest.approx(0.005)
+
+    def test_replace_derives_its_own_grid(self):
+        base = desk_scenario("p3_desk")
+        assert base.grid.n == 2000
+        smaller = dataclasses.replace(base, n=500)
+        assert smaller.grid.n == 500
+        assert smaller.runtime_arrays()["x"].size == 500
+        assert base.grid.n == 2000
