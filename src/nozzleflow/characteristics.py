@@ -78,9 +78,13 @@ def trace_fan(history: Trajectory, x0, family: int, t0=0.0) -> list:
     lam_abs = scn.speed_bounds.lambda_abs_max
     x0, t0 = (a.ravel() for a in np.broadcast_arrays(
         np.asarray(x0, dtype=float), np.asarray(t0, dtype=float)))
-    outside = ~((0.0 <= x0) & (x0 <= x_max))
+    # A run that stores only the window and its pad (both speeds negative,
+    # see Scenario.trusted_cells) can trace launches from the window only.
+    x_hi = x_max if scn.trusted_cells == history.grid.n else scn.x_interest
+    outside = ~((0.0 <= x0) & (x0 <= x_hi))
     if outside.any():
-        raise DomainError(f"launch point {x0[outside][0]} outside [0, {x_max}]")
+        raise DomainError(f"launch point {x0[outside][0]} outside the trusted "
+                          f"extent [0, {x_hi}]")
     if x0.size == 0:
         return []
     # Launch no closer to the wall than the first cell center, the innermost

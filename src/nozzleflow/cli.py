@@ -2,7 +2,7 @@
 
 Subcommands: constants, check, feasible, simulate, trace, verify.
 Exit codes: 0 ok, 2 certification failed, 3 monitor violation, 4 blow-up,
-64 usage, 65 malformed config, 66 cannot open input.
+64 usage, 65 malformed config or trajectory file, 66 cannot open input.
 """
 from __future__ import annotations
 

@@ -16,7 +16,7 @@ from .expressions import parse_expression
 from .model import GasLaw
 from .region import (RegionSpec, exp_profile, find_constants, power_profile,
                      tabulated_profile, zero_profile)
-from .solver import Scenario
+from .solver import KIND_FOR, Scenario
 
 _SCHEMA = {
     "problem": {"kind", "gamma", "T", "x_interest"},
@@ -29,8 +29,6 @@ _SCHEMA = {
                  "csv_stride", "fan", "cert_samples", "blow_limit",
                  "wall_margin_frac"},
 }
-
-_KIND_FOR = {"P1": "m", "P2": "r", "P3": "l"}
 
 
 @dataclass
@@ -90,14 +88,14 @@ class ScenarioConfig:
 
     def to_scenario(self) -> Scenario:
         problem = self.raw("problem", "kind", required=True)
-        if problem not in _KIND_FOR:
+        if problem not in KIND_FOR:
             self._fail("problem", "kind", f"kind must be P1, P2 or P3, got {problem!r}")
         try:
             law = GasLaw.from_gamma(self.raw("problem", "gamma", required=True))
         except DomainError as exc:
             raise ConfigError(str(exc), self.source, self._line("problem", "gamma")) from None
         profile = self._build_profile(law)
-        region = self._build_region(law, profile, _KIND_FOR[problem])
+        region = self._build_region(law, profile, KIND_FOR[problem])
 
         z0 = self.expr("data", "z0", {"x"}, required=True)
         w0 = self.expr("data", "w0", {"x"}, required=True)

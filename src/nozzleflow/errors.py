@@ -68,3 +68,7 @@ class ConfigError(NozzleflowError):
         super().__init__(anchor + message)
         self.source = source
         self.line = line
+
+
+class TrajectoryFileError(NozzleflowError):
+    """Stored trajectory file lacks an array or holds one of the wrong shape."""

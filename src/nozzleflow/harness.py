@@ -18,7 +18,7 @@ import numpy as np
 from . import characteristics as chars
 from .config import ScenarioConfig, load_config, parse_config_text
 from .errors import (BlowUpError, DomainError, InvalidStateError,
-                     VacuumStateError)
+                     TrajectoryFileError, VacuumStateError)
 from .model import rho_zw, speeds_zw
 from .region import (Certificate, CertItem, check_h1, check_hypothesis,
                      critical_constants, membership_margins)
@@ -279,6 +279,13 @@ class Monitors:
 # independent conservative-form residual
 # ---------------------------------------------------------------------------
 
+def _stored_columns(scn: Scenario) -> dict:
+    """The grid arrays of ``scn`` cut to the columns a stored snapshot keeps
+    (``Scenario.trusted_cells``)."""
+    arrays, m = scn.runtime_arrays(), scn.trusted_cells
+    return {key: arrays[key][:m] for key in ("x", "a", "s", "window")}
+
+
 @dataclass
 class ConservativeResidual:
     times: np.ndarray
@@ -310,7 +317,7 @@ def conservative_residual(traj: Trajectory) -> ConservativeResidual:
         raise DomainError("conservative residual needs stride-1 snapshots")
     scn = traj.scenario
     law = scn.law
-    arrays = scn.runtime_arrays()
+    arrays = _stored_columns(scn)
     z, w, times = traj.z, traj.w, traj.times
     if len(times) < 3:
         return ConservativeResidual(times, *(np.zeros(0),) * 4)
@@ -344,8 +351,11 @@ def characteristic_pass(traj: Trajectory, delta1=None, M=None, alpha=None) -> di
     delta1 = scn.delta1 if delta1 is None else delta1
     M = scn.profile.M if M is None else M
     alpha = scn.profile.alpha if alpha is None else alpha
-    lip = max(float(np.abs(traj._stack("zx")).max()),
-              float(np.abs(traj._stack("wx")).max()))
+    # The last column of a trimmed snapshot has only a one-sided gradient.
+    m = scn.trusted_cells
+    cols = slice(0, m if m == traj.grid.n else m - 1)
+    lip = max(float(np.abs(traj._stack("zx")[:, cols]).max()),
+              float(np.abs(traj._stack("wx")[:, cols]).max()))
     tol_base = scn.margin_tol_factor * traj.grid.dx * lip
     result = {"tolerance": tol_base, "lip": lip, "families": {}, "paths": []}
     all_ok = True
@@ -423,7 +433,7 @@ def derivative_bound_estimate(traj: Trajectory, delta1: float, M: float,
     measured extremes."""
     scn = traj.scenario
     law = scn.law
-    arrays = scn.runtime_arrays()
+    arrays = _stored_columns(scn)
     window = arrays["window"]
     z = traj.z[:, window]
     w = traj.w[:, window]
@@ -477,7 +487,7 @@ _CSV_HEADER = ("t,x,rho,v,z,w,z_x,w_x,Phi,Psi,margin_z_lo,margin_z_hi,"
 def write_fields_csv(traj: Trajectory, path, stride: int | None = None) -> None:
     scn = traj.scenario
     stride = scn.csv_stride if stride is None else stride
-    arrays = scn.runtime_arrays()
+    arrays = _stored_columns(scn)
     window = arrays["window"]
     x = arrays["x"][window]
     a = arrays["a"][window]
@@ -522,21 +532,23 @@ def write_path_csv(path_obj, delta1, M, alpha, out_path) -> None:
 
 def load_trajectory(path) -> Trajectory:
     """Rebuild a saved trajectory (the scenario is reconstructed from the
-    embedded configuration text)."""
+    embedded configuration text).  A file with a missing or misshapen array
+    raises TrajectoryFileError."""
     with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        cfg = parse_config_text(meta["config_text"], source=f"{path}:config")
-        scn = cfg.to_scenario()
-        traj = Trajectory(scn)
-        traj._times = list(data["times"])
-        traj._dts = list(data["dts"])
-        traj._z = list(data["z"])
-        traj._w = list(data["w"])
-        traj._ez = list(data["z_edge"])
-        traj._ew = list(data["w_edge"])
-        traj.blown_up = bool(meta.get("blown_up", False))
-        traj.snapshot_stride = int(meta.get("snapshot_stride", 1))
-    return traj
+        try:
+            meta = json.loads(str(data["meta"]))
+            text = meta["config_text"]
+            blown_up = bool(meta.get("blown_up", False))
+            stride = int(meta.get("snapshot_stride", 1))
+        except (KeyError, TypeError, ValueError):
+            raise TrajectoryFileError(f"{path}: no readable meta record") from None
+        if not isinstance(text, str):
+            raise TrajectoryFileError(f"{path}: meta record holds no config text")
+        scn = parse_config_text(text, source=f"{path}:config").to_scenario()
+        try:
+            return Trajectory.from_npz(scn, data, blown_up, stride)
+        except TrajectoryFileError as exc:
+            raise TrajectoryFileError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

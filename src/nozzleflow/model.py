@@ -116,11 +116,6 @@ def pressure(rho, law: GasLaw):
     return rho ** law.gamma / law.gamma
 
 
-def sound_char_zw(z, w, law: GasLaw):
-    """rho**theta expressed in the invariants: theta*(w - z)/2."""
-    return 0.5 * law.theta * (np.asarray(w) - np.asarray(z))
-
-
 def rho_zw(z, w, law: GasLaw):
     """Density recovered from the invariants (0 where the gap closes)."""
     gap = np.maximum(np.asarray(w) - np.asarray(z), 0.0)

@@ -6,6 +6,14 @@ boundary.  Both invariants are advected with their own local speed (donor
 cell, optionally limited second order with two-stage time integration); the
 geometric source is applied pointwise inside the same stages, keeping the
 z/w source increments exact negatives.
+
+The evolve always runs on the whole extended grid, but a stored snapshot
+keeps only the columns a reader of the run can reach
+(``Scenario.trusted_cells``).  When both characteristic speeds are negative
+on the region (P3), every traced path and every check stays inside the
+reporting window, so a snapshot keeps the window cells plus two: one for the
+bilinear interpolation at ``i + 1``, one for the central gradient there.
+P1 and P2 paths run right up to the influence cone, so they keep every cell.
 """
 from __future__ import annotations
 
@@ -15,12 +23,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BlowUpError, DomainError, SonicBoundaryError
+from .errors import (BlowUpError, DomainError, SonicBoundaryError,
+                     TrajectoryFileError)
 from .model import GasLaw, source_pair_zw, speeds_zw
 from .region import NozzleProfile, RegionSpec, SpeedBounds, region_speed_bounds
 
 #: Module-level hook so verification tests can plant source mutations.
 source_pair = source_pair_zw
+
+#: Region kind (envelope inequality set) each problem type needs.
+KIND_FOR = {"P1": "m", "P2": "r", "P3": "l"}
 
 
 @dataclass(frozen=True)
@@ -85,18 +97,16 @@ class Scenario:
     config_text: Optional[str] = None
     _cache: dict = field(default_factory=dict, repr=False)
 
-    _KIND_FOR = {"P1": "m", "P2": "r", "P3": "l"}
-
     def __post_init__(self):
         # Derived state belongs to this instance: ``dataclasses.replace``
         # hands over the original's dict, whose grid may be for another n.
         self._cache = {}
-        if self.problem not in self._KIND_FOR:
+        if self.problem not in KIND_FOR:
             raise DomainError(f"problem must be P1, P2 or P3, got {self.problem!r}")
-        if self.region.kind != self._KIND_FOR[self.problem]:
+        if self.region.kind != KIND_FOR[self.problem]:
             raise DomainError(
                 f"problem {self.problem} needs a region of kind "
-                f"{self._KIND_FOR[self.problem]!r}, got {self.region.kind!r}")
+                f"{KIND_FOR[self.problem]!r}, got {self.region.kind!r}")
         if self.cfl <= 0.0:
             raise DomainError("cfl must be positive (stability needs cfl <= 1)")
         if self.order not in (1, 2):
@@ -118,6 +128,19 @@ class Scenario:
             x_max = self.x_interest + self.speed_bounds.lambda_abs_max * self.T
             self._cache["grid"] = Grid(x_max / self.n, self.n, self.x_interest, x_max)
         return self._cache["grid"]
+
+    @property
+    def trusted_cells(self) -> int:
+        """Leading cells of the grid that a stored snapshot keeps (see the
+        module docstring): the window plus two when both speeds are
+        negative, else all of them."""
+        if "trusted" not in self._cache:
+            grid, bounds = self.grid, self.speed_bounds
+            count = grid.n
+            if bounds.sign1 < 0 and bounds.sign2 < 0:
+                count = min(grid.n, int(self.runtime_arrays()["window"].sum()) + 2)
+            self._cache["trusted"] = count
+        return self._cache["trusted"]
 
     def runtime_arrays(self) -> dict:
         """Grid-sampled profile data used by every step (built once)."""
@@ -270,27 +293,73 @@ def step(fld: Field, dt: float, scn: Scenario) -> Field:
     return Field(zn, wn, t + dt, fld.grid)
 
 
+#: What a trajectory stores per snapshot, in the order ``append`` takes it:
+#: time, step, the trusted columns of z and w, and the x = 0 edge traces.
+_STORED = ("times", "dts", "z", "w", "z_edge", "w_edge")
+
+
 class Trajectory:
-    """Stored snapshots of one run plus their space-time interpolator."""
+    """Stored snapshots of one run plus their space-time interpolator.
+
+    Snapshots keep the first ``scenario.trusted_cells`` columns.  They are
+    collected as rows and stacked on first read; the rows are then dropped,
+    so each snapshot is held once."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.grid = scenario.grid
         self.snapshot_stride = scenario.snapshot_stride
         self.blown_up = False
-        self._times, self._dts = [], []
-        self._z, self._w = [], []
-        self._ez, self._ew = [], []
+        self._rows = {name: [] for name in _STORED}
         self._arrays = None
         self._caches = {}
 
+    @classmethod
+    def from_npz(cls, scenario: Scenario, data, blown_up: bool = False,
+                 snapshot_stride: int = 1) -> "Trajectory":
+        """The run of ``scenario`` that ``save`` stored in ``data`` (an open
+        ``.npz`` or any mapping of its arrays).  Keys and shapes are checked;
+        snapshots wider than the trusted columns, as written before storage
+        was trimmed, are trimmed."""
+        missing = [name for name in _STORED if name not in data]
+        if missing:
+            raise TrajectoryFileError(f"missing arrays: {', '.join(missing)}")
+        arrays = {name: np.asarray(data[name]) for name in _STORED}
+        for name, arr in arrays.items():
+            if arr.dtype.kind not in "fiu":
+                raise TrajectoryFileError(f"{name} holds {arr.dtype} values, not numbers")
+        snaps = arrays["times"].shape
+        if len(snaps) != 1 or snaps[0] < 1:
+            raise TrajectoryFileError(f"times must be a nonempty 1-D array, has shape {snaps}")
+        for name in ("dts", "z_edge", "w_edge"):
+            if arrays[name].shape != snaps:
+                raise TrajectoryFileError(
+                    f"{name} has shape {arrays[name].shape}, times {snaps}")
+        shape = arrays["z"].shape
+        if arrays["w"].shape != shape:
+            raise TrajectoryFileError(f"z has shape {shape}, w {arrays['w'].shape}")
+        m, n = scenario.trusted_cells, scenario.grid.n
+        if len(shape) != 2 or shape[0] != snaps[0] or not m <= shape[1] <= n:
+            raise TrajectoryFileError(
+                f"z and w have shape {shape}, need ({snaps[0]}, m) with {m} <= m <= {n}")
+        for name in ("z", "w"):
+            arrays[name] = np.ascontiguousarray(arrays[name][:, :m])
+        traj = cls(scenario)
+        traj._rows = None
+        traj._arrays = {name: arr.astype(float, copy=False) for name, arr in arrays.items()}
+        traj.blown_up = blown_up
+        traj.snapshot_stride = snapshot_stride
+        return traj
+
     def append(self, fld: Field, dt: float, bv: BoundaryValues):
-        self._times.append(fld.t)
-        self._dts.append(dt)
-        self._z.append(fld.z.copy())
-        self._w.append(fld.w.copy())
-        self._ez.append(bv.z_edge)
-        self._ew.append(bv.w_edge)
+        if self._rows is None:
+            # Appending after a read: the stacked snapshots become rows again
+            # (views of the stacks, not copies).
+            self._rows = {name: list(arr) for name, arr in self._arrays.items()}
+        m = self.scenario.trusted_cells
+        for name, value in zip(_STORED, (fld.t, dt, fld.z[:m].copy(), fld.w[:m].copy(),
+                                         bv.z_edge, bv.w_edge)):
+            self._rows[name].append(value)
         self._arrays = None
 
     def finalize(self, blown_up: bool = False):
@@ -299,14 +368,9 @@ class Trajectory:
 
     def _materialize(self):
         if self._arrays is None:
-            self._arrays = {
-                "times": np.asarray(self._times, dtype=float),
-                "dts": np.asarray(self._dts, dtype=float),
-                "z": np.asarray(self._z, dtype=float),
-                "w": np.asarray(self._w, dtype=float),
-                "z_edge": np.asarray(self._ez, dtype=float),
-                "w_edge": np.asarray(self._ew, dtype=float),
-            }
+            self._arrays = {name: np.asarray(rows, dtype=float)
+                            for name, rows in self._rows.items()}
+            self._rows = None
         return self._arrays
 
     @property
@@ -365,13 +429,13 @@ class Trajectory:
         """Bilinear space-time interpolation of the stored stacks ``names``
         (any of z, w, zx, wx, lam1, lam2) at positions ``x`` and at the times
         ``when = time_weights(t)`` locates.  ``t`` has the shape of ``x``, or
-        is one time shared by every point.  Positions past the grid take its
-        outermost pair of cells."""
+        is one time shared by every point.  Positions past the stored columns
+        take their outermost pair."""
         k, k2, tau = when
         # np.minimum(np.maximum(...)) is np.clip without its per-call cost,
         # which dominates at the few dozen points of one RK4 stage.
         xi = np.asarray(x, dtype=float) / self.grid.dx - 0.5
-        i = np.minimum(np.maximum(np.floor(xi), 0), self.grid.n - 2)
+        i = np.minimum(np.maximum(np.floor(xi), 0), self.scenario.trusted_cells - 2)
         frac = np.minimum(np.maximum(xi - i, 0.0), 1.0)
         i = i.astype(np.intp)
         i1, rest, stay = i + 1, 1.0 - frac, 1.0 - tau

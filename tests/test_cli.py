@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR, small_config
@@ -104,6 +105,52 @@ class TestSimulateTraceVerify:
         assert (out / "b" / "report.json").exists()
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["a.cfg: exit 0", "b.cfg: exit 0"]
+
+
+@pytest.fixture(scope="module")
+def p3_npz(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("p3")
+    cfg = small_config("p3_desk", tmp, {"n = 2000": "n = 250"})
+    out = tmp / "artifacts"
+    assert main(["--quiet", "--out", str(out), "simulate", str(cfg)]) == 0
+    return out / "trajectory.npz"
+
+
+def _narrow(arrays):
+    arrays["z"], arrays["w"] = arrays["z"][:, :10], arrays["w"][:, :10]
+
+
+def _cut_times(arrays):
+    arrays["times"] = arrays["times"][:5]
+
+
+def _drop_w(arrays):
+    del arrays["w"]
+
+
+def _short_w(arrays):
+    arrays["w"] = arrays["w"][:, :-1]
+
+
+class TestStoredTrajectoryFiles:
+    @pytest.mark.parametrize("damage", [_narrow, _cut_times, _drop_w, _short_w],
+                             ids=["narrowed", "times_cut", "w_missing", "w_short"])
+    def test_malformed_file_is_a_data_error(self, p3_npz, tmp_path, capsys, damage):
+        with np.load(p3_npz) as data:
+            arrays = {name: data[name] for name in data.files}
+        damage(arrays)
+        bad = tmp_path / "bad.npz"
+        np.savez_compressed(bad, **arrays)
+        assert main(["--out", str(tmp_path), "verify", str(bad)]) == 65
+        err = capsys.readouterr().err
+        assert "bad.npz" in err and "Traceback" not in err
+
+    def test_trace_past_the_p3_window_is_a_usage_error(self, p3_npz, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "trace", str(p3_npz),
+                     "--family", "1", "--x0", "1.5"]) == 64
+        assert "trusted extent" in capsys.readouterr().err
+        assert main(["--out", str(tmp_path), "trace", str(p3_npz),
+                     "--family", "1", "--x0", "0.9"]) == 0
 
 
 class TestUsage:

@@ -193,3 +193,74 @@ class TestTrajectoryRoundTrip:
         lines = (tmp_path / "f.csv").read_text().splitlines()
         window_cells = int(scn.runtime_arrays()["window"].sum())
         assert (len(lines) - 1) % window_cells == 0
+
+
+class _Recorder:
+    """Monitor stand-in that keeps every full-width field the solver yields."""
+
+    def __init__(self):
+        self.z, self.w = [], []
+
+    def observe(self, fld, bv, prev, dt):
+        self.z.append(fld.z.copy())
+        self.w.append(fld.w.copy())
+
+
+def _full_width_npz(traj, recorder, path):
+    """Save ``traj`` the way files were written before snapshots were trimmed:
+    with every column of the recorded fields."""
+    meta = {"config_text": traj.scenario.config_text, "blown_up": False,
+            "snapshot_stride": traj.snapshot_stride}
+    np.savez_compressed(path, meta=np.array(json.dumps(meta)), times=traj.times,
+                        dts=traj.dts, z=np.array(recorder.z), w=np.array(recorder.w),
+                        z_edge=traj.z_edge, w_edge=traj.w_edge)
+
+
+@pytest.fixture(scope="module")
+def p3_recorded(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("p3")
+    scn = load_config(small_config("p3_desk", tmp, {"n = 2000": "n = 250"})).to_scenario()
+    recorder = _Recorder()
+    traj, _ = run(scn, recorder)
+    _full_width_npz(traj, recorder, tmp / "full.npz")
+    return traj, recorder, tmp / "full.npz"
+
+
+class TestTrustedColumns:
+    def test_p3_stores_the_window_plus_two_cells(self, p3_recorded):
+        traj, recorder, _ = p3_recorded
+        scn = traj.scenario
+        window_cells = int(scn.runtime_arrays()["window"].sum())
+        assert scn.trusted_cells == window_cells + 2 < scn.grid.n
+        assert traj.z.shape == (len(recorder.z), scn.trusted_cells)
+        assert np.array_equal(traj.z, np.array(recorder.z)[:, :scn.trusted_cells])
+        assert np.array_equal(traj.w, np.array(recorder.w)[:, :scn.trusted_cells])
+
+    def test_p1_and_p2_store_every_cell(self):
+        for name in ("p1_desk", "p2_desk"):
+            scn = desk_scenario(name, n=120, T=0.5)
+            traj, _ = run(scn)
+            assert scn.trusted_cells == scn.grid.n
+            assert traj.z.shape[1] == traj.w.shape[1] == scn.grid.n
+
+    def test_full_width_file_is_trimmed_on_load(self, p3_recorded):
+        traj, _, full = p3_recorded
+        back = load_trajectory(full)
+        assert np.array_equal(back.z, traj.z)
+        assert np.array_equal(back.w, traj.w)
+        assert characteristic_pass(back) == characteristic_pass(traj)
+        got, want = conservative_residual(back), conservative_residual(traj)
+        for name in ("times", "linf_rho", "l1_rho", "linf_mom", "l1_mom"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_each_snapshot_is_held_once(self, p3_recorded):
+        traj, _, full = p3_recorded
+        back = load_trajectory(full)
+        stacked = back.z
+        assert back._rows is None
+        fld = solver.Field(traj.z[-1].copy(), traj.w[-1].copy(), 99.0, back.grid)
+        bv = solver.boundary_update(fld, fld.t, back.scenario)
+        back.append(fld, 0.5, bv)
+        assert back.z.shape == (stacked.shape[0] + 1, stacked.shape[1])
+        assert np.array_equal(back.z[:-1], stacked)
+        assert back.times[-1] == 99.0
