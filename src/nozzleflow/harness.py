@@ -18,10 +18,11 @@ import numpy as np
 from . import characteristics as chars
 from .config import ScenarioConfig, load_config, parse_config_text
 from .errors import (BlowUpError, DomainError, InvalidStateError,
-                     TrajectoryFileError, VacuumStateError)
+                     NozzleflowError, TrajectoryFileError, VacuumStateError)
 from .model import rho_zw, speeds_zw
 from .region import (Certificate, CertItem, check_h1, check_hypothesis,
-                     critical_constants, membership_margins)
+                     critical_constants, envelopes, face_margins,
+                     membership_margins)
 from .riccati import (apriori_upper_bound, check_compatibility,
                       check_data_conditions, phi_psi_zw)
 from .solver import Scenario, Trajectory, boundary_update, run
@@ -182,17 +183,35 @@ class MonitorReport:
         }
 
 
+#: Steps the monitors buffer before they evaluate them as one block.
+_BLOCK = 64
+
+
 class Monitors:
     """Per-step observers: containment margins over the reporting window,
-    vacuum gap, derivative extremes, functional extremes, edge defect."""
+    vacuum gap, derivative extremes, functional extremes, edge defect.
+
+    ``observe`` only copies a step's window (plus the one cell its central
+    gradient reads) and its scalars into a buffer; every ``_BLOCK`` steps,
+    and in ``finalize``, the buffered steps are evaluated at once as
+    (step, cell) arrays.  Each cell still takes exactly the elementwise
+    operations of a step-by-step evaluation, and every reduction is a min,
+    max or argmin along the cells of one step, so every series, argmin cell
+    and flag is bitwise the per-step result.  ``observe`` takes consecutive
+    states, as ``solver.run`` gives them: the time rates compare a step with
+    the one observed before it.
+
+    A vacuum state raises ``VacuumStateError`` only when its block is
+    evaluated, possibly after the run went on past it; ``run_scenario``
+    therefore evaluates the buffer before it reports a failed run."""
 
     def __init__(self, scn: Scenario):
         self.scn = scn
         arrays = scn.runtime_arrays()
-        self.window = arrays["window"]
-        self.s_win = arrays["s"][self.window]
-        self.a_win = arrays["a"][self.window]
-        self.x_win = arrays["x"][self.window]
+        # The window is a leading run of cells (x increases along the grid).
+        self.cells = int(arrays["window"].sum())
+        self.faces = envelopes(scn.region, arrays["s"][:self.cells])
+        self.a_win = arrays["a"][:self.cells]
         self.dx = scn.grid.dx
         self.series = {key: [] for key in
                        ("t", "gap", "zx", "wx", "zt", "wt", "phi_min", "phi_max",
@@ -200,36 +219,71 @@ class Monitors:
         self.margin_series = {face: [] for face in _FACES}
         self.margin_argmin = {face: [] for face in _FACES}
         self.finite_ok = True
+        # Row 0 holds the last step of the previous block, for the rates.
+        self._zw = np.zeros((_BLOCK + 1, 2, min(self.cells + 1, scn.grid.n)))
+        self._filled = 1
+        self._steps = {key: [] for key in ("t", "dt", "rate", "z_edge", "w_edge")}
 
     def observe(self, fld, bv, prev, dt):
-        z = fld.z[self.window]
-        w = fld.w[self.window]
+        cols = self._zw.shape[2]
+        row = self._zw[self._filled]
+        row[0] = fld.z[:cols]
+        row[1] = fld.w[:cols]
+        steps = self._steps
+        steps["t"].append(fld.t)
+        steps["dt"].append(dt)
+        steps["rate"].append(prev is not None and dt > 0.0)
+        steps["z_edge"].append(bv.z_edge)
+        steps["w_edge"].append(bv.w_edge)
+        self._filled += 1
+        if self._filled == len(self._zw):
+            self._flush()
+
+    def _flush(self):
+        """Evaluate the buffered steps and append them to the series."""
+        count = self._filled - 1
+        if not count:
+            return
+        cells, series = self.cells, self.series
+        block = self._zw[:count + 1]
+        z, w = block[1:, 0, :cells], block[1:, 1, :cells]
+        steps = {key: np.asarray(vals) for key, vals in self._steps.items()}
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(w))):
             self.finite_ok = False
-        margins = membership_margins(z, w, self.s_win, self.scn.region)
+        margins = face_margins(z, w, self.faces)
+        rows = np.arange(count)
         for face in _FACES:
             arr = margins[face]
-            i = int(np.argmin(arr))
-            self.margin_series[face].append(float(arr[i]))
-            self.margin_argmin[face].append(i)
-        self.series["t"].append(fld.t)
-        self.series["gap"].append(float((w - z).min()))
-        zx = np.gradient(fld.z, self.dx)[self.window]
-        wx = np.gradient(fld.w, self.dx)[self.window]
-        self.series["zx"].append(float(np.abs(zx).max()))
-        self.series["wx"].append(float(np.abs(wx).max()))
-        if prev is not None and dt > 0.0:
-            self.series["zt"].append(float(np.abs((fld.z - prev.z)[self.window]).max() / dt))
-            self.series["wt"].append(float(np.abs((fld.w - prev.w)[self.window]).max() / dt))
+            i = np.argmin(arr, axis=1)
+            self.margin_series[face].extend(arr[rows, i].tolist())
+            self.margin_argmin[face].extend(i.tolist())
+        series["t"].extend(steps["t"].tolist())
+        series["gap"].extend((w - z).min(axis=1).tolist())
+        zx = np.gradient(block[1:, 0], self.dx, axis=1)[:, :cells]
+        wx = np.gradient(block[1:, 1], self.dx, axis=1)[:, :cells]
+        series["zx"].extend(np.abs(zx).max(axis=1).tolist())
+        series["wx"].extend(np.abs(wx).max(axis=1).tolist())
+        rate = steps["rate"]
+        if rate.any():
+            change = np.abs(block[1:, :, :cells][rate] - block[:-1, :, :cells][rate]).max(axis=2)
+            dt = steps["dt"][rate]
+            series["zt"].extend((change[:, 0] / dt).tolist())
+            series["wt"].extend((change[:, 1] / dt).tolist())
         phi, psi = phi_psi_zw(z, w, zx, wx, self.a_win, self.scn.law)
-        self.series["phi_min"].append(float(phi.min()))
-        self.series["phi_max"].append(float(phi.max()))
-        self.series["psi_min"].append(float(psi.min()))
-        self.series["psi_max"].append(float(psi.max()))
-        self.series["edge"].append(abs(bv.z_edge + bv.w_edge)
-                                   if self.scn.problem == "P1" else 0.0)
+        series["phi_min"].extend(phi.min(axis=1).tolist())
+        series["phi_max"].extend(phi.max(axis=1).tolist())
+        series["psi_min"].extend(psi.min(axis=1).tolist())
+        series["psi_max"].extend(psi.max(axis=1).tolist())
+        edge = (np.abs(steps["z_edge"] + steps["w_edge"]) if self.scn.problem == "P1"
+                else np.zeros(count))
+        series["edge"].extend(edge.tolist())
+        self._zw[0] = block[-1]
+        self._filled = 1
+        for vals in self._steps.values():
+            vals.clear()
 
     def finalize(self) -> MonitorReport:
+        self._flush()
         times = np.asarray(self.series["t"])
         min_margins = {face: np.asarray(vals) for face, vals in self.margin_series.items()}
         # Causal tolerance: each step is judged with the Lipschitz estimate
@@ -484,6 +538,11 @@ _CSV_HEADER = ("t,x,rho,v,z,w,z_x,w_x,Phi,Psi,margin_z_lo,margin_z_hi,"
                "margin_w_lo,margin_w_hi,gap,lambda1,lambda2")
 
 
+def _row_format(header: str) -> str:
+    """One CSV line of the columns of ``header``, each at full precision."""
+    return ",".join(["%.17g"] * len(header.split(","))) + "\n"
+
+
 def write_fields_csv(traj: Trajectory, path, stride: int | None = None) -> None:
     scn = traj.scenario
     stride = scn.csv_stride if stride is None else stride
@@ -495,7 +554,7 @@ def write_fields_csv(traj: Trajectory, path, stride: int | None = None) -> None:
     law = scn.law
     dx = traj.grid.dx
     rows = range(0, len(traj.times), max(1, stride))
-    fmt = "%.17g"
+    fmt = _row_format(_CSV_HEADER)
     with open(path, "w", newline="\n") as fh:
         fh.write(_CSV_HEADER + "\n")
         for k in rows:
@@ -512,22 +571,21 @@ def write_fields_csv(traj: Trajectory, path, stride: int | None = None) -> None:
             cols = [np.full_like(z, t), x, rho, v, z, w, zx, wx, phi, psi,
                     margins["z_lo"], margins["z_hi"], margins["w_lo"],
                     margins["w_hi"], margins["gap"], lam1, lam2]
-            block = np.column_stack(cols)
-            for row in block:
-                fh.write(",".join(fmt % val for val in row) + "\n")
+            for row in np.column_stack(cols).tolist():
+                fh.write(fmt % tuple(row))
 
 
 def write_path_csv(path_obj, delta1, M, alpha, out_path) -> None:
     br = chars.bound_check(path_obj, delta1, M, alpha)
     header = "t,x,z,w,value,A,B,C,margin_lower,margin_upper,margin_sub"
-    fmt = "%.17g"
+    fmt = _row_format(header)
+    cols = [path_obj.t, path_obj.x, path_obj.z, path_obj.w, path_obj.value,
+            path_obj.A, path_obj.B, path_obj.C,
+            br.lower_margin, br.upper_margin, br.sub_margin]
     with open(out_path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for i in range(path_obj.n):
-            vals = [path_obj.t[i], path_obj.x[i], path_obj.z[i], path_obj.w[i],
-                    path_obj.value[i], path_obj.A[i], path_obj.B[i], path_obj.C[i],
-                    br.lower_margin[i], br.upper_margin[i], br.sub_margin[i]]
-            fh.write(",".join(fmt % val for val in vals) + "\n")
+        for row in np.column_stack(cols).tolist():
+            fh.write(fmt % tuple(row))
 
 
 def load_trajectory(path) -> Trajectory:
@@ -592,7 +650,12 @@ def run_scenario(config, out_dir, force: bool = False, quiet: bool = True) -> in
     monitors = Monitors(scn)
     try:
         traj, _ = run(scn, monitors)
-    except BlowUpError as err:
+    except NozzleflowError as err:
+        # A vacuum state in a step observed before the failure is the error
+        # to report, as it was when the monitors ran step by step.
+        monitors._flush()
+        if not isinstance(err, BlowUpError):
+            raise
         traj = err.trajectory
         if traj is not None and traj.scenario.config_text is not None:
             traj.save(out / "trajectory.npz")
@@ -611,9 +674,10 @@ def run_scenario(config, out_dir, force: bool = False, quiet: bool = True) -> in
     cons = conservative_residual(traj) if traj.snapshot_stride == 1 else None
     traj.save(out / "trajectory.npz")
     write_fields_csv(traj, out / "fields.csv")
-    _write_json(mrep.to_dict(), out / "monitor_report.json")
+    monitor_report = mrep.to_dict()
+    _write_json(monitor_report, out / "monitor_report.json")
     report.update({
-        "monitors": mrep.to_dict(),
+        "monitors": monitor_report,
         "characteristics": post,
         "conservative_residual": cons.to_dict() if cons is not None else None,
         "runtime_seconds": time.perf_counter() - started,

@@ -612,9 +612,14 @@ def envelopes(spec: RegionSpec, s):
 
 def membership_margins(z, w, s, spec: RegionSpec):
     """Signed distances to the four envelope faces and the w >= z face."""
+    return face_margins(z, w, envelopes(spec, s))
+
+
+def face_margins(z, w, faces):
+    """``membership_margins`` against faces ``envelopes`` already gave."""
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
-    z_lo, z_hi, w_lo, w_hi = envelopes(spec, s)
+    z_lo, z_hi, w_lo, w_hi = faces
     return {
         "z_lo": z - z_lo,
         "z_hi": z_hi - z,

@@ -7,6 +7,15 @@ cell, optionally limited second order with two-stage time integration); the
 geometric source is applied pointwise inside the same stages, keeping the
 z/w source increments exact negatives.
 
+One kernel evolves both invariants: ``step`` holds z and w as the two rows
+of one (2, n) array, so each stage extends it with its ghosts, takes its
+speeds, limited slopes and upwind gradients once for both rows, and the
+update is one array operation; the fields it returns are row views of that
+array.  Every cell takes the same operations as it would row by row, so the
+result is bitwise that of two separate row updates.  ``run`` hands each step
+the boundary values it already computed for the monitors and the stored
+snapshot, so ``boundary_update`` runs twice per second-order step.
+
 The evolve always runs on the whole extended grid, but a stored snapshot
 keeps only the columns a reader of the run can reach
 (``Scenario.trusted_cells``).  When both characteristic speeds are negative
@@ -17,7 +26,10 @@ P1 and P2 paths run right up to the influence cone, so they keep every cell.
 """
 from __future__ import annotations
 
+import io
 import json
+import os
+import zipfile
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -234,63 +246,69 @@ def _limited_slope(a, b):
     branch switching staircases smooth profiles, which wrecks the convergence
     of derivative diagnostics)."""
     prod = a * b
-    denom = np.where(prod > 0.0, a + b, 1.0)
-    return np.where(prod > 0.0, 2.0 * prod / denom, 0.0)
+    pos = prod > 0.0
+    return np.where(pos, 2.0 * prod / np.where(pos, a + b, 1.0), 0.0)
 
 
 def _upwind_gradient(u_ext, lam_ext, dx: float, order: int):
     """Upwind-biased gradient at the n interior cells from the extended array
-    (two ghosts each side); upwind side chosen by the face-mean speed."""
-    n = u_ext.size - 4
-    lam_face = 0.5 * (lam_ext[1:n + 2] + lam_ext[2:n + 3])
+    (two ghosts each side); upwind side chosen by the face-mean speed.  Rows
+    of a 2-D ``u_ext`` are independent fields, each with its own speeds."""
+    n = u_ext.shape[-1] - 4
+    lam_face = 0.5 * (lam_ext[..., 1:n + 2] + lam_ext[..., 2:n + 3])
     if order == 1:
-        u_face = np.where(lam_face >= 0.0, u_ext[1:n + 2], u_ext[2:n + 3])
+        u_face = np.where(lam_face >= 0.0, u_ext[..., 1:n + 2], u_ext[..., 2:n + 3])
     else:
-        dm = u_ext[1:n + 3] - u_ext[0:n + 2]
-        dp = u_ext[2:n + 4] - u_ext[1:n + 3]
+        dm = u_ext[..., 1:n + 3] - u_ext[..., 0:n + 2]
+        dp = u_ext[..., 2:n + 4] - u_ext[..., 1:n + 3]
         slope = _limited_slope(dm, dp)
         u_face = np.where(lam_face >= 0.0,
-                          u_ext[1:n + 2] + 0.5 * slope[0:n + 1],
-                          u_ext[2:n + 3] - 0.5 * slope[1:n + 2])
-    return (u_face[1:] - u_face[:-1]) / dx
+                          u_ext[..., 1:n + 2] + 0.5 * slope[..., 0:n + 1],
+                          u_ext[..., 2:n + 3] - 0.5 * slope[..., 1:n + 2])
+    return (u_face[..., 1:] - u_face[..., :-1]) / dx
 
 
-def _stage_rhs(z, w, t: float, scn: Scenario):
+def _stage_rhs(u, bv: BoundaryValues, scn: Scenario):
+    """Time derivative of the (2, n) state ``u`` (rows z and w) whose ghost
+    cells are ``bv``: each row advected with its own speed, plus the source."""
     arrays = scn.runtime_arrays()
-    grid = scn.grid
-    bv = boundary_update(Field(z, w, t, grid), t, scn)
-    z_ext = np.concatenate([bv.gl_z, z, bv.gr_z])
-    w_ext = np.concatenate([bv.gl_w, w, bv.gr_w])
-    lam1e, lam2e = speeds_zw(z_ext, w_ext, scn.law)
-    z_x = _upwind_gradient(z_ext, lam1e, grid.dx, scn.order)
-    w_x = _upwind_gradient(w_ext, lam2e, grid.dx, scn.order)
-    sz, sw = source_pair(z, w, arrays["a"], scn.law)
-    fz = -lam1e[2:-2] * z_x + sz
-    fw = -lam2e[2:-2] * w_x + sw
-    return fz, fw
+    ext = np.empty((2, u.shape[1] + 4))
+    ext[0, :2] = bv.gl_z
+    ext[1, :2] = bv.gl_w
+    ext[:, 2:-2] = u
+    ext[0, -2:] = bv.gr_z
+    ext[1, -2:] = bv.gr_w
+    lam = np.empty_like(ext)
+    lam[0], lam[1] = speeds_zw(ext[0], ext[1], scn.law)
+    f = -lam[:, 2:-2] * _upwind_gradient(ext, lam, scn.grid.dx, scn.order)
+    sz, sw = source_pair(u[0], u[1], arrays["a"], scn.law)
+    f[0] += sz
+    f[1] += sw
+    return f
 
 
-def step(fld: Field, dt: float, scn: Scenario) -> Field:
-    """One explicit step (forward Euler or two-stage second order)."""
-    z, w, t = fld.z, fld.w, fld.t
-    f1z, f1w = _stage_rhs(z, w, t, scn)
+def step(fld: Field, dt: float, scn: Scenario, bv: Optional[BoundaryValues] = None) -> Field:
+    """One explicit step (forward Euler or two-stage second order).  ``bv``
+    are the boundary values of ``fld`` when the caller already has them."""
+    t = fld.t
+    if bv is None:
+        bv = boundary_update(fld, t, scn)
+    u = np.empty((2, fld.z.size))
+    u[0], u[1] = fld.z, fld.w
+    f1 = _stage_rhs(u, bv, scn)
     if scn.order == 1:
-        zn = z + dt * f1z
-        wn = w + dt * f1w
+        new = u + dt * f1
     else:
-        z1 = z + dt * f1z
-        w1 = w + dt * f1w
-        f2z, f2w = _stage_rhs(z1, w1, t + dt, scn)
-        zn = z + 0.5 * dt * (f1z + f2z)
-        wn = w + 0.5 * dt * (f1w + f2w)
-    bad = (~np.isfinite(zn) | ~np.isfinite(wn)
-           | (np.abs(zn) > scn.blow_limit) | (np.abs(wn) > scn.blow_limit))
+        u1 = u + dt * f1
+        bv1 = boundary_update(Field(u1[0], u1[1], t + dt, fld.grid), t + dt, scn)
+        new = u + 0.5 * dt * (f1 + _stage_rhs(u1, bv1, scn))
+    bad = ~(np.abs(new) <= scn.blow_limit)  # NaN compares false: bad too
     if bad.any():
-        cell = int(np.argmax(bad))
+        cell = int(np.argmax(bad.any(axis=0)))
         raise BlowUpError(
             f"solution left the finite range at t={t + dt:.6g}, cell {cell} "
             f"(x={(cell + 0.5) * fld.grid.dx:.6g})", t=t + dt, cell=cell)
-    return Field(zn, wn, t + dt, fld.grid)
+    return Field(new[0], new[1], t + dt, fld.grid)
 
 
 #: What a trajectory stores per snapshot, in the order ``append`` takes it:
@@ -455,8 +473,18 @@ class Trajectory:
             "blown_up": self.blown_up,
             "snapshot_stride": self.snapshot_stride,
         }
-        arr = self._materialize()
-        np.savez_compressed(path, meta=np.array(json.dumps(meta)), **arr)
+        path = os.fspath(path)
+        if not path.endswith(".npz"):
+            path += ".npz"  # as np.savez_compressed names it
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as npz:
+            # The config text compresses well only at a high level, and it
+            # is small enough that the level costs nothing.
+            record = io.BytesIO()
+            np.lib.format.write_array(record, np.array(json.dumps(meta)), allow_pickle=False)
+            npz.writestr("meta.npy", record.getvalue(), compresslevel=9)
+            for name, arr in self._materialize().items():
+                with npz.open(name + ".npy", "w", force_zip64=True) as entry:
+                    np.lib.format.write_array(entry, arr, allow_pickle=False)
 
 
 def run(scn: Scenario, monitors=None):
@@ -476,7 +504,7 @@ def run(scn: Scenario, monitors=None):
             dt = cfl_dt(fld, scn.law, scn.cfl, t_end=T)
             if dt <= 0.0:
                 break
-            new = step(fld, dt, scn)
+            new = step(fld, dt, scn, bv)
             step_idx += 1
             bv = boundary_update(new, new.t, scn)
             if monitors is not None:

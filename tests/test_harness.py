@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -6,12 +8,16 @@ import pytest
 from conftest import desk_scenario, region_l, small_config, uniform_scenario
 from nozzleflow import solver
 from nozzleflow.characteristics import launch_fan
+from nozzleflow.cli import main
 from nozzleflow.config import load_config
-from nozzleflow.errors import DomainError
-from nozzleflow.harness import (EXIT_BLOWUP, EXIT_CERT, EXIT_MONITOR, EXIT_OK,
-                                Monitors, certify, characteristic_pass,
+from nozzleflow.errors import BlowUpError, DomainError, VacuumStateError
+from nozzleflow.harness import (_BLOCK, _FACES, EXIT_BLOWUP, EXIT_CERT,
+                                EXIT_DATAERR, EXIT_MONITOR, EXIT_OK, Monitors,
+                                certify, characteristic_pass,
                                 conservative_residual, load_trajectory,
                                 run_scenario, write_fields_csv)
+from nozzleflow.region import membership_margins
+from nozzleflow.riccati import phi_psi_zw
 from nozzleflow.solver import run
 
 SMALL = {"n = 2000": "n = 300", "T = 5.0": "T = 1.0"}
@@ -100,6 +106,150 @@ class TestMonitors:
         json.dumps(payload)
         assert payload["flags"]["ok"]
         assert payload["steps"] > 0
+
+
+class _PerStepMonitors(Monitors):
+    """The monitors as they were before block evaluation: each step on its
+    own, gradients and time differences over the whole grid.  Kept as the
+    reference the block evaluation must match bitwise."""
+
+    def __init__(self, scn):
+        super().__init__(scn)
+        arrays = scn.runtime_arrays()
+        self.window = arrays["window"]
+        self.s_win = arrays["s"][self.window]
+        self.a_win = arrays["a"][self.window]
+
+    def observe(self, fld, bv, prev, dt):
+        z = fld.z[self.window]
+        w = fld.w[self.window]
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(w))):
+            self.finite_ok = False
+        margins = membership_margins(z, w, self.s_win, self.scn.region)
+        for face in _FACES:
+            arr = margins[face]
+            i = int(np.argmin(arr))
+            self.margin_series[face].append(float(arr[i]))
+            self.margin_argmin[face].append(i)
+        self.series["t"].append(fld.t)
+        self.series["gap"].append(float((w - z).min()))
+        zx = np.gradient(fld.z, self.dx)[self.window]
+        wx = np.gradient(fld.w, self.dx)[self.window]
+        self.series["zx"].append(float(np.abs(zx).max()))
+        self.series["wx"].append(float(np.abs(wx).max()))
+        if prev is not None and dt > 0.0:
+            self.series["zt"].append(float(np.abs((fld.z - prev.z)[self.window]).max() / dt))
+            self.series["wt"].append(float(np.abs((fld.w - prev.w)[self.window]).max() / dt))
+        phi, psi = phi_psi_zw(z, w, zx, wx, self.a_win, self.scn.law)
+        self.series["phi_min"].append(float(phi.min()))
+        self.series["phi_max"].append(float(phi.max()))
+        self.series["psi_min"].append(float(psi.min()))
+        self.series["psi_max"].append(float(psi.max()))
+        self.series["edge"].append(abs(bv.z_edge + bv.w_edge)
+                                   if self.scn.problem == "P1" else 0.0)
+
+
+class _Both:
+    """Hands every state of a run to the block and the per-step monitors."""
+
+    def __init__(self, scn):
+        self.block, self.reference = Monitors(scn), _PerStepMonitors(scn)
+
+    def observe(self, *args):
+        self.block.observe(*args)
+        self.reference.observe(*args)
+
+
+_SERIES = ("times", "min_gap", "max_abs_zx", "max_abs_wx", "max_abs_zt",
+           "max_abs_wt", "phi_min", "phi_max", "psi_min", "psi_max", "edge_defect")
+_SCALARS = ("lip_estimate", "margin_tol", "C3", "containment_ok_raw",
+            "containment_ok", "vacuum_ok", "finite_ok", "edge_ok", "first_violation")
+
+
+def _assert_block_matches_per_step(both):
+    got, want = both.block.finalize(), both.reference.finalize()
+    for name in _SERIES:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for face in _FACES:
+        assert np.array_equal(got.min_margins[face], want.min_margins[face]), face
+    assert both.block.margin_argmin == both.reference.margin_argmin
+    for name in _SCALARS:
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.to_dict() == want.to_dict()
+    return got
+
+
+class TestBlockMonitors:
+    @pytest.mark.parametrize("name, n", [("p1_desk", 300), ("p2_desk", 150),
+                                         ("p3_desk", 250)])
+    def test_desk_runs_match_per_step(self, name, n):
+        scn = desk_scenario(name, n=n)
+        both = _Both(scn)
+        run(scn, both)
+        report = _assert_block_matches_per_step(both)
+        steps = len(report.times) - 1
+        assert steps > _BLOCK and steps % _BLOCK != 0
+        assert report.ok
+
+    @pytest.mark.parametrize("T", [0.0, 1e-4])
+    def test_runs_shorter_than_a_block(self, T):
+        scn = desk_scenario("p3_desk", n=250, T=T)
+        both = _Both(scn)
+        traj, _ = run(scn, both)
+        report = _assert_block_matches_per_step(both)
+        assert len(report.times) == len(traj.times) == (1 if T == 0.0 else 2)
+        assert len(report.max_abs_zt) == len(report.times) - 1
+
+    def test_out_of_region_data_flagged_at_step_zero(self):
+        scn = desk_scenario("p1_desk", n=200, T=0.02)
+        shifted = dataclasses.replace(scn, z0=lambda x, f=scn.z0: f(x) + 0.2)
+        both = _Both(shifted)
+        run(shifted, both)
+        report = _assert_block_matches_per_step(both)
+        assert not report.containment_ok
+        assert report.first_violation["step"] == 0
+
+    @pytest.mark.parametrize("n, T", [(64, 0.05), (128, 5.0)])
+    def test_vacuum_in_the_window_raises(self, law53, n, T):
+        scn = uniform_scenario("P3", -3.0, -3.0, region_l(), law53, n=n, T=T)
+        with pytest.raises(VacuumStateError):
+            run(scn, _PerStepMonitors(scn))
+        monitors = Monitors(scn)
+        if T < 1.0:  # 10 steps: the error comes with the last block
+            run(scn, monitors)
+            with pytest.raises(VacuumStateError):
+                monitors.finalize()
+        else:  # 122 steps: the first full block raises inside the run
+            with pytest.raises(VacuumStateError):
+                run(scn, monitors)
+
+    def test_vacuum_before_a_blow_up_is_the_error_reported(self, tmp_path, capsys):
+        # At n = 100 this unstable run reaches a vacuum state in the window
+        # some steps before it blows up, inside one block.
+        cfl2 = {"n = 2000": "n = 100", "cfl = 0.9": "cfl = 2.0"}
+        scn = load_config(small_config("p1_desk", tmp_path, cfl2)).to_scenario()
+        with pytest.raises(VacuumStateError):
+            run(scn, _PerStepMonitors(scn))
+        monitors = Monitors(scn)
+        with pytest.raises(BlowUpError):
+            run(scn, monitors)
+        with pytest.raises(VacuumStateError):
+            monitors.finalize()
+        cfg = small_config("p1_desk", tmp_path, cfl2)
+        assert main(["--out", str(tmp_path / "out"), "simulate", str(cfg)]) == EXIT_DATAERR
+        assert "vacuum gap" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "certificates.json", "certificates.txt"]
+
+    def test_blow_up_reports_the_partial_series(self):
+        scn = desk_scenario("p1_desk", n=300, T=5.0, cfl=2.0)
+        both = _Both(scn)
+        with pytest.raises(BlowUpError) as err:
+            run(scn, both)
+        report = _assert_block_matches_per_step(both)
+        assert len(report.times) == len(err.value.trajectory.times)
+        assert len(report.times) > 1
 
 
 class TestCharacteristicPass:
@@ -195,6 +345,66 @@ class TestTrajectoryRoundTrip:
         assert (len(lines) - 1) % window_cells == 0
 
 
+def _savez_compressed(traj, path, z=None, w=None):
+    """Save ``traj`` the way files were written before the level-1 writer,
+    optionally with other snapshots ``z``, ``w``."""
+    meta = {"config_text": traj.scenario.config_text, "blown_up": traj.blown_up,
+            "snapshot_stride": traj.snapshot_stride}
+    np.savez_compressed(path, meta=np.array(json.dumps(meta)), times=traj.times,
+                        dts=traj.dts, z=traj.z if z is None else z,
+                        w=traj.w if w is None else w,
+                        z_edge=traj.z_edge, w_edge=traj.w_edge)
+
+
+class TestTrajectoryWriter:
+    @pytest.fixture(scope="class")
+    def p3_run(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("writer")
+        scn = load_config(small_config("p3_desk", tmp, {"n = 2000": "n = 250"})).to_scenario()
+        traj, _ = run(scn)
+        return traj, tmp
+
+    def test_np_load_gives_the_stored_arrays_bitwise(self, p3_run):
+        traj, tmp = p3_run
+        traj.save(tmp / "new.npz")
+        with zipfile.ZipFile(tmp / "new.npz") as npz:
+            assert sorted(info.filename for info in npz.infolist()) == sorted(
+                name + ".npy" for name in
+                ("meta", "times", "dts", "z", "w", "z_edge", "w_edge"))
+            assert all(info.compress_type == zipfile.ZIP_DEFLATED
+                       for info in npz.infolist())
+        with np.load(tmp / "new.npz", allow_pickle=False) as data:
+            for name in ("times", "dts", "z", "w", "z_edge", "w_edge"):
+                stored = getattr(traj, name)
+                assert data[name].dtype == stored.dtype, name
+                assert data[name].tobytes() == stored.tobytes(), name
+            meta = json.loads(str(data["meta"]))
+        assert meta == {"config_text": traj.scenario.config_text,
+                        "blown_up": False, "snapshot_stride": 1}
+
+    def test_old_savez_file_verifies_the_same(self, p3_run):
+        traj, tmp = p3_run
+        traj.save(tmp / "level1.npz")
+        _savez_compressed(traj, tmp / "level6.npz")
+        for name in ("level1", "level6"):
+            assert main(["--quiet", "--out", str(tmp / f"verify_{name}"), "verify",
+                         str(tmp / f"{name}.npz")]) == EXIT_OK
+        assert (tmp / "verify_level1" / "verify_report.json").read_bytes() == \
+            (tmp / "verify_level6" / "verify_report.json").read_bytes()
+
+    def test_blown_up_partial_run_saves_and_loads(self, tmp_path):
+        cfg = small_config("p1_desk", tmp_path, {"n = 2000": "n = 100",
+                                                 "cfl = 0.9": "cfl = 2.0"})
+        with pytest.raises(BlowUpError) as err:
+            run(load_config(cfg).to_scenario())
+        partial = err.value.trajectory
+        partial.save(tmp_path / "partial.npz")
+        back = load_trajectory(tmp_path / "partial.npz")
+        assert back.blown_up
+        for name in ("times", "dts", "z", "w", "z_edge", "w_edge"):
+            assert np.array_equal(getattr(back, name), getattr(partial, name)), name
+
+
 class _Recorder:
     """Monitor stand-in that keeps every full-width field the solver yields."""
 
@@ -209,11 +419,7 @@ class _Recorder:
 def _full_width_npz(traj, recorder, path):
     """Save ``traj`` the way files were written before snapshots were trimmed:
     with every column of the recorded fields."""
-    meta = {"config_text": traj.scenario.config_text, "blown_up": False,
-            "snapshot_stride": traj.snapshot_stride}
-    np.savez_compressed(path, meta=np.array(json.dumps(meta)), times=traj.times,
-                        dts=traj.dts, z=np.array(recorder.z), w=np.array(recorder.w),
-                        z_edge=traj.z_edge, w_edge=traj.w_edge)
+    _savez_compressed(traj, path, z=np.array(recorder.z), w=np.array(recorder.w))
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,8 @@ import pytest
 from conftest import (constant_profile, desk_scenario, region_l, region_m,
                       uniform_scenario)
 from nozzleflow.errors import BlowUpError, DomainError, SonicBoundaryError
-from nozzleflow.model import GasLaw
+from nozzleflow import solver
+from nozzleflow.model import GasLaw, speeds_zw
 from nozzleflow.region import RegionSpec, zero_profile
 from nozzleflow.solver import (Field, Grid, Scenario, _upwind_gradient,
                                boundary_update, cfl_dt, run, step)
@@ -57,6 +58,64 @@ class TestConstantPreservation:
             fld = step(fld, cfl_dt(fld, law53, 0.9), scn)
         assert float(np.abs(fld.z + 3.0).max()) <= 1e-11
         assert float(np.abs(fld.w - 3.0).max()) <= 1e-11
+
+
+def _row_by_row_step(fld, dt, scn):
+    """The step as it was before the two-row kernel: z and w advanced as two
+    separate arrays.  Kept as the reference the kernel must match bitwise."""
+    def stage_rhs(z, w, t):
+        bv = boundary_update(Field(z, w, t, scn.grid), t, scn)
+        z_ext = np.concatenate([bv.gl_z, z, bv.gr_z])
+        w_ext = np.concatenate([bv.gl_w, w, bv.gr_w])
+        lam1e, lam2e = speeds_zw(z_ext, w_ext, scn.law)
+        z_x = _upwind_gradient(z_ext, lam1e, scn.grid.dx, scn.order)
+        w_x = _upwind_gradient(w_ext, lam2e, scn.grid.dx, scn.order)
+        sz, sw = solver.source_pair(z, w, scn.runtime_arrays()["a"], scn.law)
+        return -lam1e[2:-2] * z_x + sz, -lam2e[2:-2] * w_x + sw
+
+    z, w, t = fld.z, fld.w, fld.t
+    f1z, f1w = stage_rhs(z, w, t)
+    if scn.order == 1:
+        return Field(z + dt * f1z, w + dt * f1w, t + dt, fld.grid)
+    f2z, f2w = stage_rhs(z + dt * f1z, w + dt * f1w, t + dt)
+    return Field(z + 0.5 * dt * (f1z + f2z), w + 0.5 * dt * (f1w + f2w), t + dt, fld.grid)
+
+
+def _bitwise(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestTwoRowKernel:
+    @pytest.mark.parametrize("name", ["p1_desk", "p2_desk", "p3_desk"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_row_by_row_steps(self, name, order):
+        scn = desk_scenario(name, n=100, T=0.3, order=order)
+        traj, final = run(scn)
+        m = scn.trusted_cells
+        fld = scn.initial_field()
+        for k, dt in enumerate(traj.dts[1:], start=1):
+            fld = _row_by_row_step(fld, dt, scn)
+            assert _bitwise(fld.z[:m], traj.z[k]), k
+            assert _bitwise(fld.w[:m], traj.w[k]), k
+        assert _bitwise(fld.z, final.z) and _bitwise(fld.w, final.w)
+        assert fld.t == final.t
+        direct = step(scn.initial_field(), traj.dts[1], scn)
+        assert _bitwise(direct.z[:m], traj.z[1]) and _bitwise(direct.w[:m], traj.w[1])
+
+    @pytest.mark.parametrize("z_bump, w_bump, first_row", [(50, 37, "w"), (20, 37, "z")])
+    def test_blow_up_cell_is_the_first_bad_cell_of_either_row(self, law53, z_bump,
+                                                              w_bump, first_row):
+        scn = uniform_scenario("P3", -3.6, -2.6, region_l(), law53, n=64, T=1.0)
+        fld = scn.initial_field()
+        fld.z[z_bump], fld.w[w_bump] = -4.5, -4.5
+        free = step(fld, 0.002, scn)
+        limit = 3.7
+        bad = (np.abs(free.z) > limit) | (np.abs(free.w) > limit)
+        first = int(np.nonzero(bad)[0][0])
+        assert abs(getattr(free, first_row)[first]) > limit
+        with pytest.raises(BlowUpError) as err:
+            step(fld, 0.002, dataclasses.replace(scn, blow_limit=limit))
+        assert err.value.cell == first
 
 
 class TestSourceUpdate:
