@@ -11,8 +11,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np
-
 from nozzleflow.characteristics import launch_fan, riccati_residual
 from nozzleflow.config import load_config
 from nozzleflow.harness import conservative_residual

@@ -1,17 +1,14 @@
 """Solver plus runtime verifier for isentropic duct flow in diagonal form."""
 
-from .model import (GasLaw, GasState, RiemannState, char_speeds, from_riemann,
-                    pressure, source_rhs, to_riemann)
-from .region import (CriticalConstants, NozzleProfile, RegionSpec,
-                     abar_cumulative, check_h1, check_h2, check_h3, check_h4,
-                     critical_constants, f_eval, find_constants, membership,
-                     region_speed_bounds)
-from .riccati import (FunctionalSample, RiccatiCoeffs, apriori_upper_bound,
-                      check_compatibility, check_data_conditions, phi_psi,
-                      phi_psi_boundary, riccati_coeffs, subsolution_value)
+from .model import GasLaw, pressure, rho_zw, source_pair_zw, speeds_zw
+from .region import (CriticalConstants, NozzleProfile, RegionSpec, check_h1,
+                     check_hypothesis, critical_constants, f_eval,
+                     find_constants, membership_margins, region_speed_bounds)
+from .riccati import (apriori_upper_bound, check_compatibility,
+                      check_data_conditions, coeffs_zw, phi_psi_boundary_zw,
+                      phi_psi_zw, subsolution_value)
 from .solver import Field, Grid, Scenario, Trajectory, boundary_update, cfl_dt, run, step
-from .characteristics import (CharPath, bound_check, functional_samples,
-                              riccati_residual, trace)
+from .characteristics import CharPath, bound_check, riccati_residual, trace
 from .harness import certify, conservative_residual, run_scenario
 
 __all__ = [name for name in dir() if not name.startswith("_")]

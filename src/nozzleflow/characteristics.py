@@ -275,34 +275,12 @@ class BoundReport:
     def min_sub(self) -> float:
         return float(self.sub_margin.min())
 
-    def where_min(self, which: str):
-        arr = getattr(self, f"{which}_margin")
-        i = int(np.argmin(arr))
-        return float(self.t[i]), float(self.x[i])
-
     def holds(self, tol: float = 0.0) -> dict:
         return {
             "lower": self.min_lower >= -tol,
             "upper": self.min_upper >= -tol,
             "subsolution": self.min_sub >= -tol,
         }
-
-
-def functional_samples(path: CharPath, delta1: float, M: float, alpha: float):
-    """Per-sample band records (value, barrier, running upper bound)."""
-    from .riccati import FunctionalSample
-
-    br = bound_check(path, delta1, M, alpha)
-    upper = path.value + br.upper_margin
-    floor = path.value - br.lower_margin
-    out = []
-    for i in range(path.n):
-        phi = path.value[i] if path.family == 1 else path.other[i]
-        psi = path.other[i] if path.family == 1 else path.value[i]
-        out.append(FunctionalSample(float(path.x[i]), float(path.t[i]),
-                                    float(phi), float(psi), float(floor[i]),
-                                    float(upper[i])))
-    return out
 
 
 def bound_check(path: CharPath, delta1: float, M: float, alpha: float) -> BoundReport:

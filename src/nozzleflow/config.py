@@ -6,6 +6,7 @@ schema-checked and every rejection carries the offending line.  Analytic data
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,9 +45,6 @@ class ScenarioConfig:
     def _line(self, section, key):
         return self.lines.get((section, key))
 
-    def has(self, section, key) -> bool:
-        return (section, key) in self.entries
-
     def raw(self, section, key, default=None, required=False):
         if (section, key) in self.entries:
             return self.entries[(section, key)]
@@ -59,11 +57,15 @@ class ScenarioConfig:
         if raw is None:
             return default
         try:
-            return int(raw) if integer else float(raw)
+            value = int(raw) if integer else float(raw)
+            ok = integer or math.isfinite(value)
         except ValueError:
-            kind = "an integer" if integer else "a number"
+            ok = False
+        if not ok:
+            kind = "an integer" if integer else "a finite number"
             raise ConfigError(f"[{section}] {key} must be {kind}, got {raw!r}",
-                              self.source, self._line(section, key)) from None
+                              self.source, self._line(section, key))
+        return value
 
     def expr(self, section, key, allowed, required=False):
         raw = self.raw(section, key, required=required)

@@ -7,12 +7,21 @@ expressions broadcast over arrays.  No external expression engine, no eval.
 """
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DomainError, ExpressionError
 
 _FUNCTIONS = {"exp": np.exp, "log": np.log, "sin": np.sin, "tanh": np.tanh}
 _VARIABLES = ("x", "t")
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+
+#: Deepest nesting of parentheses, calls, unary signs and exponents accepted.
+#: One level costs the parser up to seven stack frames and the compiled
+#: expression two, so this stays well below the interpreter's recursion limit.
+_MAX_DEPTH = 50
 
 
 def _tokenize(src: str):
@@ -62,6 +71,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.uses = set()
 
     def peek(self):
@@ -75,39 +85,48 @@ class _Parser:
         return tok
 
     def expression(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            lhs = node
-            if op == "+":
-                node = lambda env, a=lhs, b=rhs: a(env) + b(env)
-            else:
-                node = lambda env, a=lhs, b=rhs: a(env) - b(env)
-        return node
+        return self._chain(self.term, ("+", "-"))
 
     def term(self):
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            rhs = self.factor()
-            lhs = node
-            if op == "*":
-                node = lambda env, a=lhs, b=rhs: a(env) * b(env)
-            else:
-                node = lambda env, a=lhs, b=rhs: a(env) / b(env)
-        return node
+        return self._chain(self.factor, ("*", "/"))
+
+    def _chain(self, operand, ops):
+        """A left-associative run of ``ops``, folded by one loop, not nested."""
+        node = operand()
+        rest = []
+        while self.peek()[0] in ops:
+            op = _BINARY[self.take()[0]]
+            rest.append((op, operand()))
+        if not rest:
+            return node
+
+        def chain(env, first=node, rest=tuple(rest)):
+            acc = first(env)
+            for op, rhs in rest:
+                acc = op(acc, rhs(env))
+            return acc
+
+        return chain
 
     def factor(self):
+        # Every nesting (parentheses, a call, a unary sign, an exponent)
+        # passes through here, so this one counter bounds the recursion.
         tok = self.peek()
+        if self.depth > _MAX_DEPTH:
+            raise ExpressionError(f"expression nested deeper than {_MAX_DEPTH} levels",
+                                  pos=tok[2])
+        self.depth += 1
         if tok[0] == "+":
             self.take()
-            return self.factor()
-        if tok[0] == "-":
+            node = self.factor()
+        elif tok[0] == "-":
             self.take()
             inner = self.factor()
-            return lambda env, a=inner: -a(env)
-        return self.power()
+            node = lambda env, a=inner: -a(env)
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self):
         base = self.atom()

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +19,13 @@ from . import characteristics as chars
 from .config import ScenarioConfig, load_config, parse_config_text
 from .errors import (BlowUpError, DomainError, InvalidStateError,
                      NozzleflowError, TrajectoryFileError, VacuumStateError)
-from .model import rho_zw, speeds_zw
+from .model import pressure, rho_zw, speeds_zw
 from .region import (Certificate, CertItem, check_h1, check_hypothesis,
                      critical_constants, envelopes, face_margins,
                      membership_margins)
 from .riccati import (apriori_upper_bound, check_compatibility,
                       check_data_conditions, phi_psi_zw)
-from .solver import Scenario, Trajectory, boundary_update, run
+from .solver import Scenario, Trajectory, run
 
 EXIT_OK = 0
 EXIT_CERT = 2
@@ -378,7 +378,7 @@ def conservative_residual(traj: Trajectory) -> ConservativeResidual:
     rho = rho_zw(z, w, law)
     v = 0.5 * (w + z)
     m = rho * v
-    flux = m * v + rho ** law.gamma / law.gamma
+    flux = m * v + pressure(rho, law)
     a = arrays["a"]
     dx = traj.grid.dx
     res_rho = np.gradient(rho, times, axis=0) + np.gradient(m, dx, axis=1) + a * m

@@ -1,10 +1,10 @@
 """Gas law and the Riemann-invariant form of isentropic duct flow.
 
-Conversions between conservative (rho, m) and diagonal (z, w) variables,
+Pressure, the density recovered from the diagonal (z, w) variables, the
 characteristic speeds, and the geometric source term of the diagonalized
-system.  All operations are pure functions of immutable values; the ``*_zw``
-helpers accept scalars or numpy arrays and are the versions the solver uses
-on whole grids.
+system.  All operations are pure functions; the ``*_zw`` helpers accept
+scalars or numpy arrays alike and are what the solver, the monitors and the
+tracer run on whole grids.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, InvalidStateError, VacuumStateError
+from .errors import DomainError
 
 #: States with w - z below this gap are treated as vacuum.
 VACUUM_GAP = 1e-12
@@ -68,47 +68,6 @@ class GasLaw:
             raise DomainError(f"adiabatic exponent must lie in (1, 5/3], got {self.gamma}")
 
 
-@dataclass(frozen=True)
-class GasState:
-    """Pointwise conservative description (density, momentum, velocity)."""
-
-    rho: float
-    m: float
-    v: float
-
-    def __post_init__(self):
-        if self.rho < 0.0:
-            raise DomainError(f"density must be nonnegative, got {self.rho}")
-
-    @classmethod
-    def from_rho_v(cls, rho: float, v: float) -> "GasState":
-        return cls(rho, rho * v, v)
-
-    @property
-    def is_vacuum(self) -> bool:
-        return self.rho == 0.0
-
-
-@dataclass(frozen=True)
-class RiemannState:
-    """Pointwise diagonal description; w >= z with equality only at vacuum."""
-
-    z: float
-    w: float
-
-    def __post_init__(self):
-        if self.w < self.z:
-            raise InvalidStateError(f"invariants out of order: w={self.w} < z={self.z}")
-
-    @property
-    def gap(self) -> float:
-        return self.w - self.z
-
-    @property
-    def is_vacuum(self) -> bool:
-        return self.gap < VACUUM_GAP
-
-
 def pressure(rho, law: GasLaw):
     """Barotropic pressure rho**gamma / gamma.  Vectorizes over rho."""
     if np.any(np.asarray(rho) < 0.0):
@@ -131,29 +90,6 @@ def speeds_zw(z, w, law: GasLaw):
     return v - c, v + c
 
 
-def to_riemann(state: GasState, law: GasLaw) -> RiemannState:
-    """Map (rho, v) to (z, w) = v -+ rho**theta/theta.  Needs rho > 0."""
-    if state.rho <= 0.0:
-        raise VacuumStateError("Riemann map is degenerate at vacuum (rho = 0)")
-    c = state.rho ** law.theta / law.theta
-    return RiemannState(state.v - c, state.v + c)
-
-
-def from_riemann(r: RiemannState, law: GasLaw) -> GasState:
-    """Inverse map; returns the vacuum state when the gap closes."""
-    v = 0.5 * (r.w + r.z)
-    if r.is_vacuum:
-        return GasState(0.0, 0.0, v)
-    rho = (0.5 * law.theta * r.gap) ** (1.0 / law.theta)
-    return GasState(rho, rho * v, v)
-
-
-def char_speeds(r: RiemannState, law: GasLaw):
-    """(lambda1, lambda2) at a point; lambda1 <= lambda2, equal at vacuum."""
-    lam1, lam2 = speeds_zw(r.z, r.w, law)
-    return float(lam1), float(lam2)
-
-
 def source_pair_zw(z, w, a, law: GasLaw):
     """Source of the diagonal system: (dz/dt, dw/dt) = (s, -s) with
     s = ((gamma-1)/8) a (w^2 - z^2).  Antisymmetric by construction."""
@@ -162,7 +98,3 @@ def source_pair_zw(z, w, a, law: GasLaw):
     )
     return s, -s
 
-
-def source_rhs(r: RiemannState, a: float, law: GasLaw):
-    dz, dw = source_pair_zw(r.z, r.w, a, law)
-    return float(dz), float(dw)

@@ -2,9 +2,10 @@
 
 Critical constants of the quotient function f, duct-coefficient profiles with
 their integrable majorants, machine-checked certificates for the admissibility
-conditions on (a, L1, L2, U1, U2), x-dependent rectangle membership, corner
-bounds on the characteristic speeds, and a feasibility search for admissible
-constants.
+conditions on (a, L1, L2, U1, U2) (``check_hypothesis``, band from
+``RegionSpec.kind``), signed margins of (z, w) arrays against the x-dependent
+rectangle (``membership_margins``), corner bounds on the characteristic speeds,
+and a feasibility search for admissible constants.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .errors import (
     PoleError,
     SearchError,
 )
-from .model import GasLaw, RiemannState, speeds_zw
+from .model import GasLaw, speeds_zw
 
 #: Numerical grace for non-strict inequalities evaluated in floating point.
 ROUNDOFF = 32.0 * float(np.finfo(float).eps)
@@ -227,10 +228,6 @@ class NozzleProfile:
         if math.isfinite(self.I_total):
             val = np.minimum(val, self.I_total)
         return float(val) if val.ndim == 0 else val
-
-
-def abar_cumulative(profile: NozzleProfile, x):
-    return profile.cum_abar(x)
 
 
 def power_profile(amp: float, rate: float, decay: float, law: GasLaw, *,
@@ -531,17 +528,13 @@ def _constant_inequalities(kind: str, law: GasLaw, consts: CriticalConstants,
     ]
 
 
-_HYP_NAMES = {"m": "band-m", "r": "band-r", "l": "band-l"}
-
-
-def _check_hypothesis(kind: str, spec: RegionSpec, law: GasLaw,
-                      consts: CriticalConstants, x_grid=None,
-                      strict_margin: float = STRICT_MARGIN) -> Certificate:
-    if spec.kind != kind:
-        raise DomainError(f"spec kind {spec.kind!r} does not match requested {kind!r}")
+def check_hypothesis(spec: RegionSpec, law: GasLaw, consts: CriticalConstants,
+                     x_grid=None, strict_margin: float = STRICT_MARGIN) -> Certificate:
+    """Admissibility certificate of ``spec``: the strict majorant condition
+    |a| < l*abar on ``x_grid`` (when the spec carries a profile) plus every
+    envelope-constant inequality of the band ``spec.kind`` selects."""
     I = spec.total_abar()
     items = []
-    conditional = False
     if spec.profile is not None:
         prof = spec.profile
         l = consts.l
@@ -556,11 +549,11 @@ def _check_hypothesis(kind: str, spec: RegionSpec, law: GasLaw,
                               passed=_strict_ok(float(slack[i]), float(lhs_vals[i]),
                                                 float(rhs_vals[i]), strict_margin),
                               where=float(x[i])))
-        conditional = conditional or prof.conditional
+        conditional = prof.conditional
     else:
         conditional = True
     L1, L2, U1, U2 = spec.L1, spec.L2, spec.U1, spec.U2
-    for ineq in _constant_inequalities(kind, law, consts, I):
+    for ineq in _constant_inequalities(spec.kind, law, consts, I):
         lhs = float(ineq.lhs(L1, L2, U1, U2))
         rhs = float(ineq.rhs(L1, L2, U1, U2))
         slack = rhs - lhs
@@ -569,30 +562,8 @@ def _check_hypothesis(kind: str, spec: RegionSpec, law: GasLaw,
         else:
             ok = slack >= -_grace(lhs, rhs)
         items.append(CertItem(ineq.name, lhs, rhs, slack, ineq.strict, ok))
-    cert = Certificate(_HYP_NAMES[kind], items, conditional=conditional,
+    return Certificate(f"band-{spec.kind}", items, conditional=conditional,
                        meta={"I": I, "exp(2I)": math.exp(2.0 * I) if math.isfinite(I) else math.inf})
-    return cert
-
-
-def check_h2(spec: RegionSpec, law: GasLaw, consts: CriticalConstants,
-             x_grid=None, strict_margin: float = STRICT_MARGIN) -> Certificate:
-    return _check_hypothesis("m", spec, law, consts, x_grid, strict_margin)
-
-
-def check_h3(spec: RegionSpec, law: GasLaw, consts: CriticalConstants,
-             x_grid=None, strict_margin: float = STRICT_MARGIN) -> Certificate:
-    return _check_hypothesis("r", spec, law, consts, x_grid, strict_margin)
-
-
-def check_h4(spec: RegionSpec, law: GasLaw, consts: CriticalConstants,
-             x_grid=None, strict_margin: float = STRICT_MARGIN) -> Certificate:
-    return _check_hypothesis("l", spec, law, consts, x_grid, strict_margin)
-
-
-def check_hypothesis(spec: RegionSpec, law: GasLaw, consts: CriticalConstants,
-                     x_grid=None, strict_margin: float = STRICT_MARGIN) -> Certificate:
-    """Dispatch to the admissibility certificate matching spec.kind."""
-    return _check_hypothesis(spec.kind, spec, law, consts, x_grid, strict_margin)
 
 
 # ---------------------------------------------------------------------------
@@ -627,25 +598,6 @@ def face_margins(z, w, faces):
         "w_hi": w_hi - w,
         "gap": w - z,
     }
-
-
-@dataclass(frozen=True)
-class MarginReport:
-    margins: dict
-    inside: bool
-
-    @property
-    def min_margin(self) -> float:
-        return min(self.margins.values())
-
-
-def membership(r: RiemannState, x: float, spec: RegionSpec) -> MarginReport:
-    profile = spec.profile
-    if profile is None:
-        raise DomainError("membership needs a profile for the cumulative majorant")
-    s = profile.cum_abar(x)
-    margins = {k: float(v) for k, v in membership_margins(r.z, r.w, s, spec).items()}
-    return MarginReport(margins, inside=all(v >= 0.0 for v in margins.values()))
 
 
 @dataclass(frozen=True)
@@ -796,5 +748,5 @@ def find_constants(law: GasLaw, I: float, kind: str,
         return FeasibilityResult(False, None, None, best_score, point, box, kind, I)
     spec = RegionSpec(kind, point["L1"], point["L2"], point["U1"], point["U2"],
                       profile=profile, I_total=None if profile is not None else I)
-    cert = _check_hypothesis(kind, spec, law, consts, strict_margin=strict_margin)
+    cert = check_hypothesis(spec, law, consts, strict_margin=strict_margin)
     return FeasibilityResult(cert.passed, spec, cert, best_score, point, box, kind, I)

@@ -4,16 +4,16 @@ The functionals Phi (built on z_x) and Psi (built on w_x) satisfy scalar
 Riccati equations along their characteristic families; the coefficients, the
 decaying subsolution, and the a-priori upper bound here are what the runtime
 verifier checks against the evolved fields.  Both exponent branches are
-implemented: the general one and the log branch at gamma = 5/3.
+implemented: the general one and the log branch at gamma = 5/3.  Every
+``*_zw`` function takes scalars or numpy arrays alike, and ``coeffs_zw``
+returns the tuple (A, B, C, A_hat, B_hat, C_hat).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolationError, DomainError, PoleError, VacuumStateError
-from .model import VACUUM_GAP, GasLaw, RiemannState, speeds_zw
+from .model import VACUUM_GAP, GasLaw, speeds_zw
 
 #: Characteristic speeds below this magnitude count as sonic in divisors.
 SONIC_TOL = 1e-12
@@ -44,11 +44,6 @@ def phi_psi_zw(z, w, z_x, w_x, a, law: GasLaw):
     return phi, psi
 
 
-def phi_psi(r: RiemannState, z_x: float, w_x: float, a: float, law: GasLaw):
-    phi, psi = phi_psi_zw(r.z, r.w, z_x, w_x, a, law)
-    return float(phi), float(psi)
-
-
 def phi_psi_boundary_zw(z, w, z_t, w_t, a, law: GasLaw):
     """Boundary form: spatial derivatives recovered from time derivatives
     through the evolution equations, then the same functionals."""
@@ -59,11 +54,6 @@ def phi_psi_boundary_zw(z, w, z_t, w_t, a, law: GasLaw):
     z_x_eff = -(np.asarray(z_t) - src) / lam1
     w_x_eff = -(np.asarray(w_t) + src) / lam2
     return phi_psi_zw(z, w, z_x_eff, w_x_eff, a, law)
-
-
-def phi_psi_boundary(r: RiemannState, z_t: float, w_t: float, a: float, law: GasLaw):
-    phi_b, psi_b = phi_psi_boundary_zw(r.z, r.w, z_t, w_t, a, law)
-    return float(phi_b), float(psi_b)
 
 
 def solve_zx_for_phi(z, w, phi, a, law: GasLaw):
@@ -81,35 +71,6 @@ def solve_wx_for_psi(z, w, psi, a, law: GasLaw):
         return gap * psi + a * np.asarray(w) / 2.0 + 0.5 * a * gap * np.log(gap)
     b = law.beta
     return gap ** (-b) * psi - a * np.asarray(w) / (2.0 * b) + a * gap / (2.0 * (b + 1.0))
-
-
-@dataclass(frozen=True)
-class RiccatiCoeffs:
-    """Pointwise Riccati coefficients for both functionals."""
-
-    A: float
-    B: float
-    C: float
-    A_hat: float
-    B_hat: float
-    C_hat: float
-
-
-@dataclass(frozen=True)
-class FunctionalSample:
-    """One monitored point: both functionals plus the band that should hold
-    around the transported one (barrier below, running bound above)."""
-
-    x: float
-    t: float
-    Phi: float
-    Psi: float
-    Phi_lower: float
-    Phi_upper: float
-
-    @property
-    def in_band(self) -> bool:
-        return self.Phi_lower <= self.Phi <= self.Phi_upper
 
 
 def coeffs_zw(z, w, a, a_x, law: GasLaw):
@@ -154,11 +115,6 @@ def coeffs_zw(z, w, a, a_x, law: GasLaw):
               + pref_x * (e1 * z**2 + e2 * w * z + e3 * w**2))
     gb = gap ** b
     return A, B, gb * C1, A, B_hat, gb * C1_hat
-
-
-def riccati_coeffs(r: RiemannState, a: float, a_x: float, law: GasLaw) -> RiccatiCoeffs:
-    A, B, C, Ah, Bh, Ch = coeffs_zw(r.z, r.w, a, a_x, law)
-    return RiccatiCoeffs(float(A), float(B), float(C), float(Ah), float(Bh), float(Ch))
 
 
 def subsolution_value(x, delta1: float, M: float, alpha: float):

@@ -125,6 +125,9 @@ class Scenario:
             raise DomainError("scheme order must be 1 or 2")
         if self.T < 0.0:
             raise DomainError("final time must be nonnegative")
+        for name in ("n", "snapshot_stride", "fan"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.problem == "P2" and (self.zB is None or self.wB is None):
             raise DomainError("P2 needs boundary data zB(t), wB(t)")
 

@@ -21,6 +21,17 @@ def law14():
     return GasLaw.from_gamma(1.4)
 
 
+def riemann_from_rho_v(rho, v, law):
+    """Forward map (rho, v) -> (z, w) = v -+ rho**theta/theta, for rho > 0.
+
+    Nothing in the package needs this direction; it is the reference the
+    round-trip tests check ``model.rho_zw`` and v = (w + z)/2 against."""
+    rho = np.asarray(rho, dtype=float)
+    v = np.asarray(v, dtype=float)
+    c = rho ** law.theta / law.theta
+    return v - c, v + c
+
+
 def desk_scenario(name, **overrides):
     """Desk scenario from the shipped config, optionally shrunk for speed."""
     scn = load_config(CONFIG_DIR / f"{name}.cfg").to_scenario()

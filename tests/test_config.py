@@ -4,7 +4,7 @@ import pytest
 from conftest import CONFIG_DIR, desk_config_text
 from nozzleflow.config import load_config, parse_config_text
 from nozzleflow.errors import ConfigError, DomainError, ExpressionError
-from nozzleflow.expressions import parse_expression
+from nozzleflow.expressions import _MAX_DEPTH, parse_expression
 
 
 class TestExpressions:
@@ -19,6 +19,8 @@ class TestExpressions:
         ("exp(0) + sin(0) + tanh(0)", 1.0),
         ("log(exp(2))", 2.0),
         ("2 × 3 ÷ 4", 1.5),
+        ("1 - 2 - 3", -4.0),         # left associative
+        ("8/2/2", 2.0),
     ])
     def test_arithmetic(self, src, expected):
         assert parse_expression(src)() == pytest.approx(expected, rel=1e-14)
@@ -46,6 +48,31 @@ class TestExpressions:
     def test_rejections(self, bad):
         with pytest.raises(ExpressionError):
             parse_expression(bad)
+
+    @pytest.mark.parametrize("deep", [
+        "(" * 2000 + "x" + ")" * 2000,
+        "-" * 2000 + "x",
+        "+" * 2000 + "x",
+        "^".join(["x"] * 2000),
+        "exp(" * 2000 + "x" + ")" * 2000,
+    ], ids=["parentheses", "minus-signs", "plus-signs", "power-chain", "calls"])
+    def test_deep_nesting_rejected(self, deep):
+        with pytest.raises(ExpressionError, match="nested deeper"):
+            parse_expression(deep)
+
+    def test_nesting_limit_is_exact(self):
+        inside = "(" * _MAX_DEPTH + "x" + ")" * _MAX_DEPTH
+        assert parse_expression(inside)(x=2.0) == 2.0
+        assert parse_expression("-" * _MAX_DEPTH + "x")(x=2.0) == 2.0
+        with pytest.raises(ExpressionError):
+            parse_expression("(" + inside + ")")
+        with pytest.raises(ExpressionError):
+            parse_expression("-" * (_MAX_DEPTH + 1) + "x")
+
+    def test_long_flat_chain_evaluates(self):
+        # a flat run of operators is one loop, not one nested closure each
+        assert parse_expression(" + ".join(["x"] * 3000))(x=1.0) == 3000.0
+        assert parse_expression(" * ".join(["x"] * 3000))(x=1.0) == 1.0
 
     def test_missing_variable_at_call(self):
         with pytest.raises(DomainError):
@@ -110,9 +137,9 @@ class TestConfigParsing:
         text = text[:start] + "[region]\nconstants = auto\n\n" + text[end:]
         scn = parse_config_text(text).to_scenario()
         assert scn.region.kind == "m"
-        from nozzleflow.region import check_h2, critical_constants
+        from nozzleflow.region import check_hypothesis, critical_constants
 
-        cert = check_h2(scn.region, scn.law, critical_constants(scn.law))
+        cert = check_hypothesis(scn.region, scn.law, critical_constants(scn.law))
         assert cert.passed
 
     def test_defaults_applied(self):

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nozzleflow.errors import CertificateFailure, DomainError, PoleError
-from nozzleflow.model import GasLaw, RiemannState
+from nozzleflow.model import GasLaw
 from nozzleflow.region import (CriticalConstants, NozzleProfile, PchipCurve,
-                               RegionSpec, _normalized_min_slack,
-                               abar_cumulative, check_h1, check_h2, check_h3,
-                               check_h4, critical_constants, envelopes, f_eval,
-                               find_constants, membership, membership_margins,
+                               RegionSpec, _normalized_min_slack, check_h1,
+                               check_hypothesis, critical_constants, envelopes,
+                               f_eval, find_constants, membership_margins,
                                power_profile, region_speed_bounds,
                                tabulated_profile, zero_profile)
 
@@ -134,40 +133,46 @@ class TestHypothesisCertificates:
         self.consts = critical_constants(self.law)
 
     def test_h2_feasible(self):
-        cert = check_h2(spec_with_I("m", I=0.005, **H2_FEASIBLE), self.law, self.consts)
+        cert = check_hypothesis(spec_with_I("m", I=0.005, **H2_FEASIBLE), self.law, self.consts)
         assert cert.passed
 
     def test_h2_single_violation(self):
         bad = dict(H2_FEASIBLE, L1=1.0)
-        cert = check_h2(spec_with_I("m", I=0.005, **bad), self.law, self.consts)
+        cert = check_hypothesis(spec_with_I("m", I=0.005, **bad), self.law, self.consts)
         assert cert.failing() == ["U1*exp(2I) <= L1"]
 
     def test_h3_feasible(self):
-        cert = check_h3(spec_with_I("r", I=0.005, **H3_FEASIBLE), self.law, self.consts)
+        cert = check_hypothesis(spec_with_I("r", I=0.005, **H3_FEASIBLE), self.law, self.consts)
         assert cert.passed
 
     def test_h3_single_violation(self):
         bad = dict(H3_FEASIBLE, L2=1.05)
-        cert = check_h3(spec_with_I("r", I=0.005, **bad), self.law, self.consts)
+        cert = check_hypothesis(spec_with_I("r", I=0.005, **bad), self.law, self.consts)
         assert cert.failing() == ["U1*exp(2I) < L2"]
 
     def test_h4_feasible(self):
-        cert = check_h4(spec_with_I("l", I=0.005, **H4_FEASIBLE), self.law, self.consts)
+        cert = check_hypothesis(spec_with_I("l", I=0.005, **H4_FEASIBLE), self.law, self.consts)
         assert cert.passed
 
     def test_h4_single_violation(self):
         bad = dict(H4_FEASIBLE, U2=0.95)
-        cert = check_h4(spec_with_I("l", I=0.005, **bad), self.law, self.consts)
+        cert = check_hypothesis(spec_with_I("l", I=0.005, **bad), self.law, self.consts)
         assert cert.failing() == ["U2*exp(2I) <= L2"]
+
+    def test_strict_inequality_needs_a_margin(self):
+        # "L2 < U1" is strict in band l: a tie never passes, and a gap below
+        # the certification margin passes only when no margin is asked for
+        tie = spec_with_I("l", I=0.005, **dict(H4_FEASIBLE, U1=0.9))
+        assert check_hypothesis(tie, self.law, self.consts).failing() == ["L2 < U1"]
+        assert not check_hypothesis(tie, self.law, self.consts, strict_margin=0.0).passed
+        close = spec_with_I("l", I=0.005, **dict(H4_FEASIBLE, U1=0.9 * (1.0 + 1e-12)))
+        assert check_hypothesis(close, self.law, self.consts).failing() == ["L2 < U1"]
+        assert check_hypothesis(close, self.law, self.consts, strict_margin=0.0).passed
 
     def test_zero_majorant_violates_strictness(self):
         spec = RegionSpec("m", profile=zero_profile(), **H2_FEASIBLE)
-        cert = check_h2(spec, self.law, self.consts)
+        cert = check_hypothesis(spec, self.law, self.consts)
         assert "|a| < l*abar" in cert.failing()
-
-    def test_kind_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            check_h3(spec_with_I("m", I=0.005, **H2_FEASIBLE), self.law, self.consts)
 
 
 def envelope_profile(I_total, law):
@@ -192,17 +197,17 @@ class TestMembership:
         self.profile = envelope_profile(0.005, self.law)
         self.spec = RegionSpec("m", profile=self.profile, **H2_FEASIBLE)
 
+    def margins_at(self, z, w, x):
+        return membership_margins(z, w, self.profile.cum_abar(x), self.spec)
+
     def test_midpoint_inside(self):
-        r = RiemannState(-(1.02 + 1.0) / 2.0, (0.9 + 1.1) / 2.0)
-        report = membership(r, 0.0, self.spec)
-        assert report.inside
-        assert all(v > 0 for v in report.margins.values())
+        margins = self.margins_at(-(1.02 + 1.0) / 2.0, (0.9 + 1.1) / 2.0, 0.0)
+        assert all(v > 0 for v in margins.values())
 
     def test_constructed_violation(self):
-        r = RiemannState(-1.02 - 0.1, 1.0)
-        report = membership(r, 0.0, self.spec)
-        assert not report.inside
-        assert report.margins["z_lo"] == pytest.approx(-0.1, abs=1e-12)
+        margins = self.margins_at(-1.02 - 0.1, 1.0, 0.0)
+        assert not all(v >= 0.0 for v in margins.values())
+        assert margins["z_lo"] == pytest.approx(-0.1, abs=1e-12)
 
     def test_far_field_envelopes_nonempty(self):
         I = self.profile.I_total
@@ -273,29 +278,29 @@ class TestSpeedBounds:
 class TestCumulativeMajorant:
     def test_zero_at_origin(self, law53):
         prof = envelope_profile(0.37, law53)
-        assert abar_cumulative(prof, 0.0) == 0.0
+        assert prof.cum_abar(0.0) == 0.0
 
     def test_exponential_closed_form(self, law53):
         eps = 0.37
         prof = envelope_profile(eps, law53)
         # eps (1 - exp(-1)), frozen from 40-digit evaluation
-        assert abar_cumulative(prof, 1.0) == pytest.approx(
+        assert prof.cum_abar(1.0) == pytest.approx(
             eps * 0.6321205588285577, abs=1e-10)
 
     def test_approaches_total(self, law53):
         eps = 0.37
         prof = envelope_profile(eps, law53)
-        assert abar_cumulative(prof, 60.0) == pytest.approx(eps, abs=1e-10)
+        assert prof.cum_abar(60.0) == pytest.approx(eps, abs=1e-10)
 
     def test_monotone(self, law53):
         prof = envelope_profile(0.2, law53)
         xs = np.sort(np.random.default_rng(7).uniform(0.0, 10.0, 200))
-        vals = abar_cumulative(prof, xs)
+        vals = prof.cum_abar(xs)
         assert np.all(np.diff(vals) >= -1e-15)
 
     def test_negative_rejected(self, law53):
         with pytest.raises(DomainError):
-            abar_cumulative(envelope_profile(0.1, law53), -0.5)
+            envelope_profile(0.1, law53).cum_abar(-0.5)
 
 
 class TestFindConstants:

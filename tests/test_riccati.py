@@ -5,12 +5,11 @@ import pytest
 
 from nozzleflow.errors import (ContractViolationError, DomainError, PoleError,
                                VacuumStateError)
-from nozzleflow.model import GasLaw, RiemannState, speeds_zw
+from nozzleflow.model import GasLaw, speeds_zw
 from nozzleflow.riccati import (apriori_upper_bound, check_compatibility,
                                 check_data_conditions, coeffs_zw,
-                                cumulative_trapezoid, phi_psi,
-                                phi_psi_boundary, phi_psi_boundary_zw,
-                                phi_psi_zw, riccati_coeffs, solve_wx_for_psi,
+                                cumulative_trapezoid, phi_psi_boundary_zw,
+                                phi_psi_zw, solve_wx_for_psi,
                                 solve_zx_for_phi, subsolution_value)
 
 
@@ -64,15 +63,15 @@ def random_states(rng, count):
 class TestFunctionals:
     def test_all_terms_vanish(self, law53, law14):
         for law in (law53, law14):
-            assert phi_psi(RiemannState(-1.0, 2.0), 0.0, 0.0, 0.0, law) == (0.0, 0.0)
+            assert phi_psi_zw(-1.0, 2.0, 0.0, 0.0, 0.0, law) == (0.0, 0.0)
 
     def test_log_branch_gradient_only(self, law53):
-        phi, psi = phi_psi(RiemannState(-3.0, 3.0), 6.0, 6.0, 0.0, law53)
+        phi, psi = phi_psi_zw(-3.0, 3.0, 6.0, 6.0, 0.0, law53)
         assert phi == pytest.approx(1.0)
         assert psi == pytest.approx(1.0)
 
     def test_general_branch_printed_example(self, law14):
-        phi, _ = phi_psi(RiemannState(1.0, 2.0), 0.5, 0.0, 0.1, law14)
+        phi, _ = phi_psi_zw(1.0, 2.0, 0.5, 0.0, 0.1, law14)
         assert phi == pytest.approx(0.425, rel=1e-14)
 
     def test_vacuum_guard(self, law53):
@@ -106,12 +105,12 @@ class TestBoundaryFunctionals:
     def test_stationary_datum_reduces_to_duct_terms(self, law53):
         z, w, a = -0.5, 0.5, 0.05
         src = 0.125 * (law53.gamma - 1.0) * a * (w * w - z * z)
-        phi_b, _ = phi_psi_boundary(RiemannState(z, w), src, 0.0, a, law53)
-        phi_ref, _ = phi_psi(RiemannState(z, w), 0.0, 0.0, a, law53)
+        phi_b, _ = phi_psi_boundary_zw(z, w, src, 0.0, a, law53)
+        phi_ref, _ = phi_psi_zw(z, w, 0.0, 0.0, a, law53)
         assert phi_b == pytest.approx(phi_ref, rel=1e-13)
 
     def test_steady_supersonic_straight_duct(self, law53):
-        vals = phi_psi_boundary(RiemannState(1.6, 2.6), 0.0, 0.0, 0.0, law53)
+        vals = phi_psi_boundary_zw(1.6, 2.6, 0.0, 0.0, 0.0, law53)
         assert vals == (0.0, 0.0)
 
     def test_matches_interior_functional_on_consistent_fields(self, law53, law14):
@@ -132,19 +131,19 @@ class TestBoundaryFunctionals:
 
     def test_sonic_pole(self, law53):
         with pytest.raises(PoleError):
-            phi_psi_boundary(RiemannState(-1.0, 2.0), 0.1, 0.1, 0.1, law53)
+            phi_psi_boundary_zw(-1.0, 2.0, 0.1, 0.1, 0.1, law53)
 
 
 class TestCoefficients:
     def test_straight_duct(self, law53, law14):
         for law in (law53, law14):
-            c = riccati_coeffs(RiemannState(-1.0, 2.0), 0.0, 0.0, law)
-            assert c.B == c.C == c.B_hat == c.C_hat == 0.0
-            assert c.A == c.A_hat < 0.0
+            A, B, C, A_hat, B_hat, C_hat = coeffs_zw(-1.0, 2.0, 0.0, 0.0, law)
+            assert B == C == B_hat == C_hat == 0.0
+            assert A == A_hat < 0.0
 
     def test_log_branch_quadratic_coefficient(self, law53):
-        c = riccati_coeffs(RiemannState(-3.0, 3.0), 0.0, 0.0, law53)
-        assert c.A == pytest.approx(-4.0)
+        A = coeffs_zw(-3.0, 3.0, 0.0, 0.0, law53)[0]
+        assert A == pytest.approx(-4.0)
 
     @pytest.mark.parametrize("gamma", ["5/3", 1.4, 1.21])
     def test_double_entry_against_reference(self, gamma):
