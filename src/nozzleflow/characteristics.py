@@ -3,8 +3,10 @@
 Paths are traced forward with RK4 through bilinear space-time interpolation
 of the stored speeds, then carry the gradient functional of their family, its
 Riccati coefficients, the decaying barrier and the running a-priori upper
-bound.  Tracing stops where the stored solution stops being trustworthy: the
-physical boundary or the influence cone of the artificial right boundary.
+bound.  Tracing stops where the stored solution stops being trustworthy: at
+the physical boundary, or past ``Scenario.reach(t)``, the one rule for the
+trusted domain that also sets which columns a snapshot stores.  Launches
+must lie inside that domain too.
 
 A fan of paths is traced in lockstep (``trace_fan``): the positions of all
 live paths form one array, and each stored time step takes one RK4 step for
@@ -21,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, InvalidStateError, ResolutionError
-from .riccati import apriori_upper_bound, coeffs_zw, phi_psi_zw
+from .riccati import apriori_upper_bound, coeffs_zw, phi_psi_zw, subsolution_value
 from .solver import Trajectory
 
 #: Paths stop this many cells short of the wall: the innermost stretch both
@@ -74,17 +76,14 @@ def trace_fan(history: Trajectory, x0, family: int, t0=0.0) -> list:
             "(need stride <= 10)")
     times = history.times
     scn = history.scenario
-    x_max = history.grid.x_max
-    lam_abs = scn.speed_bounds.lambda_abs_max
     x0, t0 = (a.ravel() for a in np.broadcast_arrays(
         np.asarray(x0, dtype=float), np.asarray(t0, dtype=float)))
-    # A run that stores only the window and its pad (both speeds negative,
-    # see Scenario.trusted_cells) can trace launches from the window only.
-    x_hi = x_max if scn.trusted_cells == history.grid.n else scn.x_interest
-    outside = ~((0.0 <= x0) & (x0 <= x_hi))
+    extent = scn.reach(t0)
+    outside = ~((0.0 <= x0) & (x0 <= extent))
     if outside.any():
-        raise DomainError(f"launch point {x0[outside][0]} outside the trusted "
-                          f"extent [0, {x_hi}]")
+        j = np.flatnonzero(outside)[0]
+        raise DomainError(f"launch point {x0[j]} at t = {t0[j]} outside the "
+                          f"trusted extent [0, {extent[j]}]")
     if x0.size == 0:
         return []
     # Launch no closer to the wall than the first cell center, the innermost
@@ -94,13 +93,12 @@ def trace_fan(history: Trajectory, x0, family: int, t0=0.0) -> list:
     stack = "lam1" if family == 1 else "lam2"
 
     def lam(xq, when):
-        return history.interpolate(np.minimum(np.maximum(xq, 0.0), x_max), when,
-                                   (stack,))[0]
+        return history.interpolate(xq, when, (stack,))[0]
 
     # Samples are recorded only inside the trusted domain: past a wall margin
     # (fixed physical fraction of the window plus a cell-scaled floor, since
-    # the innermost strip is outside the scheme's asymptotic range) and inside
-    # the influence cone of the artificial right boundary.  Leftward paths
+    # the innermost strip is outside the scheme's asymptotic range) and up to
+    # ``reach``, taken at every stored time at once.  Leftward paths
     # terminate at the margin; rightward launches start recording beyond it.
     # A path is live from its own launch index until it exits.  Row k of
     # ``xs`` holds the positions at stored time k; ``recorded`` marks which
@@ -114,6 +112,7 @@ def trace_fan(history: Trajectory, x0, family: int, t0=0.0) -> list:
     recorded[k0, paths_idx] = x0 >= wall_band
     reasons = np.full(x0.size, "end", dtype=object)
     running = np.ones(x0.size, dtype=bool)
+    edge = scn.reach(times)
     # The three RK4 stage times of every step, located in the run at once.
     first = int(k0.min())
     t_start, t_end = times[first:-1], times[first + 1:]
@@ -136,7 +135,7 @@ def trace_fan(history: Trajectory, x0, family: int, t0=0.0) -> list:
         v4 = lam(xl + h * v3, at_k1)
         x_new = xl + h / 6.0 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
         left = (x_new < wall_band) & (v1 < 0.0)
-        cone = ~left & (x_new > x_max - lam_abs * t_k1)
+        cone = ~left & (x_new > edge[k + 1])
         reasons[live[left]] = "left"
         reasons[live[cone]] = "cone"
         stays = ~(left | cone)
@@ -153,7 +152,7 @@ def trace_fan(history: Trajectory, x0, family: int, t0=0.0) -> list:
             x_parts.append(xs[rows, j])
         else:
             t_parts.append(times[k0[j]:k0[j] + 1])
-            x_parts.append(np.array([min(max(float(x0[j]), wall_band), x_max)]))
+            x_parts.append(np.array([max(float(x0[j]), wall_band)]))
     z, w, zx, wx, lam_s = (np.split(arr, np.cumsum([p.size for p in t_parts])[:-1])
                            for arr in history.interpolate(
                                np.concatenate(x_parts),
@@ -286,8 +285,7 @@ class BoundReport:
 def bound_check(path: CharPath, delta1: float, M: float, alpha: float) -> BoundReport:
     """Margin series of the barrier bound, the a-priori upper bound, and the
     pointwise barrier differential inequality along the path."""
-    if delta1 <= 0.0 or M <= 0.0 or alpha <= 0.0:
-        raise DomainError("delta1, M and alpha must all be positive")
+    barrier = subsolution_value(path.x, delta1, M, alpha)
     moving = np.abs(path.lam) > 1e-12
     signs = np.sign(path.lam[moving])
     if signs.size == 0:
@@ -295,8 +293,7 @@ def bound_check(path: CharPath, delta1: float, M: float, alpha: float) -> BoundR
     if not (np.all(signs > 0) or np.all(signs < 0)):
         raise InvalidStateError("path changes direction; barrier sign undefined")
     sigma = 1 if signs[0] > 0 else -1
-    decay = (1.0 + M * path.x) ** (-1.0 - alpha)
-    floor = sigma * delta1 * decay
+    floor = -sigma * barrier
     lower_margin = path.value - floor
     ub = apriori_upper_bound(path.t, path.A, path.B, path.C, float(path.value[0]))
     upper_margin = ub - path.value

@@ -56,23 +56,6 @@ def phi_psi_boundary_zw(z, w, z_t, w_t, a, law: GasLaw):
     return phi_psi_zw(z, w, z_x_eff, w_x_eff, a, law)
 
 
-def solve_zx_for_phi(z, w, phi, a, law: GasLaw):
-    """Spatial derivative z_x producing a prescribed Phi at this state."""
-    gap = _gap(z, w)
-    if law.is_log_branch:
-        return gap * phi + a * np.asarray(z) / 2.0 - 0.5 * a * gap * np.log(gap)
-    b = law.beta
-    return gap ** (-b) * phi - a * np.asarray(z) / (2.0 * b) - a * gap / (2.0 * (b + 1.0))
-
-
-def solve_wx_for_psi(z, w, psi, a, law: GasLaw):
-    gap = _gap(z, w)
-    if law.is_log_branch:
-        return gap * psi + a * np.asarray(w) / 2.0 + 0.5 * a * gap * np.log(gap)
-    b = law.beta
-    return gap ** (-b) * psi - a * np.asarray(w) / (2.0 * b) + a * gap / (2.0 * (b + 1.0))
-
-
 def coeffs_zw(z, w, a, a_x, law: GasLaw):
     """Vectorized (A, B, C, A_hat, B_hat, C_hat)."""
     z = np.asarray(z, dtype=float)
@@ -199,7 +182,7 @@ def check_data_conditions(problem: str, x, z0, w0, a_vals, delta1: float,
     z_x = np.gradient(z0, x, edge_order=2)
     w_x = np.gradient(w0, x, edge_order=2)
     phi, psi = phi_psi_zw(z0, w0, z_x, w_x, a_vals, law)
-    env = delta1 * (1.0 + M * x) ** (-1.0 - alpha)
+    env = -subsolution_value(x, delta1, M, alpha)
     s_phi, s_psi = _LOWER_SIGNS[problem]
     items = _bound_items("Phi(x,0)", phi, s_phi * env, delta2, x, "x")
     items += _bound_items("Psi(x,0)", psi, s_psi * env, delta2, x, "x")

@@ -16,13 +16,17 @@ result is bitwise that of two separate row updates.  ``run`` hands each step
 the boundary values it already computed for the monitors and the stored
 snapshot, so ``boundary_update`` runs twice per second-order step.
 
-The evolve always runs on the whole extended grid, but a stored snapshot
-keeps only the columns a reader of the run can reach
-(``Scenario.trusted_cells``).  When both characteristic speeds are negative
-on the region (P3), every traced path and every check stays inside the
-reporting window, so a snapshot keeps the window cells plus two: one for the
-bilinear interpolation at ``i + 1``, one for the central gradient there.
-P1 and P2 paths run right up to the influence cone, so they keep every cell.
+One rule says where the stored solution can be trusted: ``Scenario.reach(t)``
+is the right end of the trusted domain at time t.  The invariant region bounds
+every speed by ``lambda_abs_max`` in advance, so nothing from the artificial
+right boundary passes ``x_max - lambda_abs_max*t``, and a path that starts in
+the reporting window (or at the inflow boundary) gets no further than
+``x_interest + c_right*t``, with ``c_right = lambda_abs_max`` when a speed can
+be positive (P1, P2) and 0 when both are negative (P3).  The evolve always
+runs on the whole extended grid, but a stored snapshot keeps only the cells
+up to the highest reach, plus two: one for the bilinear interpolation at
+``i + 1``, one for the central gradient there (``Scenario.trusted_cells``).
+The tracer launches and ends its paths by the same rule.
 """
 from __future__ import annotations
 
@@ -144,17 +148,26 @@ class Scenario:
             self._cache["grid"] = Grid(x_max / self.n, self.n, self.x_interest, x_max)
         return self._cache["grid"]
 
+    def reach(self, t):
+        """Right end of the trusted domain at the time(s) ``t`` (see the
+        module docstring)."""
+        bounds = self.speed_bounds
+        lam = bounds.lambda_abs_max
+        c_right = lam if max(bounds.sign1, bounds.sign2) > 0 else 0.0
+        t = np.asarray(t, dtype=float)
+        return np.minimum(self.x_interest + c_right * t, self.grid.x_max - lam * t)
+
     @property
     def trusted_cells(self) -> int:
-        """Leading cells of the grid that a stored snapshot keeps (see the
-        module docstring): the window plus two when both speeds are
-        negative, else all of them."""
+        """Leading cells of the grid that a stored snapshot keeps: those up
+        to the highest ``reach`` on [0, T], plus two (see the module
+        docstring)."""
         if "trusted" not in self._cache:
-            grid, bounds = self.grid, self.speed_bounds
-            count = grid.n
-            if bounds.sign1 < 0 and bounds.sign2 < 0:
-                count = min(grid.n, int(self.runtime_arrays()["window"].sum()) + 2)
-            self._cache["trusted"] = count
+            # Since x_max = x_interest + lambda_abs_max*T, the two lines of
+            # reach cross at T/2 (P1, P2) or T (P3): its top is at 0, T/2 or T.
+            top = float(self.reach(np.linspace(0.0, self.T, 3)).max())
+            count = int((self.runtime_arrays()["x"] <= top + 1e-12).sum()) + 2
+            self._cache["trusted"] = min(self.grid.n, count)
         return self._cache["trusted"]
 
     def runtime_arrays(self) -> dict:
@@ -322,9 +335,10 @@ _STORED = ("times", "dts", "z", "w", "z_edge", "w_edge")
 class Trajectory:
     """Stored snapshots of one run plus their space-time interpolator.
 
-    Snapshots keep the first ``scenario.trusted_cells`` columns.  They are
-    collected as rows and stacked on first read; the rows are then dropped,
-    so each snapshot is held once."""
+    Snapshots keep the first ``scenario.trusted_cells`` columns.  ``append``
+    collects them as rows and ``finalize`` stacks the rows once into the
+    arrays ``times``, ``dts``, ``z``, ``w``, ``z_edge`` and ``w_edge``, then
+    drops them, so each snapshot is held once."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -332,7 +346,6 @@ class Trajectory:
         self.snapshot_stride = scenario.snapshot_stride
         self.blown_up = False
         self._rows = {name: [] for name in _STORED}
-        self._arrays = None
         self._caches = {}
 
     @classmethod
@@ -367,56 +380,26 @@ class Trajectory:
             arrays[name] = np.ascontiguousarray(arrays[name][:, :m])
         traj = cls(scenario)
         traj._rows = None
-        traj._arrays = {name: arr.astype(float, copy=False) for name, arr in arrays.items()}
+        for name, arr in arrays.items():
+            setattr(traj, name, arr.astype(float, copy=False))
         traj.blown_up = blown_up
         traj.snapshot_stride = snapshot_stride
         return traj
 
     def append(self, fld: Field, dt: float, bv: BoundaryValues):
-        if self._rows is None:
-            # Appending after a read: the stacked snapshots become rows again
-            # (views of the stacks, not copies).
-            self._rows = {name: list(arr) for name, arr in self._arrays.items()}
         m = self.scenario.trusted_cells
         for name, value in zip(_STORED, (fld.t, dt, fld.z[:m].copy(), fld.w[:m].copy(),
                                          bv.z_edge, bv.w_edge)):
             self._rows[name].append(value)
-        self._arrays = None
 
     def finalize(self, blown_up: bool = False):
-        self.blown_up = self.blown_up or blown_up
+        """Stack the appended snapshots; ``run`` calls this once, at the end
+        of the run or at its blow-up."""
+        self.blown_up = blown_up
+        for name, rows in self._rows.items():
+            setattr(self, name, np.asarray(rows, dtype=float))
+        self._rows = None
         return self
-
-    def _materialize(self):
-        if self._arrays is None:
-            self._arrays = {name: np.asarray(rows, dtype=float)
-                            for name, rows in self._rows.items()}
-            self._rows = None
-        return self._arrays
-
-    @property
-    def times(self) -> np.ndarray:
-        return self._materialize()["times"]
-
-    @property
-    def dts(self) -> np.ndarray:
-        return self._materialize()["dts"]
-
-    @property
-    def z(self) -> np.ndarray:
-        return self._materialize()["z"]
-
-    @property
-    def w(self) -> np.ndarray:
-        return self._materialize()["w"]
-
-    @property
-    def z_edge(self) -> np.ndarray:
-        return self._materialize()["z_edge"]
-
-    @property
-    def w_edge(self) -> np.ndarray:
-        return self._materialize()["w_edge"]
 
     def _stack(self, name: str) -> np.ndarray:
         if name in ("z", "w"):
@@ -485,9 +468,10 @@ class Trajectory:
             record = io.BytesIO()
             np.lib.format.write_array(record, np.array(json.dumps(meta)), allow_pickle=False)
             npz.writestr("meta.npy", record.getvalue(), compresslevel=9)
-            for name, arr in self._materialize().items():
+            for name in _STORED:
                 with npz.open(name + ".npy", "w", force_zip64=True) as entry:
-                    np.lib.format.write_array(entry, arr, allow_pickle=False)
+                    np.lib.format.write_array(entry, getattr(self, name),
+                                              allow_pickle=False)
 
 
 def run(scn: Scenario, monitors=None):
@@ -517,8 +501,6 @@ def run(scn: Scenario, monitors=None):
                 traj.append(new, dt, bv)
             fld = new
     except BlowUpError as err:
-        traj.finalize(blown_up=True)
-        err.trajectory = traj
+        err.trajectory = traj.finalize(blown_up=True)
         raise
-    traj.finalize()
-    return traj, fld
+    return traj.finalize(), fld

@@ -182,12 +182,15 @@ class TestStoredTrajectoryFiles:
         err = capsys.readouterr().err
         assert "bad.npz" in err and "Traceback" not in err
 
-    def test_trace_past_the_p3_window_is_a_usage_error(self, p3_npz, tmp_path, capsys):
-        assert main(["--out", str(tmp_path), "trace", str(p3_npz),
-                     "--family", "1", "--x0", "1.5"]) == 64
-        assert "trusted extent" in capsys.readouterr().err
-        assert main(["--out", str(tmp_path), "trace", str(p3_npz),
-                     "--family", "1", "--x0", "0.9"]) == 0
+    def test_trace_past_the_p3_window_is_a_usage_error(self, p3_npz, sim_out, tmp_path,
+                                                       capsys):
+        # At t = 0 the trusted domain is the reporting window, on P1 as on P3.
+        for npz in (p3_npz, sim_out / "trajectory.npz"):
+            assert main(["--out", str(tmp_path), "trace", str(npz),
+                         "--family", "1", "--x0", "1.5"]) == 64
+            assert "trusted extent" in capsys.readouterr().err
+            assert main(["--out", str(tmp_path), "trace", str(npz),
+                         "--family", "1", "--x0", "0.9"]) == 0
 
 
 class TestUsage:

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import desk_scenario, region_l, small_config, uniform_scenario
 from nozzleflow import solver
-from nozzleflow.characteristics import launch_fan
+from nozzleflow.characteristics import boundary_fan, launch_fan
 from nozzleflow.cli import main
 from nozzleflow.config import load_config
 from nozzleflow.errors import BlowUpError, DomainError, VacuumStateError
@@ -422,14 +422,25 @@ def _full_width_npz(traj, recorder, path):
     _savez_compressed(traj, path, z=np.array(recorder.z), w=np.array(recorder.w))
 
 
-@pytest.fixture(scope="module")
-def p3_recorded(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("p3")
-    scn = load_config(small_config("p3_desk", tmp, {"n = 2000": "n = 250"})).to_scenario()
+def _recorded(tmp_path_factory, name, n):
+    tmp = tmp_path_factory.mktemp(name)
+    scn = load_config(small_config(name, tmp, {"n = 2000": f"n = {n}"})).to_scenario()
     recorder = _Recorder()
     traj, _ = run(scn, recorder)
     _full_width_npz(traj, recorder, tmp / "full.npz")
     return traj, recorder, tmp / "full.npz"
+
+
+@pytest.fixture(scope="module")
+def p3_recorded(tmp_path_factory):
+    return _recorded(tmp_path_factory, "p3_desk", 250)
+
+
+def _same_checks(back, traj):
+    assert characteristic_pass(back) == characteristic_pass(traj)
+    got, want = conservative_residual(back), conservative_residual(traj)
+    for name in ("times", "linf_rho", "l1_rho", "linf_mom", "l1_mom"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestTrustedColumns:
@@ -442,31 +453,48 @@ class TestTrustedColumns:
         assert np.array_equal(traj.z, np.array(recorder.z)[:, :scn.trusted_cells])
         assert np.array_equal(traj.w, np.array(recorder.w)[:, :scn.trusted_cells])
 
-    def test_p1_and_p2_store_every_cell(self):
-        for name in ("p1_desk", "p2_desk"):
-            scn = desk_scenario(name, n=120, T=0.5)
-            traj, _ = run(scn)
-            assert scn.trusted_cells == scn.grid.n
-            assert traj.z.shape[1] == traj.w.shape[1] == scn.grid.n
+    @pytest.mark.parametrize("name", ["p1_desk", "p2_desk", "p3_desk"])
+    def test_reach_sets_the_stored_width_and_bounds_every_sample(self, name):
+        scn = desk_scenario(name, n=120, T=0.5)
+        traj, _ = run(scn)
+        lam = scn.speed_bounds.lambda_abs_max
+        # reach climbs at lambda_abs_max until T/2 when a speed can be
+        # positive, and stays at the window's edge when both are negative.
+        top = scn.x_interest + (0.0 if name == "p3_desk" else 0.5 * lam * scn.T)
+        assert float(scn.reach(0.0)) == scn.x_interest
+        assert float(scn.reach(scn.T)) == pytest.approx(scn.x_interest)
+        cells = int((scn.runtime_arrays()["x"] <= top + 1e-9).sum())
+        assert scn.trusted_cells == cells + 2 < scn.grid.n
+        assert traj.z.shape[1] == traj.w.shape[1] == scn.trusted_cells
+        for family in (1, 2):
+            paths = launch_fan(traj, family)
+            if scn.problem == "P2":
+                paths += boundary_fan(traj, family)
+            for path in paths:
+                assert np.all(path.x <= scn.reach(path.t)), (family, path.x0, path.t0)
+
+    @pytest.mark.parametrize("name", ["p1_desk", "p2_desk"])
+    def test_columns_past_the_rule_are_never_read(self, tmp_path_factory, name):
+        traj, recorder, _ = _recorded(tmp_path_factory, name, 120)
+        m = traj.scenario.trusted_cells
+        z, w = np.array(recorder.z), np.array(recorder.w)
+        assert m < z.shape[1]
+        z[:, m:] = np.nan
+        w[:, m:] = np.nan
+        path = tmp_path_factory.mktemp(name) / "nan_tail.npz"
+        _savez_compressed(traj, path, z=z, w=w)
+        _same_checks(load_trajectory(path), traj)
 
     def test_full_width_file_is_trimmed_on_load(self, p3_recorded):
         traj, _, full = p3_recorded
         back = load_trajectory(full)
         assert np.array_equal(back.z, traj.z)
         assert np.array_equal(back.w, traj.w)
-        assert characteristic_pass(back) == characteristic_pass(traj)
-        got, want = conservative_residual(back), conservative_residual(traj)
-        for name in ("times", "linf_rho", "l1_rho", "linf_mom", "l1_mom"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        _same_checks(back, traj)
 
     def test_each_snapshot_is_held_once(self, p3_recorded):
         traj, _, full = p3_recorded
         back = load_trajectory(full)
-        stacked = back.z
-        assert back._rows is None
-        fld = solver.Field(traj.z[-1].copy(), traj.w[-1].copy(), 99.0, back.grid)
-        bv = solver.boundary_update(fld, fld.t, back.scenario)
-        back.append(fld, 0.5, bv)
-        assert back.z.shape == (stacked.shape[0] + 1, stacked.shape[1])
-        assert np.array_equal(back.z[:-1], stacked)
-        assert back.times[-1] == 99.0
+        for held in (traj, back):
+            assert held._rows is None
+            assert held.z.shape == held.w.shape == (len(held.times), held.scenario.trusted_cells)

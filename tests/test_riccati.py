@@ -9,8 +9,29 @@ from nozzleflow.model import GasLaw, speeds_zw
 from nozzleflow.riccati import (apriori_upper_bound, check_compatibility,
                                 check_data_conditions, coeffs_zw,
                                 cumulative_trapezoid, phi_psi_boundary_zw,
-                                phi_psi_zw, solve_wx_for_psi,
-                                solve_zx_for_phi, subsolution_value)
+                                phi_psi_zw, subsolution_value)
+
+
+# --- inverses of the functionals: the gradient that gives a prescribed value --
+
+def solve_zx_for_phi(z, w, phi, a, law):
+    """Spatial derivative z_x producing a prescribed Phi at this state."""
+    z = np.asarray(z, dtype=float)
+    gap = np.asarray(w, dtype=float) - z
+    if law.is_log_branch:
+        return gap * phi + a * z / 2.0 - 0.5 * a * gap * np.log(gap)
+    b = law.beta
+    return gap ** (-b) * phi - a * z / (2.0 * b) - a * gap / (2.0 * (b + 1.0))
+
+
+def solve_wx_for_psi(z, w, psi, a, law):
+    """Spatial derivative w_x producing a prescribed Psi at this state."""
+    w = np.asarray(w, dtype=float)
+    gap = w - np.asarray(z, dtype=float)
+    if law.is_log_branch:
+        return gap * psi + a * w / 2.0 + 0.5 * a * gap * np.log(gap)
+    b = law.beta
+    return gap ** (-b) * psi - a * w / (2.0 * b) + a * gap / (2.0 * (b + 1.0))
 
 
 # --- independent transcription of the coefficient display (double entry) ----
