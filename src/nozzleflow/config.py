@@ -105,7 +105,7 @@ class ScenarioConfig:
         wB = self.expr("data", "wB", {"t"}, required=(problem == "P2"))
 
         try:
-            return Scenario(
+            scn = Scenario(
                 problem=problem,
                 law=law,
                 profile=profile,
@@ -137,8 +137,19 @@ class ScenarioConfig:
                                              default=0.02),
                 config_text=self.text,
             )
+            cells = int(scn.grid.window().sum())
         except DomainError as exc:
             raise ConfigError(str(exc), self.source) from None
+        # The launch fan starts past the wall band, 1.5 cells from the wall,
+        # and ends inside the reporting window.
+        if cells < 2:
+            self._fail("solver", "n",
+                       f"n = {scn.n} leaves {cells} cell(s) in the reporting window "
+                       f"[0, {scn.x_interest:g}]; the launch fan needs at least 2")
+        if problem == "P3" and scn.n < 3:
+            self._fail("solver", "n", f"n = {scn.n}: the P3 outflow ghosts "
+                                      "extrapolate from the first 3 cells")
+        return scn
 
     def _build_profile(self, law):
         family = self.raw("profile", "family", default="zero")

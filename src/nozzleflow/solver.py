@@ -7,14 +7,23 @@ cell, optionally limited second order with two-stage time integration); the
 geometric source is applied pointwise inside the same stages, keeping the
 z/w source increments exact negatives.
 
-One kernel evolves both invariants: ``step`` holds z and w as the two rows
-of one (2, n) array, so each stage extends it with its ghosts, takes its
-speeds, limited slopes and upwind gradients once for both rows, and the
-update is one array operation; the fields it returns are row views of that
-array.  Every cell takes the same operations as it would row by row, so the
-result is bitwise that of two separate row updates.  ``run`` hands each step
-the boundary values it already computed for the monitors and the stored
-snapshot, so ``boundary_update`` runs twice per second-order step.
+One kernel evolves both invariants: each stage extends the (2, n) state
+(rows z and w) with its ghost cells into one (2, n + 4) array, takes the
+speeds on all of it once, then the limited slopes, upwind gradients and the
+update for both rows at once.  The invariant region fixes the sign of both
+speeds on P2 (>= 0) and P3 (< 0), so there every face mean has that sign
+too, and the stage forms only the upwind face values: the limited slope on
+the faces it reads, with no face-mean speeds and no per-face choice.  The
+choice is made from the stage's own speeds, so P1 (mixed signs), NaN and a
+state that has left the region take the general gradient.  ``run`` takes
+the stable step from the speeds of the first stage (their interior) and
+hands them to ``step``, so no speed is computed twice; it also hands over
+the boundary values it computed for the monitors and the stored snapshot,
+so ``boundary_update`` runs twice per second-order step.  ``step`` writes
+its result into the interior of a fresh (2, n + 4) array, and the fields it
+returns are row views of it, so the next step fills in the ghosts without
+stacking z and w again.  Every cell takes the same operations as it would
+row by row, so the result is bitwise that of two separate row updates.
 
 One rule says where the stored solution can be trusted: ``Scenario.reach(t)``
 is the right end of the trusted domain at time t.  The invariant region bounds
@@ -70,6 +79,10 @@ class Grid:
 
     def cells(self) -> np.ndarray:
         return (np.arange(self.n) + 0.5) * self.dx
+
+    def window(self) -> np.ndarray:
+        """Mask of the cells in the reporting window, a leading run of cells."""
+        return self.cells() <= self.x_interest + 1e-12
 
 
 @dataclass
@@ -183,7 +196,7 @@ class Scenario:
                 "s": np.asarray(self.profile.cum_abar(x), dtype=float),
                 "gr_z": np.asarray(self.z0(ghost_x), dtype=float),
                 "gr_w": np.asarray(self.w0(ghost_x), dtype=float),
-                "window": x <= self.x_interest + 1e-12,
+                "window": grid.window(),
             }
         return self._cache["arrays"]
 
@@ -245,15 +258,15 @@ def boundary_update(fld: Field, t: float, scn: Scenario) -> BoundaryValues:
     return BoundaryValues(gl_z, gl_w, arrays["gr_z"], arrays["gr_w"], z_edge, w_edge)
 
 
-def cfl_dt(fld: Field, law: GasLaw, cfl: float, t_end: Optional[float] = None) -> float:
-    """Largest stable step, clipped so the run does not overshoot t_end."""
-    lam1, lam2 = speeds_zw(fld.z, fld.w, law)
-    vmax = float(max(np.abs(lam1).max(), np.abs(lam2).max()))
+def stable_dt(lam, dx: float, cfl: float, t_left: Optional[float] = None) -> float:
+    """Largest stable step for cells with the speeds ``lam`` (rows lambda1
+    and lambda2), no longer than ``t_left`` when it is given."""
+    vmax = float(max(np.abs(lam).max(axis=-1)))
     if vmax <= 1e-300:
         raise DomainError("all characteristic speeds vanish (uniform vacuum)")
-    dt = cfl * fld.grid.dx / vmax
-    if t_end is not None:
-        dt = min(dt, t_end - fld.t)
+    dt = cfl * dx / vmax
+    if t_left is not None:
+        dt = min(dt, t_left)
     return dt
 
 
@@ -275,51 +288,85 @@ def _upwind_gradient(u_ext, lam_ext, dx: float, order: int):
     if order == 1:
         u_face = np.where(lam_face >= 0.0, u_ext[..., 1:n + 2], u_ext[..., 2:n + 3])
     else:
-        dm = u_ext[..., 1:n + 3] - u_ext[..., 0:n + 2]
-        dp = u_ext[..., 2:n + 4] - u_ext[..., 1:n + 3]
-        slope = _limited_slope(dm, dp)
+        d = u_ext[..., 1:] - u_ext[..., :-1]
+        slope = _limited_slope(d[..., :-1], d[..., 1:])
         u_face = np.where(lam_face >= 0.0,
                           u_ext[..., 1:n + 2] + 0.5 * slope[..., 0:n + 1],
                           u_ext[..., 2:n + 3] - 0.5 * slope[..., 1:n + 2])
     return (u_face[..., 1:] - u_face[..., :-1]) / dx
 
 
-def _stage_rhs(u, bv: BoundaryValues, scn: Scenario):
-    """Time derivative of the (2, n) state ``u`` (rows z and w) whose ghost
-    cells are ``bv``: each row advected with its own speed, plus the source."""
-    arrays = scn.runtime_arrays()
-    ext = np.empty((2, u.shape[1] + 4))
+def _one_sided_gradient(u_ext, leftward: bool, dx: float, order: int):
+    """``_upwind_gradient`` when every face-mean speed has one sign: each
+    face takes its right cell (``leftward``, all speeds < 0) or its left cell
+    (all speeds >= 0), and only the slopes those cells need are formed."""
+    n = u_ext.shape[-1] - 4
+    s = int(leftward)
+    u_face = u_ext[..., 1 + s:n + 2 + s]
+    if order == 2:
+        d = u_ext[..., 1 + s:n + 3 + s] - u_ext[..., s:n + 2 + s]
+        slope = _limited_slope(d[..., :-1], d[..., 1:])
+        u_face = u_face - 0.5 * slope if leftward else u_face + 0.5 * slope
+    return (u_face[..., 1:] - u_face[..., :-1]) / dx
+
+
+def _extend(fld: Field, bv: BoundaryValues, scn: Scenario):
+    """The (2, n + 4) array of ``fld`` (rows z and w) with its ghost cells
+    ``bv``, and the speeds on all of it.  A field that ``step`` returned
+    already lives in the interior of such an array, which is reused."""
+    n = fld.z.size
+    ext = fld.z.base
+    if ext is None or ext is not fld.w.base or ext.shape != (2, n + 4):
+        ext = np.empty((2, n + 4))
+        ext[0, 2:-2] = fld.z
+        ext[1, 2:-2] = fld.w
     ext[0, :2] = bv.gl_z
     ext[1, :2] = bv.gl_w
-    ext[:, 2:-2] = u
     ext[0, -2:] = bv.gr_z
     ext[1, -2:] = bv.gr_w
     lam = np.empty_like(ext)
     lam[0], lam[1] = speeds_zw(ext[0], ext[1], scn.law)
-    f = -lam[:, 2:-2] * _upwind_gradient(ext, lam, scn.grid.dx, scn.order)
-    sz, sw = source_pair(u[0], u[1], arrays["a"], scn.law)
+    return ext, lam
+
+
+def _stage_rhs(ext, lam, scn: Scenario):
+    """Time derivative of the state in the interior of ``ext`` (``_extend``):
+    each row advected with its own speed, plus the source.  When every
+    speed of ``lam`` is < 0 or every one is >= 0, so is every face mean,
+    and the upwind side is known without comparing them."""
+    dx, order = scn.grid.dx, scn.order
+    if lam.max() < 0.0:
+        grad = _one_sided_gradient(ext, True, dx, order)
+    elif lam.min() >= 0.0:
+        grad = _one_sided_gradient(ext, False, dx, order)
+    else:  # mixed signs (P1), NaN, or a state that left the region
+        grad = _upwind_gradient(ext, lam, dx, order)
+    f = -lam[:, 2:-2] * grad
+    sz, sw = source_pair(ext[0, 2:-2], ext[1, 2:-2], scn.runtime_arrays()["a"], scn.law)
     f[0] += sz
     f[1] += sw
     return f
 
 
-def step(fld: Field, dt: float, scn: Scenario, bv: Optional[BoundaryValues] = None) -> Field:
+def step(fld: Field, dt: float, scn: Scenario, bv: Optional[BoundaryValues] = None,
+         first: Optional[tuple] = None) -> Field:
     """One explicit step (forward Euler or two-stage second order).  ``bv``
-    are the boundary values of ``fld`` when the caller already has them."""
+    are the boundary values of ``fld`` and ``first`` its ``_extend``, when
+    the caller already has them.  The returned rows z and w are the interior
+    of one (2, n + 4) array, so the next step need not stack them again."""
     t = fld.t
-    if bv is None:
-        bv = boundary_update(fld, t, scn)
-    u = np.empty((2, fld.z.size))
-    u[0], u[1] = fld.z, fld.w
-    f1 = _stage_rhs(u, bv, scn)
-    if scn.order == 1:
-        new = u + dt * f1
-    else:
-        u1 = u + dt * f1
-        bv1 = boundary_update(Field(u1[0], u1[1], t + dt, fld.grid), t + dt, scn)
-        new = u + 0.5 * dt * (f1 + _stage_rhs(u1, bv1, scn))
-    bad = ~(np.abs(new) <= scn.blow_limit)  # NaN compares false: bad too
-    if bad.any():
+    if first is None:
+        first = _extend(fld, bv if bv is not None else boundary_update(fld, t, scn), scn)
+    ext, lam = first
+    u = ext[:, 2:-2]
+    f1 = _stage_rhs(ext, lam, scn)
+    new = np.add(u, dt * f1, out=np.empty_like(ext)[:, 2:-2])
+    if scn.order == 2:
+        mid = Field(new[0], new[1], t + dt, fld.grid)
+        f2 = _stage_rhs(*_extend(mid, boundary_update(mid, t + dt, scn), scn), scn)
+        new = np.add(u, 0.5 * dt * (f1 + f2), out=np.empty_like(ext)[:, 2:-2])
+    if not np.abs(new).max() <= scn.blow_limit:  # NaN compares false: bad too
+        bad = ~(np.abs(new) <= scn.blow_limit)
         cell = int(np.argmax(bad.any(axis=0)))
         raise BlowUpError(
             f"solution left the finite range at t={t + dt:.6g}, cell {cell} "
@@ -488,10 +535,13 @@ def run(scn: Scenario, monitors=None):
     step_idx = 0
     try:
         while fld.t < T - 1e-14 * max(T, 1.0):
-            dt = cfl_dt(fld, scn.law, scn.cfl, t_end=T)
+            # The step's first stage takes the speeds of every cell; the
+            # stable step comes from those of the interior.
+            first = _extend(fld, bv, scn)
+            dt = stable_dt(first[1][:, 2:-2], scn.grid.dx, scn.cfl, T - fld.t)
             if dt <= 0.0:
                 break
-            new = step(fld, dt, scn, bv)
+            new = step(fld, dt, scn, bv, first)
             step_idx += 1
             bv = boundary_update(new, new.t, scn)
             if monitors is not None:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from nozzleflow.config import load_config, parse_config_text
-from nozzleflow.model import GasLaw
+from nozzleflow.model import GasLaw, speeds_zw
 from nozzleflow.region import NozzleProfile, RegionSpec, zero_profile
+from nozzleflow.solver import stable_dt
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -30,6 +31,13 @@ def riemann_from_rho_v(rho, v, law):
     v = np.asarray(v, dtype=float)
     c = rho ** law.theta / law.theta
     return v - c, v + c
+
+
+def field_dt(fld, law, cfl, t_end=None):
+    """The stable step of ``fld`` as ``solver.run`` takes it: ``stable_dt`` of
+    the speeds of its cells, no longer than the time left to ``t_end``."""
+    lam = np.array(speeds_zw(fld.z, fld.w, law))
+    return stable_dt(lam, fld.grid.dx, cfl, None if t_end is None else t_end - fld.t)
 
 
 def desk_scenario(name, **overrides):

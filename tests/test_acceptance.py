@@ -11,8 +11,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from conftest import (CONFIG_DIR, desk_scenario, region_l, riemann_from_rho_v,
-                      uniform_scenario)
+from conftest import (CONFIG_DIR, desk_scenario, field_dt, region_l,
+                      riemann_from_rho_v, uniform_scenario)
 from test_region import oracle_constants
 from test_riccati import random_states, reference_coeffs
 
@@ -25,7 +25,7 @@ from nozzleflow.model import GasLaw, rho_zw
 from nozzleflow.region import (check_hypothesis, critical_constants, RegionSpec,
                                zero_profile)
 from nozzleflow.riccati import coeffs_zw
-from nozzleflow.solver import cfl_dt, run, step
+from nozzleflow.solver import run, step
 
 DESK = ("p1_desk", "p2_desk", "p3_desk")
 SQRT3 = math.sqrt(3.0)
@@ -143,7 +143,7 @@ def test_criterion_4_constant_preservation(law53):
                                order=order, n=64, T=1e9)
         fld = scn.initial_field()
         for _ in range(1000):
-            fld = step(fld, cfl_dt(fld, law53, 0.9), scn)
+            fld = step(fld, field_dt(fld, law53, 0.9), scn)
         drift = max(drift, float(np.abs(fld.z + 3.6).max()),
                     float(np.abs(fld.w + 2.6).max()))
     assert drift <= 1e-11

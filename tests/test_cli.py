@@ -85,6 +85,32 @@ class TestMalformedValues:
         assert new.split(" = ")[0] in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name,n,cells", [
+        ("p3_desk", 1, 0), ("p3_desk", 2, 0), ("p3_desk", 3, 0), ("p3_desk", 8, 0),
+        ("p3_desk", 12, 1), ("p3_desk", 20, 1), ("p3_desk", 26, 1),
+        ("p2_desk", 1, 0), ("p2_desk", 2, 1), ("p2_desk", 3, 1),
+        ("p1_desk", 1, 1), ("p1_desk", 2, 1),
+    ])
+    def test_grid_too_coarse_for_the_window(self, name, n, cells, tmp_path, capsys):
+        cfg = small_config(name, tmp_path, {"n = 2000": f"n = {n}"})
+        assert main(["--out", str(tmp_path / "out"), "simulate", str(cfg)]) == 65
+        err = capsys.readouterr().err
+        assert f"n = {n} leaves {cells} cell(s) in the reporting window" in err
+        assert "Traceback" not in err
+
+    def test_p3_grid_too_coarse_for_the_outflow_ghosts(self, tmp_path, capsys):
+        # At T = 0 the grid is the window, so two cells fit the launch fan.
+        cfg = small_config("p3_desk", tmp_path, {"n = 2000": "n = 2", "T = 5.0": "T = 0.0"})
+        assert main(["--out", str(tmp_path / "out"), "simulate", str(cfg)]) == 65
+        err = capsys.readouterr().err
+        assert "n = 2: the P3 outflow ghosts" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name,n", [("p3_desk", 27), ("p2_desk", 4), ("p1_desk", 3)])
+    def test_coarsest_grid_that_fits_the_window_runs(self, name, n, tmp_path):
+        cfg = small_config(name, tmp_path, {"n = 2000": f"n = {n}"})
+        assert main(["--quiet", "--out", str(tmp_path / "out"), "simulate", str(cfg)]) == 0
+
 
 class TestFeasible:
     def test_feasible_point(self, capsys):

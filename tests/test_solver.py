@@ -3,14 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import (constant_profile, desk_scenario, region_l, region_m,
-                      uniform_scenario)
+from conftest import (constant_profile, desk_scenario, field_dt, region_l,
+                      region_m, uniform_scenario)
 from nozzleflow.errors import BlowUpError, DomainError, SonicBoundaryError
 from nozzleflow import solver
 from nozzleflow.model import GasLaw, speeds_zw
 from nozzleflow.region import RegionSpec, zero_profile
 from nozzleflow.solver import (Field, Grid, Scenario, _upwind_gradient,
-                               boundary_update, cfl_dt, run, step)
+                               boundary_update, run, step)
 
 
 def uniform_field(z_val, w_val, n=100, dx=0.01, x_interest=None):
@@ -21,21 +21,21 @@ def uniform_field(z_val, w_val, n=100, dx=0.01, x_interest=None):
 class TestCflStep:
     def test_rest_state(self, law53):
         fld = uniform_field(-3.0, 3.0)
-        assert cfl_dt(fld, law53, 0.9) == pytest.approx(0.009, rel=1e-14)
+        assert field_dt(fld, law53, 0.9) == pytest.approx(0.009, rel=1e-14)
 
     def test_supersonic(self, law53):
         fld = uniform_field(1.0, 2.0)
-        assert cfl_dt(fld, law53, 0.9) == pytest.approx(0.0054, rel=1e-12)
+        assert field_dt(fld, law53, 0.9) == pytest.approx(0.0054, rel=1e-12)
 
     def test_final_step_clipped(self, law53):
         fld = uniform_field(-3.0, 3.0)
         fld.t = 0.99999
-        assert cfl_dt(fld, law53, 0.9, t_end=1.0) == pytest.approx(1e-5, rel=1e-9)
+        assert field_dt(fld, law53, 0.9, t_end=1.0) == pytest.approx(1e-5, rel=1e-9)
 
     def test_uniform_vacuum_rejected(self, law53):
         fld = uniform_field(0.0, 0.0)
         with pytest.raises(DomainError):
-            cfl_dt(fld, law53, 0.9)
+            field_dt(fld, law53, 0.9)
 
 
 class TestConstantPreservation:
@@ -45,7 +45,7 @@ class TestConstantPreservation:
                               n=64, T=100.0)
         fld = scn.initial_field()
         for _ in range(1000):
-            fld = step(fld, cfl_dt(fld, law53, 0.9), scn)
+            fld = step(fld, field_dt(fld, law53, 0.9), scn)
         assert float(np.abs(fld.z + 3.6).max()) <= 1e-11
         assert float(np.abs(fld.w + 2.6).max()) <= 1e-11
 
@@ -55,7 +55,7 @@ class TestConstantPreservation:
                               n=64, T=100.0)
         fld = scn.initial_field()
         for _ in range(1000):
-            fld = step(fld, cfl_dt(fld, law53, 0.9), scn)
+            fld = step(fld, field_dt(fld, law53, 0.9), scn)
         assert float(np.abs(fld.z + 3.0).max()) <= 1e-11
         assert float(np.abs(fld.w - 3.0).max()) <= 1e-11
 
@@ -116,6 +116,58 @@ class TestTwoRowKernel:
         with pytest.raises(BlowUpError) as err:
             step(fld, 0.002, dataclasses.replace(scn, blow_limit=limit))
         assert err.value.cell == first
+
+
+class TestSignResolvedStage:
+    """A stage whose speeds all have one sign skips the face-mean speeds and
+    the per-face choice; any other stage takes ``_upwind_gradient``."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_one_rightward_cell_takes_the_general_path(self, order, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return _upwind_gradient(*args)
+
+        monkeypatch.setattr(solver, "_upwind_gradient", counted)
+        scn = desk_scenario("p3_desk", n=200, T=0.3, order=order)
+        fld = scn.initial_field()
+        fld.z[30], fld.w[30] = -1.2, 2.0
+        lam1, lam2 = speeds_zw(fld.z, fld.w, scn.law)
+        assert lam1.max() < 0.0 < lam2[30] and int((lam2 > 0.0).sum()) == 1
+        dt = field_dt(fld, scn.law, scn.cfl)
+        new = step(fld, dt, scn)
+        ref = _row_by_row_step(fld, dt, scn)
+        assert _bitwise(new.z, ref.z) and _bitwise(new.w, ref.w)
+        assert len(calls) == order
+
+    @pytest.mark.parametrize("name", ["p1_desk", "p2_desk", "p3_desk"])
+    def test_run_takes_the_stable_step_of_the_cell_speeds(self, name):
+        scn = desk_scenario(name, n=100, T=0.3)
+        traj, _ = run(scn)
+        fld = scn.initial_field()
+        for k in range(1, len(traj.dts)):
+            dt = field_dt(fld, scn.law, scn.cfl, t_end=scn.T)
+            assert dt == traj.dts[k], k
+            fld = _row_by_row_step(fld, dt, scn)
+        assert fld.t == traj.times[-1]
+
+    @pytest.mark.parametrize("name,general", [("p1_desk", True), ("p2_desk", False),
+                                              ("p3_desk", False)])
+    def test_which_problems_reach_the_general_gradient(self, name, general,
+                                                        monkeypatch):
+        def refuse(*args):
+            raise AssertionError("general gradient reached")
+
+        monkeypatch.setattr(solver, "_upwind_gradient", refuse)
+        scn = desk_scenario(name, n=100, T=0.05)
+        if general:
+            with pytest.raises(AssertionError, match="general gradient reached"):
+                run(scn)
+        else:
+            traj, final = run(scn)
+            assert len(traj.times) > 3 and final.t == scn.T
 
 
 class TestSourceUpdate:
