@@ -26,9 +26,7 @@ _SCHEMA = {
     "region": {"constants", "L1", "L2", "U1", "U2"},
     "data": {"z0", "w0", "zB", "wB", "delta1", "delta2"},
     "solver": {"n", "cfl", "order", "snapshot_stride"},
-    "monitors": {"margin_tol_factor", "strict_margin", "compat_tol",
-                 "csv_stride", "fan", "cert_samples", "blow_limit",
-                 "wall_margin_frac"},
+    "monitors": {"csv_stride", "fan", "wall_margin_frac"},
 }
 
 
@@ -126,13 +124,6 @@ class ScenarioConfig:
                 fan=self.number("monitors", "fan", default=20, integer=True),
                 csv_stride=self.number("monitors", "csv_stride", default=50,
                                        integer=True),
-                margin_tol_factor=self.number("monitors", "margin_tol_factor",
-                                              default=5.0),
-                strict_margin=self.number("monitors", "strict_margin", default=1e-9),
-                compat_tol=self.number("monitors", "compat_tol", default=1e-8),
-                cert_samples=self.number("monitors", "cert_samples", default=2048,
-                                         integer=True),
-                blow_limit=self.number("monitors", "blow_limit", default=1e6),
                 wall_margin_frac=self.number("monitors", "wall_margin_frac",
                                              default=0.02),
                 config_text=self.text,

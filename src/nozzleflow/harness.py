@@ -20,11 +20,11 @@ from .config import ScenarioConfig, load_config, parse_config_text
 from .errors import (BlowUpError, DomainError, InvalidStateError,
                      NozzleflowError, TrajectoryFileError, VacuumStateError)
 from .model import pressure, rho_zw, speeds_zw
-from .region import (Certificate, CertItem, check_h1, check_hypothesis,
+from .region import (EXACT, Certificate, check_h1, check_hypothesis,
                      critical_constants, envelopes, face_margins,
-                     membership_margins)
+                     membership_margins, worst_item)
 from .riccati import (apriori_upper_bound, check_compatibility,
-                      check_data_conditions, phi_psi_zw)
+                      check_data_conditions, _one_sided_derivative, phi_psi_zw)
 from .solver import Scenario, Trajectory, run
 
 EXIT_OK = 0
@@ -36,6 +36,12 @@ EXIT_DATAERR = 65
 EXIT_NOINPUT = 66
 
 _FACES = ("z_lo", "z_hi", "w_lo", "w_hi", "gap")
+
+#: Runtime tolerances are this factor times the scheme-error estimate.
+MARGIN_TOL_FACTOR = 5.0
+
+#: Equispaced certificate samples on [0, x_max] and of P2 boundary data on [0, T].
+CERT_SAMPLES = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -70,15 +76,9 @@ class CertBundle:
 
 def _membership_certificate(name, z, w, s, spec, where, where_label):
     margins = membership_margins(z, w, s, spec)
-    items = []
-    for face in _FACES:
-        arr = np.asarray(margins[face])
-        i = int(np.argmin(arr))
-        items.append(CertItem(f"margin {face} >= 0", 0.0, float(arr[i]),
-                              float(arr[i]), strict=False,
-                              passed=bool(arr[i] >= 0.0),
-                              where=float(where[i]), note=f"worst {where_label}"))
-    return Certificate(name, items)
+    return Certificate(name, [worst_item(f"margin {face} >= 0", 0.0, margins[face],
+                                         EXACT, where, note=f"worst {where_label}")
+                              for face in _FACES])
 
 
 def certify(scn: Scenario) -> CertBundle:
@@ -86,10 +86,9 @@ def certify(scn: Scenario) -> CertBundle:
     membership, data conditions and compatibility for one scenario."""
     grid = scn.grid
     x = np.unique(np.concatenate([
-        grid.cells(), np.linspace(0.0, grid.x_max, scn.cert_samples)]))
+        grid.cells(), np.linspace(0.0, grid.x_max, CERT_SAMPLES)]))
     consts = critical_constants(scn.law)
-    certs = [check_h1(scn.profile, x),
-             check_hypothesis(scn.region, scn.law, consts, x, scn.strict_margin)]
+    certs = [check_h1(scn.profile, x), check_hypothesis(scn.region, scn.law, consts, x)]
 
     z0 = np.asarray(scn.z0(x), dtype=float)
     w0 = np.asarray(scn.w0(x), dtype=float)
@@ -97,22 +96,25 @@ def certify(scn: Scenario) -> CertBundle:
     certs.append(_membership_certificate("initial-membership", z0, w0, s,
                                          scn.region, x, "x"))
 
-    boundary = None
+    boundary = rates = None
     if scn.problem == "P2":
-        t = np.linspace(0.0, scn.T, scn.cert_samples)
+        # At T = 0 the boundary is one instant, with one-sided rates.
+        t = np.linspace(0.0, scn.T, CERT_SAMPLES if scn.T > 0.0 else 1)
         zB = np.asarray(scn.zB(t), dtype=float)
         wB = np.asarray(scn.wB(t), dtype=float)
         certs.append(_membership_certificate("boundary-membership", zB, wB,
                                              np.zeros_like(t), scn.region, t, "t"))
         boundary = (t, zB, wB, float(scn.profile.a(0.0)))
+        if scn.T == 0.0:
+            rates = tuple(np.array([_one_sided_derivative(fn)]) for fn in (scn.zB, scn.wB))
 
     certs.append(check_data_conditions(
         scn.problem, x, z0, w0, np.asarray(scn.profile.a(x), dtype=float),
         scn.delta1, scn.delta2, scn.profile.M, scn.profile.alpha, scn.law,
-        boundary=boundary))
+        boundary=boundary, boundary_rates=rates))
     certs.append(check_compatibility(
         scn.problem, scn.z0, scn.w0, scn.zB, scn.wB,
-        float(scn.profile.a(0.0)), scn.law, tol=scn.compat_tol))
+        float(scn.profile.a(0.0)), scn.law))
     return CertBundle(certs)
 
 
@@ -292,8 +294,8 @@ class Monitors:
         lip_series = np.maximum.accumulate(
             np.maximum(np.asarray(self.series["zx"]), np.asarray(self.series["wx"])))
         lip = float(lip_series[-1]) if lip_series.size else 0.0
-        tol_series = self.scn.margin_tol_factor * self.dx * lip_series
-        tol = self.scn.margin_tol_factor * self.dx * lip
+        tol_series = MARGIN_TOL_FACTOR * self.dx * lip_series
+        tol = MARGIN_TOL_FACTOR * self.dx * lip
         C3 = self.scn.speed_bounds.C3
         worst_face, worst_val, first = None, math.inf, None
         for face in _FACES:
@@ -410,7 +412,7 @@ def characteristic_pass(traj: Trajectory, delta1=None, M=None, alpha=None) -> di
     cols = slice(0, m if m == traj.grid.n else m - 1)
     lip = max(float(np.abs(traj._stack("zx")[:, cols]).max()),
               float(np.abs(traj._stack("wx")[:, cols]).max()))
-    tol_base = scn.margin_tol_factor * traj.grid.dx * lip
+    tol_base = MARGIN_TOL_FACTOR * traj.grid.dx * lip
     result = {"tolerance": tol_base, "lip": lip, "families": {}, "paths": []}
     all_ok = True
     traced = []
@@ -451,8 +453,8 @@ def characteristic_pass(traj: Trajectory, delta1=None, M=None, alpha=None) -> di
             # transport residual measures, so the per-path error estimate adds
             # the residual's time integral to the field-level estimate.
             drift = float(np.trapezoid(np.abs(rr.series), rr.t_mid))
-            path_tol = tol_base + scn.margin_tol_factor * drift
-            path_ok = min(br.min_lower, br.min_upper, br.min_sub) >= -path_tol
+            path_tol = tol_base + MARGIN_TOL_FACTOR * drift
+            path_ok = all(br.holds(path_tol).values())
             fam_ok = fam_ok and path_ok
             result["paths"].append({
                 "family": family, "x0": path.x0, "t0": path.t0,
@@ -523,7 +525,7 @@ def derivative_bound_estimate(traj: Trajectory, delta1: float, M: float,
     zx_meas = float(np.abs(traj._stack("zx")[:, window]).max())
     wx_meas = float(np.abs(traj._stack("wx")[:, window]).max())
     lip = max(zx_meas, wx_meas)
-    tol = scn.margin_tol_factor * traj.grid.dx * lip * max(1.0, scale)
+    tol = MARGIN_TOL_FACTOR * traj.grid.dx * lip * max(1.0, scale)
     ok = zx_meas <= zx_bound + tol and wx_meas <= wx_bound + tol
     return {"zx_measured": zx_meas, "zx_implied": zx_bound,
             "wx_measured": wx_meas, "wx_implied": wx_bound,
@@ -617,6 +619,13 @@ def _write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _write_monitors(mrep: MonitorReport, out: Path) -> dict:
+    """Write ``monitor_report.json``; return the record without its series."""
+    record = mrep.to_dict()
+    _write_json(record, out / "monitor_report.json")
+    return {key: val for key, val in record.items() if key != "series"}
+
+
 def run_scenario(config, out_dir, force: bool = False, quiet: bool = True) -> int:
     """Certify, run, verify and write all artifacts; returns the exit code."""
     if isinstance(config, (str, Path)):
@@ -659,11 +668,10 @@ def run_scenario(config, out_dir, force: bool = False, quiet: bool = True) -> in
         traj = err.trajectory
         if traj is not None and traj.scenario.config_text is not None:
             traj.save(out / "trajectory.npz")
-        mrep = monitors.finalize()
         report.update({
             "exit_code": EXIT_BLOWUP,
             "blow_up": {"t": err.t, "cell": err.cell, "message": str(err)},
-            "monitors": mrep.to_dict(),
+            "monitors": _write_monitors(monitors.finalize(), out),
         })
         _write_json(report, out / "report.json")
         say(f"blow-up: {err}")
@@ -674,10 +682,8 @@ def run_scenario(config, out_dir, force: bool = False, quiet: bool = True) -> in
     cons = conservative_residual(traj) if traj.snapshot_stride == 1 else None
     traj.save(out / "trajectory.npz")
     write_fields_csv(traj, out / "fields.csv")
-    monitor_report = mrep.to_dict()
-    _write_json(monitor_report, out / "monitor_report.json")
     report.update({
-        "monitors": monitor_report,
+        "monitors": _write_monitors(mrep, out),
         "characteristics": post,
         "conservative_residual": cons.to_dict() if cons is not None else None,
         "runtime_seconds": time.perf_counter() - started,

@@ -6,6 +6,12 @@ conditions on (a, L1, L2, U1, U2) (``check_hypothesis``, band from
 ``RegionSpec.kind``), signed margins of (z, w) arrays against the x-dependent
 rectangle (``membership_margins``), corner bounds on the characteristic speeds,
 and a feasibility search for admissible constants.
+
+Every certificate item is built by ``cert_item`` (``worst_item`` takes the
+worst sample of an array) and judged by one of three fixed rules: EXACT
+(slack >= 0), GRACE (slack >= -ROUNDOFF * max(1, |lhs|, |rhs|)) or STRICT
+(slack > 0 and slack >= STRICT_MARGIN * max(|lhs|, |rhs|), so that exact
+ties fail while pairs that decay to zero can pass).
 """
 from __future__ import annotations
 
@@ -26,7 +32,7 @@ from .model import GasLaw, speeds_zw
 #: Numerical grace for non-strict inequalities evaluated in floating point.
 ROUNDOFF = 32.0 * float(np.finfo(float).eps)
 
-#: Default certification margin required of strict inequalities.
+#: Relative margin of the STRICT rule.
 STRICT_MARGIN = 1e-9
 
 
@@ -337,11 +343,14 @@ class CertItem:
     name: str
     lhs: float
     rhs: float
-    slack: float
     strict: bool
     passed: bool
     where: Optional[float] = None
     note: str = ""
+
+    @property
+    def slack(self) -> float:
+        return self.rhs - self.lhs
 
     def to_dict(self):
         d = {"name": self.name, "lhs": float(self.lhs), "rhs": float(self.rhs),
@@ -401,16 +410,33 @@ class Certificate:
         }
 
 
-def _grace(*values) -> float:
-    scale = max([1.0] + [abs(v) for v in values if math.isfinite(v)])
-    return ROUNDOFF * scale
+#: The three rules of ``cert_item`` (see the module docstring).
+EXACT, GRACE, STRICT = "exact", "grace", "strict"
 
 
-def _strict_ok(slack: float, lhs: float, rhs: float, margin: float) -> bool:
-    """Strict inequalities demand a margin relative to the local magnitude,
-    so decaying-to-zero pairs stay certifiable while exact ties never pass."""
-    scale = max(abs(lhs), abs(rhs))
-    return slack > 0.0 and slack >= margin * scale
+def cert_item(name: str, lhs: float, rhs: float, rule: str, where=None,
+              note: str = "", margin: float = STRICT_MARGIN) -> CertItem:
+    """The item lhs <(=) rhs judged by ``rule`` (STRICT demands ``margin``)."""
+    slack = rhs - lhs
+    if rule == EXACT:
+        passed = slack >= 0.0
+    elif rule == GRACE:
+        scale = max([1.0] + [abs(v) for v in (lhs, rhs) if math.isfinite(v)])
+        passed = slack >= -ROUNDOFF * scale
+    else:
+        passed = slack > 0.0 and slack >= margin * max(abs(lhs), abs(rhs))
+    return CertItem(name, lhs, rhs, rule == STRICT, bool(passed), where, note)
+
+
+def worst_item(name: str, lhs, rhs, rule: str, where, index=None, **kw) -> CertItem:
+    """``cert_item`` at the worst sample of the arrays ``lhs`` and ``rhs``
+    (broadcast together; ``where`` places each sample): the sample ``index``
+    when it is given, else the one of least slack."""
+    lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=float),
+                                   np.asarray(rhs, dtype=float))
+    i = int(np.argmin(rhs - lhs)) if index is None else index
+    return cert_item(name, float(lhs[i]), float(rhs[i]), rule,
+                     where=float(where[i]), **kw)
 
 
 def default_x_grid(x_hi: float = 1e3, n: int = 2048) -> np.ndarray:
@@ -421,17 +447,10 @@ def check_h1(profile: NozzleProfile, x_grid=None) -> Certificate:
     """Per-sample decay bounds on a^2 and |a'| against k (1+Mx)^(-2-alpha)."""
     x = np.asarray(default_x_grid() if x_grid is None else x_grid, dtype=float)
     envelope = (1.0 + profile.M * x) ** (-2.0 - profile.alpha)
-    items = []
-    for name, lhs_vals, k in (
+    items = [worst_item(name, lhs, k * envelope, GRACE, x) for name, lhs, k in (
         ("a(x)^2 <= k1*(1+M*x)^(-2-alpha)", np.asarray(profile.a(x)) ** 2, profile.k1),
         ("|a'(x)| <= k2*(1+M*x)^(-2-alpha)", np.abs(np.asarray(profile.a_prime(x))), profile.k2),
-    ):
-        slack = k * envelope - lhs_vals
-        i = int(np.argmin(slack))
-        items.append(CertItem(name, float(lhs_vals[i]), float(k * envelope[i]),
-                              float(slack[i]), strict=False,
-                              passed=bool(slack[i] >= -_grace(lhs_vals[i], k * envelope[i])),
-                              where=float(x[i])))
+    )]
     return Certificate("decay", items, meta={"samples": int(x.size),
                                              "x_max": float(x.max())})
 
@@ -468,63 +487,36 @@ class RegionSpec:
         raise DomainError("region spec carries neither a profile nor a total integral")
 
 
-class _Ineq:
-    __slots__ = ("name", "strict", "lhs", "rhs")
-
-    def __init__(self, name, strict, lhs, rhs):
-        self.name, self.strict, self.lhs, self.rhs = name, strict, lhs, rhs
-
-
 def _constant_inequalities(kind: str, law: GasLaw, consts: CriticalConstants,
-                           I: float) -> list:
-    """All envelope-constant inequalities of one admissibility set, oriented
-    as lhs <(=) rhs; callables broadcast over numpy arrays."""
+                           I: float, L1, L2, U1, U2) -> list:
+    """The envelope-constant inequalities of one admissibility set as rows
+    (name, strict, lhs, rhs) of lhs <(=) rhs, at numbers or arrays L1..U2."""
     g = law.gamma
     E = math.exp(2.0 * I) if math.isfinite(I) else math.inf
     s1, s2 = consts.sigma1, consts.sigma2
-    low_ratio = (3.0 - g) / (g + 1.0)
-    high_ratio = (g + 1.0) / (3.0 - g)
     if kind == "m":
         return [
-            _Ineq("U1*exp(2I) <= L1", False, lambda L1, L2, U1, U2: U1 * E,
-                  lambda L1, L2, U1, U2: L1),
-            _Ineq("L2 <= U2", False, lambda L1, L2, U1, U2: L2,
-                  lambda L1, L2, U1, U2: U2),
-            _Ineq("(3-g)/(g+1) < L2/L1", True, lambda L1, L2, U1, U2: low_ratio + 0 * L1,
-                  lambda L1, L2, U1, U2: L2 / L1),
-            _Ineq("U2/U1 < (g+1)/(3-g)", True, lambda L1, L2, U1, U2: U2 / U1,
-                  lambda L1, L2, U1, U2: high_ratio + 0 * L1),
-            _Ineq("L1/L2 <= sigma1", False, lambda L1, L2, U1, U2: L1 / L2,
-                  lambda L1, L2, U1, U2: s1 + 0 * L1),
-            _Ineq("U2/U1 <= sigma1", False, lambda L1, L2, U1, U2: U2 / U1,
-                  lambda L1, L2, U1, U2: s1 + 0 * L1),
-            _Ineq("L1 <= U2", False, lambda L1, L2, U1, U2: L1,
-                  lambda L1, L2, U1, U2: U2),
-            _Ineq("L2 <= U1", False, lambda L1, L2, U1, U2: L2,
-                  lambda L1, L2, U1, U2: U1),
+            ("U1*exp(2I) <= L1", False, U1 * E, L1),
+            ("L2 <= U2", False, L2, U2),
+            ("(3-g)/(g+1) < L2/L1", True, (3.0 - g) / (g + 1.0), L2 / L1),
+            ("U2/U1 < (g+1)/(3-g)", True, U2 / U1, (g + 1.0) / (3.0 - g)),
+            ("L1/L2 <= sigma1", False, L1 / L2, s1),
+            ("U2/U1 <= sigma1", False, U2 / U1, s1),
+            ("L1 <= U2", False, L1, U2),
+            ("L2 <= U1", False, L2, U1),
         ]
     if kind == "r":
         return [
-            _Ineq("L1 <= U1", False, lambda L1, L2, U1, U2: L1,
-                  lambda L1, L2, U1, U2: U1),
-            _Ineq("L2 <= U2", False, lambda L1, L2, U1, U2: L2,
-                  lambda L1, L2, U1, U2: U2),
-            _Ineq("U1*exp(2I) < L2", True, lambda L1, L2, U1, U2: U1 * E,
-                  lambda L1, L2, U1, U2: L2),
-            _Ineq("(U2/L1)*exp(2I) <= sigma2", False,
-                  lambda L1, L2, U1, U2: (U2 / L1) * E,
-                  lambda L1, L2, U1, U2: s2 + 0 * L1),
+            ("L1 <= U1", False, L1, U1),
+            ("L2 <= U2", False, L2, U2),
+            ("U1*exp(2I) < L2", True, U1 * E, L2),
+            ("(U2/L1)*exp(2I) <= sigma2", False, (U2 / L1) * E, s2),
         ]
     return [
-        _Ineq("U1*exp(2I) <= L1", False, lambda L1, L2, U1, U2: U1 * E,
-              lambda L1, L2, U1, U2: L1),
-        _Ineq("U2*exp(2I) <= L2", False, lambda L1, L2, U1, U2: U2 * E,
-              lambda L1, L2, U1, U2: L2),
-        _Ineq("L2 < U1", True, lambda L1, L2, U1, U2: L2,
-              lambda L1, L2, U1, U2: U1),
-        _Ineq("L1/(U2*exp(2I)) <= sigma2", False,
-              lambda L1, L2, U1, U2: L1 / (U2 * E),
-              lambda L1, L2, U1, U2: s2 + 0 * L1),
+        ("U1*exp(2I) <= L1", False, U1 * E, L1),
+        ("U2*exp(2I) <= L2", False, U2 * E, L2),
+        ("L2 < U1", True, L2, U1),
+        ("L1/(U2*exp(2I)) <= sigma2", False, L1 / (U2 * E), s2),
     ]
 
 
@@ -535,33 +527,19 @@ def check_hypothesis(spec: RegionSpec, law: GasLaw, consts: CriticalConstants,
     envelope-constant inequality of the band ``spec.kind`` selects."""
     I = spec.total_abar()
     items = []
+    conditional = spec.profile is None or spec.profile.conditional
     if spec.profile is not None:
-        prof = spec.profile
-        l = consts.l
         x = np.asarray(default_x_grid() if x_grid is None else x_grid, dtype=float)
-        lhs_vals = np.abs(np.asarray(prof.a(x)))
-        rhs_vals = l * np.asarray(prof.abar(x))
-        slack = rhs_vals - lhs_vals
-        scale = np.maximum(np.maximum(lhs_vals, rhs_vals), 1e-300)
-        i = int(np.argmin(slack / scale))
-        items.append(CertItem("|a| < l*abar", float(lhs_vals[i]), float(rhs_vals[i]),
-                              float(slack[i]), strict=True,
-                              passed=_strict_ok(float(slack[i]), float(lhs_vals[i]),
-                                                float(rhs_vals[i]), strict_margin),
-                              where=float(x[i])))
-        conditional = prof.conditional
-    else:
-        conditional = True
-    L1, L2, U1, U2 = spec.L1, spec.L2, spec.U1, spec.U2
-    for ineq in _constant_inequalities(spec.kind, law, consts, I):
-        lhs = float(ineq.lhs(L1, L2, U1, U2))
-        rhs = float(ineq.rhs(L1, L2, U1, U2))
-        slack = rhs - lhs
-        if ineq.strict:
-            ok = _strict_ok(slack, lhs, rhs, strict_margin)
-        else:
-            ok = slack >= -_grace(lhs, rhs)
-        items.append(CertItem(ineq.name, lhs, rhs, slack, ineq.strict, ok))
+        lhs = np.abs(np.asarray(spec.profile.a(x)))
+        rhs = consts.l * np.asarray(spec.profile.abar(x))
+        scale = np.maximum(np.maximum(lhs, rhs), 1e-300)
+        items.append(worst_item("|a| < l*abar", lhs, rhs, STRICT, x,
+                                index=int(np.argmin((rhs - lhs) / scale)),
+                                margin=strict_margin))
+    for name, strict, lhs, rhs in _constant_inequalities(
+            spec.kind, law, consts, I, spec.L1, spec.L2, spec.U1, spec.U2):
+        items.append(cert_item(name, float(lhs), float(rhs),
+                               STRICT if strict else GRACE, margin=strict_margin))
     return Certificate(f"band-{spec.kind}", items, conditional=conditional,
                        meta={"I": I, "exp(2I)": math.exp(2.0 * I) if math.isfinite(I) else math.inf})
 
@@ -680,20 +658,17 @@ class FeasibilityResult:
 
 def _normalized_min_slack(kind, law, consts, I, L1, L2, U1, U2,
                           strict_margin: float):
-    out = None
-    for ineq in _constant_inequalities(kind, law, consts, I):
-        lhs = ineq.lhs(L1, L2, U1, U2)
-        rhs = ineq.rhs(L1, L2, U1, U2)
+    slacks = []
+    for _, strict, lhs, rhs in _constant_inequalities(kind, law, consts, I,
+                                                      L1, L2, U1, U2):
         scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        slack = (rhs - lhs) / scale - (strict_margin if ineq.strict else 0.0)
-        out = slack if out is None else np.minimum(out, slack)
-    return out
+        slacks.append((rhs - lhs) / scale - (strict_margin if strict else 0.0))
+    return np.minimum.reduce(slacks)
 
 
 def find_constants(law: GasLaw, I: float, kind: str,
                    profile: Optional[NozzleProfile] = None,
-                   grid: int = 21, rounds: int = 4,
-                   strict_margin: float = STRICT_MARGIN) -> FeasibilityResult:
+                   grid: int = 21, rounds: int = 4) -> FeasibilityResult:
     """Grid search over the scale-free ratio space, refined around the best
     point toward maximal minimum slack; the winner is re-certified."""
     if I < 0.0:
@@ -732,7 +707,7 @@ def find_constants(law: GasLaw, I: float, kind: str,
         mesh = np.meshgrid(*axes, indexing="ij")
         L1, L2, U1, U2 = to_constants(*mesh)
         score = _normalized_min_slack(kind, law, consts, I, L1, L2, U1, U2,
-                                      strict_margin)
+                                      STRICT_MARGIN)
         idx = np.unravel_index(int(np.argmax(score)), score.shape)
         best_score = float(score[idx])
         best_u = [float(ax[i]) for ax, i in zip(axes, idx)]
@@ -748,5 +723,5 @@ def find_constants(law: GasLaw, I: float, kind: str,
         return FeasibilityResult(False, None, None, best_score, point, box, kind, I)
     spec = RegionSpec(kind, point["L1"], point["L2"], point["U1"], point["U2"],
                       profile=profile, I_total=None if profile is not None else I)
-    cert = check_hypothesis(spec, law, consts, strict_margin=strict_margin)
+    cert = check_hypothesis(spec, law, consts)
     return FeasibilityResult(cert.passed, spec, cert, best_score, point, box, kind, I)

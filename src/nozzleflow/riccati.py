@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ContractViolationError, DomainError, PoleError, VacuumStateError
 from .model import VACUUM_GAP, GasLaw, speeds_zw
+from .region import EXACT, GRACE, Certificate, cert_item, worst_item
 
 #: Characteristic speeds below this magnitude count as sonic in divisors.
 SONIC_TOL = 1e-12
@@ -139,37 +140,27 @@ def apriori_upper_bound(t, A, B, C, phi0: float):
 _LOWER_SIGNS = {"P1": (-1, +1), "P2": (+1, +1), "P3": (-1, -1)}
 
 
-def _bound_items(label, vals, lower, upper, where, where_label):
-    from .region import CertItem, _grace
+#: Largest residual the corner compatibility identities may leave.
+COMPAT_TOL = 1e-8
 
-    vals = np.asarray(vals, dtype=float)
-    lower = np.broadcast_to(np.asarray(lower, dtype=float), vals.shape)
-    items = []
-    slack_lo = vals - lower
-    i = int(np.argmin(slack_lo))
-    items.append(CertItem(f"{label} >= lower", float(lower[i]), float(vals[i]),
-                          float(slack_lo[i]), strict=False,
-                          passed=bool(slack_lo[i] >= -_grace(vals[i], lower[i])),
-                          where=float(where[i]), note=f"worst {where_label}"))
-    slack_hi = upper - vals
-    j = int(np.argmax(vals))
-    items.append(CertItem(f"{label} <= delta2", float(vals[j]), float(upper),
-                          float(slack_hi[j]), strict=False,
-                          passed=bool(slack_hi[j] >= -_grace(vals[j], upper)),
-                          where=float(where[j]), note=f"worst {where_label}"))
-    return items
+
+def _bound_items(label, vals, lower, upper, where, where_label):
+    """``lower <= vals`` at its least slack; ``vals <= upper`` at the largest value."""
+    note = f"worst {where_label}"
+    return [worst_item(f"{label} >= lower", lower, vals, GRACE, where, note=note),
+            worst_item(f"{label} <= delta2", vals, upper, GRACE, where,
+                       index=int(np.argmax(vals)), note=note)]
 
 
 def check_data_conditions(problem: str, x, z0, w0, a_vals, delta1: float,
                           delta2: float, M: float, alpha: float, law: GasLaw,
-                          boundary=None):
+                          boundary=None, boundary_rates=None):
     """Two-sided slack report for the initial (and, for P2, boundary) data.
 
     ``boundary`` is (t, zB, wB, a0) and is required for P2.  Derivatives are
-    taken by centered differences of the supplied samples.
+    taken by centered differences of the supplied samples; ``boundary_rates``
+    (zB_t, wB_t at t) replaces those of a boundary series of one instant.
     """
-    from .region import Certificate
-
     if problem not in _LOWER_SIGNS:
         raise DomainError(f"problem must be P1, P2 or P3, got {problem!r}")
     if delta1 <= 0.0:
@@ -191,9 +182,10 @@ def check_data_conditions(problem: str, x, z0, w0, a_vals, delta1: float,
             raise DomainError("P2 data conditions need the boundary series")
         t, zB, wB, a0 = boundary
         t = np.asarray(t, dtype=float)
-        z_t = np.gradient(np.asarray(zB, dtype=float), t, edge_order=2)
-        w_t = np.gradient(np.asarray(wB, dtype=float), t, edge_order=2)
-        phi_b, psi_b = phi_psi_boundary_zw(zB, wB, z_t, w_t, a0, law)
+        if boundary_rates is None:
+            boundary_rates = (np.gradient(np.asarray(zB, dtype=float), t, edge_order=2),
+                              np.gradient(np.asarray(wB, dtype=float), t, edge_order=2))
+        phi_b, psi_b = phi_psi_boundary_zw(zB, wB, *boundary_rates, a0, law)
         items += _bound_items("PhiB(0,t)", phi_b, delta1, delta2, t, "t")
         items += _bound_items("PsiB(0,t)", psi_b, delta1, delta2, t, "t")
     return Certificate("data-conditions", items,
@@ -206,17 +198,15 @@ def _one_sided_derivative(fn, h: float = 3e-6):
 
 
 def check_compatibility(problem: str, z0_fn, w0_fn, zB_fn, wB_fn, a0: float,
-                        law: GasLaw, tol: float = 1e-8, h: float = 3e-6):
-    """Residuals of the corner compatibility identities at (x, t) = (0, 0)."""
-    from .region import Certificate, CertItem
-
+                        law: GasLaw, h: float = 3e-6):
+    """Residuals of the corner compatibility identities at (x, t) = (0, 0),
+    each at most ``COMPAT_TOL``."""
     if problem not in _LOWER_SIGNS:
         raise DomainError(f"problem must be P1, P2 or P3, got {problem!r}")
     items = []
 
     def residual_item(name, residual):
-        res = abs(float(residual))
-        return CertItem(name, res, tol, tol - res, strict=False, passed=res <= tol)
+        return cert_item(name, abs(float(residual)), COMPAT_TOL, EXACT)
 
     if problem == "P1":
         z00, w00 = float(z0_fn(0.0)), float(w0_fn(0.0))
@@ -242,6 +232,6 @@ def check_compatibility(problem: str, z0_fn, w0_fn, zB_fn, wB_fn, a0: float,
         items.append(residual_item("wB'(0)+lambda2*w0'(0) = -source",
                                    dwb + float(lam2) * dw0 + src))
     else:
-        items.append(CertItem("no boundary: nothing to match", 0.0, tol, tol,
-                              strict=False, passed=True, note="vacuously true"))
-    return Certificate("compatibility", items, meta={"problem": problem, "tol": tol})
+        items.append(cert_item("no boundary: nothing to match", 0.0, COMPAT_TOL,
+                               EXACT, note="vacuously true"))
+    return Certificate("compatibility", items, meta={"problem": problem, "tol": COMPAT_TOL})

@@ -59,6 +59,9 @@ source_pair = source_pair_zw
 #: Region kind (envelope inequality set) each problem type needs.
 KIND_FOR = {"P1": "m", "P2": "r", "P3": "l"}
 
+#: A step result beyond this magnitude, or not finite, is a numerical blow-up.
+BLOW_LIMIT = 1e6
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -117,12 +120,7 @@ class Scenario:
     delta2: float = 0.2
     fan: int = 20
     csv_stride: int = 50
-    margin_tol_factor: float = 5.0
-    strict_margin: float = 1e-9
-    compat_tol: float = 1e-8
     wall_margin_frac: float = 0.02
-    cert_samples: int = 2048
-    blow_limit: float = 1e6
     config_text: Optional[str] = None
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -192,7 +190,6 @@ class Scenario:
             self._cache["arrays"] = {
                 "x": x,
                 "a": np.asarray(self.profile.a(x), dtype=float),
-                "a_x": np.asarray(self.profile.a_prime(x), dtype=float),
                 "s": np.asarray(self.profile.cum_abar(x), dtype=float),
                 "gr_z": np.asarray(self.z0(ghost_x), dtype=float),
                 "gr_w": np.asarray(self.w0(ghost_x), dtype=float),
@@ -365,8 +362,8 @@ def step(fld: Field, dt: float, scn: Scenario, bv: Optional[BoundaryValues] = No
         mid = Field(new[0], new[1], t + dt, fld.grid)
         f2 = _stage_rhs(*_extend(mid, boundary_update(mid, t + dt, scn), scn), scn)
         new = np.add(u, 0.5 * dt * (f1 + f2), out=np.empty_like(ext)[:, 2:-2])
-    if not np.abs(new).max() <= scn.blow_limit:  # NaN compares false: bad too
-        bad = ~(np.abs(new) <= scn.blow_limit)
+    if not np.abs(new).max() <= BLOW_LIMIT:  # NaN compares false: bad too
+        bad = ~(np.abs(new) <= BLOW_LIMIT)
         cell = int(np.argmax(bad.any(axis=0)))
         raise BlowUpError(
             f"solution left the finite range at t={t + dt:.6g}, cell {cell} "

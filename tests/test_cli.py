@@ -111,6 +111,25 @@ class TestMalformedValues:
         cfg = small_config(name, tmp_path, {"n = 2000": f"n = {n}"})
         assert main(["--quiet", "--out", str(tmp_path / "out"), "simulate", str(cfg)]) == 0
 
+    @pytest.mark.parametrize("key,value", [
+        ("margin_tol_factor", "5.0"), ("strict_margin", "1e-9"), ("compat_tol", "1e-8"),
+        ("cert_samples", "2048"), ("blow_limit", "1e6"),
+    ])
+    def test_fixed_tolerance_is_not_a_key(self, key, value, tmp_path, capsys):
+        cfg = small_config("p3_desk", tmp_path, {"[monitors]": f"[monitors]\n{key} = {value}"})
+        assert main(["check", str(cfg)]) == 65
+        err = capsys.readouterr().err
+        assert "unknown key" in err and key in err
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [2, 5, 100])
+    def test_p2_at_time_zero_certifies_and_runs(self, n, tmp_path):
+        # The boundary data are one instant, with one-sided rates.
+        cfg = small_config("p2_desk", tmp_path, {"n = 2000": f"n = {n}", "T = 1.0": "T = 0.0"})
+        assert main(["--quiet", "check", str(cfg)]) == 0
+        assert main(["--quiet", "--out", str(tmp_path / "out"), "simulate", str(cfg)]) == 0
+
 
 class TestFeasible:
     def test_feasible_point(self, capsys):

@@ -313,6 +313,19 @@ class TestRunScenario:
         assert report["exit_code"] == EXIT_BLOWUP
         assert "blow_up" in report
 
+    @pytest.mark.parametrize("subs,code", [
+        (SMALL, EXIT_OK),
+        ({"n = 2000": "n = 300", "cfl = 0.9": "cfl = 2.0"}, EXIT_BLOWUP),
+    ], ids=["clean", "blow-up"])
+    def test_monitor_series_written_once(self, subs, code, tmp_path):
+        cfg = small_config("p1_desk", tmp_path, subs)
+        out = tmp_path / "out"
+        assert run_scenario(cfg, out) == code
+        summary = json.loads((out / "report.json").read_text())["monitors"]
+        record = json.loads((out / "monitor_report.json").read_text())
+        assert "series" not in summary and record["series"]["times"]
+        assert record == dict(summary, series=record["series"])
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = small_config("p1_desk", tmp_path, SMALL)
         run_scenario(cfg, tmp_path / "a")

@@ -1,5 +1,6 @@
 """Source hygiene: no module-level import that the module never uses, and
-no top-level function or class in the package that only tests call."""
+no top-level function or class in the package, nor public method or property
+of a public package class, that only tests call."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -95,3 +96,45 @@ def test_definition_detector_flags_test_only_code():
     assert unreferenced_definitions(package, others) == ["a.Lonely", "a.only_itself"]
     assert unreferenced_definitions(package) == ["a.Lonely", "a.only_itself",
                                                  "b.uses_script"]
+
+
+def unreferenced_members(package: dict, others: dict = None) -> list:
+    """Public methods and properties of the public classes of the ``package``
+    modules (name -> source) that no module of ``package`` or ``others``
+    refers to outside the member's own definition."""
+    trees = {name: ast.parse(text) for name, text in {**package, **(others or {})}.items()}
+    everywhere = Counter()
+    for tree in trees.values():
+        everywhere.update(_names(tree))
+    found = []
+    for module in package:
+        for cls in trees[module].body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                        and everywhere[node.name] <= _names(node)[node.name]):
+                    found.append(f"{module}.{cls.name}.{node.name}")
+    return sorted(found)
+
+
+def test_no_test_only_methods_in_the_package():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    scripts = {f"scripts/{p.stem}": p.read_text() for p in SOURCES if p not in PACKAGE}
+    assert unreferenced_members(package, scripts) == []
+
+
+def test_member_detector_flags_test_only_methods():
+    package = {
+        "a": ("class Shape:\n"
+              "    def area(self):\n        return 1\n"
+              "    def grow(self, n):\n        return self.grow(n - 1)\n"
+              "    @property\n    def size(self):\n        return self.area()\n"
+              "    def _hidden(self):\n        pass\n"
+              "    def drawn(self):\n        pass\n"
+              "class _Private:\n    def lonely(self):\n        pass\n"),
+        "b": "from .a import Shape\n\ndef measure(s):\n    return s.size\n",
+    }
+    others = {"scripts/run": "import a\na.Shape().drawn()\n"}
+    assert unreferenced_members(package, others) == ["a.Shape.grow"]
+    assert unreferenced_members(package) == ["a.Shape.drawn", "a.Shape.grow"]
