@@ -34,7 +34,7 @@ def main():
                   f"gap >= {mon['min_gap']:.4g} (needs {mon['C3']:.4g} - tol)")
         for fam, st in ch.get("families", {}).items():
             exits = ", ".join(f"{k} {v}" for k, v in sorted(st["exits"].items()))
-            print(f"    family {fam}: {st['paths']} paths ({exits}), "
+            print(f"    family {fam}: checked={st['checked']}/{st['paths']} paths ({exits}), "
                   f"{st['samples']} samples, "
                   f"transport residual <= {st['residual_max']:.3e}, "
                   f"bounds ok: {st['bounds_ok']}")

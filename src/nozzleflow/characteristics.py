@@ -22,13 +22,19 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, InvalidStateError, ResolutionError
+from .errors import DomainError, InvalidStateError
 from .riccati import apriori_upper_bound, coeffs_zw, phi_psi_zw, subsolution_value
-from .solver import Trajectory
+from .solver import WALL_MARGIN_FRAC, Trajectory
 
 #: Paths stop this many cells short of the wall: the innermost stretch both
 #: clamps interpolation and concentrates the profile's steepest variation.
 WALL_BAND_CELLS = 1.5
+
+#: Launches per fan (at t = 0, and for P2 along the inflow boundary).
+FAN = 20
+
+#: A path with fewer samples has no centered difference to check.
+MIN_SAMPLES = 3
 
 
 @dataclass
@@ -70,10 +76,6 @@ def trace_fan(history: Trajectory, x0, family: int, t0=0.0) -> list:
     traced in lockstep: one RK4 step for every live path per stored step."""
     if family not in (1, 2):
         raise DomainError("family must be 1 or 2")
-    if history.snapshot_stride > 10:
-        raise ResolutionError(
-            f"snapshot stride {history.snapshot_stride} too coarse for tracing "
-            "(need stride <= 10)")
     times = history.times
     scn = history.scenario
     x0, t0 = (a.ravel() for a in np.broadcast_arrays(
@@ -95,21 +97,18 @@ def trace_fan(history: Trajectory, x0, family: int, t0=0.0) -> list:
     def lam(xq, when):
         return history.interpolate(xq, when, (stack,))[0]
 
-    # Samples are recorded only inside the trusted domain: past a wall margin
-    # (fixed physical fraction of the window plus a cell-scaled floor, since
-    # the innermost strip is outside the scheme's asymptotic range) and up to
-    # ``reach``, taken at every stored time at once.  Leftward paths
-    # terminate at the margin; rightward launches start recording beyond it.
+    # Samples are recorded only inside the trusted domain: past ``wall_band``
+    # and up to ``reach``, taken at every stored time at once.  Leftward paths
+    # terminate at the band; rightward launches start recording beyond it.
     # A path is live from its own launch index until it exits.  Row k of
     # ``xs`` holds the positions at stored time k; ``recorded`` marks which
     # of them are samples.
-    wall_band = max(WALL_BAND_CELLS * history.grid.dx,
-                    scn.wall_margin_frac * scn.x_interest)
+    band = wall_band(history)
     paths_idx = np.arange(x0.size)
     recorded = np.zeros((len(times), x0.size), dtype=bool)
     xs = np.zeros((len(times), x0.size))
     xs[k0, paths_idx] = x0
-    recorded[k0, paths_idx] = x0 >= wall_band
+    recorded[k0, paths_idx] = x0 >= band
     reasons = np.full(x0.size, "end", dtype=object)
     running = np.ones(x0.size, dtype=bool)
     edge = scn.reach(times)
@@ -134,7 +133,7 @@ def trace_fan(history: Trajectory, x0, family: int, t0=0.0) -> list:
         v3 = lam(xl + 0.5 * h * v2, at_mid)
         v4 = lam(xl + h * v3, at_k1)
         x_new = xl + h / 6.0 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-        left = (x_new < wall_band) & (v1 < 0.0)
+        left = (x_new < band) & (v1 < 0.0)
         cone = ~left & (x_new > edge[k + 1])
         reasons[live[left]] = "left"
         reasons[live[cone]] = "cone"
@@ -142,7 +141,7 @@ def trace_fan(history: Trajectory, x0, family: int, t0=0.0) -> list:
         running[live[~stays]] = False
         live, x_new = live[stays], x_new[stays]
         xs[k + 1, live] = x_new
-        recorded[k + 1, live] = x_new >= wall_band
+        recorded[k + 1, live] = x_new >= band
 
     t_parts, x_parts = [], []
     for j in paths_idx:
@@ -152,7 +151,7 @@ def trace_fan(history: Trajectory, x0, family: int, t0=0.0) -> list:
             x_parts.append(xs[rows, j])
         else:
             t_parts.append(times[k0[j]:k0[j] + 1])
-            x_parts.append(np.array([max(float(x0[j]), wall_band)]))
+            x_parts.append(np.array([max(float(x0[j]), band)]))
     z, w, zx, wx, lam_s = (np.split(arr, np.cumsum([p.size for p in t_parts])[:-1])
                            for arr in history.interpolate(
                                np.concatenate(x_parts),
@@ -184,33 +183,48 @@ def trace(history: Trajectory, x0: float, family: int, t0: float = 0.0) -> CharP
     return trace_fan(history, x0, family, t0)[0]
 
 
-def launch_fan(history: Trajectory, family: int):
-    """``fan`` equispaced launch points across the trusted part of the
-    reporting window at t = 0 (the wall margin is excluded; see trace_fan).
-    Launches that exit before collecting three samples are nudged away from
-    the wall, up to four times, so the whole fan stays usable."""
+def wall_band(history: Trajectory) -> float:
+    """Distance from the wall inside which paths record no samples: the
+    problem's ``WALL_MARGIN_FRAC`` of the window, at least ``WALL_BAND_CELLS``."""
     scn = history.scenario
-    lo = max(WALL_BAND_CELLS * history.grid.dx,
-             scn.wall_margin_frac * scn.x_interest)
-    spacing = (scn.x_interest - lo) / scn.fan
-    x0 = lo + (np.arange(scn.fan) + 0.5) * spacing
-    paths = trace_fan(history, x0, family)
-    for _ in range(4):
-        short = [k for k, path in enumerate(paths)
-                 if path.n < 3 and x0[k] + 0.5 * spacing <= scn.x_interest]
+    return max(WALL_BAND_CELLS * history.grid.dx,
+               WALL_MARGIN_FRAC[scn.problem] * scn.x_interest)
+
+
+def _checkable_fan(history: Trajectory, family: int, x0, t0, shift_x: float,
+                   shift_t: float) -> list:
+    """Trace the launches (x0, t0); relaunch each path with fewer than
+    ``MIN_SAMPLES`` samples, shifted by (shift_x, shift_t), until it has them
+    or the shift would pass x_interest or t = 0 (none if the shift is 0)."""
+    paths = trace_fan(history, x0, family, t0)
+    x_hi = history.scenario.x_interest
+    while shift_x > 0.0 or shift_t < 0.0:
+        short = [k for k, path in enumerate(paths) if path.n < MIN_SAMPLES
+                 and x0[k] + shift_x <= x_hi and t0[k] + shift_t >= 0.0]
         if not short:
             break
-        x0[short] += 0.5 * spacing
-        for k, path in zip(short, trace_fan(history, x0[short], family)):
+        x0[short] += shift_x
+        t0[short] += shift_t
+        for k, path in zip(short, trace_fan(history, x0[short], family, t0[short])):
             paths[k] = path
     return paths
 
 
-def boundary_fan(history: Trajectory, family: int):
-    """``fan`` launches from the inflow boundary (x = 0) at equispaced times."""
-    scn = history.scenario
-    t0s = (np.arange(scn.fan) + 0.5) / scn.fan * scn.T
-    return trace_fan(history, np.zeros(scn.fan), family, t0s)
+def launch_fan(history: Trajectory, family: int) -> list:
+    """``FAN`` equispaced launches at t = 0 from ``wall_band`` to x_interest;
+    a short path moves half a spacing from the wall (``_checkable_fan``)."""
+    lo = wall_band(history)
+    spacing = (history.scenario.x_interest - lo) / FAN
+    x0 = lo + (np.arange(FAN) + 0.5) * spacing
+    return _checkable_fan(history, family, x0, np.zeros(FAN), 0.5 * spacing, 0.0)
+
+
+def boundary_fan(history: Trajectory, family: int) -> list:
+    """``FAN`` launches from the inflow boundary (x = 0) at equispaced times
+    on [0, T]; a short path moves half a spacing earlier (``_checkable_fan``)."""
+    T = history.scenario.T
+    t0s = (np.arange(FAN) + 0.5) / FAN * T
+    return _checkable_fan(history, family, np.zeros(FAN), t0s, 0.0, -0.5 * T / FAN)
 
 
 @dataclass
@@ -230,7 +244,7 @@ class ResidualReport:
 
 
 def riccati_residual(path: CharPath) -> ResidualReport:
-    if path.n < 3:
+    if path.n < MIN_SAMPLES:
         raise DomainError("residual evaluation needs at least 3 samples")
     v, t = path.value, path.t
     dv = (v[2:] - v[:-2]) / (t[2:] - t[:-2])

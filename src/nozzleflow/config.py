@@ -25,8 +25,8 @@ _SCHEMA = {
                 "alpha", "M", "table", "tail_bound"},
     "region": {"constants", "L1", "L2", "U1", "U2"},
     "data": {"z0", "w0", "zB", "wB", "delta1", "delta2"},
-    "solver": {"n", "cfl", "order", "snapshot_stride"},
-    "monitors": {"csv_stride", "fan", "wall_margin_frac"},
+    "solver": {"n", "cfl", "order"},
+    "monitors": {"csv_stride"},
 }
 
 
@@ -117,15 +117,10 @@ class ScenarioConfig:
                 x_interest=self.number("problem", "x_interest", default=1.0),
                 cfl=self.number("solver", "cfl", default=0.9),
                 order=self.number("solver", "order", default=2, integer=True),
-                snapshot_stride=self.number("solver", "snapshot_stride", default=1,
-                                            integer=True),
                 delta1=self.number("data", "delta1", required=True),
                 delta2=self.number("data", "delta2", required=True),
-                fan=self.number("monitors", "fan", default=20, integer=True),
                 csv_stride=self.number("monitors", "csv_stride", default=50,
                                        integer=True),
-                wall_margin_frac=self.number("monitors", "wall_margin_frac",
-                                             default=0.02),
                 config_text=self.text,
             )
             cells = int(scn.grid.window().sum())

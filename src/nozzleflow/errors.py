@@ -37,10 +37,6 @@ class SearchError(NozzleflowError):
     """Internal root/feasibility search failed to bracket or converge."""
 
 
-class ResolutionError(NozzleflowError):
-    """Stored trajectory is too coarse for the requested reconstruction."""
-
-
 class BlowUpError(NozzleflowError):
     """Numerical solution left the finite range; carries the failure location."""
 

@@ -10,16 +10,16 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import characteristics as chars
-from .config import ScenarioConfig, load_config, parse_config_text
-from .errors import (BlowUpError, DomainError, InvalidStateError,
-                     NozzleflowError, TrajectoryFileError, VacuumStateError)
-from .model import pressure, rho_zw, speeds_zw
+from .config import load_config, parse_config_text
+from .errors import BlowUpError, InvalidStateError, TrajectoryFileError, VacuumStateError
+from .model import VACUUM_GAP, pressure, rho_zw, speeds_zw
 from .region import (EXACT, Certificate, check_h1, check_hypothesis,
                      critical_constants, envelopes, face_margins,
                      membership_margins, worst_item)
@@ -203,9 +203,9 @@ class Monitors:
     states, as ``solver.run`` gives them: the time rates compare a step with
     the one observed before it.
 
-    A vacuum state raises ``VacuumStateError`` only when its block is
-    evaluated, possibly after the run went on past it; ``run_scenario``
-    therefore evaluates the buffer before it reports a failed run."""
+    A vacuum state raises ``VacuumStateError`` when its block is evaluated,
+    possibly after the run went on past it, and after the block is recorded
+    (Phi and Psi up to the vacuum), so ``finalize`` still reports the run."""
 
     def __init__(self, scn: Scenario):
         self.scn = scn
@@ -221,6 +221,7 @@ class Monitors:
         self.margin_series = {face: [] for face in _FACES}
         self.margin_argmin = {face: [] for face in _FACES}
         self.finite_ok = True
+        self.vacuum_seen = False
         # Row 0 holds the last step of the previous block, for the rates.
         self._zw = np.zeros((_BLOCK + 1, 2, min(self.cells + 1, scn.grid.n)))
         self._filled = 1
@@ -271,7 +272,10 @@ class Monitors:
             dt = steps["dt"][rate]
             series["zt"].extend((change[:, 0] / dt).tolist())
             series["wt"].extend((change[:, 1] / dt).tolist())
-        phi, psi = phi_psi_zw(z, w, zx, wx, self.a_win, self.scn.law)
+        vacuum = np.flatnonzero((w - z < VACUUM_GAP).any(axis=1))
+        sound = int(vacuum[0]) if vacuum.size else count
+        phi, psi = phi_psi_zw(z[:sound], w[:sound], zx[:sound], wx[:sound],
+                              self.a_win, self.scn.law)
         series["phi_min"].extend(phi.min(axis=1).tolist())
         series["phi_max"].extend(phi.max(axis=1).tolist())
         series["psi_min"].extend(psi.min(axis=1).tolist())
@@ -283,6 +287,9 @@ class Monitors:
         self._filled = 1
         for vals in self._steps.values():
             vals.clear()
+        if sound < count:
+            self.vacuum_seen = True
+            raise VacuumStateError(f"w - z below the vacuum gap at t = {steps['t'][sound]:.6g}")
 
     def finalize(self) -> MonitorReport:
         self._flush()
@@ -312,7 +319,7 @@ class Monitors:
         containment_raw = worst_val >= 0.0
         containment = first is None
         min_gap = np.asarray(self.series["gap"])
-        vacuum_ok = bool(min_gap.min() >= C3 - tol)
+        vacuum_ok = bool(min_gap.min() >= C3 - tol) and not self.vacuum_seen
         edge = np.asarray(self.series["edge"])
         edge_ok = bool(edge.max(initial=0.0) <= 1e-12)
         return MonitorReport(
@@ -369,8 +376,6 @@ def conservative_residual(traj: Trajectory) -> ConservativeResidual:
     """Centered finite-difference residuals of the conservative system formed
     from the stored diagonal fields: an independent check that the evolved
     fields solve the original balance laws."""
-    if traj.snapshot_stride != 1:
-        raise DomainError("conservative residual needs stride-1 snapshots")
     scn = traj.scenario
     law = scn.law
     arrays = _stored_columns(scn)
@@ -399,14 +404,13 @@ def conservative_residual(traj: Trajectory) -> ConservativeResidual:
 # characteristic post-pass
 # ---------------------------------------------------------------------------
 
-def characteristic_pass(traj: Trajectory, delta1=None, M=None, alpha=None) -> dict:
+def characteristic_pass(traj: Trajectory) -> dict:
     """Trace the launch fans of both families, evaluate the transport-identity
     residuals and the three derivative-bound margins, and compare the measured
-    derivative extremes against the bound the functionals imply."""
+    derivative extremes against the bound the functionals imply.  A family
+    fails if a path it launched has fewer than ``chars.MIN_SAMPLES`` samples
+    (``checked`` counts the others)."""
     scn = traj.scenario
-    delta1 = scn.delta1 if delta1 is None else delta1
-    M = scn.profile.M if M is None else M
-    alpha = scn.profile.alpha if alpha is None else alpha
     # The last column of a trimmed snapshot has only a one-sided gradient.
     m = scn.trusted_cells
     cols = slice(0, m if m == traj.grid.n else m - 1)
@@ -429,17 +433,17 @@ def characteristic_pass(traj: Trajectory, delta1=None, M=None, alpha=None) -> di
         d = bounds.d1 if family == 1 else bounds.d2
         sign = bounds.sign1 if family == 1 else bounds.sign2
         for path in paths:
-            if path.n < 3:
-                continue
+            where = {"family": family, "x0": path.x0, "t0": path.t0,
+                     "samples": path.n, "exit": path.exit_reason}
             try:
+                if path.n < chars.MIN_SAMPLES:
+                    raise InvalidStateError(
+                        f"{path.n} samples, a check needs {chars.MIN_SAMPLES}")
                 rr = chars.riccati_residual(path)
-                br = chars.bound_check(path, delta1, M, alpha)
+                br = chars.bound_check(path, scn.delta1, scn.profile.M, scn.profile.alpha)
             except (InvalidStateError, VacuumStateError) as exc:
                 fam_ok = False
-                result["paths"].append({
-                    "family": family, "x0": path.x0, "t0": path.t0,
-                    "samples": path.n, "exit": path.exit_reason,
-                    "error": str(exc), "ok": False})
+                result["paths"].append(dict(where, error=str(exc), ok=False))
                 continue
             max_res = max(max_res, rr.max_norm)
             if rr.max_norm_alt is not None:
@@ -456,18 +460,16 @@ def characteristic_pass(traj: Trajectory, delta1=None, M=None, alpha=None) -> di
             path_tol = tol_base + MARGIN_TOL_FACTOR * drift
             path_ok = all(br.holds(path_tol).values())
             fam_ok = fam_ok and path_ok
-            result["paths"].append({
-                "family": family, "x0": path.x0, "t0": path.t0,
-                "samples": path.n, "exit": path.exit_reason,
-                "residual_max": rr.max_norm, "tolerance": path_tol,
-                "min_lower": br.min_lower, "min_upper": br.min_upper,
-                "min_sub": br.min_sub, "ok": path_ok,
-            })
+            result["paths"].append(dict(
+                where, residual_max=rr.max_norm, tolerance=path_tol,
+                min_lower=br.min_lower, min_upper=br.min_upper,
+                min_sub=br.min_sub, ok=path_ok))
         all_ok = all_ok and fam_ok
         exits = {reason: sum(path.exit_reason == reason for path in paths)
                  for reason in ("end", "left", "cone")}
         result["families"][str(family)] = {
             "paths": len(paths), "exits": exits,
+            "checked": sum(path.n >= chars.MIN_SAMPLES for path in paths),
             "samples": sum(path.n for path in paths),
             "residual_max": max_res,
             "residual_max_alt_reading": max_alt,
@@ -475,20 +477,19 @@ def characteristic_pass(traj: Trajectory, delta1=None, M=None, alpha=None) -> di
             "speed_margin": None if math.isinf(speed_margin) else speed_margin,
             "bounds_ok": fam_ok,
         }
-    implied = derivative_bound_estimate(traj, delta1, M, alpha, traced)
+    implied = derivative_bound_estimate(traj, traced)
     result["derivative_bounds"] = implied
     all_ok = all_ok and implied["ok"]
     result["ok"] = all_ok
     return result
 
 
-def derivative_bound_estimate(traj: Trajectory, delta1: float, M: float,
-                              alpha: float, paths) -> dict:
+def derivative_bound_estimate(traj: Trajectory, paths) -> dict:
     """Bound max |z_x|, |w_x| implied by the barrier and the running upper
     bound along the traced ``paths`` (both families), compared against the
     measured extremes."""
     scn = traj.scenario
-    law = scn.law
+    law, delta1 = scn.law, scn.delta1
     arrays = _stored_columns(scn)
     window = arrays["window"]
     z = traj.z[:, window]
@@ -545,9 +546,8 @@ def _row_format(header: str) -> str:
     return ",".join(["%.17g"] * len(header.split(","))) + "\n"
 
 
-def write_fields_csv(traj: Trajectory, path, stride: int | None = None) -> None:
+def write_fields_csv(traj: Trajectory, path) -> None:
     scn = traj.scenario
-    stride = scn.csv_stride if stride is None else stride
     arrays = _stored_columns(scn)
     window = arrays["window"]
     x = arrays["x"][window]
@@ -555,7 +555,7 @@ def write_fields_csv(traj: Trajectory, path, stride: int | None = None) -> None:
     s = arrays["s"][window]
     law = scn.law
     dx = traj.grid.dx
-    rows = range(0, len(traj.times), max(1, stride))
+    rows = range(0, len(traj.times), max(1, scn.csv_stride))
     fmt = _row_format(_CSV_HEADER)
     with open(path, "w", newline="\n") as fh:
         fh.write(_CSV_HEADER + "\n")
@@ -592,21 +592,20 @@ def write_path_csv(path_obj, delta1, M, alpha, out_path) -> None:
 
 def load_trajectory(path) -> Trajectory:
     """Rebuild a saved trajectory (the scenario is reconstructed from the
-    embedded configuration text).  A file with a missing or misshapen array
-    raises TrajectoryFileError."""
+    embedded configuration text).  A file with a missing or misshapen array,
+    or one that skipped steps, raises TrajectoryFileError."""
     with np.load(path, allow_pickle=False) as data:
         try:
             meta = json.loads(str(data["meta"]))
             text = meta["config_text"]
             blown_up = bool(meta.get("blown_up", False))
-            stride = int(meta.get("snapshot_stride", 1))
         except (KeyError, TypeError, ValueError):
             raise TrajectoryFileError(f"{path}: no readable meta record") from None
         if not isinstance(text, str):
             raise TrajectoryFileError(f"{path}: meta record holds no config text")
         scn = parse_config_text(text, source=f"{path}:config").to_scenario()
         try:
-            return Trajectory.from_npz(scn, data, blown_up, stride)
+            return Trajectory.from_npz(scn, data, blown_up)
         except TrajectoryFileError as exc:
             raise TrajectoryFileError(f"{path}: {exc}") from None
 
@@ -627,12 +626,9 @@ def _write_monitors(mrep: MonitorReport, out: Path) -> dict:
 
 
 def run_scenario(config, out_dir, force: bool = False, quiet: bool = True) -> int:
-    """Certify, run, verify and write all artifacts; returns the exit code."""
-    if isinstance(config, (str, Path)):
-        config = load_config(config)
-    if not isinstance(config, ScenarioConfig):
-        raise DomainError("run_scenario needs a config path or ScenarioConfig")
-    scn = config.to_scenario()
+    """Certify, run, verify and write all artifacts of the config file
+    ``config``; returns the exit code."""
+    scn = load_config(config).to_scenario()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -659,33 +655,31 @@ def run_scenario(config, out_dir, force: bool = False, quiet: bool = True) -> in
     monitors = Monitors(scn)
     try:
         traj, _ = run(scn, monitors)
-    except NozzleflowError as err:
-        # A vacuum state in a step observed before the failure is the error
-        # to report, as it was when the monitors ran step by step.
-        monitors._flush()
-        if not isinstance(err, BlowUpError):
-            raise
-        traj = err.trajectory
-        if traj is not None and traj.scenario.config_text is not None:
-            traj.save(out / "trajectory.npz")
-        report.update({
-            "exit_code": EXIT_BLOWUP,
-            "blow_up": {"t": err.t, "cell": err.cell, "message": str(err)},
-            "monitors": _write_monitors(monitors.finalize(), out),
-        })
+        mrep = monitors.finalize()
+    except (BlowUpError, VacuumStateError) as err:
+        # The monitors record a vacuum state's block before they raise, and
+        # the vacuum fails their flag; a blow-up later in that block is still
+        # what ended the run.
+        with suppress(VacuumStateError):
+            monitors._flush()
+        blown = isinstance(err, BlowUpError)
+        report["exit_code"] = EXIT_BLOWUP if blown else EXIT_MONITOR
+        if blown:
+            err.trajectory.save(out / "trajectory.npz")
+            report["blow_up"] = {"t": err.t, "cell": err.cell, "message": str(err)}
+        report["monitors"] = _write_monitors(monitors.finalize(), out)
         _write_json(report, out / "report.json")
-        say(f"blow-up: {err}")
-        return EXIT_BLOWUP
+        say(f"blow-up: {err}" if blown else f"monitor violation: {err}")
+        return report["exit_code"]
 
-    mrep = monitors.finalize()
     post = characteristic_pass(traj)
-    cons = conservative_residual(traj) if traj.snapshot_stride == 1 else None
+    cons = conservative_residual(traj)
     traj.save(out / "trajectory.npz")
     write_fields_csv(traj, out / "fields.csv")
     report.update({
         "monitors": _write_monitors(mrep, out),
         "characteristics": post,
-        "conservative_residual": cons.to_dict() if cons is not None else None,
+        "conservative_residual": cons.to_dict(),
         "runtime_seconds": time.perf_counter() - started,
     })
     ok = mrep.ok and post["ok"]

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import zipfile
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -58,6 +57,17 @@ source_pair = source_pair_zw
 
 #: Region kind (envelope inequality set) each problem type needs.
 KIND_FOR = {"P1": "m", "P2": "r", "P3": "l"}
+
+#: Share of the window next to x = 0 where paths record no samples
+#: (``characteristics.wall_band``): the boundary layer there raises the
+#: transport residual, whose time integral widens each path's tolerance.
+#: Largest residual of the desk config at n = 2000, no margin -> margin:
+WALL_MARGIN_FRAC = {
+    "P1": 0.02,  # wall with mirrored ghosts: family 2, 3.1e-3 -> 1.4e-3
+    "P2": 0.02,  # inflow ghosts: family 1, 1.5e-2 -> 9.4e-3
+    "P3": 0.06,  # outflow wall, extrapolated ghosts, a cell 0.9% of the
+                 # window: family 1, 3.8e-2 -> 2.7e-2 at 0.02 -> 7.7e-3
+}
 
 #: A step result beyond this magnitude, or not finite, is a numerical blow-up.
 BLOW_LIMIT = 1e6
@@ -115,12 +125,9 @@ class Scenario:
     x_interest: float = 1.0
     cfl: float = 0.9
     order: int = 2
-    snapshot_stride: int = 1
     delta1: float = 0.1
     delta2: float = 0.2
-    fan: int = 20
     csv_stride: int = 50
-    wall_margin_frac: float = 0.02
     config_text: Optional[str] = None
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -140,9 +147,8 @@ class Scenario:
             raise DomainError("scheme order must be 1 or 2")
         if self.T < 0.0:
             raise DomainError("final time must be nonnegative")
-        for name in ("n", "snapshot_stride", "fan"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.n < 1:
+            raise DomainError(f"n must be at least 1, got {self.n}")
         if self.problem == "P2" and (self.zB is None or self.wB is None):
             raise DomainError("P2 needs boundary data zB(t), wB(t)")
 
@@ -371,6 +377,10 @@ def step(fld: Field, dt: float, scn: Scenario, bv: Optional[BoundaryValues] = No
     return Field(new[0], new[1], t + dt, fld.grid)
 
 
+#: Relative tolerance of a stored run's time gaps against its steps ``dts``:
+#: round-off is at most 1e-13 on the desk configs, a skipped step about 1.
+STEP_MATCH = 1e-9
+
 #: What a trajectory stores per snapshot, in the order ``append`` takes it:
 #: time, step, the trusted columns of z and w, and the x = 0 edge traces.
 _STORED = ("times", "dts", "z", "w", "z_edge", "w_edge")
@@ -379,26 +389,24 @@ _STORED = ("times", "dts", "z", "w", "z_edge", "w_edge")
 class Trajectory:
     """Stored snapshots of one run plus their space-time interpolator.
 
-    Snapshots keep the first ``scenario.trusted_cells`` columns.  ``append``
-    collects them as rows and ``finalize`` stacks the rows once into the
-    arrays ``times``, ``dts``, ``z``, ``w``, ``z_edge`` and ``w_edge``, then
-    drops them, so each snapshot is held once."""
+    One snapshot per step keeps the first ``scenario.trusted_cells``
+    columns.  ``append`` collects them as rows and ``finalize`` stacks the
+    rows once into the arrays ``times``, ``dts``, ``z``, ``w``, ``z_edge``
+    and ``w_edge``, then drops them, so each snapshot is held once."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.grid = scenario.grid
-        self.snapshot_stride = scenario.snapshot_stride
         self.blown_up = False
         self._rows = {name: [] for name in _STORED}
         self._caches = {}
 
     @classmethod
-    def from_npz(cls, scenario: Scenario, data, blown_up: bool = False,
-                 snapshot_stride: int = 1) -> "Trajectory":
+    def from_npz(cls, scenario: Scenario, data, blown_up: bool = False) -> "Trajectory":
         """The run of ``scenario`` that ``save`` stored in ``data`` (an open
-        ``.npz`` or any mapping of its arrays).  Keys and shapes are checked;
-        snapshots wider than the trusted columns, as written before storage
-        was trimmed, are trimmed."""
+        ``.npz`` or any mapping of its arrays).  Keys, shapes and one snapshot
+        per step are checked; snapshots wider than the trusted columns, as
+        written before storage was trimmed, are trimmed."""
         missing = [name for name in _STORED if name not in data]
         if missing:
             raise TrajectoryFileError(f"missing arrays: {', '.join(missing)}")
@@ -413,6 +421,9 @@ class Trajectory:
             if arrays[name].shape != snaps:
                 raise TrajectoryFileError(
                     f"{name} has shape {arrays[name].shape}, times {snaps}")
+        gaps, dts = np.diff(arrays["times"]), arrays["dts"][1:]
+        if not np.all(np.abs(gaps - dts) <= STEP_MATCH * np.abs(dts)):
+            raise TrajectoryFileError("time gaps differ from dts: snapshots skip steps")
         shape = arrays["z"].shape
         if arrays["w"].shape != shape:
             raise TrajectoryFileError(f"z has shape {shape}, w {arrays['w'].shape}")
@@ -423,12 +434,8 @@ class Trajectory:
         for name in ("z", "w"):
             arrays[name] = np.ascontiguousarray(arrays[name][:, :m])
         traj = cls(scenario)
-        traj._rows = None
-        for name, arr in arrays.items():
-            setattr(traj, name, arr.astype(float, copy=False))
-        traj.blown_up = blown_up
-        traj.snapshot_stride = snapshot_stride
-        return traj
+        traj._rows = arrays
+        return traj.finalize(blown_up)
 
     def append(self, fld: Field, dt: float, bv: BoundaryValues):
         m = self.scenario.trusted_cells
@@ -438,7 +445,7 @@ class Trajectory:
 
     def finalize(self, blown_up: bool = False):
         """Stack the appended snapshots; ``run`` calls this once, at the end
-        of the run or at its blow-up."""
+        of the run or at its blow-up, and ``from_npz`` on the loaded arrays."""
         self.blown_up = blown_up
         for name, rows in self._rows.items():
             setattr(self, name, np.asarray(rows, dtype=float))
@@ -498,14 +505,7 @@ class Trajectory:
     def save(self, path):
         if self.scenario.config_text is None:
             raise DomainError("trajectory saving needs the originating config text")
-        meta = {
-            "config_text": self.scenario.config_text,
-            "blown_up": self.blown_up,
-            "snapshot_stride": self.snapshot_stride,
-        }
-        path = os.fspath(path)
-        if not path.endswith(".npz"):
-            path += ".npz"  # as np.savez_compressed names it
+        meta = {"config_text": self.scenario.config_text, "blown_up": self.blown_up}
         with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as npz:
             # The config text compresses well only at a high level, and it
             # is small enough that the level costs nothing.
@@ -519,9 +519,9 @@ class Trajectory:
 
 
 def run(scn: Scenario, monitors=None):
-    """Integrate to T, observing monitors every step; snapshots at the
-    configured stride (plus the final state).  Returns (trajectory, field).
-    A numerical blow-up aborts with the partial trajectory attached."""
+    """Integrate to T, observing monitors and storing a snapshot every step.
+    Returns (trajectory, field).  A numerical blow-up aborts with the
+    partial trajectory attached."""
     fld = scn.initial_field()
     traj = Trajectory(scn)
     bv = boundary_update(fld, 0.0, scn)
@@ -529,7 +529,6 @@ def run(scn: Scenario, monitors=None):
     if monitors is not None:
         monitors.observe(fld, bv, None, 0.0)
     T = scn.T
-    step_idx = 0
     try:
         while fld.t < T - 1e-14 * max(T, 1.0):
             # The step's first stage takes the speeds of every cell; the
@@ -539,13 +538,10 @@ def run(scn: Scenario, monitors=None):
             if dt <= 0.0:
                 break
             new = step(fld, dt, scn, bv, first)
-            step_idx += 1
             bv = boundary_update(new, new.t, scn)
             if monitors is not None:
                 monitors.observe(new, bv, fld, dt)
-            at_end = new.t >= T - 1e-14 * max(T, 1.0)
-            if step_idx % scn.snapshot_stride == 0 or at_end:
-                traj.append(new, dt, bv)
+            traj.append(new, dt, bv)
             fld = new
     except BlowUpError as err:
         err.trajectory = traj.finalize(blown_up=True)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from nozzleflow.config import load_config, parse_config_text
 from nozzleflow.model import GasLaw, speeds_zw
 from nozzleflow.region import NozzleProfile, RegionSpec, zero_profile
-from nozzleflow.solver import stable_dt
+from nozzleflow.solver import run, stable_dt
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -61,6 +62,19 @@ def small_config(name, tmp_path, substitutions=None, filename=None):
     text = desk_config_text(name, substitutions)
     path = tmp_path / (filename or f"{name}.cfg")
     path.write_text(text)
+    return path
+
+
+def thinned_run_file(tmp_path, stride=2):
+    """A small stored p1 run that keeps only every ``stride``-th snapshot,
+    as a run with a snapshot stride was written; returns its path."""
+    cfg = small_config("p1_desk", tmp_path, {"n = 2000": "n = 100", "T = 5.0": "T = 0.5"})
+    traj, _ = run(load_config(cfg).to_scenario())
+    meta = {"config_text": traj.scenario.config_text, "blown_up": False}
+    path = tmp_path / "thinned.npz"
+    np.savez_compressed(path, meta=np.array(json.dumps(meta)),
+                        **{name: getattr(traj, name)[::stride] for name in
+                           ("times", "dts", "z", "w", "z_edge", "w_edge")})
     return path
 
 

@@ -3,14 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import desk_scenario, region_l, region_m, uniform_scenario
-from nozzleflow.characteristics import (WALL_BAND_CELLS, CharPath,
+from conftest import desk_scenario, region_m, thinned_run_file, uniform_scenario
+from nozzleflow.characteristics import (FAN, WALL_BAND_CELLS, CharPath,
                                         bound_check, boundary_fan, launch_fan,
                                         riccati_residual, trace)
-from nozzleflow.errors import DomainError, InvalidStateError, ResolutionError
+from nozzleflow.cli import main
+from nozzleflow.errors import DomainError, InvalidStateError, TrajectoryFileError
+from nozzleflow.harness import load_trajectory
 from nozzleflow.region import RegionSpec
 from nozzleflow.riccati import coeffs_zw, phi_psi_zw
-from nozzleflow.solver import run
+from nozzleflow.solver import WALL_MARGIN_FRAC, run
 
 
 @pytest.fixture(scope="module")
@@ -61,12 +63,13 @@ class TestTrace:
         lam_mid, = p1_run.interpolate(mid_x, p1_run.time_weights(mid_t), ("lam2",))
         assert float(np.abs(rate - lam_mid).max()) < 5e-7
 
-    def test_resolution_guard(self, law53):
-        scn = uniform_scenario("P1", -3.0, 3.0, region_m(), law53, n=100,
-                               T=0.5, snapshot_stride=20)
-        traj, _ = run(scn)
-        with pytest.raises(ResolutionError):
-            trace(traj, 0.5, 1)
+    def test_resolution_guard(self, tmp_path):
+        # A run that stored every second step is refused, not traced coarsely.
+        thinned = thinned_run_file(tmp_path)
+        with pytest.raises(TrajectoryFileError, match="skip steps"):
+            load_trajectory(thinned)
+        assert main(["--out", str(tmp_path / "out"), "trace", str(thinned),
+                     "--family", "1", "--x0", "0.5"]) == 65
 
     def test_bad_family_and_launch(self, p1_run):
         with pytest.raises(DomainError):
@@ -227,7 +230,7 @@ def reference_trace(history, x0, family, t0=0.0):
         return _ref_value(history, name, min(max(xq, 0.0), x_max), tq)
 
     wall_band = max(WALL_BAND_CELLS * history.grid.dx,
-                    scn.wall_margin_frac * scn.x_interest)
+                    WALL_MARGIN_FRAC[scn.problem] * scn.x_interest)
     ts, xs = [], []
     reason = "end"
     x = x0
@@ -272,29 +275,35 @@ def reference_trace(history, x0, family, t0=0.0):
                     A, B, C, reason)
 
 
+def _reference_relaunch(history, family, x0, t0, shift_x, shift_t):
+    """One launch, moved by (shift_x, shift_t) while its path has fewer than
+    3 samples and the move keeps it at x <= x_interest and t >= 0."""
+    path = reference_trace(history, x0, family, t0)
+    moves = 0
+    while (shift_x > 0.0 or shift_t < 0.0) and path.n < 3 \
+            and x0 + shift_x <= history.scenario.x_interest and t0 + shift_t >= 0.0:
+        x0, t0 = x0 + shift_x, t0 + shift_t
+        moves += 1
+        path = reference_trace(history, x0, family, t0)
+    return path, moves
+
+
 def reference_launch_fan(history, family):
     scn = history.scenario
     lo = max(WALL_BAND_CELLS * history.grid.dx,
-             scn.wall_margin_frac * scn.x_interest)
-    spacing = (scn.x_interest - lo) / scn.fan
-    paths, nudged = [], 0
-    for k in range(scn.fan):
-        x0 = lo + (k + 0.5) * spacing
-        path = reference_trace(history, float(x0), family)
-        for _ in range(4):
-            if path.n >= 3 or x0 + 0.5 * spacing > scn.x_interest:
-                break
-            x0 += 0.5 * spacing
-            nudged += 1
-            path = reference_trace(history, float(x0), family)
-        paths.append(path)
-    return paths, nudged
+             WALL_MARGIN_FRAC[scn.problem] * scn.x_interest)
+    spacing = (scn.x_interest - lo) / FAN
+    found = [_reference_relaunch(history, family, float(lo + (k + 0.5) * spacing), 0.0,
+                                 0.5 * spacing, 0.0) for k in range(FAN)]
+    return [path for path, _ in found], sum(moves for _, moves in found)
 
 
 def reference_boundary_fan(history, family):
     scn = history.scenario
-    t0s = (np.arange(scn.fan) + 0.5) / scn.fan * scn.T
-    return [reference_trace(history, 0.0, family, t0=float(t0)) for t0 in t0s]
+    t0s = (np.arange(FAN) + 0.5) / FAN * scn.T
+    found = [_reference_relaunch(history, family, 0.0, float(t0), 0.0, -0.5 * scn.T / FAN)
+             for t0 in t0s]
+    return [path for path, _ in found], sum(moves for _, moves in found)
 
 
 _ARRAYS = ("t", "x", "z", "w", "lam", "zx", "wx", "a", "ax", "value", "other",
@@ -320,14 +329,17 @@ class TestLockstepMatchesScalarReference:
 
     def test_p2_launch_and_boundary_fans_exit_at_the_cone(self):
         traj = run(desk_scenario("p2_desk", n=120))[0]
-        exits = set()
+        exits, moves = set(), 0
         for family in (1, 2):
             ref, _ = reference_launch_fan(traj, family)
             assert_same_paths(launch_fan(traj, family), ref)
-            ref_b = reference_boundary_fan(traj, family)
+            ref_b, moved = reference_boundary_fan(traj, family)
             assert_same_paths(boundary_fan(traj, family), ref_b)
             exits |= {p.exit_reason for p in ref + ref_b}
+            moves += moved
+            assert all(p.n >= 3 for p in ref + ref_b)
         assert "cone" in exits
+        assert moves > 0  # late boundary launches move earlier
 
     def test_p3_left_exits_and_nudged_launches(self):
         traj = run(desk_scenario("p3_desk", n=300, T=1.0))[0]

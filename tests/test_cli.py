@@ -5,6 +5,7 @@ import pytest
 
 from conftest import CONFIG_DIR, small_config
 from nozzleflow.cli import main
+from nozzleflow.config import parse_config_text
 
 SMALL = {"n = 2000": "n = 300", "T = 5.0": "T = 1.0"}
 
@@ -73,8 +74,6 @@ class TestMalformedValues:
         ("T = 5.0", "T = nan"),
         ("T = 5.0", "T = inf"),
         ("n = 2000", "n = 0"),
-        ("snapshot_stride = 1", "snapshot_stride = 0"),
-        ("fan = 20", "fan = 0"),
         ("n = 2000", "n = -5"),
         ("cfl = 0.9", "cfl = nan"),
     ])
@@ -108,27 +107,64 @@ class TestMalformedValues:
 
     @pytest.mark.parametrize("name,n", [("p3_desk", 27), ("p2_desk", 4), ("p1_desk", 3)])
     def test_coarsest_grid_that_fits_the_window_runs(self, name, n, tmp_path):
+        # The grid runs, but no traced path gets the samples a check needs.
         cfg = small_config(name, tmp_path, {"n = 2000": f"n = {n}"})
-        assert main(["--quiet", "--out", str(tmp_path / "out"), "simulate", str(cfg)]) == 0
+        assert main(["--quiet", "--out", str(tmp_path / "out"), "simulate", str(cfg)]) == 3
 
     @pytest.mark.parametrize("key,value", [
         ("margin_tol_factor", "5.0"), ("strict_margin", "1e-9"), ("compat_tol", "1e-8"),
         ("cert_samples", "2048"), ("blow_limit", "1e6"),
+        ("snapshot_stride", "1"), ("fan", "20"), ("wall_margin_frac", "0.02"),
     ])
     def test_fixed_tolerance_is_not_a_key(self, key, value, tmp_path, capsys):
-        cfg = small_config("p3_desk", tmp_path, {"[monitors]": f"[monitors]\n{key} = {value}"})
+        section = "[solver]" if key == "snapshot_stride" else "[monitors]"
+        cfg = small_config("p3_desk", tmp_path, {section: f"{section}\n{key} = {value}"})
         assert main(["check", str(cfg)]) == 65
         err = capsys.readouterr().err
         assert "unknown key" in err and key in err
         assert "Traceback" not in err
 
+    def test_loose_coverage_config_is_rejected(self, tmp_path, capsys):
+        # Once it printed "run OK" with one path checked per family.
+        cfg = small_config("p1_desk", tmp_path, {
+            "n = 2000": "n = 300", "order = 2": "order = 2\nsnapshot_stride = 10",
+            "csv_stride = 50": "csv_stride = 50\nfan = 1\nwall_margin_frac = 0.95"})
+        assert main(["--out", str(tmp_path / "out"), "simulate", str(cfg)]) == 65
+        assert "unknown key 'snapshot_stride'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n", [27, 50])
+    def test_p3_grid_with_no_checkable_path_fails(self, n, tmp_path, capsys):
+        cfg = small_config("p3_desk", tmp_path, {"n = 2000": f"n = {n}"})
+        sim, ver = tmp_path / "sim", tmp_path / "ver"
+        assert main(["--quiet", "--out", str(sim), "simulate", str(cfg)]) == 3
+        assert main(["--out", str(ver), "verify", str(sim / "trajectory.npz")]) == 3
+        assert "family 1: checked=0/20 " in capsys.readouterr().out
+        for report in (sim / "report.json", ver / "verify_report.json"):
+            post = json.loads(report.read_text())["characteristics"]
+            for stats in post["families"].values():
+                assert (stats["checked"], stats["paths"], stats["bounds_ok"]) == (0, 20, False)
+            assert len(post["paths"]) == 40
+            assert not any(path["ok"] for path in post["paths"])
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", [2, 5, 100])
     def test_p2_at_time_zero_certifies_and_runs(self, n, tmp_path):
-        # The boundary data are one instant, with one-sided rates.
+        # The boundary data are one instant, with one-sided rates.  The run
+        # stores that one instant, so no path has the samples of a check.
         cfg = small_config("p2_desk", tmp_path, {"n = 2000": f"n = {n}", "T = 1.0": "T = 0.0"})
         assert main(["--quiet", "check", str(cfg)]) == 0
-        assert main(["--quiet", "--out", str(tmp_path / "out"), "simulate", str(cfg)]) == 0
+        assert main(["--quiet", "--out", str(tmp_path / "out"), "simulate", str(cfg)]) == 3
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["monitors"]["flags"]["ok"]
+        assert [stats["checked"] for stats in
+                report["characteristics"]["families"].values()] == [0, 0]
+
+    def test_readme_config_example_parses(self):
+        readme = (CONFIG_DIR.parent / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        scn = parse_config_text(example, source="README.md").to_scenario()
+        assert scn.config_text == example
 
 
 class TestFeasible:
@@ -172,6 +208,7 @@ class TestSimulateTraceVerify:
         payload = json.loads((tmp_path / "verify_report.json").read_text())
         assert payload["ok"]
         assert payload["conservative_residual"] is not None
+        assert "family 1: checked=20/20 " in capsys.readouterr().out
 
     def test_simulate_missing_input(self):
         assert main(["simulate", "missing.cfg"]) == 66
@@ -214,18 +251,37 @@ def _short_w(arrays):
     arrays["w"] = arrays["w"][:, :-1]
 
 
+def _damaged(npz, damage, dest):
+    with np.load(npz) as data:
+        arrays = {name: data[name] for name in data.files}
+    damage(arrays)
+    np.savez_compressed(dest, **arrays)
+    return dest
+
+
+def _config_sets_fan(arrays):
+    meta = json.loads(str(arrays["meta"]))
+    meta["config_text"] += "fan = 20\n"  # the last section is [monitors]
+    arrays["meta"] = np.array(json.dumps(meta))
+
+
 class TestStoredTrajectoryFiles:
     @pytest.mark.parametrize("damage", [_narrow, _cut_times, _drop_w, _short_w],
                              ids=["narrowed", "times_cut", "w_missing", "w_short"])
     def test_malformed_file_is_a_data_error(self, p3_npz, tmp_path, capsys, damage):
-        with np.load(p3_npz) as data:
-            arrays = {name: data[name] for name in data.files}
-        damage(arrays)
-        bad = tmp_path / "bad.npz"
-        np.savez_compressed(bad, **arrays)
+        bad = _damaged(p3_npz, damage, tmp_path / "bad.npz")
         assert main(["--out", str(tmp_path), "verify", str(bad)]) == 65
         err = capsys.readouterr().err
         assert "bad.npz" in err and "Traceback" not in err
+
+    def test_embedded_config_that_sets_fan_is_rejected(self, p3_npz, tmp_path, capsys):
+        bad = _damaged(p3_npz, _config_sets_fan, tmp_path / "fan.npz")
+        assert main(["--out", str(tmp_path / "v"), "verify", str(bad)]) == 65
+        assert main(["--out", str(tmp_path / "t"), "trace", str(bad),
+                     "--family", "1", "--x0", "0.5"]) == 65
+        err = capsys.readouterr().err
+        assert "fan.npz:config" in err and "unknown key 'fan'" in err
+        assert not (tmp_path / "v").exists()
 
     def test_trace_past_the_p3_window_is_a_usage_error(self, p3_npz, sim_out, tmp_path,
                                                        capsys):

@@ -5,12 +5,13 @@ import zipfile
 import numpy as np
 import pytest
 
-from conftest import desk_scenario, region_l, small_config, uniform_scenario
+from conftest import (desk_scenario, region_l, small_config, thinned_run_file,
+                      uniform_scenario)
 from nozzleflow import solver
-from nozzleflow.characteristics import boundary_fan, launch_fan
+from nozzleflow.characteristics import FAN, boundary_fan, launch_fan
 from nozzleflow.cli import main
 from nozzleflow.config import load_config
-from nozzleflow.errors import BlowUpError, DomainError, VacuumStateError
+from nozzleflow.errors import BlowUpError, VacuumStateError
 from nozzleflow.harness import (_BLOCK, _FACES, EXIT_BLOWUP, EXIT_CERT,
                                 EXIT_DATAERR, EXIT_MONITOR, EXIT_OK, Monitors,
                                 certify, characteristic_pass,
@@ -18,7 +19,7 @@ from nozzleflow.harness import (_BLOCK, _FACES, EXIT_BLOWUP, EXIT_CERT,
                                 run_scenario, write_fields_csv)
 from nozzleflow.region import membership_margins
 from nozzleflow.riccati import phi_psi_zw
-from nozzleflow.solver import run
+from nozzleflow.solver import Trajectory, run
 
 SMALL = {"n = 2000": "n = 300", "T = 5.0": "T = 1.0"}
 
@@ -63,12 +64,12 @@ class TestConservativeResidual:
         rep = conservative_residual(traj)
         assert rep.max_linf < 1e-12
 
-    def test_needs_full_stride(self, law53):
-        scn = uniform_scenario("P3", -3.6, -2.6, region_l(), law53, n=64,
-                               T=0.5, snapshot_stride=2)
-        traj, _ = run(scn)
-        with pytest.raises(DomainError):
-            conservative_residual(traj)
+    def test_needs_full_stride(self, tmp_path, capsys):
+        # A file that stored every second step has no residual to check.
+        thinned = thinned_run_file(tmp_path)
+        assert main(["--out", str(tmp_path / "out"), "verify", str(thinned)]) == EXIT_DATAERR
+        assert "skip steps" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_refinement_shrinks_residual(self):
         res = {}
@@ -224,7 +225,7 @@ class TestBlockMonitors:
             with pytest.raises(VacuumStateError):
                 run(scn, monitors)
 
-    def test_vacuum_before_a_blow_up_is_the_error_reported(self, tmp_path, capsys):
+    def test_vacuum_before_a_blow_up_is_the_error_reported(self, tmp_path):
         # At n = 100 this unstable run reaches a vacuum state in the window
         # some steps before it blows up, inside one block.
         cfl2 = {"n = 2000": "n = 100", "cfl = 0.9": "cfl = 2.0"}
@@ -236,11 +237,10 @@ class TestBlockMonitors:
             run(scn, monitors)
         with pytest.raises(VacuumStateError):
             monitors.finalize()
-        cfg = small_config("p1_desk", tmp_path, cfl2)
-        assert main(["--out", str(tmp_path / "out"), "simulate", str(cfg)]) == EXIT_DATAERR
-        assert "vacuum gap" in capsys.readouterr().err
-        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
-            "certificates.json", "certificates.txt"]
+        # The block is recorded before the error is raised.
+        report = monitors.finalize()
+        assert not report.vacuum_ok
+        assert len(report.times) == len(report.min_gap) > len(report.phi_min)
 
     def test_blow_up_reports_the_partial_series(self):
         scn = desk_scenario("p1_desk", n=300, T=5.0, cfl=2.0)
@@ -259,7 +259,7 @@ class TestCharacteristicPass:
         assert result["ok"]
         for fam in ("1", "2"):
             stats = result["families"][fam]
-            assert stats["paths"] >= scn.fan
+            assert stats["paths"] == stats["checked"] == FAN
             assert stats["bounds_ok"]
             assert stats["speed_margin"] > 0
             fan = launch_fan(traj, int(fam))
@@ -271,7 +271,11 @@ class TestCharacteristicPass:
 
     def test_weak_barrier_scale_fails(self, p1_small_run):
         scn, traj, _ = p1_small_run
-        result = characteristic_pass(traj, M=scn.profile.M / 100.0)
+        weak = dataclasses.replace(
+            scn, profile=dataclasses.replace(scn.profile, M=scn.profile.M / 100.0))
+        stored = {name: getattr(traj, name) for name in
+                  ("times", "dts", "z", "w", "z_edge", "w_edge")}
+        result = characteristic_pass(Trajectory.from_npz(weak, stored))
         assert not result["ok"]
 
 
@@ -313,6 +317,24 @@ class TestRunScenario:
         assert report["exit_code"] == EXIT_BLOWUP
         assert "blow_up" in report
 
+    @pytest.mark.parametrize("n,code", [(100, EXIT_BLOWUP), (120, EXIT_MONITOR)])
+    def test_vacuum_state_exits_with_its_reports(self, n, code, tmp_path):
+        # n = 100: the vacuum and the blow-up fall in one monitor block, and
+        # the blow-up ends the run; n = 120: the block with the vacuum is
+        # evaluated first, and the monitors end the run there.
+        cfg = small_config("p1_desk", tmp_path, {"n = 2000": f"n = {n}",
+                                                 "cfl = 0.9": "cfl = 2.0"})
+        out = tmp_path / "out"
+        assert main(["--quiet", "--out", str(out), "simulate", str(cfg)]) == code
+        report = json.loads((out / "report.json").read_text())
+        record = json.loads((out / "monitor_report.json").read_text())
+        assert report["exit_code"] == code
+        assert ("blow_up" in report) == (code == EXIT_BLOWUP)
+        assert (out / "trajectory.npz").exists() == (code == EXIT_BLOWUP)
+        assert record["flags"]["vacuum"] is False
+        assert report["monitors"] == {key: val for key, val in record.items()
+                                      if key != "series"}
+
     @pytest.mark.parametrize("subs,code", [
         (SMALL, EXIT_OK),
         ({"n = 2000": "n = 300", "cfl = 0.9": "cfl = 2.0"}, EXIT_BLOWUP),
@@ -349,20 +371,20 @@ class TestTrajectoryRoundTrip:
         assert back.grid.dx == pytest.approx(traj.grid.dx)
 
     def test_csv_stride(self, tmp_path):
-        cfg = small_config("p1_desk", tmp_path, SMALL)
+        cfg = small_config("p1_desk", tmp_path,
+                           dict(SMALL, **{"csv_stride = 50": "csv_stride = 7"}))
         scn = load_config(cfg).to_scenario()
         traj, _ = run(scn)
-        write_fields_csv(traj, tmp_path / "f.csv", stride=max(1, len(traj.times) // 3))
+        write_fields_csv(traj, tmp_path / "f.csv")
         lines = (tmp_path / "f.csv").read_text().splitlines()
         window_cells = int(scn.runtime_arrays()["window"].sum())
-        assert (len(lines) - 1) % window_cells == 0
+        assert len(lines) - 1 == len(range(0, len(traj.times), 7)) * window_cells
 
 
 def _savez_compressed(traj, path, z=None, w=None):
     """Save ``traj`` the way files were written before the level-1 writer,
     optionally with other snapshots ``z``, ``w``."""
-    meta = {"config_text": traj.scenario.config_text, "blown_up": traj.blown_up,
-            "snapshot_stride": traj.snapshot_stride}
+    meta = {"config_text": traj.scenario.config_text, "blown_up": traj.blown_up}
     np.savez_compressed(path, meta=np.array(json.dumps(meta)), times=traj.times,
                         dts=traj.dts, z=traj.z if z is None else z,
                         w=traj.w if w is None else w,
@@ -392,8 +414,7 @@ class TestTrajectoryWriter:
                 assert data[name].dtype == stored.dtype, name
                 assert data[name].tobytes() == stored.tobytes(), name
             meta = json.loads(str(data["meta"]))
-        assert meta == {"config_text": traj.scenario.config_text,
-                        "blown_up": False, "snapshot_stride": 1}
+        assert meta == {"config_text": traj.scenario.config_text, "blown_up": False}
 
     def test_old_savez_file_verifies_the_same(self, p3_run):
         traj, tmp = p3_run

@@ -213,7 +213,7 @@ class TestAdvectionAccuracy:
 
         return Scenario(problem="P1", law=law53, profile=zero_profile(),
                         region=spec, z0=z0, w0=w0, T=0.3, n=n, x_interest=4.0,
-                        order=order, snapshot_stride=10**9)
+                        order=order)
 
     @pytest.mark.parametrize("order,min_rate", [(1, 0.8), (2, 1.5)])
     def test_self_convergence(self, law53, order, min_rate):
@@ -306,12 +306,6 @@ class TestRun:
             run(scn)
         assert err.value.trajectory is not None
         assert err.value.cell is not None
-
-    def test_snapshot_stride_keeps_final_state(self):
-        scn = desk_scenario("p1_desk", n=100, T=0.2, snapshot_stride=7)
-        traj, final = run(scn)
-        assert traj.times[-1] == pytest.approx(final.t)
-        assert traj.snapshot_stride == 7
 
 
 class TestScenarioValidation:
