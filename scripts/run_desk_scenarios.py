@@ -26,7 +26,9 @@ def main():
         report = json.loads((dest / "report.json").read_text())
         mon = report.get("monitors", {})
         ch = report.get("characteristics", {})
-        print(f"=== {cfg.stem}: exit {code} in {elapsed:.1f}s")
+        scn = report["scenario"]
+        print(f"=== {cfg.stem}: exit {code} in {elapsed:.1f}s, {scn['steps']} steps "
+              f"of dt = {scn['dt']:.4g}, {scn['cell_steps']} cell-steps")
         if mon:
             worst = min(mon["min_margin_per_face"].values())
             print(f"    containment margin >= {worst:.4g} "

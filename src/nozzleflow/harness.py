@@ -644,7 +644,9 @@ def run_scenario(config, out_dir, force: bool = False, quiet: bool = True) -> in
               "scenario": {"problem": scn.problem, "n": scn.n, "T": scn.T,
                            "order": scn.order, "cfl": scn.cfl,
                            "x_interest": scn.x_interest,
-                           "x_max": scn.grid.x_max, "dx": scn.grid.dx}}
+                           "x_max": scn.grid.x_max, "dx": scn.grid.dx,
+                           "dt": scn.dt, "steps": scn.steps,
+                           "cell_steps": int(scn.active_cells(scn.step_times[:-1]).sum())}}
     if not bundle.passed and not force:
         report["exit_code"] = EXIT_CERT
         _write_json(report, out / "report.json")

@@ -90,11 +90,15 @@ def speeds_zw(z, w, law: GasLaw):
     return v - c, v + c
 
 
-def source_pair_zw(z, w, a, law: GasLaw):
-    """Source of the diagonal system: (dz/dt, dw/dt) = (s, -s) with
-    s = ((gamma-1)/8) a (w^2 - z^2).  Antisymmetric by construction."""
-    s = 0.125 * (law.gamma - 1.0) * np.asarray(a) * (np.asarray(w) - np.asarray(z)) * (
-        np.asarray(w) + np.asarray(z)
-    )
-    return s, -s
+def source_coef(a, law: GasLaw):
+    """The factor ((gamma-1)/8) a(x) of the source (``source_pair_zw``)."""
+    return 0.125 * (law.gamma - 1.0) * np.asarray(a, dtype=float)
 
+
+def source_pair_zw(gap, total, coef):
+    """Source of the diagonal system: (dz/dt, dw/dt) = (s, -s) with
+    s = ((gamma-1)/8) a (w^2 - z^2), formed as coef * gap * total from
+    gap = w - z, total = w + z and coef = ``source_coef(a, law)``, which an
+    evolve stage has at hand.  Antisymmetric by construction."""
+    s = coef * gap * total
+    return s, -s

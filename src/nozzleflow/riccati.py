@@ -152,10 +152,20 @@ def _bound_items(label, vals, lower, upper, where, where_label):
                        index=int(np.argmax(vals)), note=note)]
 
 
+def _gap_item(label, z, w, where, where_label):
+    """``label >= VACUUM_GAP`` at its least slack: the functionals, and so
+    the items that follow it, need data away from vacuum."""
+    gap = np.asarray(w, dtype=float) - np.asarray(z, dtype=float)
+    return worst_item(f"{label} >= vacuum gap", VACUUM_GAP, gap, EXACT, where,
+                      note=f"worst {where_label}")
+
+
 def check_data_conditions(problem: str, x, z0, w0, a_vals, delta1: float,
                           delta2: float, M: float, alpha: float, law: GasLaw,
                           boundary=None, boundary_rates=None):
     """Two-sided slack report for the initial (and, for P2, boundary) data.
+    Data that reach the vacuum gap fail its item, and the functional items
+    that need them are left out.
 
     ``boundary`` is (t, zB, wB, a0) and is required for P2.  Derivatives are
     taken by centered differences of the supplied samples; ``boundary_rates``
@@ -170,24 +180,28 @@ def check_data_conditions(problem: str, x, z0, w0, a_vals, delta1: float,
     x = np.asarray(x, dtype=float)
     z0 = np.asarray(z0, dtype=float)
     w0 = np.asarray(w0, dtype=float)
-    z_x = np.gradient(z0, x, edge_order=2)
-    w_x = np.gradient(w0, x, edge_order=2)
-    phi, psi = phi_psi_zw(z0, w0, z_x, w_x, a_vals, law)
-    env = -subsolution_value(x, delta1, M, alpha)
-    s_phi, s_psi = _LOWER_SIGNS[problem]
-    items = _bound_items("Phi(x,0)", phi, s_phi * env, delta2, x, "x")
-    items += _bound_items("Psi(x,0)", psi, s_psi * env, delta2, x, "x")
+    items = [_gap_item("w0(x) - z0(x)", z0, w0, x, "x")]
+    if items[0].passed:
+        z_x = np.gradient(z0, x, edge_order=2)
+        w_x = np.gradient(w0, x, edge_order=2)
+        phi, psi = phi_psi_zw(z0, w0, z_x, w_x, a_vals, law)
+        env = -subsolution_value(x, delta1, M, alpha)
+        s_phi, s_psi = _LOWER_SIGNS[problem]
+        items += _bound_items("Phi(x,0)", phi, s_phi * env, delta2, x, "x")
+        items += _bound_items("Psi(x,0)", psi, s_psi * env, delta2, x, "x")
     if problem == "P2":
         if boundary is None:
             raise DomainError("P2 data conditions need the boundary series")
         t, zB, wB, a0 = boundary
         t = np.asarray(t, dtype=float)
-        if boundary_rates is None:
-            boundary_rates = (np.gradient(np.asarray(zB, dtype=float), t, edge_order=2),
-                              np.gradient(np.asarray(wB, dtype=float), t, edge_order=2))
-        phi_b, psi_b = phi_psi_boundary_zw(zB, wB, *boundary_rates, a0, law)
-        items += _bound_items("PhiB(0,t)", phi_b, delta1, delta2, t, "t")
-        items += _bound_items("PsiB(0,t)", psi_b, delta1, delta2, t, "t")
+        items.append(_gap_item("wB(t) - zB(t)", zB, wB, t, "t"))
+        if items[-1].passed:
+            if boundary_rates is None:
+                boundary_rates = (np.gradient(np.asarray(zB, dtype=float), t, edge_order=2),
+                                  np.gradient(np.asarray(wB, dtype=float), t, edge_order=2))
+            phi_b, psi_b = phi_psi_boundary_zw(zB, wB, *boundary_rates, a0, law)
+            items += _bound_items("PhiB(0,t)", phi_b, delta1, delta2, t, "t")
+            items += _bound_items("PsiB(0,t)", psi_b, delta1, delta2, t, "t")
     return Certificate("data-conditions", items,
                        meta={"problem": problem, "delta1": delta1, "delta2": delta2})
 

@@ -7,23 +7,12 @@ cell, optionally limited second order with two-stage time integration); the
 geometric source is applied pointwise inside the same stages, keeping the
 z/w source increments exact negatives.
 
-One kernel evolves both invariants: each stage extends the (2, n) state
-(rows z and w) with its ghost cells into one (2, n + 4) array, takes the
-speeds on all of it once, then the limited slopes, upwind gradients and the
-update for both rows at once.  The invariant region fixes the sign of both
-speeds on P2 (>= 0) and P3 (< 0), so there every face mean has that sign
-too, and the stage forms only the upwind face values: the limited slope on
-the faces it reads, with no face-mean speeds and no per-face choice.  The
-choice is made from the stage's own speeds, so P1 (mixed signs), NaN and a
-state that has left the region take the general gradient.  ``run`` takes
-the stable step from the speeds of the first stage (their interior) and
-hands them to ``step``, so no speed is computed twice; it also hands over
-the boundary values it computed for the monitors and the stored snapshot,
-so ``boundary_update`` runs twice per second-order step.  ``step`` writes
-its result into the interior of a fresh (2, n + 4) array, and the fields it
-returns are row views of it, so the next step fills in the ghosts without
-stacking z and w again.  Every cell takes the same operations as it would
-row by row, so the result is bitwise that of two separate row updates.
+The time step is certified, not measured: the invariant region bounds every
+speed by ``lambda_abs_max`` before the run starts, so ``run`` takes
+``K = ceil(T*lambda_abs_max/(cfl*dx))`` steps of ``dt = T/K``
+(``Scenario.steps``, ``Scenario.dt``).  With ``cfl <= 1`` that step is
+stable for as long as the state stays in the region, which the monitors
+check.
 
 One rule says where the stored solution can be trusted: ``Scenario.reach(t)``
 is the right end of the trusted domain at time t.  The invariant region bounds
@@ -31,16 +20,52 @@ every speed by ``lambda_abs_max`` in advance, so nothing from the artificial
 right boundary passes ``x_max - lambda_abs_max*t``, and a path that starts in
 the reporting window (or at the inflow boundary) gets no further than
 ``x_interest + c_right*t``, with ``c_right = lambda_abs_max`` when a speed can
-be positive (P1, P2) and 0 when both are negative (P3).  The evolve always
-runs on the whole extended grid, but a stored snapshot keeps only the cells
-up to the highest reach, plus two: one for the bilinear interpolation at
-``i + 1``, one for the central gradient there (``Scenario.trusted_cells``).
-The tracer launches and ends its paths by the same rule.
+be positive (P1, P2) and 0 when both are negative (P3).  A stored snapshot
+keeps the cells up to the highest reach on [0, T], plus two: one for the
+bilinear interpolation at ``i + 1``, one for the central gradient there
+(``Scenario.trusted_cells``).  The tracer launches and ends its paths by the
+same rule.
+
+The evolve runs only where the stored columns can depend on the state.  A
+cell at x reads, by T, cells no further right than ``x + c_left*(T - t)``,
+with ``c_left = lambda_abs_max`` when a speed can be negative (P1, P3) and 0
+when both are positive (P2).  So the step from t evolves the leading cells up
+to the last stored column plus ``c_left*(T - t)``, plus a pad of
+``ACTIVE_PAD_SIGMAS*sqrt(K)`` cells (``Scenario.active_cells``), and the set
+only shrinks.  On P3 that edge is the right-boundary term of ``reach``,
+``x_max - lambda_abs_max*t``, moved right by the two stored cells past the
+window.  On P1 and P2 the highest reach lies at T/2, and a snapshot keeps
+that width at every step, so P1 drops cells only after T/2.  The scheme reads
+two cells to each side per stage, four per step, while the edge moves at most
+``cfl`` cells per step, so its numerical diffusion leaks past the edge: the
+pad keeps that leak at round-off (``tests/test_solver.py`` gates it).
+
+The state is an (n + 4, 2) array: cell by cell, with z and w side by side,
+and two ghost cells each side.  Its last two cells hold the far-field ghosts
+from the start, and a cell that a step leaves out keeps its last value, so
+the two cells after the active ones are their right ghosts, and the whole
+grid needs no other case.  The active cells with their ghosts are one
+contiguous block, and a shift by one cell is a shift by two entries of its
+flat view, so each operation of the upwind gradient covers both rows on
+contiguous memory (on two strided rows numpy takes about twice as long).
+
+A stage forms the speeds of all its cells at once from ``w - z`` and
+``w + z``, which the source then reuses.  The invariant region fixes the
+sign of both speeds on P2 (>= 0) and P3 (< 0), so there every face mean has
+that sign too, and the stage forms only the upwind face values: the limited
+slope on the faces it reads, with no face-mean speeds and no per-face
+choice.  The choice is made from the stage's own speeds, so P1 (mixed
+signs), NaN and a state that has left the region take the general gradient.
+The stages write into arrays allocated once per scenario (``_Stages``).
+Every cell takes the same operations as it would row by row, so at the same
+dt and on the same cells the result is bitwise that of two separate row
+updates.
 """
 from __future__ import annotations
 
 import io
 import json
+import math
 import zipfile
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -49,7 +74,7 @@ import numpy as np
 
 from .errors import (BlowUpError, DomainError, SonicBoundaryError,
                      TrajectoryFileError)
-from .model import GasLaw, source_pair_zw, speeds_zw
+from .model import GasLaw, source_coef, source_pair_zw, speeds_zw
 from .region import NozzleProfile, RegionSpec, SpeedBounds, region_speed_bounds
 
 #: Module-level hook so verification tests can plant source mutations.
@@ -71,6 +96,14 @@ WALL_MARGIN_FRAC = {
 
 #: A step result beyond this magnitude, or not finite, is a numerical blow-up.
 BLOW_LIMIT = 1e6
+
+#: Pad of the active cells, in units of sqrt(K) cells: the numerical
+#: diffusion of K steps spreads about sqrt(K) cells.  Largest difference of
+#: the stored z, w from the run on every cell at the same dt, desk configs:
+#: a pad of 2 cells gives 1e-8 (p3), 3e-10 (p1) and 1e-6 (p2); 2*sqrt(K)
+#: gives up to 3.1e-13 (p3, n = 1000); 3*sqrt(K) at most 1.2e-14 (p3, n = 250
+#: to 4000; p1 and p2 0).  A test sets it as high as n to evolve every cell.
+ACTIVE_PAD_SIGMAS = 3
 
 
 @dataclass(frozen=True)
@@ -100,12 +133,15 @@ class Grid:
 
 @dataclass
 class Field:
-    """Invariants at cell centers at one time."""
+    """Invariants at the leading cells of the grid (all of them, unless a
+    step evolved fewer) at one time.  ``state`` is the (2, n + 4) array whose
+    columns 2, 3, ... the rows z and w are views of, when a step made them."""
 
     z: np.ndarray
     w: np.ndarray
     t: float
     grid: Grid
+    state: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 @dataclass
@@ -165,6 +201,22 @@ class Scenario:
             self._cache["grid"] = Grid(x_max / self.n, self.n, self.x_interest, x_max)
         return self._cache["grid"]
 
+    @property
+    def steps(self) -> int:
+        """K, the fewest steps of one size dt = T/K over which no speed the
+        region allows crosses more than ``cfl`` cells."""
+        lam = self.speed_bounds.lambda_abs_max
+        return math.ceil(self.T * lam / (self.cfl * self.grid.dx))
+
+    @property
+    def dt(self) -> float:
+        return self.T / self.steps if self.steps else 0.0
+
+    @property
+    def step_times(self) -> np.ndarray:
+        """The K + 1 times of the run: k*dt, and T exactly at the end."""
+        return np.linspace(0.0, self.T, self.steps + 1)
+
     def reach(self, t):
         """Right end of the trusted domain at the time(s) ``t`` (see the
         module docstring)."""
@@ -187,18 +239,32 @@ class Scenario:
             self._cache["trusted"] = min(self.grid.n, count)
         return self._cache["trusted"]
 
+    def active_cells(self, t):
+        """Leading cells that the step from the time(s) ``t`` evolves: those
+        a stored column can depend on, plus a pad of
+        ``ACTIVE_PAD_SIGMAS*sqrt(K)`` cells (see the module docstring)."""
+        bounds = self.speed_bounds
+        c_left = bounds.lambda_abs_max if min(bounds.sign1, bounds.sign2) < 0 else 0.0
+        x = self.runtime_arrays()["x"]
+        edge = x[self.trusted_cells - 1] + c_left * (self.T - np.asarray(t, dtype=float))
+        pad = math.ceil(ACTIVE_PAD_SIGMAS * math.sqrt(self.steps))
+        return np.minimum(np.searchsorted(x, edge + 1e-12, side="right") + pad, self.grid.n)
+
     def runtime_arrays(self) -> dict:
         """Grid-sampled profile data used by every step (built once)."""
         if "arrays" not in self._cache:
             grid = self.grid
             x = grid.cells()
             ghost_x = np.array([grid.x_max + 0.5 * grid.dx, grid.x_max + 1.5 * grid.dx])
+            a = np.asarray(self.profile.a(x), dtype=float)
             self._cache["arrays"] = {
                 "x": x,
-                "a": np.asarray(self.profile.a(x), dtype=float),
+                "a": a,
+                "coef": source_coef(a, self.law),
                 "s": np.asarray(self.profile.cum_abar(x), dtype=float),
-                "gr_z": np.asarray(self.z0(ghost_x), dtype=float),
-                "gr_w": np.asarray(self.w0(ghost_x), dtype=float),
+                # Far-field ghosts, rows z and w: the initial data past x_max.
+                "gr": np.array([np.broadcast_to(fn(ghost_x), 2) for fn in (self.z0, self.w0)],
+                               dtype=float),
                 "window": grid.window(),
             }
         return self._cache["arrays"]
@@ -212,31 +278,27 @@ class Scenario:
 
 @dataclass
 class BoundaryValues:
-    """Ghost cells (ordered outward-in: [-2, -1] left, [n, n+1] right) and
-    the x = 0 edge trace."""
+    """Left ghost cells ``gl`` (rows z and w, cells [-2, -1]) and the x = 0
+    edge trace."""
 
-    gl_z: np.ndarray
-    gl_w: np.ndarray
-    gr_z: np.ndarray
-    gr_w: np.ndarray
+    gl: np.ndarray
     z_edge: float
     w_edge: float
 
 
 def boundary_update(fld: Field, t: float, scn: Scenario) -> BoundaryValues:
     """Problem-specific ghost/edge values at time t."""
-    arrays = scn.runtime_arrays()
-    z, w = fld.z, fld.w
     if scn.problem == "P1":
-        z_edge = 1.5 * z[0] - 0.5 * z[1]
+        (z0, z1), (w0, w1) = fld.z[:2].tolist(), fld.w[:2].tolist()
+        z_edge = 1.5 * z0 - 0.5 * z1
         w_edge = -z_edge
         lam1, lam2 = speeds_zw(z_edge, w_edge, scn.law)
         if not (lam1 < 0.0 < lam2):
             raise SonicBoundaryError(
                 f"wall boundary needs lambda1 < 0 < lambda2, got "
                 f"({float(lam1):.6g}, {float(lam2):.6g}) at t={t:.6g}")
-        gl_z = np.array([-w[1], -w[0]])
-        gl_w = np.array([-z[1], -z[0]])
+        # Mirrored: the ghosts of each row are the other row's cells, negated.
+        gl = [[-other[1], -other[0]] for other in ((w0, w1), (z0, z1))]
     elif scn.problem == "P2":
         zb, wb = float(scn.zB(t)), float(scn.wB(t))
         z_edge, w_edge = zb, wb
@@ -245,41 +307,58 @@ def boundary_update(fld: Field, t: float, scn: Scenario) -> BoundaryValues:
         # ghosts would plant an O(dx) inflow layer.
         lam1, lam2 = speeds_zw(zb, wb, scn.law)
         dx = fld.grid.dx
-        gl_z = np.array([float(scn.zB(t + 1.5 * dx / float(lam1))),
-                         float(scn.zB(t + 0.5 * dx / float(lam1)))])
-        gl_w = np.array([float(scn.wB(t + 1.5 * dx / float(lam2))),
-                         float(scn.wB(t + 0.5 * dx / float(lam2)))])
+        gl = [[float(fn(t + 1.5 * dx / float(lam))), float(fn(t + 0.5 * dx / float(lam)))]
+              for fn, lam in ((scn.zB, lam1), (scn.wB, lam2))]
     else:
-        z_edge = 1.5 * z[0] - 0.5 * z[1]
-        w_edge = 1.5 * w[0] - 0.5 * w[1]
+        rows = (fld.z[:3].tolist(), fld.w[:3].tolist())
+        z_edge, w_edge = (1.5 * u0 - 0.5 * u1 for u0, u1, _ in rows)
         # Quadratic continuation at the pure-outflow wall: lower-order ghosts
         # plant a boundary layer whose gradients do not converge.
-        gl_z = np.array([6.0 * z[0] - 8.0 * z[1] + 3.0 * z[2],
-                         3.0 * z[0] - 3.0 * z[1] + z[2]])
-        gl_w = np.array([6.0 * w[0] - 8.0 * w[1] + 3.0 * w[2],
-                         3.0 * w[0] - 3.0 * w[1] + w[2]])
-    return BoundaryValues(gl_z, gl_w, arrays["gr_z"], arrays["gr_w"], z_edge, w_edge)
+        gl = [[6.0 * u0 - 8.0 * u1 + 3.0 * u2, 3.0 * u0 - 3.0 * u1 + u2]
+              for u0, u1, u2 in rows]
+    return BoundaryValues(np.array(gl), z_edge, w_edge)
 
 
-def stable_dt(lam, dx: float, cfl: float, t_left: Optional[float] = None) -> float:
-    """Largest stable step for cells with the speeds ``lam`` (rows lambda1
-    and lambda2), no longer than ``t_left`` when it is given."""
-    vmax = float(max(np.abs(lam).max(axis=-1)))
-    if vmax <= 1e-300:
-        raise DomainError("all characteristic speeds vanish (uniform vacuum)")
-    dt = cfl * dx / vmax
-    if t_left is not None:
-        dt = min(dt, t_left)
-    return dt
+class _Stages:
+    """Arrays the evolve stages write into, allocated once per scenario for
+    the whole grid; a stage on the first m cells uses their leading part.
+    Two-row arrays are laid out as the state is, cell by cell."""
+
+    def __init__(self, scn: Scenario):
+        n = scn.grid.n
+        self.coef = scn.runtime_arrays()["coef"]
+        self.half_theta = 0.5 * scn.law.theta
+        self.mid = np.empty((n + 4, 2))  # the second stage's state
+        self.lam = np.empty((n + 4, 2))
+        self.gap, self.total, self.v, self.c = (np.empty(n + 4) for _ in range(4))
+        self.d = np.empty(2 * (n + 2))
+        self.prod, self.den, self.slope, self.face = (np.empty(2 * (n + 1)) for _ in range(4))
+        self.pos = np.empty(2 * (n + 1), dtype=bool)
+        self.grad = np.empty(2 * n)
+        self.f1, self.f2, self.inc = (np.empty((n, 2)) for _ in range(3))
 
 
-def _limited_slope(a, b):
-    """van Leer harmonic slope: TVD, and smooth in the slope ratio (minmod's
-    branch switching staircases smooth profiles, which wrecks the convergence
-    of derivative diagnostics)."""
-    prod = a * b
-    pos = prod > 0.0
-    return np.where(pos, 2.0 * prod / np.where(pos, a + b, 1.0), 0.0)
+def _stages(scn: Scenario) -> _Stages:
+    if "stages" not in scn._cache:
+        scn._cache["stages"] = _Stages(scn)
+    return scn._cache["stages"]
+
+
+def _limited_slope(a, b, work: Optional[_Stages] = None):
+    """van Leer harmonic slope 2ab/(a+b) where ab > 0, else 0: TVD, and smooth
+    in the slope ratio (minmod's branch switching staircases smooth profiles,
+    which wrecks the convergence of derivative diagnostics).  With ``work``,
+    for 1-D ``a`` and ``b``, its arrays hold the temporaries and the result."""
+    if work is None:
+        prod, den, pos, slope = None, None, None, np.zeros(np.shape(a))
+    else:
+        k = a.size
+        prod, den, pos, slope = work.prod[:k], work.den[:k], work.pos[:k], work.slope[:k]
+        slope.fill(0.0)
+    prod = np.multiply(a, b, out=prod)
+    pos = np.greater(prod, 0.0, out=pos)
+    den = np.add(a, b, out=den)
+    return np.divide(np.multiply(prod, 2.0, out=prod), den, out=slope, where=pos)
 
 
 def _upwind_gradient(u_ext, lam_ext, dx: float, order: int):
@@ -299,82 +378,110 @@ def _upwind_gradient(u_ext, lam_ext, dx: float, order: int):
     return (u_face[..., 1:] - u_face[..., :-1]) / dx
 
 
-def _one_sided_gradient(u_ext, leftward: bool, dx: float, order: int):
-    """``_upwind_gradient`` when every face-mean speed has one sign: each
-    face takes its right cell (``leftward``, all speeds < 0) or its left cell
-    (all speeds >= 0), and only the slopes those cells need are formed."""
-    n = u_ext.shape[-1] - 4
-    s = int(leftward)
-    u_face = u_ext[..., 1 + s:n + 2 + s]
+def _one_sided_gradient(flat, leftward: bool, dx: float, order: int, work: _Stages):
+    """``_upwind_gradient`` of both rows when every face-mean speed has one
+    sign: each face takes its right cell (``leftward``, all speeds < 0) or
+    its left cell (all speeds >= 0), and only the slopes those cells need
+    are formed.  ``flat`` is the block of m cells and their ghosts as one
+    1-D array, z and w of each cell side by side, so a shift of one cell is
+    a shift of two entries and each operation covers both rows."""
+    m = flat.size // 2 - 4
+    s = 2 * int(leftward)
+    u_face = flat[2 + s:2 * m + 4 + s]
     if order == 2:
-        d = u_ext[..., 1 + s:n + 3 + s] - u_ext[..., s:n + 2 + s]
-        slope = _limited_slope(d[..., :-1], d[..., 1:])
-        u_face = u_face - 0.5 * slope if leftward else u_face + 0.5 * slope
-    return (u_face[..., 1:] - u_face[..., :-1]) / dx
+        d = np.subtract(flat[2 + s:2 * m + 6 + s], flat[s:2 * m + 4 + s],
+                        out=work.d[:2 * m + 4])
+        half = _limited_slope(d[:-2], d[2:], work)
+        np.multiply(half, 0.5, out=half)
+        u_face = (np.subtract if leftward else np.add)(u_face, half,
+                                                       out=work.face[:2 * m + 2])
+    grad = np.subtract(u_face[2:], u_face[:-2], out=work.grad[:2 * m])
+    return np.divide(grad, dx, out=grad).reshape(m, 2)
 
 
-def _extend(fld: Field, bv: BoundaryValues, scn: Scenario):
-    """The (2, n + 4) array of ``fld`` (rows z and w) with its ghost cells
-    ``bv``, and the speeds on all of it.  A field that ``step`` returned
-    already lives in the interior of such an array, which is reused."""
-    n = fld.z.size
-    ext = fld.z.base
-    if ext is None or ext is not fld.w.base or ext.shape != (2, n + 4):
-        ext = np.empty((2, n + 4))
-        ext[0, 2:-2] = fld.z
-        ext[1, 2:-2] = fld.w
-    ext[0, :2] = bv.gl_z
-    ext[1, :2] = bv.gl_w
-    ext[0, -2:] = bv.gr_z
-    ext[1, -2:] = bv.gr_w
-    lam = np.empty_like(ext)
-    lam[0], lam[1] = speeds_zw(ext[0], ext[1], scn.law)
-    return ext, lam
-
-
-def _stage_rhs(ext, lam, scn: Scenario):
-    """Time derivative of the state in the interior of ``ext`` (``_extend``):
+def _stage_rhs(ext, out, scn: Scenario, work: _Stages):
+    """Time derivative of the state in the interior of ``ext`` (m cells and
+    two ghosts each side, laid out as the state), written into ``out``:
     each row advected with its own speed, plus the source.  When every
-    speed of ``lam`` is < 0 or every one is >= 0, so is every face mean,
+    speed of the stage is < 0 or every one is >= 0, so is every face mean,
     and the upwind side is known without comparing them."""
+    m = len(ext) - 4
+    z, w = ext[:, 0], ext[:, 1]
+    gap = np.subtract(w, z, out=work.gap[:m + 4])
+    total = np.add(w, z, out=work.total[:m + 4])
+    # lambda1, lambda2 = v -+ c with v = (w + z)/2 and c = (theta/2)(w - z).
+    v = np.multiply(total, 0.5, out=work.v[:m + 4])
+    c = np.multiply(gap, work.half_theta, out=work.c[:m + 4])
+    lam = work.lam[:m + 4]
+    np.subtract(v, c, out=lam[:, 0])
+    np.add(v, c, out=lam[:, 1])
     dx, order = scn.grid.dx, scn.order
     if lam.max() < 0.0:
-        grad = _one_sided_gradient(ext, True, dx, order)
+        grad = _one_sided_gradient(ext.reshape(-1), True, dx, order, work)
     elif lam.min() >= 0.0:
-        grad = _one_sided_gradient(ext, False, dx, order)
+        grad = _one_sided_gradient(ext.reshape(-1), False, dx, order, work)
     else:  # mixed signs (P1), NaN, or a state that left the region
-        grad = _upwind_gradient(ext, lam, dx, order)
-    f = -lam[:, 2:-2] * grad
-    sz, sw = source_pair(ext[0, 2:-2], ext[1, 2:-2], scn.runtime_arrays()["a"], scn.law)
-    f[0] += sz
-    f[1] += sw
-    return f
+        grad = _upwind_gradient(ext.T, lam.T, dx, order).T
+    sz, sw = source_pair(gap[2:-2], total[2:-2], work.coef[:m])
+    np.multiply(lam[2:-2], grad, out=out)
+    np.subtract(sz, out[:, 0], out=out[:, 0])
+    np.subtract(sw, out[:, 1], out=out[:, 1])
+    return out
 
 
-def step(fld: Field, dt: float, scn: Scenario, bv: Optional[BoundaryValues] = None,
-         first: Optional[tuple] = None) -> Field:
-    """One explicit step (forward Euler or two-stage second order).  ``bv``
-    are the boundary values of ``fld`` and ``first`` its ``_extend``, when
-    the caller already has them.  The returned rows z and w are the interior
-    of one (2, n + 4) array, so the next step need not stack them again."""
-    t = fld.t
-    if first is None:
-        first = _extend(fld, bv if bv is not None else boundary_update(fld, t, scn), scn)
-    ext, lam = first
-    u = ext[:, 2:-2]
-    f1 = _stage_rhs(ext, lam, scn)
-    new = np.add(u, dt * f1, out=np.empty_like(ext)[:, 2:-2])
-    if scn.order == 2:
-        mid = Field(new[0], new[1], t + dt, fld.grid)
-        f2 = _stage_rhs(*_extend(mid, boundary_update(mid, t + dt, scn), scn), scn)
-        new = np.add(u, 0.5 * dt * (f1 + f2), out=np.empty_like(ext)[:, 2:-2])
-    if not np.abs(new).max() <= BLOW_LIMIT:  # NaN compares false: bad too
-        bad = ~(np.abs(new) <= BLOW_LIMIT)
-        cell = int(np.argmax(bad.any(axis=0)))
+def _state_of(fld: Field, scn: Scenario) -> np.ndarray:
+    """The state array of ``fld``: its own, when a step made it, else a new
+    one with the far-field ghosts in its last two cells (``fld`` must then
+    cover the grid)."""
+    if fld.state is not None:
+        return fld.state
+    state = np.empty((scn.grid.n + 4, 2))
+    state[2:-2, 0] = fld.z
+    state[2:-2, 1] = fld.w
+    state[-2:] = scn.runtime_arrays()["gr"].T
+    return state
+
+
+def _leading(state: np.ndarray, m: int, t: float, grid: Grid) -> Field:
+    """The field of the first ``m`` cells of ``state``."""
+    return Field(state[2:m + 2, 0], state[2:m + 2, 1], t, grid, state)
+
+
+def step(fld: Field, dt: float, scn: Scenario, bv: Optional[BoundaryValues] = None) -> Field:
+    """One explicit step (forward Euler or two-stage second order) of the
+    cells of ``fld``: the whole grid, or the leading cells of a field whose
+    state array holds the next two, its right ghosts.  ``bv`` are the
+    boundary values of ``fld`` when the caller has them.  Returns the same
+    cells at t + dt, in a new state array whose other cells keep their
+    values."""
+    t, m = fld.t, fld.z.size
+    state = _state_of(fld, scn)
+    work = _stages(scn)
+    new = np.empty_like(state)
+    new[m + 2:] = state[m + 2:]
+    out = new[2:m + 2]
+    ext = state[:m + 4]
+    ext[:2] = (bv if bv is not None else boundary_update(fld, t, scn)).gl.T
+    u = ext[2:-2]
+    f1 = _stage_rhs(ext, work.f1[:m], scn, work)
+    inc = np.multiply(f1, dt, out=work.inc[:m])
+    if scn.order == 1:
+        np.add(u, inc, out=out)
+    else:
+        mid = work.mid[:m + 4]
+        np.add(u, inc, out=mid[2:-2])
+        mid[-2:] = ext[-2:]
+        mid[:2] = boundary_update(_leading(mid, m, t + dt, fld.grid), t + dt, scn).gl.T
+        f2 = _stage_rhs(mid, work.f2[:m], scn, work)
+        np.multiply(np.add(f1, f2, out=inc), 0.5 * dt, out=inc)
+        np.add(u, inc, out=out)
+    if not (out.max() <= BLOW_LIMIT and out.min() >= -BLOW_LIMIT):  # NaN fails too
+        bad = ~(np.abs(out) <= BLOW_LIMIT)
+        cell = int(np.argmax(bad.any(axis=1)))
         raise BlowUpError(
             f"solution left the finite range at t={t + dt:.6g}, cell {cell} "
             f"(x={(cell + 0.5) * fld.grid.dx:.6g})", t=t + dt, cell=cell)
-    return Field(new[0], new[1], t + dt, fld.grid)
+    return _leading(new, m, t + dt, fld.grid)
 
 
 #: Relative tolerance of a stored run's time gaps against its steps ``dts``:
@@ -390,15 +497,23 @@ class Trajectory:
     """Stored snapshots of one run plus their space-time interpolator.
 
     One snapshot per step keeps the first ``scenario.trusted_cells``
-    columns.  ``append`` collects them as rows and ``finalize`` stacks the
-    rows once into the arrays ``times``, ``dts``, ``z``, ``w``, ``z_edge``
-    and ``w_edge``, then drops them, so each snapshot is held once."""
+    columns.  ``append`` writes them into rows allocated for the K + 1
+    snapshots of a run, and ``finalize`` makes the rows written so far the
+    arrays ``times``, ``dts``, ``z``, ``w``, ``z_edge`` and ``w_edge``, so
+    each snapshot is held once.  ``rows`` are the arrays of a stored run."""
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, rows: Optional[dict] = None):
         self.scenario = scenario
         self.grid = scenario.grid
         self.blown_up = False
-        self._rows = {name: [] for name in _STORED}
+        if rows is None:
+            snaps, m = scenario.steps + 1, scenario.trusted_cells
+            rows = {name: np.empty((snaps, m) if name in ("z", "w") else snaps)
+                    for name in _STORED}
+            self._count = 0
+        else:
+            self._count = len(rows["times"])
+        self._rows = rows
         self._caches = {}
 
     @classmethod
@@ -432,23 +547,24 @@ class Trajectory:
             raise TrajectoryFileError(
                 f"z and w have shape {shape}, need ({snaps[0]}, m) with {m} <= m <= {n}")
         for name in ("z", "w"):
-            arrays[name] = np.ascontiguousarray(arrays[name][:, :m])
-        traj = cls(scenario)
-        traj._rows = arrays
-        return traj.finalize(blown_up)
+            arrays[name] = arrays[name][:, :m]
+        rows = {name: np.ascontiguousarray(arr, dtype=float) for name, arr in arrays.items()}
+        return cls(scenario, rows).finalize(blown_up)
 
     def append(self, fld: Field, dt: float, bv: BoundaryValues):
-        m = self.scenario.trusted_cells
-        for name, value in zip(_STORED, (fld.t, dt, fld.z[:m].copy(), fld.w[:m].copy(),
+        k, m = self._count, self.scenario.trusted_cells
+        for name, value in zip(_STORED, (fld.t, dt, fld.z[:m], fld.w[:m],
                                          bv.z_edge, bv.w_edge)):
-            self._rows[name].append(value)
+            self._rows[name][k] = value
+        self._count = k + 1
 
     def finalize(self, blown_up: bool = False):
-        """Stack the appended snapshots; ``run`` calls this once, at the end
-        of the run or at its blow-up, and ``from_npz`` on the loaded arrays."""
+        """Take the snapshots written so far as the run; ``run`` calls this
+        once, at the end of the run or at its blow-up, and ``from_npz`` on
+        the loaded arrays."""
         self.blown_up = blown_up
         for name, rows in self._rows.items():
-            setattr(self, name, np.asarray(rows, dtype=float))
+            setattr(self, name, rows[:self._count])
         self._rows = None
         return self
 
@@ -519,25 +635,23 @@ class Trajectory:
 
 
 def run(scn: Scenario, monitors=None):
-    """Integrate to T, observing monitors and storing a snapshot every step.
-    Returns (trajectory, field).  A numerical blow-up aborts with the
-    partial trajectory attached."""
+    """Integrate to T in ``scn.steps`` steps of ``scn.dt``, each on the
+    ``scn.active_cells`` of its start, observing monitors and storing a
+    snapshot every step.  Returns (trajectory, field); the monitors, the
+    trajectory and the returned field see the whole grid.  A numerical
+    blow-up aborts with the partial trajectory attached."""
     fld = scn.initial_field()
     traj = Trajectory(scn)
     bv = boundary_update(fld, 0.0, scn)
     traj.append(fld, 0.0, bv)
     if monitors is not None:
         monitors.observe(fld, bv, None, 0.0)
-    T = scn.T
+    times, n, dt = scn.step_times, scn.grid.n, scn.dt
+    state = _state_of(fld, scn)
     try:
-        while fld.t < T - 1e-14 * max(T, 1.0):
-            # The step's first stage takes the speeds of every cell; the
-            # stable step comes from those of the interior.
-            first = _extend(fld, bv, scn)
-            dt = stable_dt(first[1][:, 2:-2], scn.grid.dx, scn.cfl, T - fld.t)
-            if dt <= 0.0:
-                break
-            new = step(fld, dt, scn, bv, first)
+        for k, m in enumerate(scn.active_cells(times[:-1]).tolist()):
+            state = step(_leading(state, m, times[k], fld.grid), dt, scn, bv).state
+            new = _leading(state, n, times[k + 1], fld.grid)
             bv = boundary_update(new, new.t, scn)
             if monitors is not None:
                 monitors.observe(new, bv, fld, dt)

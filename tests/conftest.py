@@ -8,7 +8,8 @@ import pytest
 from nozzleflow.config import load_config, parse_config_text
 from nozzleflow.model import GasLaw, speeds_zw
 from nozzleflow.region import NozzleProfile, RegionSpec, zero_profile
-from nozzleflow.solver import run, stable_dt
+from nozzleflow.errors import DomainError
+from nozzleflow.solver import run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -35,10 +36,18 @@ def riemann_from_rho_v(rho, v, law):
 
 
 def field_dt(fld, law, cfl, t_end=None):
-    """The stable step of ``fld`` as ``solver.run`` takes it: ``stable_dt`` of
-    the speeds of its cells, no longer than the time left to ``t_end``."""
+    """The stable step of ``fld`` measured on its own cell speeds, no longer
+    than the time left to ``t_end``: the step ``solver.run`` took before it
+    took the certified one of ``Scenario.dt``, kept for stepping a field by
+    hand."""
     lam = np.array(speeds_zw(fld.z, fld.w, law))
-    return stable_dt(lam, fld.grid.dx, cfl, None if t_end is None else t_end - fld.t)
+    vmax = float(max(np.abs(lam).max(axis=-1)))
+    if vmax <= 1e-300:
+        raise DomainError("all characteristic speeds vanish (uniform vacuum)")
+    dt = cfl * fld.grid.dx / vmax
+    if t_end is not None:
+        dt = min(dt, t_end - fld.t)
+    return dt
 
 
 def desk_scenario(name, **overrides):

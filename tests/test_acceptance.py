@@ -226,8 +226,8 @@ def test_criterion_8_conservative_cross_check(full_runs, half_runs, monkeypatch)
     healthy = conservative_residual(run(desk_scenario("p3_desk", n=200,
                                                       T=0.5))[0]).max_linf
 
-    def flipped(z, w, a, law):
-        s = 0.125 * (law.gamma - 1.0) * a * (w - z) * (w + z)
+    def flipped(gap, total, coef):
+        s = coef * gap * total
         return s, s
 
     monkeypatch.setattr(solver, "source_pair", flipped)

@@ -40,6 +40,19 @@ class TestCheck:
         assert main(["check", str(cfg)]) == 2
         assert "FAIL" in capsys.readouterr().out
 
+    def test_vacuum_data_fail_certification(self, tmp_path, capsys):
+        cfg = small_config("p3_desk", tmp_path, {"z0 = -3.6 + 0*x": "z0 = -2.6 + 0*x"})
+        assert main(["check", str(cfg)]) == 2
+        assert "FAIL" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["--quiet", "--out", str(out), "simulate", str(cfg)]) == 2
+        bundle = json.loads((out / "certificates.json").read_text())
+        certs = {c["name"]: c for c in bundle["certificates"]}
+        assert not certs["initial-membership"]["passed"]
+        data = certs["data-conditions"]
+        assert not data["passed"]
+        assert [i["name"] for i in data["items"]] == ["w0(x) - z0(x) >= vacuum gap"]
+
     def test_missing_file(self, capsys):
         assert main(["check", "no_such_file.cfg"]) == 66
 

@@ -83,8 +83,8 @@ class TestConservativeResidual:
         scn = desk_scenario("p3_desk", n=200, T=0.5)
         healthy = conservative_residual(run(scn)[0]).max_linf
 
-        def flipped(z, w, a, law):
-            s = 0.125 * (law.gamma - 1.0) * a * (w - z) * (w + z)
+        def flipped(gap, total, coef):
+            s = coef * gap * total
             return s, s  # wrong sign on the second equation
 
         monkeypatch.setattr(solver, "source_pair", flipped)
@@ -243,7 +243,9 @@ class TestBlockMonitors:
         assert len(report.times) == len(report.min_gap) > len(report.phi_min)
 
     def test_blow_up_reports_the_partial_series(self):
-        scn = desk_scenario("p1_desk", n=300, T=5.0, cfl=2.0)
+        # This unstable run blows up at step 81 of 104, with no vacuum state
+        # in the window before (at cfl = 2 a vacuum comes first).
+        scn = desk_scenario("p1_desk", n=300, T=5.0, cfl=1.44)
         both = _Both(scn)
         with pytest.raises(BlowUpError) as err:
             run(scn, both)
@@ -317,12 +319,15 @@ class TestRunScenario:
         assert report["exit_code"] == EXIT_BLOWUP
         assert "blow_up" in report
 
-    @pytest.mark.parametrize("n,code", [(100, EXIT_BLOWUP), (120, EXIT_MONITOR)])
-    def test_vacuum_state_exits_with_its_reports(self, n, code, tmp_path):
+    @pytest.mark.parametrize("n,T,code", [
+        pytest.param(100, "5.0", EXIT_BLOWUP, id="100-4"),
+        pytest.param(120, "1.25", EXIT_MONITOR, id="120-3"),
+    ])
+    def test_vacuum_state_exits_with_its_reports(self, n, T, code, tmp_path):
         # n = 100: the vacuum and the blow-up fall in one monitor block, and
-        # the blow-up ends the run; n = 120: the block with the vacuum is
-        # evaluated first, and the monitors end the run there.
-        cfg = small_config("p1_desk", tmp_path, {"n = 2000": f"n = {n}",
+        # the blow-up ends the run; n = 120, T = 1.25: the run reaches a
+        # vacuum at step 11 of 12 and no blow-up, and the monitors end it.
+        cfg = small_config("p1_desk", tmp_path, {"n = 2000": f"n = {n}", "T = 5.0": f"T = {T}",
                                                  "cfl = 0.9": "cfl = 2.0"})
         out = tmp_path / "out"
         assert main(["--quiet", "--out", str(out), "simulate", str(cfg)]) == code

@@ -332,6 +332,15 @@ class TestDataConditions:
         assert not cert.passed
         assert "Phi(x,0) >= lower" in cert.failing()
 
+    def test_vacuum_boundary_data_fail_their_gap_item(self):
+        t = np.linspace(0.0, 1.0, 101)
+        boundary = (t, np.full_like(t, 2.1), np.full_like(t, 2.1), 0.0)
+        cert = self.run_constant("P2", boundary=boundary)
+        names = [item.name for item in cert.items]
+        assert "wB(t) - zB(t) >= vacuum gap" in cert.failing()
+        assert names[0] == "w0(x) - z0(x) >= vacuum gap" not in cert.failing()
+        assert not any(name.startswith(("PhiB", "PsiB")) for name in names)
+
     def test_delta_ordering_rejected(self):
         with pytest.raises(DomainError):
             check_data_conditions("P1", self.x, -0.5 + 0 * self.x,

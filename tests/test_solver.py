@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -63,14 +64,16 @@ class TestConstantPreservation:
 def _row_by_row_step(fld, dt, scn):
     """The step as it was before the two-row kernel: z and w advanced as two
     separate arrays.  Kept as the reference the kernel must match bitwise."""
+    arrays = scn.runtime_arrays()
+
     def stage_rhs(z, w, t):
-        bv = boundary_update(Field(z, w, t, scn.grid), t, scn)
-        z_ext = np.concatenate([bv.gl_z, z, bv.gr_z])
-        w_ext = np.concatenate([bv.gl_w, w, bv.gr_w])
+        gl = boundary_update(Field(z, w, t, scn.grid), t, scn).gl
+        z_ext = np.concatenate([gl[0], z, arrays["gr"][0]])
+        w_ext = np.concatenate([gl[1], w, arrays["gr"][1]])
         lam1e, lam2e = speeds_zw(z_ext, w_ext, scn.law)
         z_x = _upwind_gradient(z_ext, lam1e, scn.grid.dx, scn.order)
         w_x = _upwind_gradient(w_ext, lam2e, scn.grid.dx, scn.order)
-        sz, sw = solver.source_pair(z, w, scn.runtime_arrays()["a"], scn.law)
+        sz, sw = solver.source_pair(w - z, w + z, arrays["coef"])
         return -lam1e[2:-2] * z_x + sz, -lam2e[2:-2] * w_x + sw
 
     z, w, t = fld.z, fld.w, fld.t
@@ -88,17 +91,22 @@ def _bitwise(a, b):
 class TestTwoRowKernel:
     @pytest.mark.parametrize("name", ["p1_desk", "p2_desk", "p3_desk"])
     @pytest.mark.parametrize("order", [1, 2])
-    def test_matches_row_by_row_steps(self, name, order):
+    def test_matches_row_by_row_steps(self, name, order, monkeypatch):
+        # A pad as wide as the grid keeps every cell active, as the
+        # reference steps are.
+        monkeypatch.setattr(solver, "ACTIVE_PAD_SIGMAS", 10 ** 6)
         scn = desk_scenario(name, n=100, T=0.3, order=order)
         traj, final = run(scn)
+        assert np.all(scn.active_cells(traj.times[:-1]) == scn.grid.n)
         m = scn.trusted_cells
         fld = scn.initial_field()
         for k, dt in enumerate(traj.dts[1:], start=1):
+            fld.t = traj.times[k - 1]  # the run's step times, as P2 reads them
             fld = _row_by_row_step(fld, dt, scn)
             assert _bitwise(fld.z[:m], traj.z[k]), k
             assert _bitwise(fld.w[:m], traj.w[k]), k
         assert _bitwise(fld.z, final.z) and _bitwise(fld.w, final.w)
-        assert fld.t == final.t
+        assert final.t == traj.times[-1] == scn.T
         direct = step(scn.initial_field(), traj.dts[1], scn)
         assert _bitwise(direct.z[:m], traj.z[1]) and _bitwise(direct.w[:m], traj.w[1])
 
@@ -145,15 +153,22 @@ class TestSignResolvedStage:
         assert len(calls) == order
 
     @pytest.mark.parametrize("name", ["p1_desk", "p2_desk", "p3_desk"])
-    def test_run_takes_the_stable_step_of_the_cell_speeds(self, name):
+    def test_run_takes_the_certified_step(self, name, monkeypatch):
+        monkeypatch.setattr(solver, "ACTIVE_PAD_SIGMAS", 10 ** 6)
         scn = desk_scenario(name, n=100, T=0.3)
         traj, _ = run(scn)
+        K, lam = scn.steps, scn.speed_bounds.lambda_abs_max
+        assert K == math.ceil(scn.T * lam / (scn.cfl * scn.grid.dx))
+        assert lam * scn.T / K <= scn.cfl * scn.grid.dx
+        assert len(traj.dts) == K + 1 and np.all(traj.dts[1:] == scn.T / K)
+        assert np.array_equal(traj.times, np.linspace(0.0, scn.T, K + 1))
+        assert traj.times[-1] == scn.T
         fld = scn.initial_field()
-        for k in range(1, len(traj.dts)):
-            dt = field_dt(fld, scn.law, scn.cfl, t_end=scn.T)
-            assert dt == traj.dts[k], k
-            fld = _row_by_row_step(fld, dt, scn)
-        assert fld.t == traj.times[-1]
+        for k in range(1, K + 1):
+            fld = _row_by_row_step(fld, scn.T / K, scn)
+            fld.t = traj.times[k]
+            assert _bitwise(fld.z[:scn.trusted_cells], traj.z[k]), k
+            assert _bitwise(fld.w[:scn.trusted_cells], traj.w[k]), k
 
     @pytest.mark.parametrize("name,general", [("p1_desk", True), ("p2_desk", False),
                                               ("p3_desk", False)])
@@ -170,6 +185,52 @@ class TestSignResolvedStage:
         else:
             traj, final = run(scn)
             assert len(traj.times) > 3 and final.t == scn.T
+
+
+class TestActiveCells:
+    """A step evolves only the cells the stored columns can depend on, plus
+    a pad against the scheme's numerical diffusion."""
+
+    @pytest.mark.parametrize("name", ["p1_desk", "p2_desk", "p3_desk"])
+    @pytest.mark.parametrize("n", [100, 2000])
+    def test_active_cells_cover_the_stored_columns(self, name, n):
+        scn = desk_scenario(name, n=n)
+        active = scn.active_cells(scn.step_times[:-1])
+        assert active.shape == (scn.steps,)
+        assert np.all(active >= scn.trusted_cells + 2) and np.all(active <= n)
+        assert np.all(np.diff(active) <= 0)
+
+    @pytest.mark.parametrize("name, n", [("p1_desk", 300), ("p2_desk", 150),
+                                         ("p3_desk", 250)])
+    def test_truncation_leak_is_round_off(self, name, n, monkeypatch):
+        scn = desk_scenario(name, n=n)
+        assert scn.active_cells(scn.step_times[:-1])[-1] < n  # it truncates
+        traj, _ = run(scn)
+        monkeypatch.setattr(solver, "ACTIVE_PAD_SIGMAS", 10 ** 6)
+        full, _ = run(desk_scenario(name, n=n))
+        assert np.array_equal(traj.times, full.times) and np.array_equal(traj.dts, full.dts)
+        for key in ("z", "w", "z_edge", "w_edge"):
+            a, b = getattr(traj, key), getattr(full, key)
+            assert a.shape == b.shape and float(np.abs(a - b).max()) <= 1e-13, key
+
+    @pytest.mark.parametrize("name, n", [("p1_desk", 300), ("p2_desk", 150),
+                                         ("p3_desk", 250)])
+    def test_cells_past_the_active_ones_are_never_read(self, name, n, monkeypatch):
+        # Negative control: after each step, every cell it left out but the
+        # two right ghosts of its active ones becomes NaN.
+        traj, _ = run(desk_scenario(name, n=n))
+        plain = solver.step
+
+        def garbling(fld, dt, scn, bv=None):
+            new = plain(fld, dt, scn, bv)
+            new.state[new.z.size + 4:] = np.nan
+            return new
+
+        monkeypatch.setattr(solver, "step", garbling)
+        garbled, final = run(desk_scenario(name, n=n))
+        assert np.isnan(final.z).any()  # the control did plant garbage
+        for key in ("times", "dts", "z", "w", "z_edge", "w_edge"):
+            assert _bitwise(getattr(traj, key), getattr(garbled, key)), key
 
 
 class TestSourceUpdate:
@@ -253,8 +314,8 @@ class TestBoundaries:
         fld = scn.initial_field()
         bv = boundary_update(fld, 0.0, scn)
         assert bv.w_edge == pytest.approx(-bv.z_edge, abs=0.0)
-        assert bv.gl_w[1] == pytest.approx(-fld.z[0])
-        assert bv.gl_z[1] == pytest.approx(-fld.w[0])
+        assert bv.gl[1][1] == pytest.approx(-fld.z[0])
+        assert bv.gl[0][1] == pytest.approx(-fld.w[0])
 
     def test_wall_needs_subsonic_state(self, law53):
         # rightward supersonic state cannot satisfy the wall condition
