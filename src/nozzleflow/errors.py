@@ -21,10 +21,6 @@ class PoleError(NozzleflowError):
     """Evaluation at a pole of a formula (r = +-1, sonic speed in a divisor)."""
 
 
-class SonicBoundaryError(NozzleflowError):
-    """Boundary state does not have the characteristic signs the problem needs."""
-
-
 class CertificateFailure(NozzleflowError):
     """A derived bound that the certificates guarantee positive came out <= 0."""
 
@@ -37,14 +33,23 @@ class SearchError(NozzleflowError):
     """Internal root/feasibility search failed to bracket or converge."""
 
 
-class BlowUpError(NozzleflowError):
-    """Numerical solution left the finite range; carries the failure location."""
+class RunAbortedError(NozzleflowError):
+    """The run cannot go on; carries the failure time and cell, and
+    ``solver.run`` attaches the partial trajectory."""
 
     def __init__(self, message, t=None, cell=None, trajectory=None):
         super().__init__(message)
         self.t = t
         self.cell = cell
         self.trajectory = trajectory
+
+
+class BlowUpError(RunAbortedError):
+    """Numerical solution left the finite range."""
+
+
+class SonicBoundaryError(RunAbortedError):
+    """Boundary state does not have the characteristic signs the problem needs."""
 
 
 class ExpressionError(NozzleflowError):

@@ -1,6 +1,13 @@
 """Pre-run certification, runtime monitors, independent cross-checks and
 artifact emission for scenario runs.
 
+``run_scenario`` certifies a scenario, runs it, and then evaluates the
+monitors on the stored run (``monitor_report``).  A run that blows up, or
+whose wall turns sonic, ends in exit 4 and saves its partial trajectory;
+else a vacuum state ends it in exit 3; else the characteristic post-pass
+and the conservative residual follow.  Both early ends write the monitor
+report and skip the post-pass.
+
 Exit codes: 0 clean, 2 certification failed, 3 a runtime monitor or bound
 check failed, 4 numerical blow-up; the CLI adds 64 (usage), 65 (bad config)
 and 66 (cannot open input).
@@ -10,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +24,8 @@ import numpy as np
 
 from . import characteristics as chars
 from .config import load_config, parse_config_text
-from .errors import BlowUpError, InvalidStateError, TrajectoryFileError, VacuumStateError
+from .errors import (InvalidStateError, RunAbortedError, TrajectoryFileError,
+                     VacuumStateError)
 from .model import VACUUM_GAP, pressure, rho_zw, speeds_zw
 from .region import (EXACT, Certificate, check_h1, check_hypothesis,
                      critical_constants, envelopes, face_margins,
@@ -126,6 +133,7 @@ def certify(scn: Scenario) -> CertBundle:
 class MonitorReport:
     times: np.ndarray
     min_margins: dict
+    margin_argmin: dict
     min_gap: np.ndarray
     max_abs_zx: np.ndarray
     max_abs_wx: np.ndarray
@@ -145,6 +153,51 @@ class MonitorReport:
     finite_ok: bool
     edge_ok: bool
     first_violation: dict | None
+
+    @classmethod
+    def from_series(cls, scn: Scenario, series: dict, finite_ok: bool) -> "MonitorReport":
+        """The report of the per-step ``series`` of a run of ``scn``: 1-D
+        arrays by name (``t``, ``gap``, ``zx``, ``wx``, ``zt``, ``wt``,
+        ``phi_min``, ``phi_max``, ``psi_min``, ``psi_max``, ``edge``), and
+        the window cell and value of each face's least margin as dicts by
+        face (``argmin``, ``margin``)."""
+        times, margins = series["t"], series["margin"]
+        # Causal tolerance: each step is judged with the Lipschitz estimate
+        # accumulated so far, so bad data cannot launder its own violation by
+        # inflating the later estimate.
+        lip_series = np.maximum.accumulate(np.maximum(series["zx"], series["wx"]))
+        lip = float(lip_series[-1]) if lip_series.size else 0.0
+        tol_series = MARGIN_TOL_FACTOR * scn.grid.dx * lip_series
+        tol = MARGIN_TOL_FACTOR * scn.grid.dx * lip
+        C3 = scn.speed_bounds.C3
+        worst_val, first = math.inf, None
+        for face in _FACES:
+            vals = margins[face]
+            bad = np.nonzero(vals < -tol_series)[0]
+            if bad.size and (first is None or bad[0] < first["step"]):
+                k = int(bad[0])
+                first = {"step": k, "t": float(times[k]), "face": face,
+                         "cell": int(series["argmin"][face][k]),
+                         "margin": float(vals[k]),
+                         "inequality": f"margin {face} >= -tol"}
+            worst_val = min(worst_val, float(vals.min()))
+        gap_min = float(series["gap"].min())
+        return cls(
+            times=times, min_margins=margins, margin_argmin=series["argmin"],
+            min_gap=series["gap"], max_abs_zx=series["zx"], max_abs_wx=series["wx"],
+            max_abs_zt=series["zt"], max_abs_wt=series["wt"],
+            phi_min=series["phi_min"], phi_max=series["phi_max"],
+            psi_min=series["psi_min"], psi_max=series["psi_max"],
+            edge_defect=series["edge"], lip_estimate=lip, margin_tol=tol, C3=C3,
+            containment_ok_raw=worst_val >= 0.0, containment_ok=first is None,
+            vacuum_ok=gap_min >= C3 - tol and gap_min >= VACUUM_GAP,
+            finite_ok=finite_ok, edge_ok=bool(series["edge"].max(initial=0.0) <= 1e-12),
+            first_violation=first)
+
+    @property
+    def reached_vacuum(self) -> bool:
+        """A step's w - z fell below the vacuum gap somewhere in the window."""
+        return bool(self.min_gap.min() < VACUUM_GAP)
 
     @property
     def ok(self) -> bool:
@@ -185,157 +238,74 @@ class MonitorReport:
         }
 
 
-#: Steps the monitors buffer before they evaluate them as one block.
+#: Stored steps the monitors evaluate as one block.
 _BLOCK = 64
 
 
-class Monitors:
-    """Per-step observers: containment margins over the reporting window,
-    vacuum gap, derivative extremes, functional extremes, edge defect.
+def monitor_report(traj: Trajectory) -> MonitorReport:
+    """Runtime monitors of a stored run, one series entry per step:
+    containment margins over the reporting window, vacuum gap, derivative
+    extremes, functional extremes, edge defect.
 
-    ``observe`` only copies a step's window (plus the one cell its central
-    gradient reads) and its scalars into a buffer; every ``_BLOCK`` steps,
-    and in ``finalize``, the buffered steps are evaluated at once as
-    (step, cell) arrays.  Each cell still takes exactly the elementwise
-    operations of a step-by-step evaluation, and every reduction is a min,
-    max or argmin along the cells of one step, so every series, argmin cell
-    and flag is bitwise the per-step result.  ``observe`` takes consecutive
-    states, as ``solver.run`` gives them: the time rates compare a step with
-    the one observed before it.
-
-    A vacuum state raises ``VacuumStateError`` when its block is evaluated,
-    possibly after the run went on past it, and after the block is recorded
-    (Phi and Psi up to the vacuum), so ``finalize`` still reports the run."""
-
-    def __init__(self, scn: Scenario):
-        self.scn = scn
-        arrays = scn.runtime_arrays()
-        # The window is a leading run of cells (x increases along the grid).
-        self.cells = int(arrays["window"].sum())
-        self.faces = envelopes(scn.region, arrays["s"][:self.cells])
-        self.a_win = arrays["a"][:self.cells]
-        self.dx = scn.grid.dx
-        self.series = {key: [] for key in
-                       ("t", "gap", "zx", "wx", "zt", "wt", "phi_min", "phi_max",
-                        "psi_min", "psi_max", "edge")}
-        self.margin_series = {face: [] for face in _FACES}
-        self.margin_argmin = {face: [] for face in _FACES}
-        self.finite_ok = True
-        self.vacuum_seen = False
-        # Row 0 holds the last step of the previous block, for the rates.
-        self._zw = np.zeros((_BLOCK + 1, 2, min(self.cells + 1, scn.grid.n)))
-        self._filled = 1
-        self._steps = {key: [] for key in ("t", "dt", "rate", "z_edge", "w_edge")}
-
-    def observe(self, fld, bv, prev, dt):
-        cols = self._zw.shape[2]
-        row = self._zw[self._filled]
-        row[0] = fld.z[:cols]
-        row[1] = fld.w[:cols]
-        steps = self._steps
-        steps["t"].append(fld.t)
-        steps["dt"].append(dt)
-        steps["rate"].append(prev is not None and dt > 0.0)
-        steps["z_edge"].append(bv.z_edge)
-        steps["w_edge"].append(bv.w_edge)
-        self._filled += 1
-        if self._filled == len(self._zw):
-            self._flush()
-
-    def _flush(self):
-        """Evaluate the buffered steps and append them to the series."""
-        count = self._filled - 1
-        if not count:
-            return
-        cells, series = self.cells, self.series
-        block = self._zw[:count + 1]
-        z, w = block[1:, 0, :cells], block[1:, 1, :cells]
-        steps = {key: np.asarray(vals) for key, vals in self._steps.items()}
-        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(w))):
-            self.finite_ok = False
-        margins = face_margins(z, w, self.faces)
-        rows = np.arange(count)
+    The steps are evaluated ``_BLOCK`` at a time, as (step, cell) views of
+    ``traj.z`` and ``traj.w``; the time rates compare each step with the row
+    before it.  Each cell takes exactly the elementwise operations of a
+    step-by-step evaluation, and every reduction is a min, max or argmin
+    along the cells of one step, so every series, argmin cell and flag is
+    bitwise the per-step result.  The evaluation ends with the first block
+    that holds a vacuum state, whose Phi and Psi are left out: the vacuum
+    fails the ``vacuum`` flag (``MonitorReport.reached_vacuum``)."""
+    scn = traj.scenario
+    arrays = scn.runtime_arrays()
+    # The window is a leading run of cells (x increases along the grid), and
+    # the central gradient at its last cell reads the next one.
+    cells = int(arrays["window"].sum())
+    cols = min(cells + 1, traj.z.shape[1])
+    faces = envelopes(scn.region, arrays["s"][:cells])
+    a_win, dx, dts = arrays["a"][:cells], scn.grid.dx, traj.dts
+    parts = {key: [] for key in ("gap", "zx", "wx", "zt", "wt", "phi_min", "phi_max",
+                                 "psi_min", "psi_max", "edge")}
+    margin = {face: [] for face in _FACES}
+    argmin = {face: [] for face in _FACES}
+    finite_ok = True
+    for lo in range(0, len(traj.times), _BLOCK):
+        hi = min(lo + _BLOCK, len(traj.times))
+        zc, wc = traj.z[lo:hi, :cols], traj.w[lo:hi, :cols]
+        z, w = zc[:, :cells], wc[:, :cells]
+        finite_ok = finite_ok and bool(np.all(np.isfinite(z)) and np.all(np.isfinite(w)))
+        margins = face_margins(z, w, faces)
+        rows = np.arange(hi - lo)
         for face in _FACES:
-            arr = margins[face]
-            i = np.argmin(arr, axis=1)
-            self.margin_series[face].extend(arr[rows, i].tolist())
-            self.margin_argmin[face].extend(i.tolist())
-        series["t"].extend(steps["t"].tolist())
-        series["gap"].extend((w - z).min(axis=1).tolist())
-        zx = np.gradient(block[1:, 0], self.dx, axis=1)[:, :cells]
-        wx = np.gradient(block[1:, 1], self.dx, axis=1)[:, :cells]
-        series["zx"].extend(np.abs(zx).max(axis=1).tolist())
-        series["wx"].extend(np.abs(wx).max(axis=1).tolist())
-        rate = steps["rate"]
-        if rate.any():
-            change = np.abs(block[1:, :, :cells][rate] - block[:-1, :, :cells][rate]).max(axis=2)
-            dt = steps["dt"][rate]
-            series["zt"].extend((change[:, 0] / dt).tolist())
-            series["wt"].extend((change[:, 1] / dt).tolist())
-        vacuum = np.flatnonzero((w - z < VACUUM_GAP).any(axis=1))
-        sound = int(vacuum[0]) if vacuum.size else count
-        phi, psi = phi_psi_zw(z[:sound], w[:sound], zx[:sound], wx[:sound],
-                              self.a_win, self.scn.law)
-        series["phi_min"].extend(phi.min(axis=1).tolist())
-        series["phi_max"].extend(phi.max(axis=1).tolist())
-        series["psi_min"].extend(psi.min(axis=1).tolist())
-        series["psi_max"].extend(psi.max(axis=1).tolist())
-        edge = (np.abs(steps["z_edge"] + steps["w_edge"]) if self.scn.problem == "P1"
-                else np.zeros(count))
-        series["edge"].extend(edge.tolist())
-        self._zw[0] = block[-1]
-        self._filled = 1
-        for vals in self._steps.values():
-            vals.clear()
-        if sound < count:
-            self.vacuum_seen = True
-            raise VacuumStateError(f"w - z below the vacuum gap at t = {steps['t'][sound]:.6g}")
-
-    def finalize(self) -> MonitorReport:
-        self._flush()
-        times = np.asarray(self.series["t"])
-        min_margins = {face: np.asarray(vals) for face, vals in self.margin_series.items()}
-        # Causal tolerance: each step is judged with the Lipschitz estimate
-        # accumulated so far, so bad data cannot launder its own violation by
-        # inflating the later estimate.
-        lip_series = np.maximum.accumulate(
-            np.maximum(np.asarray(self.series["zx"]), np.asarray(self.series["wx"])))
-        lip = float(lip_series[-1]) if lip_series.size else 0.0
-        tol_series = MARGIN_TOL_FACTOR * self.dx * lip_series
-        tol = MARGIN_TOL_FACTOR * self.dx * lip
-        C3 = self.scn.speed_bounds.C3
-        worst_face, worst_val, first = None, math.inf, None
-        for face in _FACES:
-            vals = min_margins[face]
-            bad = np.nonzero(vals < -tol_series)[0]
-            if bad.size and (first is None or bad[0] < first["step"]):
-                k = int(bad[0])
-                first = {"step": k, "t": float(times[k]), "face": face,
-                         "cell": int(self.margin_argmin[face][k]),
-                         "margin": float(vals[k]),
-                         "inequality": f"margin {face} >= -tol"}
-            if vals.min() < worst_val:
-                worst_val, worst_face = float(vals.min()), face
-        containment_raw = worst_val >= 0.0
-        containment = first is None
-        min_gap = np.asarray(self.series["gap"])
-        vacuum_ok = bool(min_gap.min() >= C3 - tol) and not self.vacuum_seen
-        edge = np.asarray(self.series["edge"])
-        edge_ok = bool(edge.max(initial=0.0) <= 1e-12)
-        return MonitorReport(
-            times=times, min_margins=min_margins, min_gap=min_gap,
-            max_abs_zx=np.asarray(self.series["zx"]),
-            max_abs_wx=np.asarray(self.series["wx"]),
-            max_abs_zt=np.asarray(self.series["zt"]),
-            max_abs_wt=np.asarray(self.series["wt"]),
-            phi_min=np.asarray(self.series["phi_min"]),
-            phi_max=np.asarray(self.series["phi_max"]),
-            psi_min=np.asarray(self.series["psi_min"]),
-            psi_max=np.asarray(self.series["psi_max"]),
-            edge_defect=edge, lip_estimate=lip, margin_tol=tol, C3=C3,
-            containment_ok_raw=containment_raw, containment_ok=containment,
-            vacuum_ok=vacuum_ok, finite_ok=self.finite_ok, edge_ok=edge_ok,
-            first_violation=first)
+            i = np.argmin(margins[face], axis=1)
+            margin[face].append(margins[face][rows, i])
+            argmin[face].append(i)
+        gap = w - z
+        parts["gap"].append(gap.min(axis=1))
+        zx = np.gradient(zc, dx, axis=1)[:, :cells]
+        wx = np.gradient(wc, dx, axis=1)[:, :cells]
+        parts["zx"].append(np.abs(zx).max(axis=1))
+        parts["wx"].append(np.abs(wx).max(axis=1))
+        k = max(lo, 1)
+        moved = dts[k:hi] > 0.0
+        for name, u in (("zt", traj.z), ("wt", traj.w)):
+            change = np.abs(u[k:hi, :cells] - u[k - 1:hi - 1, :cells])[moved].max(axis=1)
+            parts[name].append(change / dts[k:hi][moved])
+        vacuum = np.flatnonzero((gap < VACUUM_GAP).any(axis=1))
+        sound = int(vacuum[0]) if vacuum.size else hi - lo
+        phi, psi = phi_psi_zw(z[:sound], w[:sound], zx[:sound], wx[:sound], a_win, scn.law)
+        parts["phi_min"].append(phi.min(axis=1))
+        parts["phi_max"].append(phi.max(axis=1))
+        parts["psi_min"].append(psi.min(axis=1))
+        parts["psi_max"].append(psi.max(axis=1))
+        parts["edge"].append(np.abs(traj.z_edge[lo:hi] + traj.w_edge[lo:hi])
+                             if scn.problem == "P1" else np.zeros(hi - lo))
+        if vacuum.size:
+            break
+    series = {key: np.concatenate(vals) for key, vals in parts.items()}
+    series["margin"] = {face: np.concatenate(vals) for face, vals in margin.items()}
+    series["argmin"] = {face: np.concatenate(vals) for face, vals in argmin.items()}
+    series["t"] = traj.times[:hi]
+    return MonitorReport.from_series(scn, series, finite_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -654,24 +624,23 @@ def run_scenario(config, out_dir, force: bool = False, quiet: bool = True) -> in
         return EXIT_CERT
     report["certification_overridden"] = bool(not bundle.passed and force)
 
-    monitors = Monitors(scn)
     try:
-        traj, _ = run(scn, monitors)
-        mrep = monitors.finalize()
-    except (BlowUpError, VacuumStateError) as err:
-        # The monitors record a vacuum state's block before they raise, and
-        # the vacuum fails their flag; a blow-up later in that block is still
-        # what ended the run.
-        with suppress(VacuumStateError):
-            monitors._flush()
-        blown = isinstance(err, BlowUpError)
-        report["exit_code"] = EXIT_BLOWUP if blown else EXIT_MONITOR
-        if blown:
-            err.trajectory.save(out / "trajectory.npz")
-            report["blow_up"] = {"t": err.t, "cell": err.cell, "message": str(err)}
-        report["monitors"] = _write_monitors(monitors.finalize(), out)
+        traj, _ = run(scn)
+        ended = None
+    except RunAbortedError as err:
+        if err.trajectory is None:  # the data at t = 0 fail the wall check
+            raise
+        traj, ended = err.trajectory, err
+    mrep = monitor_report(traj)
+    if ended is not None or mrep.reached_vacuum:
+        # A run that ended early has no post-pass, nor has one past a vacuum.
+        report["exit_code"] = EXIT_BLOWUP if ended else EXIT_MONITOR
+        if ended:
+            traj.save(out / "trajectory.npz")
+            report["blow_up"] = {"t": ended.t, "cell": ended.cell, "message": str(ended)}
+        report["monitors"] = _write_monitors(mrep, out)
         _write_json(report, out / "report.json")
-        say(f"blow-up: {err}" if blown else f"monitor violation: {err}")
+        say(f"blow-up: {ended}" if ended else "monitor violation: w - z below the vacuum gap")
         return report["exit_code"]
 
     post = characteristic_pass(traj)

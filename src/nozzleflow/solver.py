@@ -12,7 +12,7 @@ speed by ``lambda_abs_max`` before the run starts, so ``run`` takes
 ``K = ceil(T*lambda_abs_max/(cfl*dx))`` steps of ``dt = T/K``
 (``Scenario.steps``, ``Scenario.dt``).  With ``cfl <= 1`` that step is
 stable for as long as the state stays in the region, which the monitors
-check.
+check on the stored run afterwards (``harness.monitor_report``).
 
 One rule says where the stored solution can be trusted: ``Scenario.reach(t)``
 is the right end of the trusted domain at time t.  The invariant region bounds
@@ -72,8 +72,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (BlowUpError, DomainError, SonicBoundaryError,
-                     TrajectoryFileError)
+from .errors import (BlowUpError, DomainError, RunAbortedError,
+                     SonicBoundaryError, TrajectoryFileError)
 from .model import GasLaw, source_coef, source_pair_zw, speeds_zw
 from .region import NozzleProfile, RegionSpec, SpeedBounds, region_speed_bounds
 
@@ -257,6 +257,10 @@ class Scenario:
             x = grid.cells()
             ghost_x = np.array([grid.x_max + 0.5 * grid.dx, grid.x_max + 1.5 * grid.dx])
             a = np.asarray(self.profile.a(x), dtype=float)
+            # cum_abar interpolates a table that its first call sizes; sized
+            # at x_max, as ``certify`` sizes it, the margins of a run and of
+            # its reloaded file agree.
+            self.profile.cum_abar(grid.x_max)
             self._cache["arrays"] = {
                 "x": x,
                 "a": a,
@@ -296,7 +300,7 @@ def boundary_update(fld: Field, t: float, scn: Scenario) -> BoundaryValues:
         if not (lam1 < 0.0 < lam2):
             raise SonicBoundaryError(
                 f"wall boundary needs lambda1 < 0 < lambda2, got "
-                f"({float(lam1):.6g}, {float(lam2):.6g}) at t={t:.6g}")
+                f"({float(lam1):.6g}, {float(lam2):.6g}) at t={t:.6g}", t=t)
         # Mirrored: the ghosts of each row are the other row's cells, negated.
         gl = [[-other[1], -other[0]] for other in ((w0, w1), (z0, z1))]
     elif scn.problem == "P2":
@@ -634,30 +638,25 @@ class Trajectory:
                                               allow_pickle=False)
 
 
-def run(scn: Scenario, monitors=None):
+def run(scn: Scenario):
     """Integrate to T in ``scn.steps`` steps of ``scn.dt``, each on the
-    ``scn.active_cells`` of its start, observing monitors and storing a
-    snapshot every step.  Returns (trajectory, field); the monitors, the
-    trajectory and the returned field see the whole grid.  A numerical
-    blow-up aborts with the partial trajectory attached."""
+    ``scn.active_cells`` of its start, storing a snapshot every step.
+    Returns (trajectory, field); the returned field covers the whole grid.
+    A numerical blow-up, or a wall that turns sonic after t = 0, aborts the
+    run with the partial trajectory attached to the error."""
     fld = scn.initial_field()
     traj = Trajectory(scn)
     bv = boundary_update(fld, 0.0, scn)
     traj.append(fld, 0.0, bv)
-    if monitors is not None:
-        monitors.observe(fld, bv, None, 0.0)
     times, n, dt = scn.step_times, scn.grid.n, scn.dt
     state = _state_of(fld, scn)
     try:
         for k, m in enumerate(scn.active_cells(times[:-1]).tolist()):
-            state = step(_leading(state, m, times[k], fld.grid), dt, scn, bv).state
-            new = _leading(state, n, times[k + 1], fld.grid)
-            bv = boundary_update(new, new.t, scn)
-            if monitors is not None:
-                monitors.observe(new, bv, fld, dt)
-            traj.append(new, dt, bv)
-            fld = new
-    except BlowUpError as err:
+            state = step(_leading(state, m, times[k], scn.grid), dt, scn, bv).state
+            fld = _leading(state, n, times[k + 1], scn.grid)
+            bv = boundary_update(fld, fld.t, scn)
+            traj.append(fld, dt, bv)
+    except RunAbortedError as err:
         err.trajectory = traj.finalize(blown_up=True)
         raise
     return traj.finalize(), fld

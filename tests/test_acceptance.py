@@ -18,9 +18,8 @@ from test_riccati import random_states, reference_coeffs
 
 from nozzleflow import solver
 from nozzleflow.characteristics import bound_check, launch_fan, riccati_residual
-from nozzleflow.harness import (Monitors, characteristic_pass,
-                                conservative_residual, load_trajectory,
-                                run_scenario)
+from nozzleflow.harness import (characteristic_pass, conservative_residual,
+                                load_trajectory, run_scenario)
 from nozzleflow.model import GasLaw, rho_zw
 from nozzleflow.region import (check_hypothesis, critical_constants, RegionSpec,
                                zero_profile)

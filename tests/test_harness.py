@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import zipfile
@@ -13,13 +14,13 @@ from nozzleflow.cli import main
 from nozzleflow.config import load_config
 from nozzleflow.errors import BlowUpError, VacuumStateError
 from nozzleflow.harness import (_BLOCK, _FACES, EXIT_BLOWUP, EXIT_CERT,
-                                EXIT_DATAERR, EXIT_MONITOR, EXIT_OK, Monitors,
-                                certify, characteristic_pass,
+                                EXIT_DATAERR, EXIT_MONITOR, EXIT_OK,
+                                MonitorReport, certify, characteristic_pass,
                                 conservative_residual, load_trajectory,
-                                run_scenario, write_fields_csv)
+                                monitor_report, run_scenario, write_fields_csv)
 from nozzleflow.region import membership_margins
 from nozzleflow.riccati import phi_psi_zw
-from nozzleflow.solver import Trajectory, run
+from nozzleflow.solver import Trajectory, run, step
 
 SMALL = {"n = 2000": "n = 300", "T = 5.0": "T = 1.0"}
 
@@ -27,9 +28,8 @@ SMALL = {"n = 2000": "n = 300", "T = 5.0": "T = 1.0"}
 @pytest.fixture(scope="module")
 def p1_small_run():
     scn = desk_scenario("p1_desk", n=300, T=1.0)
-    monitors = Monitors(scn)
-    traj, final = run(scn, monitors)
-    return scn, traj, monitors.finalize()
+    traj, _ = run(scn)
+    return scn, traj, monitor_report(traj)
 
 
 class TestCertify:
@@ -109,56 +109,74 @@ class TestMonitors:
         assert payload["steps"] > 0
 
 
-class _PerStepMonitors(Monitors):
-    """The monitors as they were before block evaluation: each step on its
-    own, gradients and time differences over the whole grid.  Kept as the
-    reference the block evaluation must match bitwise."""
+@contextlib.contextmanager
+def _recording_steps(scn):
+    """Within the block, ``solver.step`` (which ``run`` calls through the
+    module) keeps the full-width z and w of every state it returns, in the
+    lists it yields, after those of the initial field of ``scn``."""
+    first = scn.initial_field()
+    z, w = [first.z.copy()], [first.w.copy()]
 
-    def __init__(self, scn):
-        super().__init__(scn)
-        arrays = scn.runtime_arrays()
-        self.window = arrays["window"]
-        self.s_win = arrays["s"][self.window]
-        self.a_win = arrays["a"][self.window]
+    def recording(*args, **kwargs):
+        new = step(*args, **kwargs)
+        cells = new.state[2:-2]
+        z.append(cells[:, 0].copy())
+        w.append(cells[:, 1].copy())
+        return new
 
-    def observe(self, fld, bv, prev, dt):
-        z = fld.z[self.window]
-        w = fld.w[self.window]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "step", recording)
+        yield z, w
+
+
+def _per_step_report(scn, zs, ws) -> MonitorReport:
+    """The monitors as they were before block evaluation: each step of the
+    full-width fields ``zs``, ``ws`` on its own, gradients and time
+    differences over the whole grid.  Kept as the reference the block
+    evaluation must match bitwise; a vacuum state raises VacuumStateError."""
+    arrays = scn.runtime_arrays()
+    window = arrays["window"]
+    s_win, a_win = arrays["s"][window], arrays["a"][window]
+    dx, dt, times = scn.grid.dx, scn.dt, scn.step_times
+    series = {key: [] for key in ("gap", "zx", "wx", "zt", "wt", "phi_min", "phi_max",
+                                  "psi_min", "psi_max", "edge")}
+    margin = {face: [] for face in _FACES}
+    argmin = {face: [] for face in _FACES}
+    finite_ok = True
+    for k, (z_full, w_full) in enumerate(zip(zs, ws)):
+        z, w = z_full[window], w_full[window]
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(w))):
-            self.finite_ok = False
-        margins = membership_margins(z, w, self.s_win, self.scn.region)
+            finite_ok = False
+        margins = membership_margins(z, w, s_win, scn.region)
         for face in _FACES:
             arr = margins[face]
             i = int(np.argmin(arr))
-            self.margin_series[face].append(float(arr[i]))
-            self.margin_argmin[face].append(i)
-        self.series["t"].append(fld.t)
-        self.series["gap"].append(float((w - z).min()))
-        zx = np.gradient(fld.z, self.dx)[self.window]
-        wx = np.gradient(fld.w, self.dx)[self.window]
-        self.series["zx"].append(float(np.abs(zx).max()))
-        self.series["wx"].append(float(np.abs(wx).max()))
-        if prev is not None and dt > 0.0:
-            self.series["zt"].append(float(np.abs((fld.z - prev.z)[self.window]).max() / dt))
-            self.series["wt"].append(float(np.abs((fld.w - prev.w)[self.window]).max() / dt))
-        phi, psi = phi_psi_zw(z, w, zx, wx, self.a_win, self.scn.law)
-        self.series["phi_min"].append(float(phi.min()))
-        self.series["phi_max"].append(float(phi.max()))
-        self.series["psi_min"].append(float(psi.min()))
-        self.series["psi_max"].append(float(psi.max()))
-        self.series["edge"].append(abs(bv.z_edge + bv.w_edge)
-                                   if self.scn.problem == "P1" else 0.0)
-
-
-class _Both:
-    """Hands every state of a run to the block and the per-step monitors."""
-
-    def __init__(self, scn):
-        self.block, self.reference = Monitors(scn), _PerStepMonitors(scn)
-
-    def observe(self, *args):
-        self.block.observe(*args)
-        self.reference.observe(*args)
+            margin[face].append(float(arr[i]))
+            argmin[face].append(i)
+        series["gap"].append(float((w - z).min()))
+        zx = np.gradient(z_full, dx)[window]
+        wx = np.gradient(w_full, dx)[window]
+        series["zx"].append(float(np.abs(zx).max()))
+        series["wx"].append(float(np.abs(wx).max()))
+        if k > 0 and dt > 0.0:
+            series["zt"].append(float(np.abs((z_full - zs[k - 1])[window]).max() / dt))
+            series["wt"].append(float(np.abs((w_full - ws[k - 1])[window]).max() / dt))
+        phi, psi = phi_psi_zw(z, w, zx, wx, a_win, scn.law)
+        series["phi_min"].append(float(phi.min()))
+        series["phi_max"].append(float(phi.max()))
+        series["psi_min"].append(float(psi.min()))
+        series["psi_max"].append(float(psi.max()))
+        if scn.problem == "P1":
+            bv = solver.boundary_update(solver.Field(z_full, w_full, times[k], scn.grid),
+                                        times[k], scn)
+            series["edge"].append(abs(bv.z_edge + bv.w_edge))
+        else:
+            series["edge"].append(0.0)
+    series = {key: np.asarray(vals) for key, vals in series.items()}
+    series["t"] = np.asarray(times[:len(zs)])
+    series["margin"] = {face: np.asarray(vals) for face, vals in margin.items()}
+    series["argmin"] = {face: np.asarray(vals) for face, vals in argmin.items()}
+    return MonitorReport.from_series(scn, series, finite_ok)
 
 
 _SERIES = ("times", "min_gap", "max_abs_zx", "max_abs_wx", "max_abs_zt",
@@ -167,14 +185,14 @@ _SCALARS = ("lip_estimate", "margin_tol", "C3", "containment_ok_raw",
             "containment_ok", "vacuum_ok", "finite_ok", "edge_ok", "first_violation")
 
 
-def _assert_block_matches_per_step(both):
-    got, want = both.block.finalize(), both.reference.finalize()
+def _assert_block_matches_per_step(traj, fields):
+    got, want = monitor_report(traj), _per_step_report(traj.scenario, *fields)
     for name in _SERIES:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     for face in _FACES:
         assert np.array_equal(got.min_margins[face], want.min_margins[face]), face
-    assert both.block.margin_argmin == both.reference.margin_argmin
+        assert np.array_equal(got.margin_argmin[face], want.margin_argmin[face]), face
     for name in _SCALARS:
         assert getattr(got, name) == getattr(want, name), name
     assert got.to_dict() == want.to_dict()
@@ -186,9 +204,9 @@ class TestBlockMonitors:
                                          ("p3_desk", 250)])
     def test_desk_runs_match_per_step(self, name, n):
         scn = desk_scenario(name, n=n)
-        both = _Both(scn)
-        run(scn, both)
-        report = _assert_block_matches_per_step(both)
+        with _recording_steps(scn) as fields:
+            traj, _ = run(scn)
+        report = _assert_block_matches_per_step(traj, fields)
         steps = len(report.times) - 1
         assert steps > _BLOCK and steps % _BLOCK != 0
         assert report.ok
@@ -196,60 +214,56 @@ class TestBlockMonitors:
     @pytest.mark.parametrize("T", [0.0, 1e-4])
     def test_runs_shorter_than_a_block(self, T):
         scn = desk_scenario("p3_desk", n=250, T=T)
-        both = _Both(scn)
-        traj, _ = run(scn, both)
-        report = _assert_block_matches_per_step(both)
+        with _recording_steps(scn) as fields:
+            traj, _ = run(scn)
+        report = _assert_block_matches_per_step(traj, fields)
         assert len(report.times) == len(traj.times) == (1 if T == 0.0 else 2)
         assert len(report.max_abs_zt) == len(report.times) - 1
 
     def test_out_of_region_data_flagged_at_step_zero(self):
         scn = desk_scenario("p1_desk", n=200, T=0.02)
         shifted = dataclasses.replace(scn, z0=lambda x, f=scn.z0: f(x) + 0.2)
-        both = _Both(shifted)
-        run(shifted, both)
-        report = _assert_block_matches_per_step(both)
+        with _recording_steps(shifted) as fields:
+            traj, _ = run(shifted)
+        report = _assert_block_matches_per_step(traj, fields)
         assert not report.containment_ok
         assert report.first_violation["step"] == 0
 
     @pytest.mark.parametrize("n, T", [(64, 0.05), (128, 5.0)])
     def test_vacuum_in_the_window_raises(self, law53, n, T):
         scn = uniform_scenario("P3", -3.0, -3.0, region_l(), law53, n=n, T=T)
+        with _recording_steps(scn) as fields:
+            traj, _ = run(scn)
         with pytest.raises(VacuumStateError):
-            run(scn, _PerStepMonitors(scn))
-        monitors = Monitors(scn)
-        if T < 1.0:  # 10 steps: the error comes with the last block
-            run(scn, monitors)
-            with pytest.raises(VacuumStateError):
-                monitors.finalize()
-        else:  # 122 steps: the first full block raises inside the run
-            with pytest.raises(VacuumStateError):
-                run(scn, monitors)
+            _per_step_report(scn, *fields)
+        # The vacuum is at step 0; the series end with its block: all 10
+        # steps of the short run, the first 64 of the 122-step one.
+        report = monitor_report(traj)
+        assert report.reached_vacuum and not report.vacuum_ok
+        assert len(report.times) == len(report.min_gap) == min(_BLOCK, len(traj.times))
+        assert len(report.phi_min) == 0
 
     def test_vacuum_before_a_blow_up_is_the_error_reported(self, tmp_path):
         # At n = 100 this unstable run reaches a vacuum state in the window
         # some steps before it blows up, inside one block.
         cfl2 = {"n = 2000": "n = 100", "cfl = 0.9": "cfl = 2.0"}
         scn = load_config(small_config("p1_desk", tmp_path, cfl2)).to_scenario()
+        with _recording_steps(scn) as fields, pytest.raises(BlowUpError) as err:
+            run(scn)
         with pytest.raises(VacuumStateError):
-            run(scn, _PerStepMonitors(scn))
-        monitors = Monitors(scn)
-        with pytest.raises(BlowUpError):
-            run(scn, monitors)
-        with pytest.raises(VacuumStateError):
-            monitors.finalize()
-        # The block is recorded before the error is raised.
-        report = monitors.finalize()
-        assert not report.vacuum_ok
+            _per_step_report(scn, *fields)
+        # The block of the vacuum is recorded, with Phi and Psi up to it.
+        report = monitor_report(err.value.trajectory)
+        assert report.reached_vacuum and not report.vacuum_ok
         assert len(report.times) == len(report.min_gap) > len(report.phi_min)
 
     def test_blow_up_reports_the_partial_series(self):
         # This unstable run blows up at step 81 of 104, with no vacuum state
         # in the window before (at cfl = 2 a vacuum comes first).
         scn = desk_scenario("p1_desk", n=300, T=5.0, cfl=1.44)
-        both = _Both(scn)
-        with pytest.raises(BlowUpError) as err:
-            run(scn, both)
-        report = _assert_block_matches_per_step(both)
+        with _recording_steps(scn) as fields, pytest.raises(BlowUpError) as err:
+            run(scn)
+        report = _assert_block_matches_per_step(err.value.trajectory, fields)
         assert len(report.times) == len(err.value.trajectory.times)
         assert len(report.times) > 1
 
@@ -324,9 +338,9 @@ class TestRunScenario:
         pytest.param(120, "1.25", EXIT_MONITOR, id="120-3"),
     ])
     def test_vacuum_state_exits_with_its_reports(self, n, T, code, tmp_path):
-        # n = 100: the vacuum and the blow-up fall in one monitor block, and
-        # the blow-up ends the run; n = 120, T = 1.25: the run reaches a
-        # vacuum at step 11 of 12 and no blow-up, and the monitors end it.
+        # n = 100: the run blows up after a vacuum state, and the blow-up
+        # sets the exit; n = 120, T = 1.25: the run reaches a vacuum at step
+        # 11 of 12 and no blow-up, and the monitors end it with no post-pass.
         cfg = small_config("p1_desk", tmp_path, {"n = 2000": f"n = {n}", "T = 5.0": f"T = {T}",
                                                  "cfl = 0.9": "cfl = 2.0"})
         out = tmp_path / "out"
@@ -339,6 +353,34 @@ class TestRunScenario:
         assert record["flags"]["vacuum"] is False
         assert report["monitors"] == {key: val for key, val in record.items()
                                       if key != "series"}
+
+    @pytest.mark.parametrize("n", [60, 100, 150])
+    def test_wall_turning_sonic_exits_4_with_the_partial_run(self, n, tmp_path, capsys):
+        # At cfl = 5 the wall state turns sonic some steps into the run.
+        cfg = small_config("p1_desk", tmp_path, {"n = 2000": f"n = {n}",
+                                                 "cfl = 0.9": "cfl = 5.0"})
+        out = tmp_path / "out"
+        assert main(["--quiet", "--out", str(out), "simulate", str(cfg)]) == EXIT_BLOWUP
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "report.json").read_text())
+        assert report["exit_code"] == EXIT_BLOWUP
+        assert report["blow_up"]["message"].startswith("wall boundary needs")
+        assert 0.0 < report["blow_up"]["t"] < 5.0
+        back = load_trajectory(out / "trajectory.npz")
+        assert back.blown_up and back.times[-1] < report["blow_up"]["t"]
+        record = json.loads((out / "monitor_report.json").read_text())
+        assert record["steps"] <= len(back.times) - 1
+
+    @pytest.mark.parametrize("name, subs, code", [
+        ("p1_desk", {"n = 2000": "n = 300"}, EXIT_OK),
+        ("p3_desk", {"n = 2000": "n = 250"}, EXIT_OK),
+        ("p1_desk", {"n = 2000": "n = 300", "cfl = 0.9": "cfl = 1.44"}, EXIT_BLOWUP),
+    ], ids=["p1", "p3", "p1-blow-up"])
+    def test_monitors_are_a_function_of_the_stored_file(self, name, subs, code, tmp_path):
+        out = tmp_path / "out"
+        assert run_scenario(small_config(name, tmp_path, subs), out) == code
+        record = json.loads((out / "monitor_report.json").read_text())
+        assert monitor_report(load_trajectory(out / "trajectory.npz")).to_dict() == record
 
     @pytest.mark.parametrize("subs,code", [
         (SMALL, EXIT_OK),
@@ -444,30 +486,17 @@ class TestTrajectoryWriter:
             assert np.array_equal(getattr(back, name), getattr(partial, name)), name
 
 
-class _Recorder:
-    """Monitor stand-in that keeps every full-width field the solver yields."""
-
-    def __init__(self):
-        self.z, self.w = [], []
-
-    def observe(self, fld, bv, prev, dt):
-        self.z.append(fld.z.copy())
-        self.w.append(fld.w.copy())
-
-
-def _full_width_npz(traj, recorder, path):
-    """Save ``traj`` the way files were written before snapshots were trimmed:
-    with every column of the recorded fields."""
-    _savez_compressed(traj, path, z=np.array(recorder.z), w=np.array(recorder.w))
-
-
 def _recorded(tmp_path_factory, name, n):
+    """A run of the desk config ``name`` at ``n`` cells, the full-width z
+    and w of its states, and a file of them as written before snapshots
+    were trimmed: with every column."""
     tmp = tmp_path_factory.mktemp(name)
     scn = load_config(small_config(name, tmp, {"n = 2000": f"n = {n}"})).to_scenario()
-    recorder = _Recorder()
-    traj, _ = run(scn, recorder)
-    _full_width_npz(traj, recorder, tmp / "full.npz")
-    return traj, recorder, tmp / "full.npz"
+    with _recording_steps(scn) as (z, w):
+        traj, _ = run(scn)
+    z, w = np.array(z), np.array(w)
+    _savez_compressed(traj, tmp / "full.npz", z=z, w=w)
+    return traj, (z, w), tmp / "full.npz"
 
 
 @pytest.fixture(scope="module")
@@ -484,13 +513,13 @@ def _same_checks(back, traj):
 
 class TestTrustedColumns:
     def test_p3_stores_the_window_plus_two_cells(self, p3_recorded):
-        traj, recorder, _ = p3_recorded
+        traj, (z, w), _ = p3_recorded
         scn = traj.scenario
         window_cells = int(scn.runtime_arrays()["window"].sum())
         assert scn.trusted_cells == window_cells + 2 < scn.grid.n
-        assert traj.z.shape == (len(recorder.z), scn.trusted_cells)
-        assert np.array_equal(traj.z, np.array(recorder.z)[:, :scn.trusted_cells])
-        assert np.array_equal(traj.w, np.array(recorder.w)[:, :scn.trusted_cells])
+        assert traj.z.shape == (len(z), scn.trusted_cells)
+        assert np.array_equal(traj.z, z[:, :scn.trusted_cells])
+        assert np.array_equal(traj.w, w[:, :scn.trusted_cells])
 
     @pytest.mark.parametrize("name", ["p1_desk", "p2_desk", "p3_desk"])
     def test_reach_sets_the_stored_width_and_bounds_every_sample(self, name):
@@ -514,9 +543,8 @@ class TestTrustedColumns:
 
     @pytest.mark.parametrize("name", ["p1_desk", "p2_desk"])
     def test_columns_past_the_rule_are_never_read(self, tmp_path_factory, name):
-        traj, recorder, _ = _recorded(tmp_path_factory, name, 120)
+        traj, (z, w), _ = _recorded(tmp_path_factory, name, 120)
         m = traj.scenario.trusted_cells
-        z, w = np.array(recorder.z), np.array(recorder.w)
         assert m < z.shape[1]
         z[:, m:] = np.nan
         w[:, m:] = np.nan

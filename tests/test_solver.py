@@ -350,14 +350,12 @@ class TestRun:
         assert final.t == 0.0
 
     def test_out_of_region_data_flagged_at_start(self):
-        from nozzleflow.harness import Monitors
+        from nozzleflow.harness import monitor_report
 
         scn = desk_scenario("p1_desk", n=200, T=0.02)
         shifted = dataclasses.replace(
             scn, z0=lambda x, f=scn.z0: f(x) + 0.2)
-        monitors = Monitors(shifted)
-        run(shifted, monitors)
-        report = monitors.finalize()
+        report = monitor_report(run(shifted)[0])
         assert not report.containment_ok
         assert report.first_violation["step"] == 0
 
