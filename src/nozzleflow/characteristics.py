@@ -8,12 +8,14 @@ the physical boundary, or past ``Scenario.reach(t)``, the one rule for the
 trusted domain that also sets which columns a snapshot stores.  Launches
 must lie inside that domain too.
 
-A fan of paths is traced in lockstep (``trace_fan``): the positions of all
-live paths form one array, and each stored time step takes one RK4 step for
-all of them, each stage one call of ``Trajectory.interpolate``.  A path joins
-at its own launch time and leaves the live set when it exits, so launch fans
-and the P2 boundary fans share the loop.  The arithmetic is the single-path
-tracer's, elementwise, so a path does not depend on the fan it was traced in.
+Every path the post-pass checks is traced in one lockstep loop
+(``trace_fan``): the positions of all live paths form one array, and each
+stored time step takes one RK4 step for all of them, each stage one call of
+``Trajectory.interpolate``.  Each launch has its own family: a family-2 path
+reads the lambda2 rows of the speed stack, below the lambda1 rows.  A path
+joins at its own launch time and leaves the live set when it exits.  The
+arithmetic is the single-path tracer's, elementwise, so a path does not
+depend on the fan it was traced in.
 """
 from __future__ import annotations
 
@@ -71,15 +73,17 @@ class CharPath:
         return self.t.size
 
 
-def trace_fan(history: Trajectory, x0, family: int, t0=0.0) -> list:
+def trace_fan(history: Trajectory, x0, family, t0=0.0) -> list:
     """RK4 paths of dx/dt = lambda_family launched from the points (x0, t0),
-    traced in lockstep: one RK4 step for every live path per stored step."""
-    if family not in (1, 2):
+    traced in lockstep: one RK4 step for every live path per stored step.
+    ``family`` is 1 or 2 per launch, or one family for every launch."""
+    if not np.isin(family, (1, 2)).all():
         raise DomainError("family must be 1 or 2")
     times = history.times
     scn = history.scenario
-    x0, t0 = (a.ravel() for a in np.broadcast_arrays(
-        np.asarray(x0, dtype=float), np.asarray(t0, dtype=float)))
+    x0, t0, family = (a.ravel() for a in np.broadcast_arrays(
+        np.asarray(x0, dtype=float), np.asarray(t0, dtype=float),
+        np.asarray(family, dtype=np.intp)))
     extent = scn.reach(t0)
     outside = ~((0.0 <= x0) & (x0 <= extent))
     if outside.any():
@@ -92,10 +96,11 @@ def trace_fan(history: Trajectory, x0, family: int, t0=0.0) -> list:
     # point the stored fields can interpolate without clamping.
     x0 = np.maximum(x0, 0.5 * history.grid.dx)
     k0 = np.minimum(np.searchsorted(times, t0 - 1e-14, side="left"), len(times) - 1)
-    stack = "lam1" if family == 1 else "lam2"
+    # A family-2 path reads the speed stack ``len(times)`` rows down.
+    base = (family - 1) * len(times)
 
     def lam(xq, when):
-        return history.interpolate(xq, when, (stack,))[0]
+        return history.interpolate(xq, when, ("lam",))[0]
 
     # Samples are recorded only inside the trusted domain: past ``wall_band``
     # and up to ``reach``, taken at every stored time at once.  Leftward paths
@@ -123,10 +128,10 @@ def trace_fan(history: Trajectory, x0, family: int, t0=0.0) -> list:
             if not running.any():
                 break
             continue
-        t_k, t_k1 = times[k], times[k + 1]
-        h = t_k1 - t_k
-        at_k, at_mid, at_k1 = ([part[k - first] for part in when]
-                               for when in stage_times)
+        h = times[k + 1] - times[k]
+        i, b = k - first, base[live]
+        at_k, at_mid, at_k1 = ((ks[i] + b, k2s[i] + b, taus[i])
+                               for ks, k2s, taus in stage_times)
         xl = xs[k, live]
         v1 = lam(xl, at_k)
         v2 = lam(xl + 0.5 * h * v1, at_mid)
@@ -143,39 +148,28 @@ def trace_fan(history: Trajectory, x0, family: int, t0=0.0) -> list:
         xs[k + 1, live] = x_new
         recorded[k + 1, live] = x_new >= band
 
-    t_parts, x_parts = [], []
-    for j in paths_idx:
-        rows = np.flatnonzero(recorded[:, j])
-        if rows.size:
-            t_parts.append(times[rows])
-            x_parts.append(xs[rows, j])
-        else:
-            t_parts.append(times[k0[j]:k0[j] + 1])
-            x_parts.append(np.array([max(float(x0[j]), band)]))
-    z, w, zx, wx, lam_s = (np.split(arr, np.cumsum([p.size for p in t_parts])[:-1])
-                           for arr in history.interpolate(
-                               np.concatenate(x_parts),
-                               history.time_weights(np.concatenate(t_parts)),
-                               ("z", "w", "zx", "wx", stack)))
-    return [_char_path(scn, family, float(x0[j]), float(t0[j]), t_parts[j],
-                       x_parts[j], z[j], w[j], lam_s[j], zx[j], wx[j], reasons[j])
-            for j in paths_idx]
-
-
-def _char_path(scn, family, x0, t0, t, x, z, w, lam, zx, wx, reason) -> CharPath:
-    """One traced path with its functional and Riccati coefficients."""
+    # A path with no sample keeps one at its launch, outside the band.
+    empty = np.flatnonzero(~recorded.any(axis=0))
+    xs[k0[empty], empty] = np.maximum(x0[empty], band)
+    recorded[k0[empty], empty] = True
+    # Every path's samples are taken at once, path after path.
+    path_of, row = np.nonzero(recorded.T)
+    x, t = xs[row, path_of], times[row]
+    k, k2, tau = when = history.time_weights(t)
+    b = base[path_of]
+    z, w, zx, wx = history.interpolate(x, when, ("z", "w", "zx", "wx"))
+    speed, = history.interpolate(x, (k + b, k2 + b, tau), ("lam",))
     a = np.asarray(scn.profile.a(x), dtype=float)
     ax = np.asarray(scn.profile.a_prime(x), dtype=float)
     phi, psi = phi_psi_zw(z, w, zx, wx, a, scn.law)
     A, B, C, Ah, Bh, Ch = coeffs_zw(z, w, a, ax, scn.law)
-    if family == 1:
-        value, other = phi, psi
-    else:
-        value, other = psi, phi
-        A, B, C = Ah, Bh, Ch
-    return CharPath(family, x0, t0, t, x, z, w, lam, zx, wx, a, ax,
-                    np.asarray(value), np.asarray(other),
-                    np.asarray(A), np.asarray(B), np.asarray(C), reason)
+    # Phi and the first coefficient set are family 1's, Psi and the hatted set family 2's.
+    one = family[path_of] == 1
+    cols = (t, x, z, w, speed, zx, wx, a, ax, np.where(one, phi, psi), np.where(one, psi, phi),
+            np.where(one, A, Ah), np.where(one, B, Bh), np.where(one, C, Ch))
+    ends = np.cumsum(recorded.sum(axis=0))[:-1]
+    return [CharPath(int(family[j]), float(x0[j]), float(t0[j]), *arrays, reasons[j])
+            for j, arrays in enumerate(zip(*(np.split(col, ends) for col in cols)))]
 
 
 def trace(history: Trajectory, x0: float, family: int, t0: float = 0.0) -> CharPath:
@@ -191,40 +185,41 @@ def wall_band(history: Trajectory) -> float:
                WALL_MARGIN_FRAC[scn.problem] * scn.x_interest)
 
 
-def _checkable_fan(history: Trajectory, family: int, x0, t0, shift_x: float,
-                   shift_t: float) -> list:
-    """Trace the launches (x0, t0); relaunch each path with fewer than
-    ``MIN_SAMPLES`` samples, shifted by (shift_x, shift_t), until it has them
-    or the shift would pass x_interest or t = 0 (none if the shift is 0)."""
-    paths = trace_fan(history, x0, family, t0)
-    x_hi = history.scenario.x_interest
-    while shift_x > 0.0 or shift_t < 0.0:
-        short = [k for k, path in enumerate(paths) if path.n < MIN_SAMPLES
-                 and x0[k] + shift_x <= x_hi and t0[k] + shift_t >= 0.0]
-        if not short:
-            break
-        x0[short] += shift_x
-        t0[short] += shift_t
-        for k, path in zip(short, trace_fan(history, x0[short], family, t0[short])):
-            paths[k] = path
-    return paths
-
-
-def launch_fan(history: Trajectory, family: int) -> list:
-    """``FAN`` equispaced launches at t = 0 from ``wall_band`` to x_interest;
-    a short path moves half a spacing from the wall (``_checkable_fan``)."""
+def launch_fan(history: Trajectory, family, boundary: bool = False) -> list:
+    """Trace the launch fans of ``family`` (1, 2, or a sequence of them) in
+    one lockstep batch.  Each family has ``FAN`` equispaced launches at
+    t = 0 from ``wall_band`` to x_interest and, with ``boundary``, ``FAN``
+    launches from the inflow boundary (x = 0) at equispaced times on
+    [0, T], in that order.  The paths with fewer than ``MIN_SAMPLES``
+    samples are relaunched as one batch per round, a t = 0 launch half a
+    spacing further from the wall and a boundary launch half a spacing
+    earlier, until each has them or its shift would pass x_interest or
+    t = 0."""
+    scn = history.scenario
     lo = wall_band(history)
-    spacing = (history.scenario.x_interest - lo) / FAN
-    x0 = lo + (np.arange(FAN) + 0.5) * spacing
-    return _checkable_fan(history, family, x0, np.zeros(FAN), 0.5 * spacing, 0.0)
-
-
-def boundary_fan(history: Trajectory, family: int) -> list:
-    """``FAN`` launches from the inflow boundary (x = 0) at equispaced times
-    on [0, T]; a short path moves half a spacing earlier (``_checkable_fan``)."""
-    T = history.scenario.T
-    t0s = (np.arange(FAN) + 0.5) / FAN * T
-    return _checkable_fan(history, family, np.zeros(FAN), t0s, 0.0, -0.5 * T / FAN)
+    spacing = (scn.x_interest - lo) / FAN
+    mid = np.arange(FAN) + 0.5
+    # One family's launch table: x0, t0 and the shift of a relaunch.
+    fans = [(lo + mid * spacing, np.zeros(FAN), np.full(FAN, 0.5 * spacing),
+             np.zeros(FAN))]
+    if boundary:
+        fans.append((np.zeros(FAN), mid / FAN * scn.T, np.zeros(FAN),
+                     np.full(FAN, -0.5 * scn.T / FAN)))
+    families = np.atleast_1d(family)
+    x0, t0, shift_x, shift_t = (np.tile(np.concatenate(col), families.size)
+                                for col in zip(*fans))
+    family = np.repeat(families, FAN * len(fans))
+    paths = trace_fan(history, x0, family, t0)
+    moves = (shift_x > 0.0) | (shift_t < 0.0)
+    while True:
+        short = np.flatnonzero(moves & (np.array([path.n for path in paths]) < MIN_SAMPLES)
+                               & (x0 + shift_x <= scn.x_interest) & (t0 + shift_t >= 0.0))
+        if short.size == 0:
+            return paths
+        x0[short] += shift_x[short]
+        t0[short] += shift_t[short]
+        for k, path in zip(short, trace_fan(history, x0[short], family[short], t0[short])):
+            paths[k] = path
 
 
 @dataclass

@@ -14,8 +14,8 @@ from pathlib import Path
 from . import harness
 from .config import load_config
 from .errors import ConfigError, DomainError, NozzleflowError
-from .harness import (EXIT_CERT, EXIT_DATAERR, EXIT_MONITOR, EXIT_NOINPUT,
-                      EXIT_OK, EXIT_USAGE)
+from .harness import (EXIT_BLOWUP, EXIT_CERT, EXIT_DATAERR, EXIT_MONITOR,
+                      EXIT_NOINPUT, EXIT_OK, EXIT_USAGE)
 from .model import GasLaw
 from .region import critical_constants, find_constants
 
@@ -152,12 +152,22 @@ def _cmd_trace(args) -> int:
 
 def _cmd_verify(args) -> int:
     traj = harness.load_trajectory(args.trajectory)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if traj.blown_up:  # as in ``simulate``, a run that ended early has no post-pass
+        payload = {"blow_up": {"t_last_stored": float(traj.times[-1]),
+                               "steps": len(traj.times) - 1}, "ok": False}
+        (out / "verify_report.json").write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        if args.format == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        print(f"blow-up: the stored run ended early, after t = {traj.times[-1]:.6g}; "
+              "it has no post-pass", file=sys.stderr)
+        return EXIT_BLOWUP
     post = harness.characteristic_pass(traj)
     payload = {"characteristics": post,
                "conservative_residual": harness.conservative_residual(traj).to_dict(),
                "ok": post["ok"]}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "verify_report.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if args.format == "json":

@@ -375,11 +375,12 @@ def conservative_residual(traj: Trajectory) -> ConservativeResidual:
 # ---------------------------------------------------------------------------
 
 def characteristic_pass(traj: Trajectory) -> dict:
-    """Trace the launch fans of both families, evaluate the transport-identity
-    residuals and the three derivative-bound margins, and compare the measured
-    derivative extremes against the bound the functionals imply.  A family
-    fails if a path it launched has fewer than ``chars.MIN_SAMPLES`` samples
-    (``checked`` counts the others)."""
+    """Trace the launch fans of both families (on P2 with the boundary fans)
+    in one batch, evaluate the transport-identity residuals and the three
+    derivative-bound margins, and compare the measured derivative extremes
+    against the bound the functionals imply.  A family fails if a path it
+    launched has fewer than ``chars.MIN_SAMPLES`` samples (``checked``
+    counts the others)."""
     scn = traj.scenario
     # The last column of a trimmed snapshot has only a one-sided gradient.
     m = scn.trusted_cells
@@ -388,20 +389,13 @@ def characteristic_pass(traj: Trajectory) -> dict:
               float(np.abs(traj._stack("wx")[:, cols]).max()))
     tol_base = MARGIN_TOL_FACTOR * traj.grid.dx * lip
     result = {"tolerance": tol_base, "lip": lip, "families": {}, "paths": []}
-    all_ok = True
-    traced = []
+    traced = chars.launch_fan(traj, (1, 2), boundary=scn.problem == "P2")
+    bounds = scn.speed_bounds
     for family in (1, 2):
-        paths = chars.launch_fan(traj, family)
-        if scn.problem == "P2":
-            paths += chars.boundary_fan(traj, family)
-        traced += paths
-        max_res, max_alt = 0.0, None
-        minima = {"lower": math.inf, "upper": math.inf, "subsolution": math.inf}
-        speed_margin = math.inf
-        fam_ok = True
-        bounds = scn.speed_bounds
-        d = bounds.d1 if family == 1 else bounds.d2
-        sign = bounds.sign1 if family == 1 else bounds.sign2
+        paths = [path for path in traced if path.family == family]
+        max_res, max_alt, speed_margin, records = 0.0, None, math.inf, []
+        minima = dict.fromkeys(("lower", "upper", "subsolution"), math.inf)
+        d, sign = (bounds.d1, bounds.sign1) if family == 1 else (bounds.d2, bounds.sign2)
         for path in paths:
             where = {"family": family, "x0": path.x0, "t0": path.t0,
                      "samples": path.n, "exit": path.exit_reason}
@@ -412,29 +406,24 @@ def characteristic_pass(traj: Trajectory) -> dict:
                 rr = chars.riccati_residual(path)
                 br = chars.bound_check(path, scn.delta1, scn.profile.M, scn.profile.alpha)
             except (InvalidStateError, VacuumStateError) as exc:
-                fam_ok = False
-                result["paths"].append(dict(where, error=str(exc), ok=False))
+                records.append(dict(where, error=str(exc), ok=False))
                 continue
             max_res = max(max_res, rr.max_norm)
             if rr.max_norm_alt is not None:
                 max_alt = max(max_alt or 0.0, rr.max_norm_alt)
-            minima["lower"] = min(minima["lower"], br.min_lower)
-            minima["upper"] = min(minima["upper"], br.min_upper)
-            minima["subsolution"] = min(minima["subsolution"], br.min_sub)
-            speed_margin = min(speed_margin,
-                               float((sign * path.lam - d).min()))
+            for key, margin in zip(minima, (br.min_lower, br.min_upper, br.min_sub)):
+                minima[key] = min(minima[key], margin)
+            speed_margin = min(speed_margin, float((sign * path.lam - d).min()))
             # The integral bound accumulates the same discretization drift the
             # transport residual measures, so the per-path error estimate adds
             # the residual's time integral to the field-level estimate.
             drift = float(np.trapezoid(np.abs(rr.series), rr.t_mid))
             path_tol = tol_base + MARGIN_TOL_FACTOR * drift
-            path_ok = all(br.holds(path_tol).values())
-            fam_ok = fam_ok and path_ok
-            result["paths"].append(dict(
+            records.append(dict(
                 where, residual_max=rr.max_norm, tolerance=path_tol,
                 min_lower=br.min_lower, min_upper=br.min_upper,
-                min_sub=br.min_sub, ok=path_ok))
-        all_ok = all_ok and fam_ok
+                min_sub=br.min_sub, ok=all(br.holds(path_tol).values())))
+        result["paths"] += records
         exits = {reason: sum(path.exit_reason == reason for path in paths)
                  for reason in ("end", "left", "cone")}
         result["families"][str(family)] = {
@@ -445,12 +434,11 @@ def characteristic_pass(traj: Trajectory) -> dict:
             "residual_max_alt_reading": max_alt,
             "min_margins": {k: (None if math.isinf(v) else v) for k, v in minima.items()},
             "speed_margin": None if math.isinf(speed_margin) else speed_margin,
-            "bounds_ok": fam_ok,
+            "bounds_ok": all(record["ok"] for record in records),
         }
-    implied = derivative_bound_estimate(traj, traced)
-    result["derivative_bounds"] = implied
-    all_ok = all_ok and implied["ok"]
-    result["ok"] = all_ok
+    result["derivative_bounds"] = implied = derivative_bound_estimate(traj, traced)
+    result["ok"] = implied["ok"] and all(
+        stats["bounds_ok"] for stats in result["families"].values())
     return result
 
 

@@ -81,13 +81,15 @@ def rho_zw(z, w, law: GasLaw):
     return (0.5 * law.theta * gap) ** (1.0 / law.theta)
 
 
-def speeds_zw(z, w, law: GasLaw):
-    """Characteristic speeds (lambda1, lambda2) from the invariants."""
+def speeds_zw(z, w, law: GasLaw, out=None):
+    """Characteristic speeds (lambda1, lambda2), into the rows of ``out`` if given."""
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
     v = 0.5 * (w + z)
     c = 0.5 * law.theta * (w - z)
-    return v - c, v + c
+    if out is None:
+        return v - c, v + c
+    return np.subtract(v, c, out=out[0]), np.add(v, c, out=out[1])
 
 
 def source_coef(a, law: GasLaw):

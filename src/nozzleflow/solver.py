@@ -577,13 +577,12 @@ class Trajectory:
             return self.z if name == "z" else self.w
         if name not in self._caches:
             z, w = self.z, self.w
-            if name in ("lam1", "lam2"):
-                lam1, lam2 = speeds_zw(z, w, self.scenario.law)
-                self._caches["lam1"], self._caches["lam2"] = lam1, lam2
-            elif name == "zx":
-                self._caches["zx"] = np.gradient(z, self.grid.dx, axis=1)
-            elif name == "wx":
-                self._caches["wx"] = np.gradient(w, self.grid.dx, axis=1)
+            if name == "lam":
+                lam = np.empty((2,) + z.shape)
+                speeds_zw(z, w, self.scenario.law, out=lam)
+                self._caches["lam"] = lam.reshape(-1, z.shape[1])
+            else:
+                self._caches[name] = np.gradient({"zx": z, "wx": w}[name], self.grid.dx, axis=1)
         return self._caches[name]
 
     def time_weights(self, t):
@@ -602,10 +601,12 @@ class Trajectory:
 
     def interpolate(self, x, when, names) -> list:
         """Bilinear space-time interpolation of the stored stacks ``names``
-        (any of z, w, zx, wx, lam1, lam2) at positions ``x`` and at the times
+        (any of z, w, zx, wx, lam) at positions ``x`` and at the times
         ``when = time_weights(t)`` locates.  ``t`` has the shape of ``x``, or
         is one time shared by every point.  Positions past the stored columns
-        take their outermost pair."""
+        take their outermost pair.  ``lam`` holds lambda1 of every snapshot
+        above lambda2 of every snapshot: add ``len(times)`` to the snapshot
+        indices of ``when`` to read lambda2."""
         k, k2, tau = when
         # np.minimum(np.maximum(...)) is np.clip without its per-call cost,
         # which dominates at the few dozen points of one RK4 stage.

@@ -5,11 +5,12 @@ import pytest
 
 from conftest import desk_scenario, region_m, thinned_run_file, uniform_scenario
 from nozzleflow.characteristics import (FAN, WALL_BAND_CELLS, CharPath,
-                                        bound_check, boundary_fan, launch_fan,
-                                        riccati_residual, trace)
+                                        bound_check, launch_fan,
+                                        riccati_residual, trace, trace_fan)
 from nozzleflow.cli import main
 from nozzleflow.errors import DomainError, InvalidStateError, TrajectoryFileError
 from nozzleflow.harness import load_trajectory
+from nozzleflow.model import speeds_zw
 from nozzleflow.region import RegionSpec
 from nozzleflow.riccati import coeffs_zw, phi_psi_zw
 from nozzleflow.solver import WALL_MARGIN_FRAC, run
@@ -60,7 +61,9 @@ class TestTrace:
         mid_x = 0.5 * (path.x[1:] + path.x[:-1])
         mid_t = 0.5 * (path.t[1:] + path.t[:-1])
         rate = np.diff(path.x) / np.diff(path.t)
-        lam_mid, = p1_run.interpolate(mid_x, p1_run.time_weights(mid_t), ("lam2",))
+        k, k2, tau = p1_run.time_weights(mid_t)
+        below = len(p1_run.times)  # lambda2 rows follow lambda1's
+        lam_mid, = p1_run.interpolate(mid_x, (k + below, k2 + below, tau), ("lam",))
         assert float(np.abs(rate - lam_mid).max()) < 5e-7
 
     def test_resolution_guard(self, tmp_path):
@@ -206,9 +209,8 @@ def _ref_locate(traj, x, t):
     return k, k2, tau, i, frac
 
 
-def _ref_value(traj, name, x, t):
+def _ref_value(traj, stack, x, t):
     k, k2, tau, i, frac = _ref_locate(traj, x, t)
-    stack = traj._stack(name)
     lo = (1.0 - frac) * stack[k, i] + frac * stack[k, i + 1]
     hi = (1.0 - frac) * stack[k2, i] + frac * stack[k2, i + 1]
     return float((1.0 - tau) * lo + tau * hi)
@@ -224,10 +226,10 @@ def reference_trace(history, x0, family, t0=0.0):
     x0 = max(x0, 0.5 * history.grid.dx)
     k0 = int(np.searchsorted(times, t0 - 1e-14, side="left"))
     k0 = min(k0, len(times) - 1)
-    name = "lam1" if family == 1 else "lam2"
+    speed = speeds_zw(history.z, history.w, scn.law)[family - 1]
 
     def lam(xq, tq):
-        return _ref_value(history, name, min(max(xq, 0.0), x_max), tq)
+        return _ref_value(history, speed, min(max(xq, 0.0), x_max), tq)
 
     wall_band = max(WALL_BAND_CELLS * history.grid.dx,
                     WALL_MARGIN_FRAC[scn.problem] * scn.x_interest)
@@ -258,9 +260,10 @@ def reference_trace(history, x0, family, t0=0.0):
     if not ts:
         ts, xs = [times[k0]], [min(max(x0, wall_band), x_max)]
     t_arr, x_arr = np.asarray(ts), np.asarray(xs)
-    cols = {key: np.array([_ref_value(history, key, xq, tq)
+    stacks = {key: history._stack(key) for key in ("z", "w", "zx", "wx")}
+    cols = {key: np.array([_ref_value(history, stack, xq, tq)
                            for tq, xq in zip(t_arr, x_arr)])
-            for key in ("z", "w", "zx", "wx", name)}
+            for key, stack in dict(stacks, lam=speed).items()}
     a = np.asarray(scn.profile.a(x_arr), dtype=float)
     ax = np.asarray(scn.profile.a_prime(x_arr), dtype=float)
     phi, psi = phi_psi_zw(cols["z"], cols["w"], cols["zx"], cols["wx"], a, scn.law)
@@ -271,7 +274,7 @@ def reference_trace(history, x0, family, t0=0.0):
         value, other = psi, phi
         A, B, C = Ah, Bh, Ch
     return CharPath(family, x0, t0, t_arr, x_arr, cols["z"], cols["w"],
-                    cols[name], cols["zx"], cols["wx"], a, ax, value, other,
+                    cols["lam"], cols["zx"], cols["wx"], a, ax, value, other,
                     A, B, C, reason)
 
 
@@ -319,6 +322,16 @@ def assert_same_paths(got, want):
             assert np.array_equal(getattr(g, name), getattr(r, name)), name
 
 
+@pytest.fixture(scope="module")
+def p2_run():
+    return run(desk_scenario("p2_desk", n=120))[0]
+
+
+@pytest.fixture(scope="module")
+def p3_run():
+    return run(desk_scenario("p3_desk", n=300, T=1.0))[0]
+
+
 class TestLockstepMatchesScalarReference:
     def test_p1_fans_and_single_traces(self, p1_run):
         for family in (1, 2):
@@ -327,22 +340,22 @@ class TestLockstepMatchesScalarReference:
             assert_same_paths([trace(p1_run, 0.6, family)],
                               [reference_trace(p1_run, 0.6, family)])
 
-    def test_p2_launch_and_boundary_fans_exit_at_the_cone(self):
-        traj = run(desk_scenario("p2_desk", n=120))[0]
+    def test_p2_launch_and_boundary_fans_exit_at_the_cone(self, p2_run):
+        traj = p2_run
         exits, moves = set(), 0
         for family in (1, 2):
             ref, _ = reference_launch_fan(traj, family)
             assert_same_paths(launch_fan(traj, family), ref)
             ref_b, moved = reference_boundary_fan(traj, family)
-            assert_same_paths(boundary_fan(traj, family), ref_b)
+            assert_same_paths(launch_fan(traj, family, boundary=True)[FAN:], ref_b)
             exits |= {p.exit_reason for p in ref + ref_b}
             moves += moved
             assert all(p.n >= 3 for p in ref + ref_b)
         assert "cone" in exits
         assert moves > 0  # late boundary launches move earlier
 
-    def test_p3_left_exits_and_nudged_launches(self):
-        traj = run(desk_scenario("p3_desk", n=300, T=1.0))[0]
+    def test_p3_left_exits_and_nudged_launches(self, p3_run):
+        traj = p3_run
         nudges, exits = 0, set()
         for family in (1, 2):
             ref, nudged = reference_launch_fan(traj, family)
@@ -351,3 +364,28 @@ class TestLockstepMatchesScalarReference:
             exits |= {p.exit_reason for p in ref}
         assert exits == {"left"}
         assert nudges > 0
+
+    @pytest.mark.parametrize("name", ["p2_run", "p3_run"])
+    def test_mixed_families_in_one_call(self, name, request):
+        traj = request.getfixturevalue(name)
+        boundary = traj.scenario.problem == "P2"
+        both = launch_fan(traj, (1, 2), boundary=boundary)
+        assert [p.family for p in both] == [1] * (len(both) // 2) + [2] * (len(both) // 2)
+        per_family = [launch_fan(traj, family, boundary=boundary) for family in (1, 2)]
+        assert_same_paths(both, per_family[0] + per_family[1])
+        ref = []
+        for family in (1, 2):
+            ref += reference_launch_fan(traj, family)[0]
+            if boundary:
+                ref += reference_boundary_fan(traj, family)[0]
+        assert_same_paths(both, ref)
+        # Families interleaved launch by launch, some launched after t = 0.
+        scn = traj.scenario
+        x0 = np.linspace(0.1, 0.9, 12) * scn.x_interest
+        t0 = np.tile([0.0, 0.3 * scn.T, 0.3 * scn.T], 4)
+        family = np.array([1, 2, 2, 1] * 3)
+        mixed = trace_fan(traj, x0, family, t0)
+        assert [p.family for p in mixed] == family.tolist()
+        assert_same_paths(mixed, [trace(traj, x, f, t) for x, f, t in zip(x0, family, t0)])
+        assert_same_paths(mixed, [reference_trace(traj, float(x), int(f), float(t))
+                                  for x, f, t in zip(x0, family, t0)])

@@ -8,8 +8,9 @@ import pytest
 
 from conftest import (desk_scenario, region_l, small_config, thinned_run_file,
                       uniform_scenario)
+from nozzleflow import characteristics as chars
 from nozzleflow import solver
-from nozzleflow.characteristics import FAN, boundary_fan, launch_fan
+from nozzleflow.characteristics import FAN, launch_fan
 from nozzleflow.cli import main
 from nozzleflow.config import load_config
 from nozzleflow.errors import BlowUpError, VacuumStateError
@@ -294,6 +295,28 @@ class TestCharacteristicPass:
         result = characteristic_pass(Trajectory.from_npz(weak, stored))
         assert not result["ok"]
 
+    @pytest.mark.parametrize("name, n", [("p1_desk", 300), ("p2_desk", 120), ("p3_desk", 300)])
+    def test_one_trace_call_per_relaunch_round(self, name, n, monkeypatch):
+        # Both families and, on P2, the boundary fans share one lockstep
+        # loop; each later call relaunches a batch of the paths still short.
+        traj = run(desk_scenario(name, n=n, T=1.0))[0]
+        calls = []
+        trace_fan = chars.trace_fan
+
+        def counted(history, x0, family, t0=0.0):
+            paths = trace_fan(history, x0, family, t0)
+            calls.append(list(paths))
+            return paths
+
+        monkeypatch.setattr(chars, "trace_fan", counted)
+        characteristic_pass(traj)
+        fans = 2 if name == "p2_desk" else 1
+        assert [p.family for p in calls[0]] == [1] * fans * FAN + [2] * fans * FAN
+        for before, batch in zip(calls, calls[1:]):
+            assert 0 < len(batch) <= sum(p.n < chars.MIN_SAMPLES for p in before)
+        if name != "p1_desk":
+            assert len(calls) > 1  # some launches are moved
+
 
 class TestRunScenario:
     def test_small_p1_produces_artifacts(self, tmp_path):
@@ -370,6 +393,27 @@ class TestRunScenario:
         assert back.blown_up and back.times[-1] < report["blow_up"]["t"]
         record = json.loads((out / "monitor_report.json").read_text())
         assert record["steps"] <= len(back.times) - 1
+
+    @pytest.mark.parametrize("n, cfl", [(100, "2.0"), (60, "5.0")],
+                             ids=["vacuum-then-blow-up", "sonic-wall"])
+    def test_verify_of_a_blown_up_run_exits_4(self, n, cfl, tmp_path, capsys):
+        # Once `verify` ran the post-pass on these partial runs and ended in
+        # a math domain error traceback (exit 1).
+        cfg = small_config("p1_desk", tmp_path, {"n = 2000": f"n = {n}",
+                                                 "cfl = 0.9": f"cfl = {cfl}"})
+        sim, ver = tmp_path / "sim", tmp_path / "ver"
+        assert main(["--quiet", "--out", str(sim), "simulate", str(cfg)]) == EXIT_BLOWUP
+        capsys.readouterr()
+        assert main(["--out", str(ver), "verify", str(sim / "trajectory.npz")]) == EXIT_BLOWUP
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("blow-up")
+        payload = json.loads((ver / "verify_report.json").read_text())
+        back = load_trajectory(sim / "trajectory.npz")
+        assert payload == {"blow_up": {"t_last_stored": float(back.times[-1]),
+                                       "steps": len(back.times) - 1}, "ok": False}
+        report = json.loads((sim / "report.json").read_text())
+        assert payload["blow_up"]["t_last_stored"] < report["blow_up"]["t"]
 
     @pytest.mark.parametrize("name, subs, code", [
         ("p1_desk", {"n = 2000": "n = 300"}, EXIT_OK),
@@ -535,9 +579,7 @@ class TestTrustedColumns:
         assert scn.trusted_cells == cells + 2 < scn.grid.n
         assert traj.z.shape[1] == traj.w.shape[1] == scn.trusted_cells
         for family in (1, 2):
-            paths = launch_fan(traj, family)
-            if scn.problem == "P2":
-                paths += boundary_fan(traj, family)
+            paths = launch_fan(traj, family, boundary=scn.problem == "P2")
             for path in paths:
                 assert np.all(path.x <= scn.reach(path.t)), (family, path.x0, path.t0)
 
