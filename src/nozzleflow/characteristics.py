@@ -15,7 +15,10 @@ stored time step takes one RK4 step for all of them, each stage one call of
 reads the lambda2 rows of the speed stack, below the lambda1 rows.  A path
 joins at its own launch time and leaves the live set when it exits.  The
 arithmetic is the single-path tracer's, elementwise, so a path does not
-depend on the fan it was traced in.
+depend on the fan it was traced in.  The speeds, and the fields at the
+samples, are formed from one block of stored rows at a time
+(``solver.blocks``); each row is a function of its own snapshot, so a path
+does not depend on the block size either.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidStateError
 from .riccati import apriori_upper_bound, coeffs_zw, phi_psi_zw, subsolution_value
-from .solver import WALL_MARGIN_FRAC, Trajectory
+from .solver import WALL_MARGIN_FRAC, Trajectory, blocks
 
 #: Paths stop this many cells short of the wall: the innermost stretch both
 #: clamps interpolation and concentrates the profile's steepest variation.
@@ -96,18 +99,39 @@ def trace_fan(history: Trajectory, x0, family, t0=0.0) -> list:
     # point the stored fields can interpolate without clamping.
     x0 = np.maximum(x0, 0.5 * history.grid.dx)
     k0 = np.minimum(np.searchsorted(times, t0 - 1e-14, side="left"), len(times) - 1)
-    # A family-2 path reads the speed stack ``len(times)`` rows down.
-    base = (family - 1) * len(times)
 
-    def lam(xq, when):
-        return history.interpolate(xq, when, ("lam",))[0]
+    xs, recorded, reasons = _walk(history, x0, k0, family)
+    counts = recorded.sum(axis=0)
+    ends = np.cumsum(counts)
+    # The samples are laid out path after path, and taken a block of rows at
+    # a time: a sample's place is its path's start plus the samples of that
+    # path in the rows before it.
+    cols = np.empty((len(_SAMPLED), int(ends[-1])))
+    seen = ends - counts
+    for lo, hi in blocks(0, len(times)):
+        marks = recorded[lo:hi]
+        row, path_of = np.nonzero(marks)
+        if row.size == 0:
+            continue
+        at = seen[path_of] + np.cumsum(marks, axis=0)[row, path_of] - 1
+        seen += marks.sum(axis=0)
+        for col, values in zip(cols, _samples(history, xs[lo + row, path_of],
+                                              times[lo + row], family[path_of])):
+            col[at] = values
+    return [CharPath(int(family[j]), float(x0[j]), float(t0[j]), *arrays, reasons[j])
+            for j, arrays in enumerate(zip(*(np.split(col, ends[:-1]) for col in cols)))]
 
+
+def _walk(history: Trajectory, x0, k0, family) -> tuple:
+    """The RK4 steps of the paths launched from ``x0`` at the snapshots
+    ``k0``: the positions ``xs`` (row k at stored time k, one column per
+    path), the mask ``recorded`` of the positions that are samples (every
+    path has one), and each path's exit reason."""
+    times = history.times
     # Samples are recorded only inside the trusted domain: past ``wall_band``
     # and up to ``reach``, taken at every stored time at once.  Leftward paths
     # terminate at the band; rightward launches start recording beyond it.
-    # A path is live from its own launch index until it exits.  Row k of
-    # ``xs`` holds the positions at stored time k; ``recorded`` marks which
-    # of them are samples.
+    # A path is live from its own launch index until it exits.
     band = wall_band(history)
     paths_idx = np.arange(x0.size)
     recorded = np.zeros((len(times), x0.size), dtype=bool)
@@ -116,60 +140,81 @@ def trace_fan(history: Trajectory, x0, family, t0=0.0) -> list:
     recorded[k0, paths_idx] = x0 >= band
     reasons = np.full(x0.size, "end", dtype=object)
     running = np.ones(x0.size, dtype=bool)
-    edge = scn.reach(times)
+    edge = history.scenario.reach(times)
     # The three RK4 stage times of every step, located in the run at once.
     first = int(k0.min())
     t_start, t_end = times[first:-1], times[first + 1:]
     stage_times = [history.time_weights(tq) for tq in
                    (t_start, t_start + 0.5 * (t_end - t_start), t_end)]
-    for k in range(first, len(times) - 1):
-        live = np.flatnonzero(running & (k0 <= k))
-        if live.size == 0:
-            if not running.any():
-                break
+    # The steps take their speeds from a block of rows at a time: the rows
+    # the block's stages locate (k to k + 2 for the step from k).  A family-2
+    # path reads the block's lambda2 rows, below its lambda1 rows.
+    first_row = np.minimum.reduce([ks for ks, _, _ in stage_times])
+    last_row = np.maximum.reduce([k2s for _, k2s, _ in stage_times])
+    for lo, hi in blocks(first, len(times) - 1):
+        if not running.any():
+            break
+        if not (running & (k0 < hi)).any():
             continue
-        h = times[k + 1] - times[k]
-        i, b = k - first, base[live]
-        at_k, at_mid, at_k1 = ((ks[i] + b, k2s[i] + b, taus[i])
-                               for ks, k2s, taus in stage_times)
-        xl = xs[k, live]
-        v1 = lam(xl, at_k)
-        v2 = lam(xl + 0.5 * h * v1, at_mid)
-        v3 = lam(xl + 0.5 * h * v2, at_mid)
-        v4 = lam(xl + h * v3, at_k1)
-        x_new = xl + h / 6.0 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-        left = (x_new < band) & (v1 < 0.0)
-        cone = ~left & (x_new > edge[k + 1])
-        reasons[live[left]] = "left"
-        reasons[live[cone]] = "cone"
-        stays = ~(left | cone)
-        running[live[~stays]] = False
-        live, x_new = live[stays], x_new[stays]
-        xs[k + 1, live] = x_new
-        recorded[k + 1, live] = x_new >= band
-
+        r_lo = int(first_row[lo - first:hi - first].min())
+        r_hi = int(last_row[lo - first:hi - first].max()) + 1
+        speeds = history.block(("lam",), r_lo, r_hi)
+        shift = (family - 1) * (r_hi - r_lo) - r_lo
+        for k in range(lo, hi):
+            live = np.flatnonzero(running & (k0 <= k))
+            if live.size == 0:
+                if not running.any():
+                    break
+                continue
+            h = times[k + 1] - times[k]
+            i, b = k - first, shift[live]
+            at_k, at_mid, at_k1 = ((ks[i] + b, k2s[i] + b, taus[i])
+                                   for ks, k2s, taus in stage_times)
+            xl = xs[k, live]
+            v1, = history.interpolate(xl, at_k, speeds)
+            v2, = history.interpolate(xl + 0.5 * h * v1, at_mid, speeds)
+            v3, = history.interpolate(xl + 0.5 * h * v2, at_mid, speeds)
+            v4, = history.interpolate(xl + h * v3, at_k1, speeds)
+            x_new = xl + h / 6.0 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+            left = (x_new < band) & (v1 < 0.0)
+            cone = ~left & (x_new > edge[k + 1])
+            reasons[live[left]] = "left"
+            reasons[live[cone]] = "cone"
+            stays = ~(left | cone)
+            running[live[~stays]] = False
+            live, x_new = live[stays], x_new[stays]
+            xs[k + 1, live] = x_new
+            recorded[k + 1, live] = x_new >= band
     # A path with no sample keeps one at its launch, outside the band.
     empty = np.flatnonzero(~recorded.any(axis=0))
     xs[k0[empty], empty] = np.maximum(x0[empty], band)
     recorded[k0[empty], empty] = True
-    # Every path's samples are taken at once, path after path.
-    path_of, row = np.nonzero(recorded.T)
-    x, t = xs[row, path_of], times[row]
-    k, k2, tau = when = history.time_weights(t)
-    b = base[path_of]
-    z, w, zx, wx = history.interpolate(x, when, ("z", "w", "zx", "wx"))
-    speed, = history.interpolate(x, (k + b, k2 + b, tau), ("lam",))
+    return xs, recorded, reasons
+
+
+#: The sampled ``CharPath`` arrays, in the order of its fields.
+_SAMPLED = ("t", "x", "z", "w", "lam", "zx", "wx", "a", "ax", "value", "other",
+            "A", "B", "C")
+
+
+def _samples(history: Trajectory, x, t, family) -> tuple:
+    """The ``_SAMPLED`` arrays at the points (x, t) of paths of ``family``
+    (per point), interpolated from the stored rows that their times read."""
+    scn = history.scenario
+    k, k2, tau = history.time_weights(t)
+    r_lo, r_hi = int(k.min()), int(k2.max()) + 1
+    fields = history.block(("z", "w", "zx", "wx"), r_lo, r_hi)
+    z, w, zx, wx = history.interpolate(x, (k - r_lo, k2 - r_lo, tau), fields)
+    b = (family - 1) * (r_hi - r_lo) - r_lo
+    speed, = history.interpolate(x, (k + b, k2 + b, tau), history.block(("lam",), r_lo, r_hi))
     a = np.asarray(scn.profile.a(x), dtype=float)
     ax = np.asarray(scn.profile.a_prime(x), dtype=float)
     phi, psi = phi_psi_zw(z, w, zx, wx, a, scn.law)
     A, B, C, Ah, Bh, Ch = coeffs_zw(z, w, a, ax, scn.law)
     # Phi and the first coefficient set are family 1's, Psi and the hatted set family 2's.
-    one = family[path_of] == 1
-    cols = (t, x, z, w, speed, zx, wx, a, ax, np.where(one, phi, psi), np.where(one, psi, phi),
+    one = family == 1
+    return (t, x, z, w, speed, zx, wx, a, ax, np.where(one, phi, psi), np.where(one, psi, phi),
             np.where(one, A, Ah), np.where(one, B, Bh), np.where(one, C, Ch))
-    ends = np.cumsum(recorded.sum(axis=0))[:-1]
-    return [CharPath(int(family[j]), float(x0[j]), float(t0[j]), *arrays, reasons[j])
-            for j, arrays in enumerate(zip(*(np.split(col, ends) for col in cols)))]
 
 
 def trace(history: Trajectory, x0: float, family: int, t0: float = 0.0) -> CharPath:

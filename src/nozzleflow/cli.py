@@ -84,6 +84,7 @@ def _cmd_constants(args) -> int:
 def _cmd_check(args) -> int:
     cfg = load_config(args.config)
     scn = cfg.to_scenario()
+    harness.check_storage(scn, args.config)
     bundle = harness.certify(scn)
     if args.format == "json":
         print(json.dumps(bundle.to_dict(), indent=2, sort_keys=True))
@@ -155,8 +156,8 @@ def _cmd_verify(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if traj.blown_up:  # as in ``simulate``, a run that ended early has no post-pass
-        payload = {"blow_up": {"t_last_stored": float(traj.times[-1]),
-                               "steps": len(traj.times) - 1}, "ok": False}
+        payload = {"blow_up": dict(traj.blow_up, t_last_stored=float(traj.times[-1]),
+                                   steps=len(traj.times) - 1), "ok": False}
         (out / "verify_report.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n")
         if args.format == "json":

@@ -24,15 +24,15 @@ import numpy as np
 
 from . import characteristics as chars
 from .config import load_config, parse_config_text
-from .errors import (InvalidStateError, RunAbortedError, TrajectoryFileError,
-                     VacuumStateError)
+from .errors import (ConfigError, InvalidStateError, RunAbortedError,
+                     TrajectoryFileError, VacuumStateError)
 from .model import VACUUM_GAP, pressure, rho_zw, speeds_zw
 from .region import (EXACT, Certificate, check_h1, check_hypothesis,
                      critical_constants, envelopes, face_margins,
                      membership_margins, worst_item)
 from .riccati import (apriori_upper_bound, check_compatibility,
                       check_data_conditions, _one_sided_derivative, phi_psi_zw)
-from .solver import Scenario, Trajectory, run
+from .solver import STORED_BYTES_MAX, Scenario, Trajectory, blocks, run
 
 EXIT_OK = 0
 EXIT_CERT = 2
@@ -238,21 +238,17 @@ class MonitorReport:
         }
 
 
-#: Stored steps the monitors evaluate as one block.
-_BLOCK = 64
-
-
 def monitor_report(traj: Trajectory) -> MonitorReport:
     """Runtime monitors of a stored run, one series entry per step:
     containment margins over the reporting window, vacuum gap, derivative
     extremes, functional extremes, edge defect.
 
-    The steps are evaluated ``_BLOCK`` at a time, as (step, cell) views of
-    ``traj.z`` and ``traj.w``; the time rates compare each step with the row
-    before it.  Each cell takes exactly the elementwise operations of a
-    step-by-step evaluation, and every reduction is a min, max or argmin
-    along the cells of one step, so every series, argmin cell and flag is
-    bitwise the per-step result.  The evaluation ends with the first block
+    The steps are evaluated a block at a time (``solver.blocks``), as
+    (step, cell) views of ``traj.z`` and ``traj.w``; the time rates compare
+    each step with the row before it.  Each cell takes exactly the
+    elementwise operations of a step-by-step evaluation, and every reduction
+    is a min, max or argmin along the cells of one step, so every series,
+    argmin cell and flag is bitwise the per-step result.  The evaluation ends with the first block
     that holds a vacuum state, whose Phi and Psi are left out: the vacuum
     fails the ``vacuum`` flag (``MonitorReport.reached_vacuum``)."""
     scn = traj.scenario
@@ -268,8 +264,7 @@ def monitor_report(traj: Trajectory) -> MonitorReport:
     margin = {face: [] for face in _FACES}
     argmin = {face: [] for face in _FACES}
     finite_ok = True
-    for lo in range(0, len(traj.times), _BLOCK):
-        hi = min(lo + _BLOCK, len(traj.times))
+    for lo, hi in blocks(0, len(traj.times)):
         zc, wc = traj.z[lo:hi, :cols], traj.w[lo:hi, :cols]
         z, w = zc[:, :cells], wc[:, :cells]
         finite_ok = finite_ok and bool(np.all(np.isfinite(z)) and np.all(np.isfinite(w)))
@@ -342,32 +337,62 @@ class ConservativeResidual:
         }
 
 
+def _time_rate(times):
+    """The interior rows of ``np.gradient(f, times, axis=0)`` as a function
+    ``rate(f, lo, hi)`` of the rows ``lo - 1`` to ``hi`` of f, giving rows
+    ``lo`` to ``hi - 1``.  np.gradient picks its formula from the spacing of
+    all of ``times`` (uniform or not); ``rate`` picks it the same way, so a
+    block's rows are bitwise the whole array's."""
+    h = np.diff(times)
+    if (h == h[0]).all():
+        two_h = 2.0 * h[0]
+        return lambda f, lo, hi: (f[2:] - f[:-2]) / two_h
+    h1, h2 = h[:-1, None], h[1:, None]
+    a = -(h2) / (h1 * (h1 + h2))
+    b = (h2 - h1) / (h1 * h2)
+    c = h1 / (h2 * (h1 + h2))
+    return lambda f, lo, hi: (a[lo - 1:hi - 1] * f[:-2] + b[lo - 1:hi - 1] * f[1:-1]
+                              + c[lo - 1:hi - 1] * f[2:])
+
+
 def conservative_residual(traj: Trajectory) -> ConservativeResidual:
     """Centered finite-difference residuals of the conservative system formed
     from the stored diagonal fields: an independent check that the evolved
-    fields solve the original balance laws."""
+    fields solve the original balance laws.
+
+    The residual is reported over the window less its wall cell (whose
+    x-difference is one-sided), at the interior times, so each block of
+    stored rows reads one row more on each side and the window plus one
+    column (the central difference at its last cell)."""
     scn = traj.scenario
     law = scn.law
-    arrays = _stored_columns(scn)
-    z, w, times = traj.z, traj.w, traj.times
+    times = traj.times
     if len(times) < 3:
         return ConservativeResidual(times, *(np.zeros(0),) * 4)
-    rho = rho_zw(z, w, law)
-    v = 0.5 * (w + z)
-    m = rho * v
-    flux = m * v + pressure(rho, law)
-    a = arrays["a"]
+    cells = int(_stored_columns(scn)["window"].sum())
+    cols = min(cells + 1, traj.z.shape[1])
+    a = scn.runtime_arrays()["a"][:cols]
     dx = traj.grid.dx
-    res_rho = np.gradient(rho, times, axis=0) + np.gradient(m, dx, axis=1) + a * m
-    res_mom = np.gradient(m, times, axis=0) + np.gradient(flux, dx, axis=1) + a * m * v
-    window = arrays["window"].copy()
-    window[0] = False  # one-sided x-differences at the wall are not centered
-    inner = (slice(1, -1), window)
-    rr, rm = res_rho[inner], res_mom[inner]
-    return ConservativeResidual(
-        times[1:-1],
-        np.abs(rr).max(axis=1), np.abs(rr).mean(axis=1) * dx * window.sum(),
-        np.abs(rm).max(axis=1), np.abs(rm).mean(axis=1) * dx * window.sum())
+    rate = _time_rate(times)
+    series = {key: [] for key in ("linf_rho", "l1_rho", "linf_mom", "l1_mom")}
+    for lo, hi in blocks(1, len(times) - 1):
+        z, w = traj.z[lo - 1:hi + 1, :cols], traj.w[lo - 1:hi + 1, :cols]
+        rho = rho_zw(z, w, law)
+        v = 0.5 * (w + z)
+        m = rho * v
+        flux = m * v + pressure(rho, law)
+        mid, v_mid = m[1:-1], v[1:-1]
+        res_rho = rate(rho, lo, hi) + np.gradient(mid, dx, axis=1) + a * mid
+        res_mom = rate(m, lo, hi) + np.gradient(flux[1:-1], dx, axis=1) + a * mid * v_mid
+        for name, res in (("rho", res_rho), ("mom", res_mom)):
+            err = np.abs(res[:, 1:cells])
+            series["linf_" + name].append(err.max(axis=1))
+            # The mean of a row is its running sum over the cells, the order
+            # in which the whole-array evaluation summed them (its window was
+            # a column-major selection), so a block's means are bitwise its.
+            mean = np.cumsum(err, axis=1)[:, -1] / (cells - 1)
+            series["l1_" + name].append(mean * dx * (cells - 1))
+    return ConservativeResidual(times[1:-1], *(np.concatenate(series[key]) for key in series))
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +407,8 @@ def characteristic_pass(traj: Trajectory) -> dict:
     launched has fewer than ``chars.MIN_SAMPLES`` samples (``checked``
     counts the others)."""
     scn = traj.scenario
-    # The last column of a trimmed snapshot has only a one-sided gradient.
-    m = scn.trusted_cells
-    cols = slice(0, m if m == traj.grid.n else m - 1)
-    lip = max(float(np.abs(traj._stack("zx")[:, cols]).max()),
-              float(np.abs(traj._stack("wx")[:, cols]).max()))
+    extremes = _run_extremes(traj)
+    lip = max(extremes["zx_lip"], extremes["wx_lip"])
     tol_base = MARGIN_TOL_FACTOR * traj.grid.dx * lip
     result = {"tolerance": tol_base, "lip": lip, "families": {}, "paths": []}
     traced = chars.launch_fan(traj, (1, 2), boundary=scn.problem == "P2")
@@ -436,27 +458,49 @@ def characteristic_pass(traj: Trajectory) -> dict:
             "speed_margin": None if math.isinf(speed_margin) else speed_margin,
             "bounds_ok": all(record["ok"] for record in records),
         }
-    result["derivative_bounds"] = implied = derivative_bound_estimate(traj, traced)
+    result["derivative_bounds"] = implied = derivative_bound_estimate(traj, traced, extremes)
     result["ok"] = implied["ok"] and all(
         stats["bounds_ok"] for stats in result["families"].values())
     return result
 
 
-def derivative_bound_estimate(traj: Trajectory, paths) -> dict:
+def _run_extremes(traj: Trajectory) -> dict:
+    """Extremes of the stored run, taken a block of rows at a time (a max or
+    min of block maxima or minima is exact): ``zx_lip`` and ``wx_lip``, the
+    largest |z_x| and |w_x| over the trusted columns (less the last one of a
+    trimmed snapshot, whose gradient is one-sided), and over the window the
+    largest |z|, |w|, |z_x| and |w_x| and the least and largest w - z."""
+    m = traj.scenario.trusted_cells
+    cols = m if m == traj.grid.n else m - 1
+    cells = int(_stored_columns(traj.scenario)["window"].sum())
+    parts = {key: [] for key in ("zx_lip", "wx_lip", "z", "w", "zx", "wx", "gap_min", "gap_max")}
+    for lo, hi in blocks(0, len(traj.times)):
+        z, w, zx, wx = traj.block(("z", "w", "zx", "wx"), lo, hi)
+        for name, grad in (("zx", zx), ("wx", wx)):
+            grad = np.abs(grad)
+            parts[name + "_lip"].append(grad[:, :cols].max())
+            parts[name].append(grad[:, :cells].max())
+        z, w = z[:, :cells], w[:, :cells]
+        parts["z"].append(np.abs(z).max())
+        parts["w"].append(np.abs(w).max())
+        gap = w - z
+        parts["gap_min"].append(gap.min())
+        parts["gap_max"].append(gap.max())
+    return {key: float((np.min if key == "gap_min" else np.max)(vals))
+            for key, vals in parts.items()}
+
+
+def derivative_bound_estimate(traj: Trajectory, paths, extremes: dict) -> dict:
     """Bound max |z_x|, |w_x| implied by the barrier and the running upper
     bound along the traced ``paths`` (both families), compared against the
-    measured extremes."""
+    measured extremes (``_run_extremes``)."""
     scn = traj.scenario
     law, delta1 = scn.law, scn.delta1
     arrays = _stored_columns(scn)
     window = arrays["window"]
-    z = traj.z[:, window]
-    w = traj.w[:, window]
-    gap = w - z
     a_abs = float(np.abs(arrays["a"][window]).max(initial=0.0))
-    z_abs = float(np.abs(z).max())
-    w_abs = float(np.abs(w).max())
-    gap_min, gap_max = float(gap.min()), float(gap.max())
+    z_abs, w_abs = extremes["z"], extremes["w"]
+    gap_min, gap_max = extremes["gap_min"], extremes["gap_max"]
 
     # Launch values anywhere are certified within [-delta1, delta2]; the
     # transport identity can then grow them by at most the integral of
@@ -481,8 +525,7 @@ def derivative_bound_estimate(traj: Trajectory, paths) -> dict:
         wx_bound = (pow_max * value_bound + a_abs * w_abs / (2.0 * abs(b))
                     + a_abs * gap_max / (2.0 * abs(b + 1.0)))
         scale = pow_max
-    zx_meas = float(np.abs(traj._stack("zx")[:, window]).max())
-    wx_meas = float(np.abs(traj._stack("wx")[:, window]).max())
+    zx_meas, wx_meas = extremes["zx"], extremes["wx"]
     lip = max(zx_meas, wx_meas)
     tol = MARGIN_TOL_FACTOR * traj.grid.dx * lip * max(1.0, scale)
     ok = zx_meas <= zx_bound + tol and wx_meas <= wx_bound + tol
@@ -556,14 +599,16 @@ def load_trajectory(path) -> Trajectory:
         try:
             meta = json.loads(str(data["meta"]))
             text = meta["config_text"]
-            blown_up = bool(meta.get("blown_up", False))
+            # A file of a run that ended early holds the failure's details;
+            # one written before they were stored holds only the flag.
+            blow_up = dict(meta.get("blow_up", {})) if meta.get("blown_up") else None
         except (KeyError, TypeError, ValueError):
             raise TrajectoryFileError(f"{path}: no readable meta record") from None
         if not isinstance(text, str):
             raise TrajectoryFileError(f"{path}: meta record holds no config text")
         scn = parse_config_text(text, source=f"{path}:config").to_scenario()
         try:
-            return Trajectory.from_npz(scn, data, blown_up)
+            return Trajectory.from_npz(scn, data, blow_up)
         except TrajectoryFileError as exc:
             raise TrajectoryFileError(f"{path}: {exc}") from None
 
@@ -583,10 +628,20 @@ def _write_monitors(mrep: MonitorReport, out: Path) -> dict:
     return {key: val for key, val in record.items() if key != "series"}
 
 
+def check_storage(scn: Scenario, source) -> None:
+    """Refuse a scenario whose run would store more than
+    ``STORED_BYTES_MAX`` bytes (a ConfigError, exit 65)."""
+    if scn.stored_bytes > STORED_BYTES_MAX:
+        raise ConfigError(f"the run stores K + 1 = {scn.steps + 1} snapshots of "
+                          f"{scn.trusted_cells} cells, {scn.stored_bytes} bytes, over the "
+                          f"ceiling of {STORED_BYTES_MAX} bytes", source=str(source))
+
+
 def run_scenario(config, out_dir, force: bool = False, quiet: bool = True) -> int:
     """Certify, run, verify and write all artifacts of the config file
     ``config``; returns the exit code."""
     scn = load_config(config).to_scenario()
+    check_storage(scn, config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -625,7 +680,7 @@ def run_scenario(config, out_dir, force: bool = False, quiet: bool = True) -> in
         report["exit_code"] = EXIT_BLOWUP if ended else EXIT_MONITOR
         if ended:
             traj.save(out / "trajectory.npz")
-            report["blow_up"] = {"t": ended.t, "cell": ended.cell, "message": str(ended)}
+            report["blow_up"] = traj.blow_up
         report["monitors"] = _write_monitors(mrep, out)
         _write_json(report, out / "report.json")
         say(f"blow-up: {ended}" if ended else "monitor violation: w - z below the vacuum gap")

@@ -239,6 +239,12 @@ class Scenario:
             self._cache["trusted"] = min(self.grid.n, count)
         return self._cache["trusted"]
 
+    @property
+    def stored_bytes(self) -> int:
+        """Bytes of the z and w rows a run stores: (K + 1) x
+        ``trusted_cells`` x 16."""
+        return (self.steps + 1) * self.trusted_cells * 16
+
     def active_cells(self, t):
         """Leading cells that the step from the time(s) ``t`` evolves: those
         a stored column can depend on, plus a pad of
@@ -492,6 +498,27 @@ def step(fld: Field, dt: float, scn: Scenario, bv: Optional[BoundaryValues] = No
 #: round-off is at most 1e-13 on the desk configs, a skipped step about 1.
 STEP_MATCH = 1e-9
 
+#: Ceiling on the bytes a run stores (``Scenario.stored_bytes``): the run and
+#: its post-pass hold every stored row at once, so a config past it would end
+#: in an allocation failure after its certificates, not in a report.  The
+#: desk configs store at most 115 MiB at n = 4000 and 458 MiB at n = 8000
+#: (p2); p3_desk at n = 100 and cfl = 1e-9 asks for 9.4e10 steps, 11 TiB.
+STORED_BYTES_MAX = 2 ** 30
+
+#: Stored steps that one pass over a run evaluates at once (the monitors, the
+#: tracer's speed and sample rows, the derivative extremes, the conservative
+#: residual), so the derived arrays of a pass take memory for a block of
+#: rows, not for the run.  A module hook: tests set it from 1 up.
+_BLOCK = 64
+
+
+def blocks(start: int, stop: int):
+    """The (lo, hi) bounds of consecutive blocks of at most ``_BLOCK`` rows
+    that cover the rows ``start`` to ``stop`` - 1."""
+    for lo in range(start, stop, _BLOCK):
+        yield lo, min(lo + _BLOCK, stop)
+
+
 #: What a trajectory stores per snapshot, in the order ``append`` takes it:
 #: time, step, the trusted columns of z and w, and the x = 0 edge traces.
 _STORED = ("times", "dts", "z", "w", "z_edge", "w_edge")
@@ -504,12 +531,14 @@ class Trajectory:
     columns.  ``append`` writes them into rows allocated for the K + 1
     snapshots of a run, and ``finalize`` makes the rows written so far the
     arrays ``times``, ``dts``, ``z``, ``w``, ``z_edge`` and ``w_edge``, so
-    each snapshot is held once.  ``rows`` are the arrays of a stored run."""
+    each snapshot is held once.  ``rows`` are the arrays of a stored run.
+    ``blow_up`` is None for a run that reached T, else the failure's
+    ``t``, ``cell`` and ``message`` (empty if a stored file lacks them)."""
 
     def __init__(self, scenario: Scenario, rows: Optional[dict] = None):
         self.scenario = scenario
         self.grid = scenario.grid
-        self.blown_up = False
+        self.blow_up = None
         if rows is None:
             snaps, m = scenario.steps + 1, scenario.trusted_cells
             rows = {name: np.empty((snaps, m) if name in ("z", "w") else snaps)
@@ -518,10 +547,10 @@ class Trajectory:
         else:
             self._count = len(rows["times"])
         self._rows = rows
-        self._caches = {}
 
     @classmethod
-    def from_npz(cls, scenario: Scenario, data, blown_up: bool = False) -> "Trajectory":
+    def from_npz(cls, scenario: Scenario, data,
+                 blow_up: Optional[dict] = None) -> "Trajectory":
         """The run of ``scenario`` that ``save`` stored in ``data`` (an open
         ``.npz`` or any mapping of its arrays).  Keys, shapes and one snapshot
         per step are checked; snapshots wider than the trusted columns, as
@@ -553,7 +582,7 @@ class Trajectory:
         for name in ("z", "w"):
             arrays[name] = arrays[name][:, :m]
         rows = {name: np.ascontiguousarray(arr, dtype=float) for name, arr in arrays.items()}
-        return cls(scenario, rows).finalize(blown_up)
+        return cls(scenario, rows).finalize(blow_up)
 
     def append(self, fld: Field, dt: float, bv: BoundaryValues):
         k, m = self._count, self.scenario.trusted_cells
@@ -562,28 +591,38 @@ class Trajectory:
             self._rows[name][k] = value
         self._count = k + 1
 
-    def finalize(self, blown_up: bool = False):
+    def finalize(self, blow_up: Optional[dict] = None):
         """Take the snapshots written so far as the run; ``run`` calls this
-        once, at the end of the run or at its blow-up, and ``from_npz`` on
-        the loaded arrays."""
-        self.blown_up = blown_up
+        once, at the end of the run or at its abort (with the failure's
+        details), and ``from_npz`` on the loaded arrays."""
+        self.blow_up = blow_up
         for name, rows in self._rows.items():
             setattr(self, name, rows[:self._count])
         self._rows = None
         return self
 
-    def _stack(self, name: str) -> np.ndarray:
-        if name in ("z", "w"):
-            return self.z if name == "z" else self.w
-        if name not in self._caches:
-            z, w = self.z, self.w
+    @property
+    def blown_up(self) -> bool:
+        return self.blow_up is not None
+
+    def block(self, names, lo: int = 0, hi: Optional[int] = None) -> list:
+        """Rows ``lo`` to ``hi`` - 1 (to the end by default) of the stacks
+        ``names``: ``z`` and ``w`` as stored, ``zx`` and ``wx`` their central
+        x-gradients, and ``lam`` lambda1 of these rows above lambda2 of these
+        rows.  Each row is a function of its own snapshot, so the rows of a
+        block are bitwise those of the whole run."""
+        z, w = self.z[lo:hi], self.w[lo:hi]
+        out = []
+        for name in names:
             if name == "lam":
                 lam = np.empty((2,) + z.shape)
                 speeds_zw(z, w, self.scenario.law, out=lam)
-                self._caches["lam"] = lam.reshape(-1, z.shape[1])
+                out.append(lam.reshape(-1, z.shape[1]))
+            elif name in ("zx", "wx"):
+                out.append(np.gradient(z if name == "zx" else w, self.grid.dx, axis=1))
             else:
-                self._caches[name] = np.gradient({"zx": z, "wx": w}[name], self.grid.dx, axis=1)
-        return self._caches[name]
+                out.append({"z": z, "w": w}[name])
+        return out
 
     def time_weights(self, t):
         """Locate the times ``t`` in the stored run: the bracketing snapshot
@@ -599,14 +638,15 @@ class Trajectory:
         tau = np.where(moving, np.clip((t - times[k]) / span, 0.0, 1.0), 0.0)
         return k, k2, tau
 
-    def interpolate(self, x, when, names) -> list:
-        """Bilinear space-time interpolation of the stored stacks ``names``
-        (any of z, w, zx, wx, lam) at positions ``x`` and at the times
-        ``when = time_weights(t)`` locates.  ``t`` has the shape of ``x``, or
-        is one time shared by every point.  Positions past the stored columns
-        take their outermost pair.  ``lam`` holds lambda1 of every snapshot
-        above lambda2 of every snapshot: add ``len(times)`` to the snapshot
-        indices of ``when`` to read lambda2."""
+    def interpolate(self, x, when, stacks) -> list:
+        """Bilinear space-time interpolation of ``stacks``, rows of the
+        stored stacks as ``block`` gives them, at positions ``x`` and at the
+        rows ``when = (k, k2, tau)``: the bracketing snapshots and the weight
+        of the later one, as ``time_weights`` locates them, less the index of
+        the block's first snapshot.  ``t`` has the shape of ``x``, or is one
+        time shared by every point.  Positions past the stored columns take
+        their outermost pair.  A ``lam`` block holds lambda1 of its rows
+        above lambda2: add its row count to read lambda2."""
         k, k2, tau = when
         # np.minimum(np.maximum(...)) is np.clip without its per-call cost,
         # which dominates at the few dozen points of one RK4 stage.
@@ -616,8 +656,7 @@ class Trajectory:
         i = i.astype(np.intp)
         i1, rest, stay = i + 1, 1.0 - frac, 1.0 - tau
         out = []
-        for name in names:
-            stack = self._stack(name)
+        for stack in stacks:
             lo = rest * stack[k, i] + frac * stack[k, i1]
             hi = rest * stack[k2, i] + frac * stack[k2, i1]
             out.append(stay * lo + tau * hi)
@@ -627,6 +666,8 @@ class Trajectory:
         if self.scenario.config_text is None:
             raise DomainError("trajectory saving needs the originating config text")
         meta = {"config_text": self.scenario.config_text, "blown_up": self.blown_up}
+        if self.blow_up:
+            meta["blow_up"] = self.blow_up
         with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as npz:
             # The config text compresses well only at a high level, and it
             # is small enough that the level costs nothing.
@@ -658,6 +699,6 @@ def run(scn: Scenario):
             bv = boundary_update(fld, fld.t, scn)
             traj.append(fld, dt, bv)
     except RunAbortedError as err:
-        err.trajectory = traj.finalize(blown_up=True)
+        err.trajectory = traj.finalize({"t": err.t, "cell": err.cell, "message": str(err)})
         raise
     return traj.finalize(), fld

@@ -63,7 +63,8 @@ class TestTrace:
         rate = np.diff(path.x) / np.diff(path.t)
         k, k2, tau = p1_run.time_weights(mid_t)
         below = len(p1_run.times)  # lambda2 rows follow lambda1's
-        lam_mid, = p1_run.interpolate(mid_x, (k + below, k2 + below, tau), ("lam",))
+        lam_mid, = p1_run.interpolate(mid_x, (k + below, k2 + below, tau),
+                                      p1_run.block(("lam",)))
         assert float(np.abs(rate - lam_mid).max()) < 5e-7
 
     def test_resolution_guard(self, tmp_path):
@@ -161,8 +162,8 @@ class TestBounds:
 
     def test_desk_run_margins_nonnegative_within_tolerance(self, p1_run):
         scn = p1_run.scenario
-        lip = max(float(np.abs(p1_run._stack("zx")).max()),
-                  float(np.abs(p1_run._stack("wx")).max()))
+        lip = max(float(np.abs(np.gradient(p1_run.z, p1_run.grid.dx, axis=1)).max()),
+                  float(np.abs(np.gradient(p1_run.w, p1_run.grid.dx, axis=1)).max()))
         tol = 5.0 * p1_run.grid.dx * lip
         for family in (1, 2):
             for path in launch_fan(p1_run, family):
@@ -260,7 +261,9 @@ def reference_trace(history, x0, family, t0=0.0):
     if not ts:
         ts, xs = [times[k0]], [min(max(x0, wall_band), x_max)]
     t_arr, x_arr = np.asarray(ts), np.asarray(xs)
-    stacks = {key: history._stack(key) for key in ("z", "w", "zx", "wx")}
+    stacks = {"z": history.z, "w": history.w,
+              **{key: np.gradient(u, history.grid.dx, axis=1)
+                 for key, u in (("zx", history.z), ("wx", history.w))}}
     cols = {key: np.array([_ref_value(history, stack, xq, tq)
                            for tq, xq in zip(t_arr, x_arr)])
             for key, stack in dict(stacks, lam=speed).items()}

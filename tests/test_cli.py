@@ -6,6 +6,7 @@ import pytest
 from conftest import CONFIG_DIR, small_config
 from nozzleflow.cli import main
 from nozzleflow.config import parse_config_text
+from nozzleflow.solver import STORED_BYTES_MAX
 
 SMALL = {"n = 2000": "n = 300", "T = 5.0": "T = 1.0"}
 
@@ -109,6 +110,28 @@ class TestMalformedValues:
         err = capsys.readouterr().err
         assert f"n = {n} leaves {cells} cell(s) in the reporting window" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_run_too_large_to_store_is_refused_before_any_output(self, command,
+                                                                  tmp_path, capsys):
+        # cfl = 1e-9 asks for 9.4e10 steps: once `simulate` wrote the
+        # certificates and then ended in an allocation traceback.
+        cfg = small_config("p3_desk", tmp_path, {"n = 2000": "n = 100",
+                                                 "cfl = 0.9": "cfl = 1e-9"})
+        out = tmp_path / "out"
+        assert main(["--out", str(out), command, str(cfg)]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert "K + 1 = 94312796210 snapshots" in captured.err
+        assert "over the ceiling of 1073741824 bytes" in captured.err
+
+    @pytest.mark.parametrize("name", ["p1_desk", "p2_desk", "p3_desk"])
+    @pytest.mark.parametrize("n", [4000, 8000])
+    def test_desk_configs_are_within_the_storage_ceiling(self, name, n):
+        scn = parse_config_text((CONFIG_DIR / f"{name}.cfg").read_text().replace(
+            "n = 2000", f"n = {n}")).to_scenario()
+        assert scn.stored_bytes <= STORED_BYTES_MAX
 
     def test_p3_grid_too_coarse_for_the_outflow_ghosts(self, tmp_path, capsys):
         # At T = 0 the grid is the window, so two cells fit the launch fan.

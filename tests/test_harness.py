@@ -14,14 +14,14 @@ from nozzleflow.characteristics import FAN, launch_fan
 from nozzleflow.cli import main
 from nozzleflow.config import load_config
 from nozzleflow.errors import BlowUpError, VacuumStateError
-from nozzleflow.harness import (_BLOCK, _FACES, EXIT_BLOWUP, EXIT_CERT,
+from nozzleflow.harness import (_FACES, EXIT_BLOWUP, EXIT_CERT,
                                 EXIT_DATAERR, EXIT_MONITOR, EXIT_OK,
                                 MonitorReport, certify, characteristic_pass,
                                 conservative_residual, load_trajectory,
                                 monitor_report, run_scenario, write_fields_csv)
 from nozzleflow.region import membership_margins
 from nozzleflow.riccati import phi_psi_zw
-from nozzleflow.solver import Trajectory, run, step
+from nozzleflow.solver import _BLOCK, Trajectory, run, step
 
 SMALL = {"n = 2000": "n = 300", "T = 5.0": "T = 1.0"}
 
@@ -410,10 +410,30 @@ class TestRunScenario:
         assert captured.err.count("\n") == 1 and captured.err.startswith("blow-up")
         payload = json.loads((ver / "verify_report.json").read_text())
         back = load_trajectory(sim / "trajectory.npz")
-        assert payload == {"blow_up": {"t_last_stored": float(back.times[-1]),
-                                       "steps": len(back.times) - 1}, "ok": False}
         report = json.loads((sim / "report.json").read_text())
+        # The failure's time, cell and message travel in the file.
+        assert payload == {"blow_up": dict(report["blow_up"],
+                                           t_last_stored=float(back.times[-1]),
+                                           steps=len(back.times) - 1), "ok": False}
         assert payload["blow_up"]["t_last_stored"] < report["blow_up"]["t"]
+        if cfl == "2.0":
+            assert report["blow_up"]["t"] == pytest.approx(2.4)
+            assert report["blow_up"]["cell"] == 14
+
+    def test_blown_up_file_of_an_older_writer_verifies(self, tmp_path):
+        # Files written before the failure's details were stored hold only
+        # the flag; `verify` still exits 4 with what the file has.
+        cfg = small_config("p1_desk", tmp_path, {"n = 2000": "n = 100",
+                                                 "cfl = 0.9": "cfl = 2.0"})
+        with pytest.raises(BlowUpError) as err:
+            run(load_config(cfg).to_scenario())
+        partial = err.value.trajectory
+        _savez_compressed(partial, tmp_path / "old.npz")
+        assert main(["--quiet", "--out", str(tmp_path / "ver"), "verify",
+                     str(tmp_path / "old.npz")]) == EXIT_BLOWUP
+        payload = json.loads((tmp_path / "ver" / "verify_report.json").read_text())
+        assert payload == {"blow_up": {"t_last_stored": float(partial.times[-1]),
+                                       "steps": len(partial.times) - 1}, "ok": False}
 
     @pytest.mark.parametrize("name, subs, code", [
         ("p1_desk", {"n = 2000": "n = 300"}, EXIT_OK),
