@@ -9,7 +9,7 @@ trusted domain that also sets which columns a snapshot stores.  Launches
 must lie inside that domain too.
 
 Every path the post-pass checks is traced in one lockstep loop
-(``trace_fan``): the positions of all live paths form one array, and each
+(``_walk``): the positions of all live paths form one array, and each
 stored time step takes one RK4 step for all of them, each stage one call of
 ``Trajectory.interpolate``.  Each launch has its own family: a family-2 path
 reads the lambda2 rows of the speed stack, below the lambda1 rows.  A path
@@ -19,6 +19,12 @@ depend on the fan it was traced in.  The speeds, and the fields at the
 samples, are formed from one block of stored rows at a time
 (``solver.blocks``); each row is a function of its own snapshot, so a path
 does not depend on the block size either.
+
+A trace is a walk (``_walk``: the positions, which of them are samples, and
+the exit reasons) followed by an assembly (``_assemble``: the fields,
+functionals and coefficients at the samples, one ``CharPath`` per launch).
+The relaunch rounds of ``launch_fan`` only walk the launches they move, and
+the paths are assembled once, after the last round.
 """
 from __future__ import annotations
 
@@ -80,27 +86,40 @@ def trace_fan(history: Trajectory, x0, family, t0=0.0) -> list:
     """RK4 paths of dx/dt = lambda_family launched from the points (x0, t0),
     traced in lockstep: one RK4 step for every live path per stored step.
     ``family`` is 1 or 2 per launch, or one family for every launch."""
+    launches = _launches(history, x0, t0, family)
+    if launches[0].size == 0:
+        return []
+    return _assemble(history, launches, _walk(history, launches))
+
+
+def _launches(history: Trajectory, x0, t0, family) -> tuple:
+    """The launches (x0, t0, family, k0) of ``trace_fan``'s arguments, one
+    entry per launch: x0 moved off the wall to the first cell center, the
+    innermost point the stored fields can interpolate without clamping, and
+    k0 the snapshot of each launch time.  A launch outside the trusted
+    domain raises DomainError."""
     if not np.isin(family, (1, 2)).all():
         raise DomainError("family must be 1 or 2")
-    times = history.times
-    scn = history.scenario
     x0, t0, family = (a.ravel() for a in np.broadcast_arrays(
         np.asarray(x0, dtype=float), np.asarray(t0, dtype=float),
         np.asarray(family, dtype=np.intp)))
-    extent = scn.reach(t0)
+    extent = history.scenario.reach(t0)
     outside = ~((0.0 <= x0) & (x0 <= extent))
     if outside.any():
         j = np.flatnonzero(outside)[0]
         raise DomainError(f"launch point {x0[j]} at t = {t0[j]} outside the "
                           f"trusted extent [0, {extent[j]}]")
-    if x0.size == 0:
-        return []
-    # Launch no closer to the wall than the first cell center, the innermost
-    # point the stored fields can interpolate without clamping.
-    x0 = np.maximum(x0, 0.5 * history.grid.dx)
+    times = history.times
     k0 = np.minimum(np.searchsorted(times, t0 - 1e-14, side="left"), len(times) - 1)
+    return np.maximum(x0, 0.5 * history.grid.dx), t0, family, k0
 
-    xs, recorded, reasons = _walk(history, x0, k0, family)
+
+def _assemble(history: Trajectory, launches: tuple, walked: tuple) -> list:
+    """The ``CharPath`` of each of the ``launches`` from the positions, sample
+    marks and exit reasons that ``_walk`` gave for them."""
+    x0, t0, family, _ = launches
+    xs, recorded, reasons = walked
+    times = history.times
     counts = recorded.sum(axis=0)
     ends = np.cumsum(counts)
     # The samples are laid out path after path, and taken a block of rows at
@@ -122,11 +141,12 @@ def trace_fan(history: Trajectory, x0, family, t0=0.0) -> list:
             for j, arrays in enumerate(zip(*(np.split(col, ends[:-1]) for col in cols)))]
 
 
-def _walk(history: Trajectory, x0, k0, family) -> tuple:
-    """The RK4 steps of the paths launched from ``x0`` at the snapshots
-    ``k0``: the positions ``xs`` (row k at stored time k, one column per
+def _walk(history: Trajectory, launches: tuple) -> tuple:
+    """The RK4 steps of the paths of ``launches`` (as ``_launches`` gives
+    them): the positions ``xs`` (row k at stored time k, one column per
     path), the mask ``recorded`` of the positions that are samples (every
     path has one), and each path's exit reason."""
+    x0, _, family, k0 = launches
     times = history.times
     # Samples are recorded only inside the trusted domain: past ``wall_band``
     # and up to ``reach``, taken at every stored time at once.  Leftward paths
@@ -239,7 +259,8 @@ def launch_fan(history: Trajectory, family, boundary: bool = False) -> list:
     samples are relaunched as one batch per round, a t = 0 launch half a
     spacing further from the wall and a boundary launch half a spacing
     earlier, until each has them or its shift would pass x_interest or
-    t = 0."""
+    t = 0.  A round only walks its batch; a path does not depend on the
+    fan it is traced in, so the paths are assembled once, at the end."""
     scn = history.scenario
     lo = wall_band(history)
     spacing = (scn.x_interest - lo) / FAN
@@ -254,17 +275,20 @@ def launch_fan(history: Trajectory, family, boundary: bool = False) -> list:
     x0, t0, shift_x, shift_t = (np.tile(np.concatenate(col), families.size)
                                 for col in zip(*fans))
     family = np.repeat(families, FAN * len(fans))
-    paths = trace_fan(history, x0, family, t0)
+    launches = _launches(history, x0, t0, family)
+    walked = _walk(history, launches)
     moves = (shift_x > 0.0) | (shift_t < 0.0)
     while True:
-        short = np.flatnonzero(moves & (np.array([path.n for path in paths]) < MIN_SAMPLES)
+        short = np.flatnonzero(moves & (walked[1].sum(axis=0) < MIN_SAMPLES)
                                & (x0 + shift_x <= scn.x_interest) & (t0 + shift_t >= 0.0))
         if short.size == 0:
-            return paths
+            return _assemble(history, launches, walked)
         x0[short] += shift_x[short]
         t0[short] += shift_t[short]
-        for k, path in zip(short, trace_fan(history, x0[short], family[short], t0[short])):
-            paths[k] = path
+        launches = _launches(history, x0, t0, family)
+        # Positions, sample marks and exit reasons, one column per path.
+        for whole, part in zip(walked, _walk(history, tuple(a[short] for a in launches))):
+            whole[..., short] = part
 
 
 @dataclass

@@ -99,7 +99,7 @@ def certify(scn: Scenario) -> CertBundle:
 
     z0 = np.asarray(scn.z0(x), dtype=float)
     w0 = np.asarray(scn.w0(x), dtype=float)
-    s = scn.profile.cum_abar(x)
+    s = scn.majorant_integral(x)
     certs.append(_membership_certificate("initial-membership", z0, w0, s,
                                          scn.region, x, "x"))
 
@@ -257,7 +257,7 @@ def monitor_report(traj: Trajectory) -> MonitorReport:
     # the central gradient at its last cell reads the next one.
     cells = int(arrays["window"].sum())
     cols = min(cells + 1, traj.z.shape[1])
-    faces = envelopes(scn.region, arrays["s"][:cells])
+    faces = envelopes(scn.region, scn.majorant_integral(arrays["x"][:cells]))
     a_win, dx, dts = arrays["a"][:cells], scn.grid.dx, traj.dts
     parts = {key: [] for key in ("gap", "zx", "wx", "zt", "wt", "phi_min", "phi_max",
                                  "psi_min", "psi_max", "edge")}
@@ -311,7 +311,7 @@ def _stored_columns(scn: Scenario) -> dict:
     """The grid arrays of ``scn`` cut to the columns a stored snapshot keeps
     (``Scenario.trusted_cells``)."""
     arrays, m = scn.runtime_arrays(), scn.trusted_cells
-    return {key: arrays[key][:m] for key in ("x", "a", "s", "window")}
+    return {key: arrays[key][:m] for key in ("x", "a", "window")}
 
 
 @dataclass
@@ -553,7 +553,7 @@ def write_fields_csv(traj: Trajectory, path) -> None:
     window = arrays["window"]
     x = arrays["x"][window]
     a = arrays["a"][window]
-    s = arrays["s"][window]
+    s = scn.majorant_integral(x)
     law = scn.law
     dx = traj.grid.dx
     rows = range(0, len(traj.times), max(1, scn.csv_stride))

@@ -195,45 +195,63 @@ class NozzleProfile:
     I_total: float
     conditional: bool = False
     label: str = "custom"
-    _cum_x: Optional[np.ndarray] = field(default=None, repr=False)
-    _cum_s: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in ("k1", "k2", "alpha", "M"):
             if getattr(self, name) <= 0.0:
                 raise DomainError(f"{name} must be positive")
 
-    # -- cached cumulative quadrature of abar ------------------------------
+    # -- cumulative quadrature of abar --------------------------------------
 
-    def _build_cum(self, x_hi: float):
+    def quadrature_table(self, x_hi: float) -> tuple:
+        """Nodes and cumulative trapezoid sums of abar on [0, max(x_hi, 1)]:
+        the node count doubles from 4096 until the Richardson estimate of the
+        total's error is below 1e-10 (1 + I_total), or 2^21.  A doubled level
+        reuses the samples of the level before at its even nodes (the even
+        nodes of ``linspace(0, x, 2n + 1)`` are bitwise ``linspace(0, x,
+        n + 1)``), and its coarse sum is that level's total, so each abar
+        value is computed once."""
+        x_hi = max(x_hi, 1.0)
         tol = 1e-10 * (1.0 + self.I_total if math.isfinite(self.I_total) else 1.0)
-        n = 4096
+        n = 2048
+        xs = np.linspace(0.0, x_hi, n + 1)
+        ys = np.asarray(self.abar(xs), dtype=float)
+        seg = _trapezoids(xs, ys)
+        total = float(seg.sum())
         while True:
+            coarse, n = total, 2 * n
             xs = np.linspace(0.0, x_hi, n + 1)
-            ys = np.asarray(self.abar(xs), dtype=float)
-            seg = 0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)
+            fine = np.empty(n + 1)
+            fine[::2] = ys
+            fine[1::2] = self.abar(xs[1::2])
+            ys = fine
+            seg = _trapezoids(xs, ys)
             total = float(seg.sum())
-            coarse = float((0.5 * (ys[2::2] + ys[:-1:2]) * (xs[2::2] - xs[:-1:2])).sum())
             if abs(total - coarse) / 3.0 < tol or n >= 1 << 21:
                 break
-            n *= 2
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        self._cum_x, self._cum_s = xs, cum
+        cum = np.empty(n + 1)
+        cum[0] = 0.0
+        np.cumsum(seg, out=cum[1:])
+        return xs, cum
 
-    def cum_abar(self, x):
-        """Integral of abar from 0 to x (monotone, capped by I_total)."""
+    def cum_abar(self, x, table: tuple):
+        """Integral of abar from 0 to x (monotone, capped by I_total),
+        interpolated in ``table``, a ``quadrature_table`` that covers x."""
         x = np.asarray(x, dtype=float)
         if np.any(x < 0.0):
             raise DomainError("cumulative majorant integral needs x >= 0")
-        x_hi = float(np.max(x)) if x.size else 0.0
-        if x_hi == 0.0:
-            return np.zeros_like(x) if x.ndim else 0.0
-        if self._cum_x is None or self._cum_x[-1] < x_hi:
-            self._build_cum(max(x_hi, 1.0))
-        val = np.interp(x, self._cum_x, self._cum_s)
+        val = np.interp(x, *table)
         if math.isfinite(self.I_total):
             val = np.minimum(val, self.I_total)
         return float(val) if val.ndim == 0 else val
+
+
+def _trapezoids(xs, ys) -> np.ndarray:
+    """The trapezoid areas 0.5 (y[i+1] + y[i]) (x[i+1] - x[i])."""
+    seg = np.add(ys[1:], ys[:-1])
+    seg *= 0.5
+    seg *= np.subtract(xs[1:], xs[:-1])
+    return seg
 
 
 def power_profile(amp: float, rate: float, decay: float, law: GasLaw, *,

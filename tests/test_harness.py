@@ -19,7 +19,7 @@ from nozzleflow.harness import (_FACES, EXIT_BLOWUP, EXIT_CERT,
                                 MonitorReport, certify, characteristic_pass,
                                 conservative_residual, load_trajectory,
                                 monitor_report, run_scenario, write_fields_csv)
-from nozzleflow.region import membership_margins
+from nozzleflow.region import NozzleProfile, membership_margins
 from nozzleflow.riccati import phi_psi_zw
 from nozzleflow.solver import _BLOCK, Trajectory, run, step
 
@@ -137,7 +137,7 @@ def _per_step_report(scn, zs, ws) -> MonitorReport:
     evaluation must match bitwise; a vacuum state raises VacuumStateError."""
     arrays = scn.runtime_arrays()
     window = arrays["window"]
-    s_win, a_win = arrays["s"][window], arrays["a"][window]
+    s_win, a_win = scn.majorant_integral(arrays["x"][window]), arrays["a"][window]
     dx, dt, times = scn.grid.dx, scn.dt, scn.step_times
     series = {key: [] for key in ("gap", "zx", "wx", "zt", "wt", "phi_min", "phi_max",
                                   "psi_min", "psi_max", "edge")}
@@ -296,26 +296,91 @@ class TestCharacteristicPass:
         assert not result["ok"]
 
     @pytest.mark.parametrize("name, n", [("p1_desk", 300), ("p2_desk", 120), ("p3_desk", 300)])
-    def test_one_trace_call_per_relaunch_round(self, name, n, monkeypatch):
+    def test_one_walk_per_relaunch_round(self, name, n, monkeypatch):
         # Both families and, on P2, the boundary fans share one lockstep
-        # loop; each later call relaunches a batch of the paths still short.
+        # walk; each relaunch round walks only a batch of the launches still
+        # short, and the paths are assembled once, after the last round.
         traj = run(desk_scenario(name, n=n, T=1.0))[0]
-        calls = []
-        trace_fan = chars.trace_fan
+        walks, assembled = [], []
+        walk, assemble = chars._walk, chars._assemble
 
-        def counted(history, x0, family, t0=0.0):
-            paths = trace_fan(history, x0, family, t0)
-            calls.append(list(paths))
+        def counted_walk(history, launches):
+            walked = walk(history, launches)
+            walks.append((launches, walked[1].sum(axis=0)))
+            return walked
+
+        def counted_assemble(history, launches, walked):
+            paths = assemble(history, launches, walked)
+            assembled.append(paths)
             return paths
 
-        monkeypatch.setattr(chars, "trace_fan", counted)
-        characteristic_pass(traj)
+        monkeypatch.setattr(chars, "_walk", counted_walk)
+        monkeypatch.setattr(chars, "_assemble", counted_assemble)
+        result = characteristic_pass(traj)
         fans = 2 if name == "p2_desk" else 1
-        assert [p.family for p in calls[0]] == [1] * fans * FAN + [2] * fans * FAN
-        for before, batch in zip(calls, calls[1:]):
-            assert 0 < len(batch) <= sum(p.n < chars.MIN_SAMPLES for p in before)
+        assert walks[0][0][2].tolist() == [1] * fans * FAN + [2] * fans * FAN
+        for (_, before), (batch, _) in zip(walks, walks[1:]):
+            assert 0 < batch[0].size <= (before < chars.MIN_SAMPLES).sum()
         if name != "p1_desk":
-            assert len(calls) > 1  # some launches are moved
+            assert len(walks) > 1  # some launches are moved
+        assert len(assembled) == 1
+        paths = assembled[0]
+        assert len(paths) == 2 * fans * FAN
+        assert sum(p.n for p in paths) == sum(
+            stats["samples"] for stats in result["families"].values())
+
+
+class TestMajorantTable:
+    """s(x) places the invariant rectangle at x; only the region checks read
+    it, so the scenario builds its quadrature table at the first of them."""
+
+    @staticmethod
+    def _builds(monkeypatch, allowed: bool) -> list:
+        """The x_hi of every quadrature table built from now on; with
+        ``allowed`` false, building one fails the test."""
+        built, build = [], NozzleProfile.quadrature_table
+
+        def counted(profile, x_hi):
+            assert allowed, "a quadrature table was built"
+            built.append(x_hi)
+            return build(profile, x_hi)
+
+        monkeypatch.setattr(NozzleProfile, "quadrature_table", counted)
+        return built
+
+    def test_only_simulate_builds_the_table_once(self, tmp_path, monkeypatch):
+        cfg = small_config("p3_desk", tmp_path, {"n = 2000": "n = 250"})
+        sim = tmp_path / "sim"
+        built = self._builds(monkeypatch, True)
+        assert main(["--quiet", "--out", str(sim), "simulate", str(cfg)]) == EXIT_OK
+        assert built == [load_config(cfg).to_scenario().grid.x_max]
+        self._builds(monkeypatch, False)
+        stored = str(sim / "trajectory.npz")
+        assert main(["--quiet", "--out", str(tmp_path / "ver"), "verify", stored]) == EXIT_OK
+        assert main(["--quiet", "--out", str(tmp_path / "tr"), "trace", stored,
+                     "--family", "1", "--x0", "0.5"]) == EXIT_OK
+        # A rung of the refinement ladder: run, launch fans, residual.
+        traj, _ = run(desk_scenario("p3_desk", n=300))
+        launch_fan(traj, (1, 2))
+        conservative_residual(traj)
+
+    def test_call_order_does_not_matter(self):
+        fresh = desk_scenario("p3_desk", n=250, T=1.0)
+        traj, _ = run(fresh)
+        cells = fresh.grid.cells()
+        want_s = fresh.majorant_integral(cells)
+        want = monitor_report(traj)
+        used = desk_scenario("p3_desk", n=250, T=1.0)
+        # Tables for a small x and for one past x_max, read first.
+        for x_hi in (0.5, 3.0 * used.grid.x_max):
+            used.profile.cum_abar(np.linspace(0.0, x_hi, 7),
+                                  used.profile.quadrature_table(x_hi))
+        stored = {name: getattr(traj, name) for name in solver._STORED}
+        got = monitor_report(Trajectory.from_npz(used, stored))
+        assert used.majorant_integral(cells).tobytes() == want_s.tobytes()
+        for face in _FACES:
+            assert got.min_margins[face].tobytes() == want.min_margins[face].tobytes()
+        assert got.to_dict() == want.to_dict()
 
 
 class TestRunScenario:

@@ -10,7 +10,8 @@ from nozzleflow.model import GasLaw
 from nozzleflow.region import (CriticalConstants, NozzleProfile, PchipCurve,
                                RegionSpec, _normalized_min_slack, check_h1,
                                check_hypothesis, critical_constants, envelopes,
-                               f_eval, find_constants, membership_margins,
+                               exp_profile, f_eval, find_constants,
+                               membership_margins,
                                power_profile, region_speed_bounds,
                                tabulated_profile, zero_profile)
 
@@ -198,7 +199,8 @@ class TestMembership:
         self.spec = RegionSpec("m", profile=self.profile, **H2_FEASIBLE)
 
     def margins_at(self, z, w, x):
-        return membership_margins(z, w, self.profile.cum_abar(x), self.spec)
+        table = self.profile.quadrature_table(1.0)
+        return membership_margins(z, w, self.profile.cum_abar(x, table), self.spec)
 
     def test_midpoint_inside(self):
         margins = self.margins_at(-(1.02 + 1.0) / 2.0, (0.9 + 1.1) / 2.0, 0.0)
@@ -278,29 +280,80 @@ class TestSpeedBounds:
 class TestCumulativeMajorant:
     def test_zero_at_origin(self, law53):
         prof = envelope_profile(0.37, law53)
-        assert prof.cum_abar(0.0) == 0.0
+        assert prof.cum_abar(0.0, prof.quadrature_table(1.0)) == 0.0
 
     def test_exponential_closed_form(self, law53):
         eps = 0.37
         prof = envelope_profile(eps, law53)
         # eps (1 - exp(-1)), frozen from 40-digit evaluation
-        assert prof.cum_abar(1.0) == pytest.approx(
+        assert prof.cum_abar(1.0, prof.quadrature_table(1.0)) == pytest.approx(
             eps * 0.6321205588285577, abs=1e-10)
 
     def test_approaches_total(self, law53):
         eps = 0.37
         prof = envelope_profile(eps, law53)
-        assert prof.cum_abar(60.0) == pytest.approx(eps, abs=1e-10)
+        assert prof.cum_abar(60.0, prof.quadrature_table(60.0)) == pytest.approx(eps, abs=1e-10)
 
     def test_monotone(self, law53):
         prof = envelope_profile(0.2, law53)
         xs = np.sort(np.random.default_rng(7).uniform(0.0, 10.0, 200))
-        vals = prof.cum_abar(xs)
+        vals = prof.cum_abar(xs, prof.quadrature_table(10.0))
         assert np.all(np.diff(vals) >= -1e-15)
 
     def test_negative_rejected(self, law53):
         with pytest.raises(DomainError):
-            envelope_profile(0.1, law53).cum_abar(-0.5)
+            prof = envelope_profile(0.1, law53)
+            prof.cum_abar(-0.5, prof.quadrature_table(1.0))
+
+
+def _doubling_reference(profile, x_hi):
+    """The quadrature table as it was built before a level reused the
+    samples of the level before: every level samples abar at all its nodes
+    and forms its coarse sum from its even nodes.  Kept as the reference
+    ``NozzleProfile.quadrature_table`` must match bitwise."""
+    x_hi = max(x_hi, 1.0)
+    tol = 1e-10 * (1.0 + profile.I_total if math.isfinite(profile.I_total) else 1.0)
+    n = 4096
+    while True:
+        xs = np.linspace(0.0, x_hi, n + 1)
+        ys = np.asarray(profile.abar(xs), dtype=float)
+        seg = 0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)
+        total = float(seg.sum())
+        coarse = float((0.5 * (ys[2::2] + ys[:-1:2]) * (xs[2::2] - xs[:-1:2])).sum())
+        if abs(total - coarse) / 3.0 < tol or n >= 1 << 21:
+            break
+        n *= 2
+    return xs, np.concatenate([[0.0], np.cumsum(seg)])
+
+
+def _table_profiles(law):
+    common = dict(k1=1.0, k2=1.0, alpha=1.0, M=1.0)
+    xs = np.linspace(0.0, 5.0, 41)
+    return {
+        "power": power_profile(0.05, 10.0, 2.0, law, **common),
+        "exp": exp_profile(0.05, 3.0, law, **common),
+        "zero": zero_profile(),
+        "table": tabulated_profile(xs, 0.05 / (1.0 + 10.0 * xs) ** 2, law, **common),
+    }
+
+
+class TestQuadratureTable:
+    @pytest.mark.parametrize("name", ["power", "exp", "zero", "table"])
+    @pytest.mark.parametrize("x_hi", [0.25, 1.0, 7.3, 31.0])
+    def test_equals_the_doubling_loop(self, law53, name, x_hi):
+        profile = _table_profiles(law53)[name]
+        got, want = profile.quadrature_table(x_hi), _doubling_reference(profile, x_hi)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_cum_abar_interpolates_its_table_capped_at_the_total(self, law53):
+        profile = _table_profiles(law53)["power"]
+        x = np.linspace(0.0, 2.0, 9)
+        table = profile.quadrature_table(8.0)
+        profile.quadrature_table(50.0)  # builds a table, changes nothing
+        assert profile.cum_abar(x, table).tobytes() == \
+            np.minimum(np.interp(x, *table), profile.I_total).tobytes()
 
 
 class TestFindConstants:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +88,56 @@ def _row_by_row_step(fld, dt, scn):
 
 def _bitwise(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _masked_slope(a, b):
+    """The van Leer slope by its formula: 2ab over a + b, divided only where
+    ab > 0, into zeros.  Kept as the reference that ``solver._limited_slope``
+    and any rewrite of it (an unmasked divide, say) must match bitwise."""
+    prod = a * b
+    return np.divide(2.0 * prod, a + b, out=np.zeros(np.shape(a)), where=prod > 0.0)
+
+
+class TestLimitedSlope:
+    #: a = -b, a = b = 0, +-0.0, NaN and +-inf in every pairing.
+    SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-3, math.inf, -math.inf, math.nan]
+
+    @staticmethod
+    def _pairs(values):
+        a, b = np.meshgrid(np.array(values), np.array(values))
+        return a.ravel(), b.ravel()
+
+    @staticmethod
+    def _work(k):
+        return types.SimpleNamespace(prod=np.empty(k), den=np.empty(k),
+                                     pos=np.empty(k, dtype=bool), slope=np.empty(k))
+
+    def test_matches_the_masked_divide(self):
+        a, b = self._pairs(self.SPECIAL)
+        rng = np.random.default_rng(3)
+        # Where 2ab overflows, and subnormal products: a folded x2 and x0.5
+        # would differ there.
+        a = np.concatenate([a, rng.standard_normal(500), [1e154, 1e154],
+                            rng.uniform(1e-310, 4e-310, 200)])
+        b = np.concatenate([b, rng.standard_normal(500), [1e154, -1e154],
+                            rng.uniform(1.0, 3.0, 200)])
+        with np.errstate(all="ignore"):
+            want = _masked_slope(a, b)
+            got = solver._limited_slope(a, b)
+            got_work = solver._limited_slope(a, b, self._work(a.size))
+            got_rows = solver._limited_slope(a[:-2].reshape(2, -1), b[:-2].reshape(2, -1))
+        assert _bitwise(got, want)
+        assert _bitwise(got_work, want)
+        assert _bitwise(got_rows, want[:-2].reshape(2, -1))
+
+    def test_no_warning_where_ab_is_not_positive(self):
+        # a = -b (x/0) and a = b = 0 (0/0, flat data) must not warn.  (An
+        # infinite slope warns in the product or the sum.)
+        a, b = self._pairs([v for v in self.SPECIAL if not math.isinf(v)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solver._limited_slope(a, b)
+            solver._limited_slope(a, b, self._work(a.size))
 
 
 class TestTwoRowKernel:
