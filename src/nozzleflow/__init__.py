@@ -7,7 +7,7 @@ from .region import (CriticalConstants, NozzleProfile, RegionSpec, check_h1,
 from .riccati import (apriori_upper_bound, check_compatibility,
                       check_data_conditions, coeffs_zw, phi_psi_boundary_zw,
                       phi_psi_zw, subsolution_value)
-from .solver import Field, Grid, Scenario, Trajectory, boundary_update, run, step
+from .solver import Field, Grid, Scenario, Trajectory, run, step
 from .characteristics import CharPath, bound_check, riccati_residual, trace
 from .harness import certify, conservative_residual, run_scenario
 

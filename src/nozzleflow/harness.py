@@ -547,6 +547,14 @@ def _row_format(header: str) -> str:
     return ",".join(["%.17g"] * len(header.split(","))) + "\n"
 
 
+def _write_rows(fh, row_format: str, cols) -> None:
+    """Write the rows of the equal-length columns ``cols``, formatted by one
+    ``%`` over ``row_format`` repeated once per row: the same bytes as one
+    ``%`` per row, at less cost per row."""
+    table = np.column_stack(cols)
+    fh.write((row_format * len(table)) % tuple(table.ravel().tolist()))
+
+
 def write_fields_csv(traj: Trajectory, path) -> None:
     scn = traj.scenario
     arrays = _stored_columns(scn)
@@ -571,11 +579,9 @@ def write_fields_csv(traj: Trajectory, path) -> None:
             margins = membership_margins(z, w, s, scn.region)
             lam1, lam2 = speeds_zw(z, w, law)
             t = traj.times[k]
-            cols = [np.full_like(z, t), x, rho, v, z, w, zx, wx, phi, psi,
-                    margins["z_lo"], margins["z_hi"], margins["w_lo"],
-                    margins["w_hi"], margins["gap"], lam1, lam2]
-            for row in np.column_stack(cols).tolist():
-                fh.write(fmt % tuple(row))
+            _write_rows(fh, fmt, [np.full_like(z, t), x, rho, v, z, w, zx, wx, phi, psi,
+                                  margins["z_lo"], margins["z_hi"], margins["w_lo"],
+                                  margins["w_hi"], margins["gap"], lam1, lam2])
 
 
 def write_path_csv(path_obj, delta1, M, alpha, out_path) -> None:
@@ -587,8 +593,7 @@ def write_path_csv(path_obj, delta1, M, alpha, out_path) -> None:
             br.lower_margin, br.upper_margin, br.sub_margin]
     with open(out_path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in np.column_stack(cols).tolist():
-            fh.write(fmt % tuple(row))
+        _write_rows(fh, fmt, cols)
 
 
 def load_trajectory(path) -> Trajectory:

@@ -49,17 +49,32 @@ contiguous block, and a shift by one cell is a shift by two entries of its
 flat view, so each operation of the upwind gradient covers both rows on
 contiguous memory (on two strided rows numpy takes about twice as long).
 
+``run`` allocates two state arrays and alternates them: each step reads one
+and writes the other.  The array it writes holds the state of one step
+earlier, so its cells past the active ones are up to date except where the
+last step evolved more cells; ``run`` copies those before the step.  The
+left ghosts are written straight into a state's first two rows
+(``_write_ghosts``), which also gives the x = 0 edge traces, and each
+snapshot goes straight into the trajectory's rows, allocated for the run.
+The P2 inflow ghosts depend on t alone: the ghosts after a second-order
+step are those of its second stage, reused, when ``t_k + dt == t_{k+1}``
+exactly (70-89% of the desk steps).  The inflow data are evaluated one time
+value at a time, never over an array of times: numpy's power over an array
+is not bitwise its value at each time (``1.4 + 0.01*(1 + t)^1.5`` differs
+at 5 of 5000 random t).
+
 A stage forms the speeds of all its cells at once from ``w - z`` and
 ``w + z``, which the source then reuses.  The invariant region fixes the
 sign of both speeds on P2 (>= 0) and P3 (< 0), so there every face mean has
 that sign too, and the stage forms only the upwind face values: the limited
 slope on the faces it reads, with no face-mean speeds and no per-face
-choice.  The choice is made from the stage's own speeds, so P1 (mixed
-signs), NaN and a state that has left the region take the general gradient.
-The stages write into arrays allocated once per scenario (``_Stages``).
-Every cell takes the same operations as it would row by row, so at the same
-dt and on the same cells the result is bitwise that of two separate row
-updates.
+choice.  The choice is made from the stage's own speeds, testing first for
+the sign the region fixes, so P1 (mixed signs), NaN and a state that has
+left the region take the general gradient.  The stages write into arrays
+allocated once per scenario (``_Stages``), through views of the step's
+active width that both stages share (``_Width``).  Every cell takes the
+same operations as it would row by row, so at the same dt and on the same
+cells the result is bitwise that of two separate row updates.
 """
 from __future__ import annotations
 
@@ -292,20 +307,11 @@ class Scenario:
         return Field(z, w, 0.0, self.grid)
 
 
-@dataclass
-class BoundaryValues:
-    """Left ghost cells ``gl`` (rows z and w, cells [-2, -1]) and the x = 0
-    edge trace."""
-
-    gl: np.ndarray
-    z_edge: float
-    w_edge: float
-
-
-def boundary_update(fld: Field, t: float, scn: Scenario) -> BoundaryValues:
-    """Problem-specific ghost/edge values at time t."""
+def _write_ghosts(state: np.ndarray, t: float, scn: Scenario) -> tuple:
+    """Write the left ghost cells of ``state`` (its rows 0 and 1, cells -2
+    and -1) for time t, and return the x = 0 edge traces (z_edge, w_edge)."""
     if scn.problem == "P1":
-        (z0, z1), (w0, w1) = fld.z[:2].tolist(), fld.w[:2].tolist()
+        (z0, w0), (z1, w1) = state[2:4].tolist()
         z_edge = 1.5 * z0 - 0.5 * z1
         w_edge = -z_edge
         lam1, lam2 = speeds_zw(z_edge, w_edge, scn.law)
@@ -314,36 +320,49 @@ def boundary_update(fld: Field, t: float, scn: Scenario) -> BoundaryValues:
                 f"wall boundary needs lambda1 < 0 < lambda2, got "
                 f"({float(lam1):.6g}, {float(lam2):.6g}) at t={t:.6g}", t=t)
         # Mirrored: the ghosts of each row are the other row's cells, negated.
-        gl = [[-other[1], -other[0]] for other in ((w0, w1), (z0, z1))]
-    elif scn.problem == "P2":
-        zb, wb = float(scn.zB(t)), float(scn.wB(t))
-        z_edge, w_edge = zb, wb
-        # Characteristic-shifted ghosts: the state at x < 0 is the boundary
-        # value that will arrive at the wall a travel time later.  Constant
-        # ghosts would plant an O(dx) inflow layer.
-        lam1, lam2 = speeds_zw(zb, wb, scn.law)
-        dx = fld.grid.dx
-        gl = [[float(fn(t + 1.5 * dx / float(lam))), float(fn(t + 0.5 * dx / float(lam)))]
-              for fn, lam in ((scn.zB, lam1), (scn.wB, lam2))]
-    else:
-        rows = (fld.z[:3].tolist(), fld.w[:3].tolist())
-        z_edge, w_edge = (1.5 * u0 - 0.5 * u1 for u0, u1, _ in rows)
-        # Quadratic continuation at the pure-outflow wall: lower-order ghosts
-        # plant a boundary layer whose gradients do not converge.
-        gl = [[6.0 * u0 - 8.0 * u1 + 3.0 * u2, 3.0 * u0 - 3.0 * u1 + u2]
-              for u0, u1, u2 in rows]
-    return BoundaryValues(np.array(gl), z_edge, w_edge)
+        state[0, 0], state[0, 1], state[1, 0], state[1, 1] = -w1, -z1, -w0, -z0
+        return z_edge, w_edge
+    if scn.problem == "P2":
+        # The inflow ghosts depend on t alone, so those of the last time are
+        # kept: after a second-order step they are its second stage's when
+        # t_k + dt == t_{k+1} exactly.
+        work = _stages(scn)
+        if work.inflow_t != t:
+            # Characteristic-shifted ghosts: the state at x < 0 is the
+            # boundary value that will arrive at the wall a travel time
+            # later.  Constant ghosts would plant an O(dx) inflow layer.
+            zb, wb = float(scn.zB(t)), float(scn.wB(t))
+            lam1, lam2 = speeds_zw(zb, wb, scn.law)
+            dx = scn.grid.dx
+            ghosts = np.array([[float(fn(t + h * dx / float(lam)))
+                                for fn, lam in ((scn.zB, lam1), (scn.wB, lam2))]
+                               for h in (1.5, 0.5)])
+            work.inflow_t, work.inflow = t, (ghosts, (zb, wb))
+        ghosts, edges = work.inflow
+        state[:2] = ghosts
+        return edges
+    (z0, w0), (z1, w1), (z2, w2) = state[2:5].tolist()
+    # Quadratic continuation at the pure-outflow wall: lower-order ghosts
+    # plant a boundary layer whose gradients do not converge.
+    state[0, 0], state[0, 1] = 6.0 * z0 - 8.0 * z1 + 3.0 * z2, 6.0 * w0 - 8.0 * w1 + 3.0 * w2
+    state[1, 0], state[1, 1] = 3.0 * z0 - 3.0 * z1 + z2, 3.0 * w0 - 3.0 * w1 + w2
+    return 1.5 * z0 - 0.5 * z1, 1.5 * w0 - 0.5 * w1
 
 
 class _Stages:
     """Arrays the evolve stages write into, allocated once per scenario for
-    the whole grid; a stage on the first m cells uses their leading part.
-    Two-row arrays are laid out as the state is, cell by cell."""
+    the whole grid; a step on the first m cells uses the views of their
+    leading part that ``at(m)`` gives.  Two-row arrays are laid out as the
+    state is, cell by cell."""
 
     def __init__(self, scn: Scenario):
         n = scn.grid.n
         self.coef = scn.runtime_arrays()["coef"]
         self.half_theta = 0.5 * scn.law.theta
+        self.dx, self.order = scn.grid.dx, scn.order
+        # The sign the region fixes is tested first: >= 0 on P2, < 0 on P3.
+        bounds = scn.speed_bounds
+        self.rightward = min(bounds.sign1, bounds.sign2) > 0
         self.mid = np.empty((n + 4, 2))  # the second stage's state
         self.lam = np.empty((n + 4, 2))
         self.gap, self.total, self.v, self.c = (np.empty(n + 4) for _ in range(4))
@@ -352,6 +371,42 @@ class _Stages:
         self.pos = np.empty(2 * (n + 1), dtype=bool)
         self.grad = np.empty(2 * n)
         self.f1, self.f2, self.inc = (np.empty((n, 2)) for _ in range(3))
+        # The last time the P2 ghosts were formed for, and (ghost rows, edge
+        # traces) then (``_write_ghosts``).
+        self.inflow_t, self.inflow = None, None
+        self.width = None
+
+    def at(self, m: int) -> "_Width":
+        if self.width is None or self.width.m != m:
+            self.width = _Width(self, m)
+        return self.width
+
+
+class _Width:
+    """The views of the ``_Stages`` arrays that both stages of a step on the
+    first m cells write into, made once for each width."""
+
+    def __init__(self, work: _Stages, m: int):
+        self.m = m
+        cells, faces = m + 4, 2 * m + 2  # with the ghosts; of both rows
+        self.gap, self.total = work.gap[:cells], work.total[:cells]
+        self.v, self.c, self.lam = work.v[:cells], work.c[:cells], work.lam[:cells]
+        self.lam1, self.lam2, self.lam_cells = self.lam[:, 0], self.lam[:, 1], self.lam[2:-2]
+        self.gap_cells, self.total_cells = self.gap[2:-2], self.total[2:-2]
+        self.coef = work.coef[:m]
+        self.d = work.d[:faces + 2]
+        self.d_lo, self.d_hi = self.d[:-2], self.d[2:]
+        self.prod, self.den, self.pos = work.prod[:faces], work.den[:faces], work.pos[:faces]
+        self.slope, self.face = work.slope[:faces], work.face[:faces]
+        self.face_lo, self.face_hi = self.face[:-2], self.face[2:]
+        self.grad = work.grad[:2 * m]
+        self.grad_cells = self.grad.reshape(m, 2)
+        self.mid = work.mid[:cells]
+        self.mid_cells = self.mid[2:-2]
+        self.inc = work.inc[:m]
+        # Each stage's derivative, with its z and w columns.
+        f1, f2 = work.f1[:m], work.f2[:m]
+        self.f1, self.f2 = (f1, f1[:, 0], f1[:, 1]), (f2, f2[:, 0], f2[:, 1])
 
 
 def _stages(scn: Scenario) -> _Stages:
@@ -360,16 +415,16 @@ def _stages(scn: Scenario) -> _Stages:
     return scn._cache["stages"]
 
 
-def _limited_slope(a, b, work: Optional[_Stages] = None):
+def _limited_slope(a, b, work=None):
     """van Leer harmonic slope 2ab/(a+b) where ab > 0, else 0: TVD, and smooth
     in the slope ratio (minmod's branch switching staircases smooth profiles,
     which wrecks the convergence of derivative diagnostics).  With ``work``,
-    for 1-D ``a`` and ``b``, its arrays hold the temporaries and the result."""
+    for 1-D ``a`` and ``b``, its arrays ``prod``, ``den``, ``pos`` and
+    ``slope`` of their size hold the temporaries and the result."""
     if work is None:
         prod, den, pos, slope = None, None, None, np.zeros(np.shape(a))
     else:
-        k = a.size
-        prod, den, pos, slope = work.prod[:k], work.den[:k], work.pos[:k], work.slope[:k]
+        prod, den, pos, slope = work.prod, work.den, work.pos, work.slope
         slope.fill(0.0)
     prod = np.multiply(a, b, out=prod)
     pos = np.greater(prod, 0.0, out=pos)
@@ -398,54 +453,57 @@ def _upwind_gradient(u_ext, lam_ext, dx: float, order: int):
     return (u_face[..., 1:] - u_face[..., :-1]) / dx
 
 
-def _one_sided_gradient(flat, leftward: bool, dx: float, order: int, work: _Stages):
+def _one_sided_gradient(flat, leftward: bool, work: _Stages, width: _Width):
     """``_upwind_gradient`` of both rows when every face-mean speed has one
     sign: each face takes its right cell (``leftward``, all speeds < 0) or
     its left cell (all speeds >= 0), and only the slopes those cells need
     are formed.  ``flat`` is the block of m cells and their ghosts as one
     1-D array, z and w of each cell side by side, so a shift of one cell is
     a shift of two entries and each operation covers both rows."""
-    m = flat.size // 2 - 4
+    m = width.m
     s = 2 * int(leftward)
-    u_face = flat[2 + s:2 * m + 4 + s]
-    if order == 2:
-        d = np.subtract(flat[2 + s:2 * m + 6 + s], flat[s:2 * m + 4 + s],
-                        out=work.d[:2 * m + 4])
-        half = _limited_slope(d[:-2], d[2:], work)
+    if work.order == 1:
+        face_lo, face_hi = flat[2 + s:2 * m + 2 + s], flat[4 + s:2 * m + 4 + s]
+    else:
+        np.subtract(flat[2 + s:2 * m + 6 + s], flat[s:2 * m + 4 + s], out=width.d)
+        half = _limited_slope(width.d_lo, width.d_hi, width)
         np.multiply(half, 0.5, out=half)
-        u_face = (np.subtract if leftward else np.add)(u_face, half,
-                                                       out=work.face[:2 * m + 2])
-    grad = np.subtract(u_face[2:], u_face[:-2], out=work.grad[:2 * m])
-    return np.divide(grad, dx, out=grad).reshape(m, 2)
+        (np.subtract if leftward else np.add)(flat[2 + s:2 * m + 4 + s], half, out=width.face)
+        face_lo, face_hi = width.face_lo, width.face_hi
+    np.subtract(face_hi, face_lo, out=width.grad)
+    np.divide(width.grad, work.dx, out=width.grad)
+    return width.grad_cells
 
 
-def _stage_rhs(ext, out, scn: Scenario, work: _Stages):
+def _stage_rhs(ext, rhs, work: _Stages, width: _Width):
     """Time derivative of the state in the interior of ``ext`` (m cells and
-    two ghosts each side, laid out as the state), written into ``out``:
-    each row advected with its own speed, plus the source.  When every
-    speed of the stage is < 0 or every one is >= 0, so is every face mean,
-    and the upwind side is known without comparing them."""
-    m = len(ext) - 4
+    two ghosts each side, laid out as the state), written into ``rhs``, one
+    of ``width.f1`` and ``width.f2``: each row advected with its own speed,
+    plus the source.  When every speed of the stage is < 0 or every one is
+    >= 0, so is every face mean, and the upwind side is known without
+    comparing them."""
     z, w = ext[:, 0], ext[:, 1]
-    gap = np.subtract(w, z, out=work.gap[:m + 4])
-    total = np.add(w, z, out=work.total[:m + 4])
+    gap = np.subtract(w, z, out=width.gap)
+    total = np.add(w, z, out=width.total)
     # lambda1, lambda2 = v -+ c with v = (w + z)/2 and c = (theta/2)(w - z).
-    v = np.multiply(total, 0.5, out=work.v[:m + 4])
-    c = np.multiply(gap, work.half_theta, out=work.c[:m + 4])
-    lam = work.lam[:m + 4]
-    np.subtract(v, c, out=lam[:, 0])
-    np.add(v, c, out=lam[:, 1])
-    dx, order = scn.grid.dx, scn.order
-    if lam.max() < 0.0:
-        grad = _one_sided_gradient(ext.reshape(-1), True, dx, order, work)
-    elif lam.min() >= 0.0:
-        grad = _one_sided_gradient(ext.reshape(-1), False, dx, order, work)
-    else:  # mixed signs (P1), NaN, or a state that left the region
-        grad = _upwind_gradient(ext.T, lam.T, dx, order).T
-    sz, sw = source_pair(gap[2:-2], total[2:-2], work.coef[:m])
-    np.multiply(lam[2:-2], grad, out=out)
-    np.subtract(sz, out[:, 0], out=out[:, 0])
-    np.subtract(sw, out[:, 1], out=out[:, 1])
+    v = np.multiply(total, 0.5, out=width.v)
+    c = np.multiply(gap, work.half_theta, out=width.c)
+    np.subtract(v, c, out=width.lam1)
+    np.add(v, c, out=width.lam2)
+    lam = width.lam
+    if work.rightward:
+        leftward = False if lam.min() >= 0.0 else True if lam.max() < 0.0 else None
+    else:
+        leftward = True if lam.max() < 0.0 else False if lam.min() >= 0.0 else None
+    if leftward is None:  # mixed signs (P1), NaN, or a state that left the region
+        grad = _upwind_gradient(ext.T, lam.T, work.dx, work.order).T
+    else:
+        grad = _one_sided_gradient(ext.reshape(-1), leftward, work, width)
+    sz, sw = source_pair(width.gap_cells, width.total_cells, width.coef)
+    out, out_z, out_w = rhs
+    np.multiply(width.lam_cells, grad, out=out)
+    np.subtract(sz, out_z, out=out_z)
+    np.subtract(sw, out_w, out=out_w)
     return out
 
 
@@ -462,37 +520,33 @@ def _state_of(fld: Field, scn: Scenario) -> np.ndarray:
     return state
 
 
-def _leading(state: np.ndarray, m: int, t: float, grid: Grid) -> Field:
-    """The field of the first ``m`` cells of ``state``."""
-    return Field(state[2:m + 2, 0], state[2:m + 2, 1], t, grid, state)
-
-
-def step(fld: Field, dt: float, scn: Scenario, bv: Optional[BoundaryValues] = None) -> Field:
+def step(fld: Field, dt: float, scn: Scenario, new: Optional[np.ndarray] = None) -> Field:
     """One explicit step (forward Euler or two-stage second order) of the
     cells of ``fld``: the whole grid, or the leading cells of a field whose
-    state array holds the next two, its right ghosts.  ``bv`` are the
-    boundary values of ``fld`` when the caller has them.  Returns the same
-    cells at t + dt, in a new state array whose other cells keep their
-    values."""
+    state array holds the next two, its right ghosts.  Returns the same
+    cells at t + dt in the state array ``new``, or in a new one whose other
+    cells keep their values.  ``run`` passes ``new`` with the other cells
+    already in place, and ``fld``'s state with its left ghosts for its time
+    already written; without ``new``, the step writes them itself."""
     t, m = fld.t, fld.z.size
     state = _state_of(fld, scn)
+    if new is None:
+        _write_ghosts(state, t, scn)
+        new = np.empty_like(state)
+        new[m + 2:] = state[m + 2:]
     work = _stages(scn)
-    new = np.empty_like(state)
-    new[m + 2:] = state[m + 2:]
-    out = new[2:m + 2]
-    ext = state[:m + 4]
-    ext[:2] = (bv if bv is not None else boundary_update(fld, t, scn)).gl.T
-    u = ext[2:-2]
-    f1 = _stage_rhs(ext, work.f1[:m], scn, work)
-    inc = np.multiply(f1, dt, out=work.inc[:m])
-    if scn.order == 1:
+    width = work.at(m)
+    u, out = state[2:m + 2], new[2:m + 2]
+    f1 = _stage_rhs(state[:m + 4], width.f1, work, width)
+    inc = np.multiply(f1, dt, out=width.inc)
+    if work.order == 1:
         np.add(u, inc, out=out)
     else:
-        mid = work.mid[:m + 4]
-        np.add(u, inc, out=mid[2:-2])
-        mid[-2:] = ext[-2:]
-        mid[:2] = boundary_update(_leading(mid, m, t + dt, fld.grid), t + dt, scn).gl.T
-        f2 = _stage_rhs(mid, work.f2[:m], scn, work)
+        mid = width.mid
+        np.add(u, inc, out=width.mid_cells)
+        mid[-2:] = state[m + 2:m + 4]
+        _write_ghosts(mid, t + dt, scn)
+        f2 = _stage_rhs(mid, width.f2, work, width)
         np.multiply(np.add(f1, f2, out=inc), 0.5 * dt, out=inc)
         np.add(u, inc, out=out)
     if not (out.max() <= BLOW_LIMIT and out.min() >= -BLOW_LIMIT):  # NaN fails too
@@ -501,7 +555,7 @@ def step(fld: Field, dt: float, scn: Scenario, bv: Optional[BoundaryValues] = No
         raise BlowUpError(
             f"solution left the finite range at t={t + dt:.6g}, cell {cell} "
             f"(x={(cell + 0.5) * fld.grid.dx:.6g})", t=t + dt, cell=cell)
-    return _leading(new, m, t + dt, fld.grid)
+    return Field(out[:, 0], out[:, 1], t + dt, fld.grid, new)
 
 
 #: Relative tolerance of a stored run's time gaps against its steps ``dts``:
@@ -529,34 +583,26 @@ def blocks(start: int, stop: int):
         yield lo, min(lo + _BLOCK, stop)
 
 
-#: What a trajectory stores per snapshot, in the order ``append`` takes it:
-#: time, step, the trusted columns of z and w, and the x = 0 edge traces.
+#: What a trajectory stores per snapshot: time, step, the trusted columns of
+#: z and w, and the x = 0 edge traces.
 _STORED = ("times", "dts", "z", "w", "z_edge", "w_edge")
 
 
 class Trajectory:
     """Stored snapshots of one run plus their space-time interpolator.
 
-    One snapshot per step keeps the first ``scenario.trusted_cells``
-    columns.  ``append`` writes them into rows allocated for the K + 1
-    snapshots of a run, and ``finalize`` makes the rows written so far the
-    arrays ``times``, ``dts``, ``z``, ``w``, ``z_edge`` and ``w_edge``, so
-    each snapshot is held once.  ``rows`` are the arrays of a stored run.
-    ``blow_up`` is None for a run that reached T, else the failure's
-    ``t``, ``cell`` and ``message`` (empty if a stored file lacks them)."""
+    ``rows`` are the arrays of a stored run, by the names of ``_STORED``:
+    one snapshot per step, each keeping the first ``scenario.trusted_cells``
+    columns of z and w.  ``blow_up`` is None for a run that reached T, else
+    the failure's ``t``, ``cell`` and ``message`` (empty if a stored file
+    lacks them)."""
 
-    def __init__(self, scenario: Scenario, rows: Optional[dict] = None):
+    def __init__(self, scenario: Scenario, rows: dict, blow_up: Optional[dict] = None):
         self.scenario = scenario
         self.grid = scenario.grid
-        self.blow_up = None
-        if rows is None:
-            snaps, m = scenario.steps + 1, scenario.trusted_cells
-            rows = {name: np.empty((snaps, m) if name in ("z", "w") else snaps)
-                    for name in _STORED}
-            self._count = 0
-        else:
-            self._count = len(rows["times"])
-        self._rows = rows
+        self.blow_up = blow_up
+        for name in _STORED:
+            setattr(self, name, rows[name])
 
     @classmethod
     def from_npz(cls, scenario: Scenario, data,
@@ -592,24 +638,7 @@ class Trajectory:
         for name in ("z", "w"):
             arrays[name] = arrays[name][:, :m]
         rows = {name: np.ascontiguousarray(arr, dtype=float) for name, arr in arrays.items()}
-        return cls(scenario, rows).finalize(blow_up)
-
-    def append(self, fld: Field, dt: float, bv: BoundaryValues):
-        k, m = self._count, self.scenario.trusted_cells
-        for name, value in zip(_STORED, (fld.t, dt, fld.z[:m], fld.w[:m],
-                                         bv.z_edge, bv.w_edge)):
-            self._rows[name][k] = value
-        self._count = k + 1
-
-    def finalize(self, blow_up: Optional[dict] = None):
-        """Take the snapshots written so far as the run; ``run`` calls this
-        once, at the end of the run or at its abort (with the failure's
-        details), and ``from_npz`` on the loaded arrays."""
-        self.blow_up = blow_up
-        for name, rows in self._rows.items():
-            setattr(self, name, rows[:self._count])
-        self._rows = None
-        return self
+        return cls(scenario, rows, blow_up)
 
     @property
     def blown_up(self) -> bool:
@@ -664,11 +693,18 @@ class Trajectory:
         i = np.minimum(np.maximum(np.floor(xi), 0), self.scenario.trusted_cells - 2)
         frac = np.minimum(np.maximum(xi - i, 0.0), 1.0)
         i = i.astype(np.intp)
-        i1, rest, stay = i + 1, 1.0 - frac, 1.0 - tau
+        rest, stay = 1.0 - frac, 1.0 - tau
+        # The stacks are C-contiguous: entry (k, i) is entry k*m + i of the
+        # flat stack, and entry (k, i + 1) that of the flat stack from 1 on.
+        # A 1-D gather costs less than a 2-D one.
+        m = stacks[0].shape[1]
+        at_k, at_k2 = k * m + i, k2 * m + i
         out = []
         for stack in stacks:
-            lo = rest * stack[k, i] + frac * stack[k, i1]
-            hi = rest * stack[k2, i] + frac * stack[k2, i1]
+            flat = stack.reshape(-1)
+            after = flat[1:]
+            lo = rest * flat[at_k] + frac * after[at_k]
+            hi = rest * flat[at_k2] + frac * after[at_k2]
             out.append(stay * lo + tau * hi)
         return out
 
@@ -696,19 +732,32 @@ def run(scn: Scenario):
     Returns (trajectory, field); the returned field covers the whole grid.
     A numerical blow-up, or a wall that turns sonic after t = 0, aborts the
     run with the partial trajectory attached to the error."""
-    fld = scn.initial_field()
-    traj = Trajectory(scn)
-    bv = boundary_update(fld, 0.0, scn)
-    traj.append(fld, 0.0, bv)
-    times, n, dt = scn.step_times, scn.grid.n, scn.dt
-    state = _state_of(fld, scn)
+    times, dt, grid = scn.step_times, scn.dt, scn.grid
+    snaps, kept = len(times), scn.trusted_cells
+    dts = np.full(snaps, dt)
+    dts[0] = 0.0
+    z, w = np.empty((snaps, kept)), np.empty((snaps, kept))
+    z_edge, w_edge = np.empty(snaps), np.empty(snaps)
+    rows = dict(zip(_STORED, (times, dts, z, w, z_edge, w_edge)))
+    state = _state_of(scn.initial_field(), scn)
+    # Two states that the steps alternate between (see the module docstring).
+    buffers = (state, state.copy())
+    z_edge[0], w_edge[0] = _write_ghosts(state, 0.0, scn)
+    z[0], w[0] = state[2:kept + 2, 0], state[2:kept + 2, 1]
+    count, last = 1, grid.n
     try:
         for k, m in enumerate(scn.active_cells(times[:-1]).tolist()):
-            state = step(_leading(state, m, times[k], scn.grid), dt, scn, bv).state
-            fld = _leading(state, n, times[k + 1], scn.grid)
-            bv = boundary_update(fld, fld.t, scn)
-            traj.append(fld, dt, bv)
+            state, new = buffers[k % 2], buffers[1 - k % 2]
+            if m != last:
+                new[m + 2:last + 2] = state[m + 2:last + 2]
+                last = m
+            step(Field(state[2:m + 2, 0], state[2:m + 2, 1], times[k], grid, state), dt, scn, new)
+            z_edge[k + 1], w_edge[k + 1] = _write_ghosts(new, times[k + 1], scn)
+            z[k + 1], w[k + 1] = new[2:kept + 2, 0], new[2:kept + 2, 1]
+            count = k + 2
     except RunAbortedError as err:
-        err.trajectory = traj.finalize({"t": err.t, "cell": err.cell, "message": str(err)})
+        err.trajectory = Trajectory(scn, {name: arr[:count] for name, arr in rows.items()},
+                                    {"t": err.t, "cell": err.cell, "message": str(err)})
         raise
-    return traj.finalize(), fld
+    state = buffers[(snaps - 1) % 2]
+    return Trajectory(scn, rows), Field(state[2:-2, 0], state[2:-2, 1], times[-1], grid, state)

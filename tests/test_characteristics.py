@@ -33,6 +33,73 @@ def synthetic_path(t, x, value, lam, A=None, B=None, C=None, family=1):
                     C=C if C is not None else zeros, exit_reason="end")
 
 
+def _fancy_interpolate(history, x, when, stacks):
+    """``Trajectory.interpolate`` as it was before it gathered through flat
+    indices: 2-D fancy indexing of each stack.  Kept as the reference the
+    flat gather must match bitwise."""
+    k, k2, tau = when
+    xi = np.asarray(x, dtype=float) / history.grid.dx - 0.5
+    i = np.minimum(np.maximum(np.floor(xi), 0), history.scenario.trusted_cells - 2)
+    frac = np.minimum(np.maximum(xi - i, 0.0), 1.0)
+    i = i.astype(np.intp)
+    i1, rest, stay = i + 1, 1.0 - frac, 1.0 - tau
+    out = []
+    for stack in stacks:
+        lo = rest * stack[k, i] + frac * stack[k, i1]
+        hi = rest * stack[k2, i] + frac * stack[k2, i1]
+        out.append(stay * lo + tau * hi)
+    return out
+
+
+class TestInterpolate:
+    """The flat-index gather of ``Trajectory.interpolate`` against the 2-D
+    fancy-index one, bitwise."""
+
+    @staticmethod
+    def _assert_same(history, x, when, stacks):
+        got = history.interpolate(x, when, stacks)
+        want = _fancy_interpolate(history, x, when, stacks)
+        assert len(got) == len(want) == len(stacks)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_positions_and_times_past_the_stored_ones(self, p1_run):
+        rng = np.random.default_rng(5)
+        edge = p1_run.scenario.trusted_cells * p1_run.grid.dx
+        x = np.concatenate([[-0.3, -1e-9, 0.0, 0.5 * p1_run.grid.dx, edge, 2.0 * edge],
+                            rng.uniform(-0.1, 1.1 * edge, 60)])
+        last = p1_run.times[-1]
+        t = np.concatenate([[0.0, -1.0, last, last + 1.0],
+                            rng.uniform(0.0, last, x.size - 4)])
+        when = p1_run.time_weights(t)
+        k, k2, _ = when
+        assert np.any((k == k2) & (k == len(p1_run.times) - 1))  # the last row
+        self._assert_same(p1_run, x, when, p1_run.block(("z", "w", "zx", "wx")))
+
+    def test_one_time_shared_by_every_point(self, p1_run):
+        x = np.linspace(-0.05, 1.2, 41)
+        for t in (0.0, 0.3 * p1_run.times[-1], p1_run.times[-1]):
+            self._assert_same(p1_run, x, p1_run.time_weights(t), p1_run.block(("z", "w")))
+
+    @pytest.mark.parametrize("family", [1, 2])
+    def test_lam_block_from_its_first_row(self, p1_run, family):
+        rng = np.random.default_rng(family)
+        lo, hi = 17, 57
+        t = rng.uniform(p1_run.times[lo], p1_run.times[hi - 2], 40)
+        k, k2, tau = p1_run.time_weights(t)
+        assert k.min() >= lo and k2.max() < hi
+        # A family-2 point reads the block's lambda2 rows, below its lambda1 rows.
+        shift = (family - 1) * (hi - lo) - lo
+        when = (k + shift, k2 + shift, tau)
+        x = rng.uniform(0.0, 1.0, 40)
+        self._assert_same(p1_run, x, when, p1_run.block(("lam",), lo, hi))
+        whole, = p1_run.interpolate(x, (k + (family - 1) * len(p1_run.times), k2
+                                        + (family - 1) * len(p1_run.times), tau),
+                                    p1_run.block(("lam",)))
+        block, = p1_run.interpolate(x, when, p1_run.block(("lam",), lo, hi))
+        assert whole.tobytes() == block.tobytes()
+
+
 class TestTrace:
     def test_leftward_uniform_is_straight(self, law53):
         scn = uniform_scenario("P1", -3.0, 3.0, region_m(), law53, n=200, T=0.5)

@@ -9,7 +9,7 @@ import pytest
 from conftest import (desk_scenario, region_l, small_config, thinned_run_file,
                       uniform_scenario)
 from nozzleflow import characteristics as chars
-from nozzleflow import solver
+from nozzleflow import harness, solver
 from nozzleflow.characteristics import FAN, launch_fan
 from nozzleflow.cli import main
 from nozzleflow.config import load_config
@@ -18,7 +18,8 @@ from nozzleflow.harness import (_FACES, EXIT_BLOWUP, EXIT_CERT,
                                 EXIT_DATAERR, EXIT_MONITOR, EXIT_OK,
                                 MonitorReport, certify, characteristic_pass,
                                 conservative_residual, load_trajectory,
-                                monitor_report, run_scenario, write_fields_csv)
+                                monitor_report, run_scenario, write_fields_csv,
+                                write_path_csv)
 from nozzleflow.region import NozzleProfile, membership_margins
 from nozzleflow.riccati import phi_psi_zw
 from nozzleflow.solver import _BLOCK, Trajectory, run, step
@@ -168,9 +169,9 @@ def _per_step_report(scn, zs, ws) -> MonitorReport:
         series["psi_min"].append(float(psi.min()))
         series["psi_max"].append(float(psi.max()))
         if scn.problem == "P1":
-            bv = solver.boundary_update(solver.Field(z_full, w_full, times[k], scn.grid),
-                                        times[k], scn)
-            series["edge"].append(abs(bv.z_edge + bv.w_edge))
+            state = solver._state_of(solver.Field(z_full, w_full, times[k], scn.grid), scn)
+            z_edge, w_edge = solver._write_ghosts(state, times[k], scn)
+            series["edge"].append(abs(z_edge + w_edge))
         else:
             series["edge"].append(0.0)
     series = {key: np.asarray(vals) for key, vals in series.items()}
@@ -381,6 +382,40 @@ class TestMajorantTable:
         for face in _FACES:
             assert got.min_margins[face].tobytes() == want.min_margins[face].tobytes()
         assert got.to_dict() == want.to_dict()
+
+
+def _per_row_writes(fh, row_format, cols):
+    """The CSV rows as they were written before one ``%`` covered a whole
+    table: one ``%`` and one write per row.  Kept as the reference."""
+    for row in np.column_stack(cols).tolist():
+        fh.write(row_format % tuple(row))
+
+
+class TestCsvWriters:
+    """One ``%`` over the joined row format writes the bytes that one ``%``
+    per row wrote."""
+
+    @staticmethod
+    def _assert_same_bytes(write, path):
+        write(path / "joined.csv")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "_write_rows", _per_row_writes)
+            write(path / "per_row.csv")
+        joined, per_row = ((path / name).read_bytes() for name in ("joined.csv", "per_row.csv"))
+        assert joined == per_row and len(joined.splitlines()) > 2
+
+    @pytest.mark.parametrize("name, n", [("p1_desk", 300), ("p3_desk", 250)])
+    def test_fields_csv(self, tmp_path, name, n):
+        traj, _ = run(desk_scenario(name, n=n))
+        self._assert_same_bytes(lambda out: write_fields_csv(traj, out), tmp_path)
+
+    def test_path_csv(self, tmp_path):
+        traj, _ = run(desk_scenario("p1_desk", n=300))
+        scn = traj.scenario
+        path = chars.trace(traj, 0.6, 2)
+        assert path.n > 2
+        self._assert_same_bytes(lambda out: write_path_csv(path, scn.delta1, scn.profile.M,
+                                                           scn.profile.alpha, out), tmp_path)
 
 
 class TestRunScenario:
@@ -690,5 +725,6 @@ class TestTrustedColumns:
         traj, _, full = p3_recorded
         back = load_trajectory(full)
         for held in (traj, back):
-            assert held._rows is None
+            # No container of further snapshots beside the stacks.
+            assert set(vars(held)) == {"scenario", "grid", "blow_up", *solver._STORED}
             assert held.z.shape == held.w.shape == (len(held.times), held.scenario.trusted_cells)

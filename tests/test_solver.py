@@ -6,14 +6,16 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (constant_profile, desk_scenario, field_dt, region_l,
-                      region_m, uniform_scenario)
-from nozzleflow.errors import BlowUpError, DomainError, SonicBoundaryError
+from conftest import (constant_profile, desk_config_text, desk_scenario, field_dt,
+                      region_l, region_m, uniform_scenario)
+from nozzleflow.errors import (BlowUpError, DomainError, RunAbortedError,
+                               SonicBoundaryError)
 from nozzleflow import solver
+from nozzleflow.config import parse_config_text
 from nozzleflow.model import GasLaw, speeds_zw
 from nozzleflow.region import RegionSpec, zero_profile
-from nozzleflow.solver import (Field, Grid, Scenario, _upwind_gradient,
-                               boundary_update, run, step)
+from nozzleflow.solver import (Field, Grid, Scenario, _upwind_gradient, run,
+                               step)
 
 
 def uniform_field(z_val, w_val, n=100, dx=0.01, x_interest=None):
@@ -63,27 +65,108 @@ class TestConstantPreservation:
         assert float(np.abs(fld.w - 3.0).max()) <= 1e-11
 
 
-def _row_by_row_step(fld, dt, scn):
-    """The step as it was before the two-row kernel: z and w advanced as two
-    separate arrays.  Kept as the reference the kernel must match bitwise."""
-    arrays = scn.runtime_arrays()
+def _reference_boundary(z, w, t, scn):
+    """The left ghosts ``gl`` (rows z and w, cells [-2, -1]) and the x = 0
+    edge traces at time t of the leading cells ``z``, ``w``: the solver's
+    ``boundary_update`` as it was before the ghosts were written into the
+    state, kept as the reference."""
+    if scn.problem == "P1":
+        (z0, z1), (w0, w1) = z[:2].tolist(), w[:2].tolist()
+        z_edge = 1.5 * z0 - 0.5 * z1
+        w_edge = -z_edge
+        lam1, lam2 = speeds_zw(z_edge, w_edge, scn.law)
+        if not (lam1 < 0.0 < lam2):
+            raise SonicBoundaryError(
+                f"wall boundary needs lambda1 < 0 < lambda2, got "
+                f"({float(lam1):.6g}, {float(lam2):.6g}) at t={t:.6g}", t=t)
+        gl = [[-other[1], -other[0]] for other in ((w0, w1), (z0, z1))]
+    elif scn.problem == "P2":
+        zb, wb = float(scn.zB(t)), float(scn.wB(t))
+        z_edge, w_edge = zb, wb
+        lam1, lam2 = speeds_zw(zb, wb, scn.law)
+        dx = scn.grid.dx
+        gl = [[float(fn(t + 1.5 * dx / float(lam))), float(fn(t + 0.5 * dx / float(lam)))]
+              for fn, lam in ((scn.zB, lam1), (scn.wB, lam2))]
+    else:
+        rows = (z[:3].tolist(), w[:3].tolist())
+        z_edge, w_edge = (1.5 * u0 - 0.5 * u1 for u0, u1, _ in rows)
+        gl = [[6.0 * u0 - 8.0 * u1 + 3.0 * u2, 3.0 * u0 - 3.0 * u1 + u2]
+              for u0, u1, u2 in rows]
+    return np.array(gl), z_edge, w_edge
 
-    def stage_rhs(z, w, t):
-        gl = boundary_update(Field(z, w, t, scn.grid), t, scn).gl
-        z_ext = np.concatenate([gl[0], z, arrays["gr"][0]])
-        w_ext = np.concatenate([gl[1], w, arrays["gr"][1]])
+
+def _reference_step(z, w, t, dt, m, scn, gl=None):
+    """One step of the first ``m`` cells of ``z``, ``w`` (the grid's cells
+    and its two far-field ghosts), whose next two cells are their right
+    ghosts, with z and w advanced as two separate arrays: the step as it was
+    before the two-row kernel, kept as the reference the kernel must match
+    bitwise.  ``gl`` are the left ghosts at t when the caller has them.
+    Returns the new z, w; the cells past the first m keep their values."""
+    coef = scn.runtime_arrays()["coef"][:m]
+
+    def stage_rhs(z, w, t, gl):
+        if gl is None:
+            gl = _reference_boundary(z, w, t, scn)[0]
+        z_ext = np.concatenate([gl[0], z[:m + 2]])
+        w_ext = np.concatenate([gl[1], w[:m + 2]])
         lam1e, lam2e = speeds_zw(z_ext, w_ext, scn.law)
         z_x = _upwind_gradient(z_ext, lam1e, scn.grid.dx, scn.order)
         w_x = _upwind_gradient(w_ext, lam2e, scn.grid.dx, scn.order)
-        sz, sw = solver.source_pair(w - z, w + z, arrays["coef"])
+        sz, sw = solver.source_pair(w[:m] - z[:m], w[:m] + z[:m], coef)
         return -lam1e[2:-2] * z_x + sz, -lam2e[2:-2] * w_x + sw
 
-    z, w, t = fld.z, fld.w, fld.t
-    f1z, f1w = stage_rhs(z, w, t)
+    f1z, f1w = stage_rhs(z, w, t, gl)
     if scn.order == 1:
-        return Field(z + dt * f1z, w + dt * f1w, t + dt, fld.grid)
-    f2z, f2w = stage_rhs(z + dt * f1z, w + dt * f1w, t + dt)
-    return Field(z + 0.5 * dt * (f1z + f2z), w + 0.5 * dt * (f1w + f2w), t + dt, fld.grid)
+        new_z, new_w = z[:m] + dt * f1z, w[:m] + dt * f1w
+    else:
+        mid_z = np.concatenate([z[:m] + dt * f1z, z[m:m + 2]])
+        mid_w = np.concatenate([w[:m] + dt * f1w, w[m:m + 2]])
+        f2z, f2w = stage_rhs(mid_z, mid_w, t + dt, None)
+        new_z, new_w = z[:m] + 0.5 * dt * (f1z + f2z), w[:m] + 0.5 * dt * (f1w + f2w)
+    out = np.column_stack([new_z, new_w])
+    if not (out.max() <= solver.BLOW_LIMIT and out.min() >= -solver.BLOW_LIMIT):
+        cell = int(np.argmax((~(np.abs(out) <= solver.BLOW_LIMIT)).any(axis=1)))
+        raise BlowUpError(
+            f"solution left the finite range at t={t + dt:.6g}, cell {cell} "
+            f"(x={(cell + 0.5) * scn.grid.dx:.6g})", t=t + dt, cell=cell)
+    return np.concatenate([new_z, z[m:]]), np.concatenate([new_w, w[m:]])
+
+
+def _reference_run(scn):
+    """``solver.run`` as it was before the two reused state arrays: a new
+    state each step, the boundary values formed after every step, and each
+    snapshot appended name by name.  Returns the stored arrays by name, the
+    final (z, w, t) or None, and the ``blow_up`` details or None."""
+    fld = scn.initial_field()
+    gr = scn.runtime_arrays()["gr"]
+    z, w = np.concatenate([fld.z, gr[0]]), np.concatenate([fld.w, gr[1]])
+    times, dt, kept, n = scn.step_times, scn.dt, scn.trusted_cells, scn.grid.n
+    stored = {name: [] for name in solver._STORED}
+
+    def append(t, step_dt, edges):
+        for name, value in zip(solver._STORED, (t, step_dt, z[:kept], w[:kept], *edges)):
+            stored[name].append(value)
+
+    gl, *edges = _reference_boundary(z, w, 0.0, scn)
+    append(0.0, 0.0, edges)
+    final, blow_up = None, None
+    try:
+        for k, m in enumerate(scn.active_cells(times[:-1]).tolist()):
+            z, w = _reference_step(z, w, times[k], dt, m, scn, gl)
+            gl, *edges = _reference_boundary(z, w, times[k + 1], scn)
+            append(times[k + 1], dt, edges)
+        final = (z[:n], w[:n], times[-1])
+    except RunAbortedError as err:
+        blow_up = {"t": err.t, "cell": err.cell, "message": str(err)}
+    return {name: np.array(vals) for name, vals in stored.items()}, final, blow_up
+
+
+def _row_by_row_step(fld, dt, scn):
+    """``_reference_step`` of the whole grid of ``fld``."""
+    gr = scn.runtime_arrays()["gr"]
+    z, w = _reference_step(np.concatenate([fld.z, gr[0]]), np.concatenate([fld.w, gr[1]]),
+                           fld.t, dt, scn.grid.n, scn)
+    return Field(z[:-2], w[:-2], fld.t + dt, fld.grid)
 
 
 def _bitwise(a, b):
@@ -180,6 +263,81 @@ class TestTwoRowKernel:
         assert err.value.cell == first
 
 
+def _p2_scenario_with_curved_inflow(**overrides):
+    """p2_desk with boundary data that use ^, sin and exp, equal to the
+    initial data at the corner (x, t) = (0, 0)."""
+    text = desk_config_text("p2_desk", {
+        "zB = 1.1 - 0.0787*t": "zB = 1.1 - 0.0787*t + 0.001*sin(3*t) + 0.002*((1 + t)^1.5 - 1)",
+        "wB = 1.7 - 0.0893*t": "wB = 1.7 - 0.0893*t + 0.003*(exp(0.5*t) - 1)"})
+    return dataclasses.replace(parse_config_text(text).to_scenario(), **overrides)
+
+
+class TestLeanLoop:
+    """``run`` steps into two reused state arrays and writes the ghosts and
+    the snapshots in place; every stored array, the final field and the
+    failure details are bitwise those of the run before it
+    (``_reference_run``)."""
+
+    @staticmethod
+    def _assert_matches_reference(scn):
+        want, want_final, want_blow_up = _reference_run(scn)
+        try:
+            traj, final = run(scn)
+        except RunAbortedError as err:
+            traj, final = err.trajectory, None
+        for name in solver._STORED:
+            assert _bitwise(getattr(traj, name), want[name]), name
+        assert traj.blow_up == want_blow_up
+        if want_final is None:
+            assert final is None
+        else:
+            assert _bitwise(final.z, want_final[0]) and _bitwise(final.w, want_final[1])
+            assert final.t == want_final[2]
+        return traj
+
+    @pytest.mark.parametrize("name, n", [("p1_desk", 300), ("p2_desk", 150),
+                                         ("p3_desk", 250)])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_desk_runs(self, name, n, order):
+        scn = desk_scenario(name, n=n, order=order)
+        assert scn.active_cells(scn.step_times[:-1])[-1] < scn.grid.n  # it truncates
+        assert not self._assert_matches_reference(scn).blown_up
+
+    def test_blow_up(self):
+        traj = self._assert_matches_reference(desk_scenario("p1_desk", n=300, cfl=1.44))
+        assert traj.blow_up["message"].startswith("solution left the finite range")
+
+    def test_wall_turns_sonic(self):
+        traj = self._assert_matches_reference(desk_scenario("p1_desk", n=60, cfl=5.0))
+        assert traj.blow_up["message"].startswith("wall boundary needs")
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_inflow_data_with_powers_sines_and_exponentials(self, order):
+        scn = _p2_scenario_with_curved_inflow(n=120, order=order)
+        times, dt = scn.step_times, scn.dt
+        # The post-step ghosts of most second-order steps are the second
+        # stage's, reused; the others are formed anew.
+        reused = times[:-1] + dt == times[1:]
+        assert 0 < reused.sum() < reused.size
+        self._assert_matches_reference(scn)
+
+    def test_one_call_of_step_per_step(self, monkeypatch):
+        scn = desk_scenario("p3_desk", n=250)
+        widths = []
+        plain = solver.step
+
+        def counted(*args):
+            new = plain(*args)
+            assert isinstance(new, Field) and new.w.size == new.z.size
+            widths.append(new.z.size)
+            return new
+
+        monkeypatch.setattr(solver, "step", counted)
+        traj, _ = run(scn)
+        assert widths == scn.active_cells(scn.step_times[:-1]).tolist()
+        assert len(widths) == scn.steps == len(traj.times) - 1
+
+
 class TestSignResolvedStage:
     """A stage whose speeds all have one sign skips the face-mean speeds and
     the per-face choice; any other stage takes ``_upwind_gradient``."""
@@ -273,8 +431,8 @@ class TestActiveCells:
         traj, _ = run(desk_scenario(name, n=n))
         plain = solver.step
 
-        def garbling(fld, dt, scn, bv=None):
-            new = plain(fld, dt, scn, bv)
+        def garbling(fld, dt, scn, out=None):
+            new = plain(fld, dt, scn, out)
             new.state[new.z.size + 4:] = np.nan
             return new
 
@@ -364,16 +522,18 @@ class TestBoundaries:
     def test_wall_reflection(self, law53):
         scn = desk_scenario("p1_desk", n=200, T=0.5)
         fld = scn.initial_field()
-        bv = boundary_update(fld, 0.0, scn)
-        assert bv.w_edge == pytest.approx(-bv.z_edge, abs=0.0)
-        assert bv.gl[1][1] == pytest.approx(-fld.z[0])
-        assert bv.gl[0][1] == pytest.approx(-fld.w[0])
+        state = solver._state_of(fld, scn)
+        z_edge, w_edge = solver._write_ghosts(state, 0.0, scn)
+        assert w_edge == pytest.approx(-z_edge, abs=0.0)
+        # Row 1 is the ghost cell -1, with z and w side by side.
+        assert state[1, 1] == pytest.approx(-fld.z[0])
+        assert state[1, 0] == pytest.approx(-fld.w[0])
 
     def test_wall_needs_subsonic_state(self, law53):
         # rightward supersonic state cannot satisfy the wall condition
         scn = uniform_scenario("P1", 1.6, 2.6, region_m(), law53)
         with pytest.raises(SonicBoundaryError):
-            boundary_update(scn.initial_field(), 0.0, scn)
+            solver._write_ghosts(solver._state_of(scn.initial_field(), scn), 0.0, scn)
 
     def test_steady_inflow_is_transparent(self, law53):
         spec = RegionSpec("r", 1.55, 2.5, 1.65, 2.66, profile=None, I_total=0.0)
