@@ -25,6 +25,13 @@ the exit reasons) followed by an assembly (``_assemble``: the fields,
 functionals and coefficients at the samples, one ``CharPath`` per launch).
 The relaunch rounds of ``launch_fan`` only walk the launches they move, and
 the paths are assembled once, after the last round.
+
+The assembly lays the samples out path after path in one table (a ``Fan``,
+the list of paths that view it), and ``fan_checks`` checks every path at
+once on that table: elementwise arithmetic over all samples, per-path
+extremes by ``reduceat``, and the running upper bound by a row-wise cumsum
+(``riccati.cumulative_trapezoid``).  ``riccati_residual`` and
+``bound_check`` run the same arithmetic on one path.
 """
 from __future__ import annotations
 
@@ -34,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, InvalidStateError
-from .riccati import apriori_upper_bound, coeffs_zw, phi_psi_zw, subsolution_value
+from .riccati import bound_growth, coeffs_zw, phi_psi_zw, subsolution_value
 from .solver import WALL_MARGIN_FRAC, Trajectory, blocks
 
 #: Paths stop this many cells short of the wall: the innermost stretch both
@@ -82,6 +89,20 @@ class CharPath:
         return self.t.size
 
 
+class Fan(list):
+    """The ``CharPath`` of each launch of a batch, in launch order, and the
+    sample table their arrays view: row i of ``samples`` holds the
+    ``_SAMPLED[i]`` values of every path, laid out path after path, path j's
+    in the columns ``starts[j]`` to ``ends[j]``."""
+
+    def __init__(self, paths, samples: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+        super().__init__(paths)
+        self.samples, self.starts, self.ends = samples, starts, ends
+
+    def column(self, name: str) -> np.ndarray:
+        return self.samples[_SAMPLED.index(name)]
+
+
 def trace_fan(history: Trajectory, x0, family, t0=0.0) -> list:
     """RK4 paths of dx/dt = lambda_family launched from the points (x0, t0),
     traced in lockstep: one RK4 step for every live path per stored step.
@@ -114,9 +135,9 @@ def _launches(history: Trajectory, x0, t0, family) -> tuple:
     return np.maximum(x0, 0.5 * history.grid.dx), t0, family, k0
 
 
-def _assemble(history: Trajectory, launches: tuple, walked: tuple) -> list:
-    """The ``CharPath`` of each of the ``launches`` from the positions, sample
-    marks and exit reasons that ``_walk`` gave for them."""
+def _assemble(history: Trajectory, launches: tuple, walked: tuple) -> Fan:
+    """The ``Fan`` of the ``launches`` from the positions, sample marks and
+    exit reasons that ``_walk`` gave for them."""
     x0, t0, family, _ = launches
     xs, recorded, reasons = walked
     times = history.times
@@ -126,7 +147,8 @@ def _assemble(history: Trajectory, launches: tuple, walked: tuple) -> list:
     # a time: a sample's place is its path's start plus the samples of that
     # path in the rows before it.
     cols = np.empty((len(_SAMPLED), int(ends[-1])))
-    seen = ends - counts
+    starts = ends - counts
+    seen = starts.copy()
     for lo, hi in blocks(0, len(times)):
         marks = recorded[lo:hi]
         row, path_of = np.nonzero(marks)
@@ -137,8 +159,9 @@ def _assemble(history: Trajectory, launches: tuple, walked: tuple) -> list:
         for col, values in zip(cols, _samples(history, xs[lo + row, path_of],
                                               times[lo + row], family[path_of])):
             col[at] = values
-    return [CharPath(int(family[j]), float(x0[j]), float(t0[j]), *arrays, reasons[j])
-            for j, arrays in enumerate(zip(*(np.split(col, ends[:-1]) for col in cols)))]
+    return Fan([CharPath(int(family[j]), float(x0[j]), float(t0[j]), *cols[:, s:e], reasons[j])
+                for j, (s, e) in enumerate(zip(starts.tolist(), ends.tolist()))],
+               cols, starts, ends)
 
 
 def _walk(history: Trajectory, launches: tuple) -> tuple:
@@ -250,7 +273,7 @@ def wall_band(history: Trajectory) -> float:
                WALL_MARGIN_FRAC[scn.problem] * scn.x_interest)
 
 
-def launch_fan(history: Trajectory, family, boundary: bool = False) -> list:
+def launch_fan(history: Trajectory, family, boundary: bool = False) -> Fan:
     """Trace the launch fans of ``family`` (1, 2, or a sequence of them) in
     one lockstep batch.  Each family has ``FAN`` equispaced launches at
     t = 0 from ``wall_band`` to x_interest and, with ``boundary``, ``FAN``
@@ -307,19 +330,33 @@ class ResidualReport:
     max_norm_alt: Optional[float] = None
 
 
+def _residuals(t, v, A, B, C, other=None, starts=None) -> tuple:
+    """The transport residual dV/dt - (A V^2 + B V + C) at samples 1 to N - 2
+    of samples laid out path after path (``starts``: where each path's
+    samples start; one path when None), and with ``other`` the residual of
+    the alternative reading (B times the opposite functional), else None.
+    The centered difference at a path's last sample and at the next path's
+    first reads two paths: its time span is NaN, so it divides no 0 by 0."""
+    span = t[2:] - t[:-2]
+    if starts is not None and starts.size > 1:
+        across = np.concatenate((starts[1:] - 2, starts[1:] - 1))
+        span[across[(across >= 0) & (across < span.size)]] = np.nan
+    dv = (v[2:] - v[:-2]) / span
+    quad = A * v * v
+    series = dv - (quad + B * v + C)[1:-1]
+    return series, None if other is None else dv - (quad + B * other + C)[1:-1]
+
+
 def riccati_residual(path: CharPath) -> ResidualReport:
     if path.n < MIN_SAMPLES:
         raise DomainError("residual evaluation needs at least 3 samples")
-    v, t = path.value, path.t
-    dv = (v[2:] - v[:-2]) / (t[2:] - t[:-2])
-    rhs = (path.A * v * v + path.B * v + path.C)[1:-1]
-    series = dv - rhs
-    report = ResidualReport(path.family, t[1:-1], series,
+    series, alt = _residuals(path.t, path.value, path.A, path.B, path.C,
+                             path.other if path.family == 2 else None)
+    report = ResidualReport(path.family, path.t[1:-1], series,
                             float(np.abs(series).max()))
-    if path.family == 2:
-        rhs_alt = (path.A * v * v + path.B * path.other + path.C)[1:-1]
-        report.series_alt = dv - rhs_alt
-        report.max_norm_alt = float(np.abs(report.series_alt).max())
+    if alt is not None:
+        report.series_alt = alt
+        report.max_norm_alt = float(np.abs(alt).max())
     return report
 
 
@@ -340,42 +377,100 @@ class BoundReport:
     upper_margin: np.ndarray
     sub_margin: np.ndarray
 
-    @property
-    def min_lower(self) -> float:
-        return float(self.lower_margin.min())
 
-    @property
-    def min_upper(self) -> float:
-        return float(self.upper_margin.min())
+def _directions(lam, starts) -> tuple:
+    """Per path of samples laid out path after path from ``starts``: sigma,
+    +1 where its moving samples (|lambda| > 1e-12) go right and -1 where
+    they go left, and the reason it has no barrier direction (None where it
+    has one)."""
+    ahead = np.logical_or.reduceat(lam > 1e-12, starts)
+    back = np.logical_or.reduceat(lam < -1e-12, starts)
+    why = [None if right != left else
+           "path changes direction; barrier sign undefined" if right else
+           "path does not move; no barrier direction"
+           for right, left in zip(ahead.tolist(), back.tolist())]
+    return np.where(ahead, 1, -1), why
 
-    @property
-    def min_sub(self) -> float:
-        return float(self.sub_margin.min())
 
-    def holds(self, tol: float = 0.0) -> dict:
-        return {
-            "lower": self.min_lower >= -tol,
-            "upper": self.min_upper >= -tol,
-            "subsolution": self.min_sub >= -tol,
-        }
+def _margins(x, lam, value, A, B, C, barrier, sigma, phi0, growth,
+             delta1, M, alpha) -> tuple:
+    """The lower, upper and subsolution margin series at samples of paths
+    of direction ``sigma`` whose upper bound starts at ``phi0`` and has
+    risen by ``growth`` (sigma and phi0: one value for one path, or one
+    per sample)."""
+    floor = -sigma * barrier
+    dfloor = -sigma * (1.0 + alpha) * M * delta1 * lam * (1.0 + M * x) ** (-2.0 - alpha)
+    sub_lhs = dfloor - (A * floor * floor + B * floor + C)
+    return value - floor, phi0 + growth - value, -sub_lhs
 
 
 def bound_check(path: CharPath, delta1: float, M: float, alpha: float) -> BoundReport:
     """Margin series of the barrier bound, the a-priori upper bound, and the
     pointwise barrier differential inequality along the path."""
     barrier = subsolution_value(path.x, delta1, M, alpha)
-    moving = np.abs(path.lam) > 1e-12
-    signs = np.sign(path.lam[moving])
-    if signs.size == 0:
-        raise InvalidStateError("path does not move; no barrier direction")
-    if not (np.all(signs > 0) or np.all(signs < 0)):
-        raise InvalidStateError("path changes direction; barrier sign undefined")
-    sigma = 1 if signs[0] > 0 else -1
-    floor = -sigma * barrier
-    lower_margin = path.value - floor
-    ub = apriori_upper_bound(path.t, path.A, path.B, path.C, float(path.value[0]))
-    upper_margin = ub - path.value
-    dfloor = -sigma * (1.0 + alpha) * M * delta1 * path.lam \
-        * (1.0 + M * path.x) ** (-2.0 - alpha)
-    sub_lhs = dfloor - (path.A * floor * floor + path.B * floor + path.C)
-    return BoundReport(sigma, path.t, path.x, lower_margin, upper_margin, -sub_lhs)
+    (sigma,), (why,) = _directions(path.lam, np.zeros(1, dtype=np.intp))
+    if why is not None:
+        raise InvalidStateError(why)
+    sigma = int(sigma)
+    growth = bound_growth(path.t, path.A, path.B, path.C)
+    margins = _margins(path.x, path.lam, path.value, path.A, path.B, path.C, barrier,
+                       sigma, float(path.value[0]), growth, delta1, M, alpha)
+    return BoundReport(sigma, path.t, path.x, *margins)
+
+
+def _segment_max(a, lo, hi) -> np.ndarray:
+    """The largest entry of each a[lo[j]:hi[j]]: segments nonempty, in order
+    and apart (a maximum of any grouping is exact)."""
+    if lo.size == 0:
+        return np.empty(0)
+    cuts = np.stack((lo, hi), axis=1).ravel()
+    return np.maximum.reduceat(a, cuts[:-1] if cuts[-1] == a.size else cuts)[::2]
+
+
+def fan_checks(fan: Fan, delta1: float, M: float, alpha: float) -> dict:
+    """``riccati_residual`` and ``bound_check`` of every path of ``fan`` at
+    once, on its sample table in place.  Returns per path ``error`` (a
+    list: why the path is not checked, or None); ``residual_max``,
+    ``residual_max_alt`` (the alternative reading's), ``drift`` (the time
+    integral of |residual|, by ``np.trapezoid``'s terms and sum),
+    ``min_lower``, ``min_upper`` and ``min_sub``, NaN where ``error`` is
+    set; and ``growth``, the largest |rise| of the path's upper bound.
+    Each entry is bitwise what those functions give the path alone.  A path
+    of two or more samples with A >= 0 raises ContractViolationError, as
+    ``bound_growth`` does."""
+    cols = dict(zip(_SAMPLED, fan.samples))
+    t, x, lam, value = cols["t"], cols["x"], cols["lam"], cols["value"]
+    A, B, C = cols["A"], cols["B"], cols["C"]
+    starts, ends = fan.starts, fan.ends
+    counts = ends - starts
+    barrier = subsolution_value(x, delta1, M, alpha)
+    sigma, why = _directions(lam, starts)
+    error = [f"{n} samples, a check needs {MIN_SAMPLES}" if n < MIN_SAMPLES else reason
+             for n, reason in zip(counts.tolist(), why)]
+    ok = np.array([reason is None for reason in error], dtype=bool)
+
+    def per_path(values):
+        full = np.full(ok.size, np.nan)
+        full[ok] = values
+        return full
+
+    growth = bound_growth(t, A, B, C, ends)
+    out = {"error": error, "growth": np.maximum.reduceat(np.abs(growth), starts)}
+    margins = _margins(x, lam, value, A, B, C, barrier, np.repeat(sigma, counts),
+                       np.repeat(value[starts], counts), growth, delta1, M, alpha)
+    del barrier, growth
+    for name, margin in zip(("min_lower", "min_upper", "min_sub"), margins):
+        out[name] = per_path(np.minimum.reduceat(margin, starts)[ok])
+    del margins
+    # Path j's residuals are entries starts[j] to ends[j] - 3 of the series.
+    lo, hi = starts[ok], ends[ok] - 2
+    series, alt = _residuals(t, value, A, B, C, cols["other"], starts)
+    size = np.abs(series)
+    del series
+    out["residual_max"] = per_path(_segment_max(size, lo, hi))
+    out["residual_max_alt"] = per_path(_segment_max(np.abs(alt), lo, hi))
+    del alt
+    # np.trapezoid's terms, each path's summed as np.trapezoid sums them.
+    terms = np.diff(t[1:-1]) * (size[1:] + size[:-1]) / 2.0
+    out["drift"] = per_path([terms[a:b - 1].sum() for a, b in zip(lo.tolist(), hi.tolist())])
+    return out

@@ -24,14 +24,13 @@ import numpy as np
 
 from . import characteristics as chars
 from .config import load_config, parse_config_text
-from .errors import (ConfigError, InvalidStateError, RunAbortedError,
-                     TrajectoryFileError, VacuumStateError)
+from .errors import ConfigError, RunAbortedError, TrajectoryFileError
 from .model import VACUUM_GAP, pressure, rho_zw, speeds_zw
 from .region import (EXACT, Certificate, check_h1, check_hypothesis,
                      critical_constants, envelopes, face_margins,
                      membership_margins, worst_item)
-from .riccati import (apriori_upper_bound, check_compatibility,
-                      check_data_conditions, _one_sided_derivative, phi_psi_zw)
+from .riccati import (check_compatibility, check_data_conditions,
+                      _one_sided_derivative, phi_psi_zw)
 from .solver import STORED_BYTES_MAX, Scenario, Trajectory, blocks, run
 
 EXIT_OK = 0
@@ -402,50 +401,54 @@ def conservative_residual(traj: Trajectory) -> ConservativeResidual:
 def characteristic_pass(traj: Trajectory) -> dict:
     """Trace the launch fans of both families (on P2 with the boundary fans)
     in one batch, evaluate the transport-identity residuals and the three
-    derivative-bound margins, and compare the measured derivative extremes
-    against the bound the functionals imply.  A family fails if a path it
-    launched has fewer than ``chars.MIN_SAMPLES`` samples (``checked``
-    counts the others)."""
+    derivative-bound margins of every path at once (``chars.fan_checks``),
+    and compare the measured derivative extremes against the bound the
+    functionals imply.  A family fails if a path it launched has fewer than
+    ``chars.MIN_SAMPLES`` samples (``checked`` counts the others)."""
     scn = traj.scenario
     extremes = _run_extremes(traj)
     lip = max(extremes["zx_lip"], extremes["wx_lip"])
     tol_base = MARGIN_TOL_FACTOR * traj.grid.dx * lip
     result = {"tolerance": tol_base, "lip": lip, "families": {}, "paths": []}
     traced = chars.launch_fan(traj, (1, 2), boundary=scn.problem == "P2")
+    checks = chars.fan_checks(traced, scn.delta1, scn.profile.M, scn.profile.alpha)
+    # Each path's least margin of its signed speed over its family's bound d.
     bounds = scn.speed_bounds
+    first = np.repeat([path.family == 1 for path in traced], traced.ends - traced.starts)
+    speed = np.minimum.reduceat(np.where(first, bounds.sign1, bounds.sign2) * traced.column("lam")
+                                - np.where(first, bounds.d1, bounds.d2), traced.starts)
+    error = checks.pop("error")
+    per_path = {key: values.tolist() for key, values in checks.items()}
+    per_path["speed"] = speed.tolist()
     for family in (1, 2):
-        paths = [path for path in traced if path.family == family]
+        members = [j for j, path in enumerate(traced) if path.family == family]
         max_res, max_alt, speed_margin, records = 0.0, None, math.inf, []
         minima = dict.fromkeys(("lower", "upper", "subsolution"), math.inf)
-        d, sign = (bounds.d1, bounds.sign1) if family == 1 else (bounds.d2, bounds.sign2)
-        for path in paths:
+        for j in members:
+            path = traced[j]
             where = {"family": family, "x0": path.x0, "t0": path.t0,
                      "samples": path.n, "exit": path.exit_reason}
-            try:
-                if path.n < chars.MIN_SAMPLES:
-                    raise InvalidStateError(
-                        f"{path.n} samples, a check needs {chars.MIN_SAMPLES}")
-                rr = chars.riccati_residual(path)
-                br = chars.bound_check(path, scn.delta1, scn.profile.M, scn.profile.alpha)
-            except (InvalidStateError, VacuumStateError) as exc:
-                records.append(dict(where, error=str(exc), ok=False))
+            if error[j] is not None:
+                records.append(dict(where, error=error[j], ok=False))
                 continue
-            max_res = max(max_res, rr.max_norm)
-            if rr.max_norm_alt is not None:
-                max_alt = max(max_alt or 0.0, rr.max_norm_alt)
-            for key, margin in zip(minima, (br.min_lower, br.min_upper, br.min_sub)):
+            residual = per_path["residual_max"][j]
+            max_res = max(max_res, residual)
+            if family == 2:
+                max_alt = max(max_alt or 0.0, per_path["residual_max_alt"][j])
+            margins = [per_path[key][j] for key in ("min_lower", "min_upper", "min_sub")]
+            for key, margin in zip(minima, margins):
                 minima[key] = min(minima[key], margin)
-            speed_margin = min(speed_margin, float((sign * path.lam - d).min()))
+            speed_margin = min(speed_margin, per_path["speed"][j])
             # The integral bound accumulates the same discretization drift the
             # transport residual measures, so the per-path error estimate adds
             # the residual's time integral to the field-level estimate.
-            drift = float(np.trapezoid(np.abs(rr.series), rr.t_mid))
-            path_tol = tol_base + MARGIN_TOL_FACTOR * drift
+            path_tol = tol_base + MARGIN_TOL_FACTOR * per_path["drift"][j]
             records.append(dict(
-                where, residual_max=rr.max_norm, tolerance=path_tol,
-                min_lower=br.min_lower, min_upper=br.min_upper,
-                min_sub=br.min_sub, ok=all(br.holds(path_tol).values())))
+                where, residual_max=residual, tolerance=path_tol,
+                min_lower=margins[0], min_upper=margins[1], min_sub=margins[2],
+                ok=all(margin >= -path_tol for margin in margins)))
         result["paths"] += records
+        paths = [traced[j] for j in members]
         exits = {reason: sum(path.exit_reason == reason for path in paths)
                  for reason in ("end", "left", "cone")}
         result["families"][str(family)] = {
@@ -458,7 +461,10 @@ def characteristic_pass(traj: Trajectory) -> dict:
             "speed_margin": None if math.isinf(speed_margin) else speed_margin,
             "bounds_ok": all(record["ok"] for record in records),
         }
-    result["derivative_bounds"] = implied = derivative_bound_estimate(traj, traced, extremes)
+    # A path's bound rises at most by its largest |growth|; Python's max
+    # passes over a NaN, as the per-path loop it replaced did.
+    growth = max([0.0, *per_path["growth"]])
+    result["derivative_bounds"] = implied = derivative_bound_estimate(traj, growth, extremes)
     result["ok"] = implied["ok"] and all(
         stats["bounds_ok"] for stats in result["families"].values())
     return result
@@ -490,10 +496,10 @@ def _run_extremes(traj: Trajectory) -> dict:
             for key, vals in parts.items()}
 
 
-def derivative_bound_estimate(traj: Trajectory, paths, extremes: dict) -> dict:
+def derivative_bound_estimate(traj: Trajectory, growth: float, extremes: dict) -> dict:
     """Bound max |z_x|, |w_x| implied by the barrier and the running upper
-    bound along the traced ``paths`` (both families), compared against the
-    measured extremes (``_run_extremes``)."""
+    bound, which rises by at most ``growth`` along the traced paths (both
+    families), compared against the measured extremes (``_run_extremes``)."""
     scn = traj.scenario
     law, delta1 = scn.law, scn.delta1
     arrays = _stored_columns(scn)
@@ -505,12 +511,6 @@ def derivative_bound_estimate(traj: Trajectory, paths, extremes: dict) -> dict:
     # Launch values anywhere are certified within [-delta1, delta2]; the
     # transport identity can then grow them by at most the integral of
     # C - B^2/(4A) along the path.
-    growth = 0.0
-    for path in paths:
-        if path.n < 2:
-            continue
-        ub = apriori_upper_bound(path.t, path.A, path.B, path.C, 0.0)
-        growth = max(growth, float(np.abs(ub).max()))
     value_bound = max(delta1, scn.delta2) + growth
     if law.is_log_branch:
         log_max = max(abs(math.log(gap_min)), abs(math.log(gap_max)))

@@ -112,22 +112,49 @@ def subsolution_value(x, delta1: float, M: float, alpha: float):
     return float(val) if val.ndim == 0 else val
 
 
-def cumulative_trapezoid(y, x):
+def _path_counts(size: int, ends):
+    """The sample count of each path whose samples end at ``ends`` (one
+    path of ``size`` samples when None)."""
+    return np.array([size]) if ends is None else np.diff(ends, prepend=0)
+
+
+def cumulative_trapezoid(y, x, ends=None):
+    """Running trapezoid integral of y over x from the first sample of a
+    path, of one path or, with ``ends``, of each path of samples laid out
+    path after path (``ends``: the end offset of each path's samples).
+
+    A path's steps are one row of a (paths x longest path) array, summed by
+    ``np.cumsum`` along the row: sequentially, so bitwise the path's own
+    ``np.cumsum``.  The step from a path's last sample to the next path's
+    first falls in the row's last used column, which no sample reads."""
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
+    counts = _path_counts(y.size, ends)
+    steps = np.zeros_like(y)
+    np.multiply(0.5 * (y[1:] + y[:-1]), np.diff(x), out=steps[:-1])
+    used = np.arange(counts.max(initial=0)) < counts[:, None]
+    rows = np.zeros(used.shape)
+    rows[used] = steps
+    np.cumsum(rows, axis=1, out=rows)
     out = np.zeros_like(y)
-    if y.size > 1:
-        out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
+    out[1:] = rows[used][:-1]
+    out[np.cumsum(counts)[:-1]] = 0.0
     return out
 
 
-def apriori_upper_bound(t, A, B, C, phi0: float):
-    """Running bound phi0 + int (C - B^2/(4A)); requires A < 0 throughout."""
+def bound_growth(t, A, B, C, ends=None):
+    """The rise of the a-priori upper bound from a path's first sample:
+    int (C - B^2/(4A)), of one path or of each path laid out as
+    ``cumulative_trapezoid`` takes them.  Requires A < 0 at every sample of
+    a path of two or more samples; a path's lone sample enters no integral."""
     A = np.asarray(A, dtype=float)
-    if np.any(A >= 0.0):
+    counts = _path_counts(A.size, ends)
+    if np.any((A >= 0.0) & np.repeat(counts > 1, counts)):
         raise ContractViolationError("quadratic coefficient must stay negative")
-    integrand = np.asarray(C, dtype=float) - np.asarray(B, dtype=float) ** 2 / (4.0 * A)
-    return phi0 + cumulative_trapezoid(integrand, t)
+    # A lone sample may hold any A; a NaN divisor keeps it from dividing by 0.
+    quarter = np.where(A < 0.0, 4.0 * A, np.nan)
+    integrand = np.asarray(C, dtype=float) - np.asarray(B, dtype=float) ** 2 / quarter
+    return cumulative_trapezoid(integrand, t, ends)
 
 
 # ---------------------------------------------------------------------------

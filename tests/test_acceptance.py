@@ -205,7 +205,7 @@ def test_criterion_7_derivative_bounds(full_runs):
                 continue
             br = bound_check(path, scn.delta1, scn.profile.M / 100.0,
                              scn.profile.alpha)
-            weak_min = min(weak_min, br.min_sub)
+            weak_min = min(weak_min, float(br.sub_margin.min()))
     assert weak_min < -tol, f"barrier inequality survived weak decay ({weak_min:.3g})"
     print(f"\nACCEPTANCE 7: PASS - bounds hold within tolerance "
           f"(|z_x| {db['zx_measured']:.3f} <= {db['zx_implied']:.3f}); "

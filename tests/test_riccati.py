@@ -6,7 +6,7 @@ import pytest
 from nozzleflow.errors import (ContractViolationError, DomainError, PoleError,
                                VacuumStateError)
 from nozzleflow.model import GasLaw, speeds_zw
-from nozzleflow.riccati import (apriori_upper_bound, check_compatibility,
+from nozzleflow.riccati import (bound_growth, check_compatibility,
                                 check_data_conditions, coeffs_zw,
                                 cumulative_trapezoid, phi_psi_boundary_zw,
                                 phi_psi_zw, subsolution_value)
@@ -282,25 +282,25 @@ class TestBarrierAndBound:
         t = np.linspace(0.0, 2.0, 9)
         A = np.full_like(t, -1.0)
         zero = np.zeros_like(t)
-        bound = apriori_upper_bound(t, A, zero, zero, 0.7)
+        bound = 0.7 + bound_growth(t, A, zero, zero)
         assert np.allclose(bound, 0.7)
 
     def test_upper_bound_single_sample(self):
-        assert apriori_upper_bound(np.array([0.0]), np.array([-1.0]),
-                                   np.array([0.0]), np.array([0.0]), 0.3) == \
+        assert 0.3 + bound_growth(np.array([0.0]), np.array([-1.0]),
+                                  np.array([0.0]), np.array([0.0])) == \
             pytest.approx(np.array([0.3]))
 
     def test_upper_bound_constant_coefficients(self):
         t = np.linspace(0.0, 2.0, 101)
-        bound = apriori_upper_bound(t, np.full_like(t, -1.0), np.zeros_like(t),
-                                    np.full_like(t, 0.5), 0.2)
+        bound = 0.2 + bound_growth(t, np.full_like(t, -1.0), np.zeros_like(t),
+                                   np.full_like(t, 0.5))
         assert bound[-1] == pytest.approx(0.2 + 1.0, rel=1e-12)
 
     def test_upper_bound_contract(self):
         t = np.linspace(0.0, 1.0, 5)
         A = np.array([-1.0, -1.0, 0.0, -1.0, -1.0])
         with pytest.raises(ContractViolationError):
-            apriori_upper_bound(t, A, np.zeros(5), np.zeros(5), 0.0)
+            bound_growth(t, A, np.zeros(5), np.zeros(5))
 
 
 class TestDataConditions:
