@@ -251,7 +251,7 @@ def monitor_report(traj: Trajectory) -> MonitorReport:
     that holds a vacuum state, whose Phi and Psi are left out: the vacuum
     fails the ``vacuum`` flag (``MonitorReport.reached_vacuum``)."""
     scn = traj.scenario
-    arrays = scn.runtime_arrays()
+    arrays = scn.runtime_arrays
     # The window is a leading run of cells (x increases along the grid), and
     # the central gradient at its last cell reads the next one.
     cells = int(arrays["window"].sum())
@@ -309,7 +309,7 @@ def monitor_report(traj: Trajectory) -> MonitorReport:
 def _stored_columns(scn: Scenario) -> dict:
     """The grid arrays of ``scn`` cut to the columns a stored snapshot keeps
     (``Scenario.trusted_cells``)."""
-    arrays, m = scn.runtime_arrays(), scn.trusted_cells
+    arrays, m = scn.runtime_arrays, scn.trusted_cells
     return {key: arrays[key][:m] for key in ("x", "a", "window")}
 
 
@@ -370,7 +370,7 @@ def conservative_residual(traj: Trajectory) -> ConservativeResidual:
         return ConservativeResidual(times, *(np.zeros(0),) * 4)
     cells = int(_stored_columns(scn)["window"].sum())
     cols = min(cells + 1, traj.z.shape[1])
-    a = scn.runtime_arrays()["a"][:cols]
+    a = scn.runtime_arrays["a"][:cols]
     dx = traj.grid.dx
     rate = _time_rate(times)
     series = {key: [] for key in ("linf_rho", "l1_rho", "linf_mom", "l1_mom")}

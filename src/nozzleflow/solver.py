@@ -71,10 +71,10 @@ slope on the faces it reads, with no face-mean speeds and no per-face
 choice.  The choice is made from the stage's own speeds, testing first for
 the sign the region fixes, so P1 (mixed signs), NaN and a state that has
 left the region take the general gradient.  The stages write into arrays
-allocated once per scenario (``_Stages``), through views of the step's
-active width that both stages share (``_Width``).  Every cell takes the
-same operations as it would row by row, so at the same dt and on the same
-cells the result is bitwise that of two separate row updates.
+allocated once per run (``_Stages``), through views of the step's active
+width that both stages share (``_Width``).  Every cell takes the same
+operations as it would row by row, so at the same dt and on the same cells
+the result is bitwise that of two separate row updates.
 """
 from __future__ import annotations
 
@@ -82,7 +82,8 @@ import io
 import json
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -161,9 +162,14 @@ class Field:
     state: Optional[np.ndarray] = field(default=None, repr=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """One configured run: problem type, physics, region, data and knobs."""
+    """One configured run: problem type, physics, region, data and knobs.
+
+    Frozen, with what derives from the fields in cached properties, which
+    ``dataclasses.replace`` does not copy.  ``config_text`` is the parsed
+    text, which ``replace`` keeps; ``Trajectory.from_npz`` refuses a run
+    that is not its config's.  ``_cache`` is accepted and ignored."""
 
     problem: str
     law: GasLaw
@@ -182,12 +188,9 @@ class Scenario:
     delta2: float = 0.2
     csv_stride: int = 50
     config_text: Optional[str] = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: InitVar[Optional[dict]] = None
 
-    def __post_init__(self):
-        # Derived state belongs to this instance: ``dataclasses.replace``
-        # hands over the original's dict, whose grid may be for another n.
-        self._cache = {}
+    def __post_init__(self, _cache):
         if self.problem not in KIND_FOR:
             raise DomainError(f"problem must be P1, P2 or P3, got {self.problem!r}")
         if self.region.kind != KIND_FOR[self.problem]:
@@ -205,18 +208,14 @@ class Scenario:
         if self.problem == "P2" and (self.zB is None or self.wB is None):
             raise DomainError("P2 needs boundary data zB(t), wB(t)")
 
-    @property
+    @cached_property
     def speed_bounds(self) -> SpeedBounds:
-        if "bounds" not in self._cache:
-            self._cache["bounds"] = region_speed_bounds(self.region, self.law)
-        return self._cache["bounds"]
+        return region_speed_bounds(self.region, self.law)
 
-    @property
+    @cached_property
     def grid(self) -> Grid:
-        if "grid" not in self._cache:
-            x_max = self.x_interest + self.speed_bounds.lambda_abs_max * self.T
-            self._cache["grid"] = Grid(x_max / self.n, self.n, self.x_interest, x_max)
-        return self._cache["grid"]
+        x_max = self.x_interest + self.speed_bounds.lambda_abs_max * self.T
+        return Grid(x_max / self.n, self.n, self.x_interest, x_max)
 
     @property
     def steps(self) -> int:
@@ -243,18 +242,16 @@ class Scenario:
         t = np.asarray(t, dtype=float)
         return np.minimum(self.x_interest + c_right * t, self.grid.x_max - lam * t)
 
-    @property
+    @cached_property
     def trusted_cells(self) -> int:
         """Leading cells of the grid that a stored snapshot keeps: those up
         to the highest ``reach`` on [0, T], plus two (see the module
         docstring)."""
-        if "trusted" not in self._cache:
-            # Since x_max = x_interest + lambda_abs_max*T, the two lines of
-            # reach cross at T/2 (P1, P2) or T (P3): its top is at 0, T/2 or T.
-            top = float(self.reach(np.linspace(0.0, self.T, 3)).max())
-            count = int((self.runtime_arrays()["x"] <= top + 1e-12).sum()) + 2
-            self._cache["trusted"] = min(self.grid.n, count)
-        return self._cache["trusted"]
+        # Since x_max = x_interest + lambda_abs_max*T, the two lines of
+        # reach cross at T/2 (P1, P2) or T (P3): its top is at 0, T/2 or T.
+        top = float(self.reach(np.linspace(0.0, self.T, 3)).max())
+        count = int((self.runtime_arrays["x"] <= top + 1e-12).sum()) + 2
+        return min(self.grid.n, count)
 
     @property
     def stored_bytes(self) -> int:
@@ -268,37 +265,33 @@ class Scenario:
         ``ACTIVE_PAD_SIGMAS*sqrt(K)`` cells (see the module docstring)."""
         bounds = self.speed_bounds
         c_left = bounds.lambda_abs_max if min(bounds.sign1, bounds.sign2) < 0 else 0.0
-        x = self.runtime_arrays()["x"]
+        x = self.runtime_arrays["x"]
         edge = x[self.trusted_cells - 1] + c_left * (self.T - np.asarray(t, dtype=float))
         pad = math.ceil(ACTIVE_PAD_SIGMAS * math.sqrt(self.steps))
         return np.minimum(np.searchsorted(x, edge + 1e-12, side="right") + pad, self.grid.n)
 
+    @cached_property
     def runtime_arrays(self) -> dict:
-        """Grid-sampled profile data used by every step (built once)."""
-        if "arrays" not in self._cache:
-            grid = self.grid
-            x = grid.cells()
-            ghost_x = np.array([grid.x_max + 0.5 * grid.dx, grid.x_max + 1.5 * grid.dx])
-            a = np.asarray(self.profile.a(x), dtype=float)
-            self._cache["arrays"] = {
-                "x": x,
-                "a": a,
-                "coef": source_coef(a, self.law),
+        """Grid-sampled profile data used by every step."""
+        grid = self.grid
+        x = grid.cells()
+        ghost_x = np.array([grid.x_max + 0.5 * grid.dx, grid.x_max + 1.5 * grid.dx])
+        a = np.asarray(self.profile.a(x), dtype=float)
+        return {"x": x, "a": a, "coef": source_coef(a, self.law), "window": grid.window(),
                 # Far-field ghosts, rows z and w: the initial data past x_max.
                 "gr": np.array([np.broadcast_to(fn(ghost_x), 2) for fn in (self.z0, self.w0)],
-                               dtype=float),
-                "window": grid.window(),
-            }
-        return self._cache["arrays"]
+                               dtype=float)}
+
+    @cached_property
+    def _s_table(self) -> tuple:
+        return self.profile.quadrature_table(self.grid.x_max)
 
     def majorant_integral(self, x) -> np.ndarray:
         """s(x), the integral of abar from 0 to the points ``x`` of [0, x_max],
         which places the invariant rectangle at x.  Only the region checks
         read it, so its quadrature table (``NozzleProfile.quadrature_table``
         on [0, x_max]) is built at the first call, once per scenario."""
-        if "s_table" not in self._cache:
-            self._cache["s_table"] = self.profile.quadrature_table(self.grid.x_max)
-        return np.asarray(self.profile.cum_abar(x, self._cache["s_table"]), dtype=float)
+        return np.asarray(self.profile.cum_abar(x, self._s_table), dtype=float)
 
     def initial_field(self) -> Field:
         x = self.grid.cells()
@@ -307,7 +300,7 @@ class Scenario:
         return Field(z, w, 0.0, self.grid)
 
 
-def _write_ghosts(state: np.ndarray, t: float, scn: Scenario) -> tuple:
+def _write_ghosts(state: np.ndarray, t: float, scn: Scenario, work: _Stages) -> tuple:
     """Write the left ghost cells of ``state`` (its rows 0 and 1, cells -2
     and -1) for time t, and return the x = 0 edge traces (z_edge, w_edge)."""
     if scn.problem == "P1":
@@ -324,9 +317,8 @@ def _write_ghosts(state: np.ndarray, t: float, scn: Scenario) -> tuple:
         return z_edge, w_edge
     if scn.problem == "P2":
         # The inflow ghosts depend on t alone, so those of the last time are
-        # kept: after a second-order step they are its second stage's when
-        # t_k + dt == t_{k+1} exactly.
-        work = _stages(scn)
+        # kept in ``work``: after a second-order step they are its second
+        # stage's when t_k + dt == t_{k+1} exactly.
         if work.inflow_t != t:
             # Characteristic-shifted ghosts: the state at x < 0 is the
             # boundary value that will arrive at the wall a travel time
@@ -350,14 +342,14 @@ def _write_ghosts(state: np.ndarray, t: float, scn: Scenario) -> tuple:
 
 
 class _Stages:
-    """Arrays the evolve stages write into, allocated once per scenario for
-    the whole grid; a step on the first m cells uses the views of their
+    """Arrays the evolve stages write into, allocated once per run for the
+    whole grid; a step on the first m cells uses the views of their
     leading part that ``at(m)`` gives.  Two-row arrays are laid out as the
     state is, cell by cell."""
 
     def __init__(self, scn: Scenario):
         n = scn.grid.n
-        self.coef = scn.runtime_arrays()["coef"]
+        self.coef = scn.runtime_arrays["coef"]
         self.half_theta = 0.5 * scn.law.theta
         self.dx, self.order = scn.grid.dx, scn.order
         # The sign the region fixes is tested first: >= 0 on P2, < 0 on P3.
@@ -407,12 +399,6 @@ class _Width:
         # Each stage's derivative, with its z and w columns.
         f1, f2 = work.f1[:m], work.f2[:m]
         self.f1, self.f2 = (f1, f1[:, 0], f1[:, 1]), (f2, f2[:, 0], f2[:, 1])
-
-
-def _stages(scn: Scenario) -> _Stages:
-    if "stages" not in scn._cache:
-        scn._cache["stages"] = _Stages(scn)
-    return scn._cache["stages"]
 
 
 def _limited_slope(a, b, work=None):
@@ -516,25 +502,27 @@ def _state_of(fld: Field, scn: Scenario) -> np.ndarray:
     state = np.empty((scn.grid.n + 4, 2))
     state[2:-2, 0] = fld.z
     state[2:-2, 1] = fld.w
-    state[-2:] = scn.runtime_arrays()["gr"].T
+    state[-2:] = scn.runtime_arrays["gr"].T
     return state
 
 
-def step(fld: Field, dt: float, scn: Scenario, new: Optional[np.ndarray] = None) -> Field:
+def step(fld: Field, dt: float, scn: Scenario, new: Optional[np.ndarray] = None,
+         work: Optional[_Stages] = None) -> Field:
     """One explicit step (forward Euler or two-stage second order) of the
     cells of ``fld``: the whole grid, or the leading cells of a field whose
     state array holds the next two, its right ghosts.  Returns the same
     cells at t + dt in the state array ``new``, or in a new one whose other
-    cells keep their values.  ``run`` passes ``new`` with the other cells
-    already in place, and ``fld``'s state with its left ghosts for its time
-    already written; without ``new``, the step writes them itself."""
+    cells keep their values.  ``run`` passes ``new``, with the other cells
+    in place and the left ghosts of ``fld``'s state written, and its
+    workspace ``work``; a step called on its own does both itself."""
     t, m = fld.t, fld.z.size
     state = _state_of(fld, scn)
+    if work is None:
+        work = _Stages(scn)
     if new is None:
-        _write_ghosts(state, t, scn)
+        _write_ghosts(state, t, scn, work)
         new = np.empty_like(state)
         new[m + 2:] = state[m + 2:]
-    work = _stages(scn)
     width = work.at(m)
     u, out = state[2:m + 2], new[2:m + 2]
     f1 = _stage_rhs(state[:m + 4], width.f1, work, width)
@@ -545,7 +533,7 @@ def step(fld: Field, dt: float, scn: Scenario, new: Optional[np.ndarray] = None)
         mid = width.mid
         np.add(u, inc, out=width.mid_cells)
         mid[-2:] = state[m + 2:m + 4]
-        _write_ghosts(mid, t + dt, scn)
+        _write_ghosts(mid, t + dt, scn, work)
         f2 = _stage_rhs(mid, width.f2, work, width)
         np.multiply(np.add(f1, f2, out=inc), 0.5 * dt, out=inc)
         np.add(u, inc, out=out)
@@ -608,9 +596,10 @@ class Trajectory:
     def from_npz(cls, scenario: Scenario, data,
                  blow_up: Optional[dict] = None) -> "Trajectory":
         """The run of ``scenario`` that ``save`` stored in ``data`` (an open
-        ``.npz`` or any mapping of its arrays).  Keys, shapes and one snapshot
-        per step are checked; snapshots wider than the trusted columns, as
-        written before storage was trimmed, are trimmed."""
+        ``.npz`` or any mapping of its arrays).  Keys, shapes, one snapshot
+        per step and the step times of ``scenario`` are checked; snapshots
+        wider than the trusted columns, as written before storage was
+        trimmed, are trimmed."""
         missing = [name for name in _STORED if name not in data]
         if missing:
             raise TrajectoryFileError(f"missing arrays: {', '.join(missing)}")
@@ -628,6 +617,15 @@ class Trajectory:
         gaps, dts = np.diff(arrays["times"]), arrays["dts"][1:]
         if not np.all(np.abs(gaps - dts) <= STEP_MATCH * np.abs(dts)):
             raise TrajectoryFileError("time gaps differ from dts: snapshots skip steps")
+        # All K + 1 step times of the config, or the first of them if the
+        # run blew up; no run is stored past the storage ceiling.
+        want = scenario.steps + 1
+        if (scenario.stored_bytes > STORED_BYTES_MAX or snaps[0] > want
+                or (blow_up is None and snaps[0] < want)
+                or not np.array_equal(arrays["times"], scenario.step_times[:snaps[0]])):
+            raise TrajectoryFileError(
+                f"the times of its {snaps[0]} snapshots are not those of its config's "
+                f"run (K + 1 = {want}): the file holds another run")
         shape = arrays["z"].shape
         if arrays["w"].shape != shape:
             raise TrajectoryFileError(f"z has shape {shape}, w {arrays['w'].shape}")
@@ -741,8 +739,8 @@ def run(scn: Scenario):
     rows = dict(zip(_STORED, (times, dts, z, w, z_edge, w_edge)))
     state = _state_of(scn.initial_field(), scn)
     # Two states that the steps alternate between (see the module docstring).
-    buffers = (state, state.copy())
-    z_edge[0], w_edge[0] = _write_ghosts(state, 0.0, scn)
+    buffers, work = (state, state.copy()), _Stages(scn)
+    z_edge[0], w_edge[0] = _write_ghosts(state, 0.0, scn, work)
     z[0], w[0] = state[2:kept + 2, 0], state[2:kept + 2, 1]
     count, last = 1, grid.n
     try:
@@ -751,8 +749,9 @@ def run(scn: Scenario):
             if m != last:
                 new[m + 2:last + 2] = state[m + 2:last + 2]
                 last = m
-            step(Field(state[2:m + 2, 0], state[2:m + 2, 1], times[k], grid, state), dt, scn, new)
-            z_edge[k + 1], w_edge[k + 1] = _write_ghosts(new, times[k + 1], scn)
+            step(Field(state[2:m + 2, 0], state[2:m + 2, 1], times[k], grid, state), dt, scn,
+                 new, work)
+            z_edge[k + 1], w_edge[k + 1] = _write_ghosts(new, times[k + 1], scn, work)
             z[k + 1], w[k + 1] = new[2:kept + 2, 0], new[2:kept + 2, 1]
             count = k + 2
     except RunAbortedError as err:

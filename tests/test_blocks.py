@@ -23,7 +23,7 @@ def whole_array_residual(traj):
     whole run: (times, linf_rho, l1_rho, linf_mom, l1_mom)."""
     scn = traj.scenario
     law, m_cols = scn.law, scn.trusted_cells
-    a = scn.runtime_arrays()["a"][:m_cols]
+    a = scn.runtime_arrays["a"][:m_cols]
     z, w, times = traj.z, traj.w, traj.times
     rho = rho_zw(z, w, law)
     v = 0.5 * (w + z)
@@ -32,7 +32,7 @@ def whole_array_residual(traj):
     dx = traj.grid.dx
     res_rho = np.gradient(rho, times, axis=0) + np.gradient(m, dx, axis=1) + a * m
     res_mom = np.gradient(m, times, axis=0) + np.gradient(flux, dx, axis=1) + a * m * v
-    window = scn.runtime_arrays()["window"][:m_cols].copy()
+    window = scn.runtime_arrays["window"][:m_cols].copy()
     window[0] = False
     inner = (slice(1, -1), window)
     rr, rm = res_rho[inner], res_mom[inner]
@@ -47,7 +47,7 @@ def whole_array_extremes(traj):
     scn = traj.scenario
     m = scn.trusted_cells
     cols = slice(0, m if m == traj.grid.n else m - 1)
-    window = scn.runtime_arrays()["window"][:m]
+    window = scn.runtime_arrays["window"][:m]
     zx = np.gradient(traj.z, traj.grid.dx, axis=1)
     wx = np.gradient(traj.w, traj.grid.dx, axis=1)
     z, w = traj.z[:, window], traj.w[:, window]

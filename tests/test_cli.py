@@ -287,6 +287,15 @@ def _short_w(arrays):
     arrays["w"] = arrays["w"][:, :-1]
 
 
+def _tiny_cfl_blown_up(arrays):
+    # A blown-up run may hold fewer than K + 1 rows, but no run of a config
+    # past the storage ceiling (K + 1 = 94312796210 here) is ever stored.
+    meta = json.loads(str(arrays["meta"]))
+    meta["config_text"] = meta["config_text"].replace("cfl = 0.9", "cfl = 1e-9")
+    meta["blown_up"] = True
+    arrays["meta"] = np.array(json.dumps(meta))
+
+
 def _damaged(npz, damage, dest):
     with np.load(npz) as data:
         arrays = {name: data[name] for name in data.files}
@@ -302,8 +311,10 @@ def _config_sets_fan(arrays):
 
 
 class TestStoredTrajectoryFiles:
-    @pytest.mark.parametrize("damage", [_narrow, _cut_times, _drop_w, _short_w],
-                             ids=["narrowed", "times_cut", "w_missing", "w_short"])
+    @pytest.mark.parametrize("damage", [_narrow, _cut_times, _drop_w, _short_w,
+                                        _tiny_cfl_blown_up],
+                             ids=["narrowed", "times_cut", "w_missing", "w_short",
+                                  "tiny_cfl_blown_up"])
     def test_malformed_file_is_a_data_error(self, p3_npz, tmp_path, capsys, damage):
         bad = _damaged(p3_npz, damage, tmp_path / "bad.npz")
         assert main(["--out", str(tmp_path), "verify", str(bad)]) == 65

@@ -6,14 +6,14 @@ import zipfile
 import numpy as np
 import pytest
 
-from conftest import (desk_scenario, region_l, small_config, thinned_run_file,
-                      uniform_scenario)
+from conftest import (desk_config_text, desk_scenario, region_l, small_config,
+                      thinned_run_file, uniform_scenario)
 from nozzleflow import characteristics as chars
 from nozzleflow import harness, solver
 from nozzleflow.characteristics import FAN, launch_fan
 from nozzleflow.cli import main
-from nozzleflow.config import load_config
-from nozzleflow.errors import BlowUpError, VacuumStateError
+from nozzleflow.config import load_config, parse_config_text
+from nozzleflow.errors import BlowUpError, TrajectoryFileError, VacuumStateError
 from nozzleflow.harness import (_FACES, EXIT_BLOWUP, EXIT_CERT,
                                 EXIT_DATAERR, EXIT_MONITOR, EXIT_OK,
                                 MonitorReport, certify, characteristic_pass,
@@ -136,7 +136,7 @@ def _per_step_report(scn, zs, ws) -> MonitorReport:
     full-width fields ``zs``, ``ws`` on its own, gradients and time
     differences over the whole grid.  Kept as the reference the block
     evaluation must match bitwise; a vacuum state raises VacuumStateError."""
-    arrays = scn.runtime_arrays()
+    arrays, work = scn.runtime_arrays, solver._Stages(scn)
     window = arrays["window"]
     s_win, a_win = scn.majorant_integral(arrays["x"][window]), arrays["a"][window]
     dx, dt, times = scn.grid.dx, scn.dt, scn.step_times
@@ -170,7 +170,7 @@ def _per_step_report(scn, zs, ws) -> MonitorReport:
         series["psi_max"].append(float(psi.max()))
         if scn.problem == "P1":
             state = solver._state_of(solver.Field(z_full, w_full, times[k], scn.grid), scn)
-            z_edge, w_edge = solver._write_ghosts(state, times[k], scn)
+            z_edge, w_edge = solver._write_ghosts(state, times[k], scn, work)
             series["edge"].append(abs(z_edge + w_edge))
         else:
             series["edge"].append(0.0)
@@ -581,6 +581,37 @@ class TestTrajectoryRoundTrip:
         assert back.scenario.problem == "P1"
         assert back.grid.dx == pytest.approx(traj.grid.dx)
 
+    def test_rung_of_another_n_reloads_as_itself(self, tmp_path):
+        # A ladder rung parsed from the config text with its own n line.
+        scn = parse_config_text(desk_config_text("p3_desk", {"n = 2000": "n = 250"})
+                                ).to_scenario()
+        traj, _ = run(scn)
+        traj.save(tmp_path / "rung.npz")
+        back = load_trajectory(tmp_path / "rung.npz")
+        assert back.grid.n == 250
+        for name in solver._STORED:
+            assert getattr(back, name).tobytes() == getattr(traj, name).tobytes(), name
+        got, want = monitor_report(back), monitor_report(traj)
+        for face in _FACES:
+            assert got.min_margins[face].tobytes() == want.min_margins[face].tobytes()
+        assert got.to_dict() == want.to_dict()
+
+    def test_run_of_a_replaced_scenario_is_refused(self, tmp_path, capsys):
+        # dataclasses.replace keeps the config text, whose cfl gives half
+        # the steps of the run that was saved.
+        scn = load_config(small_config("p3_desk", tmp_path, {"n = 2000": "n = 100"})
+                          ).to_scenario()
+        traj, _ = run(dataclasses.replace(scn, cfl=0.45))
+        assert len(traj.times) > scn.steps + 1
+        traj.save(tmp_path / "half.npz")
+        with pytest.raises(TrajectoryFileError, match="not those of its config's run"):
+            load_trajectory(tmp_path / "half.npz")
+        assert main(["--out", str(tmp_path / "v"), "verify",
+                     str(tmp_path / "half.npz")]) == EXIT_DATAERR
+        err = capsys.readouterr().err
+        assert "half.npz" in err and "Traceback" not in err
+        assert not (tmp_path / "v").exists()
+
     def test_csv_stride(self, tmp_path):
         cfg = small_config("p1_desk", tmp_path,
                            dict(SMALL, **{"csv_stride = 50": "csv_stride = 7"}))
@@ -588,7 +619,7 @@ class TestTrajectoryRoundTrip:
         traj, _ = run(scn)
         write_fields_csv(traj, tmp_path / "f.csv")
         lines = (tmp_path / "f.csv").read_text().splitlines()
-        window_cells = int(scn.runtime_arrays()["window"].sum())
+        window_cells = int(scn.runtime_arrays["window"].sum())
         assert len(lines) - 1 == len(range(0, len(traj.times), 7)) * window_cells
 
 
@@ -679,7 +710,7 @@ class TestTrustedColumns:
     def test_p3_stores_the_window_plus_two_cells(self, p3_recorded):
         traj, (z, w), _ = p3_recorded
         scn = traj.scenario
-        window_cells = int(scn.runtime_arrays()["window"].sum())
+        window_cells = int(scn.runtime_arrays["window"].sum())
         assert scn.trusted_cells == window_cells + 2 < scn.grid.n
         assert traj.z.shape == (len(z), scn.trusted_cells)
         assert np.array_equal(traj.z, z[:, :scn.trusted_cells])
@@ -695,7 +726,7 @@ class TestTrustedColumns:
         top = scn.x_interest + (0.0 if name == "p3_desk" else 0.5 * lam * scn.T)
         assert float(scn.reach(0.0)) == scn.x_interest
         assert float(scn.reach(scn.T)) == pytest.approx(scn.x_interest)
-        cells = int((scn.runtime_arrays()["x"] <= top + 1e-9).sum())
+        cells = int((scn.runtime_arrays["x"] <= top + 1e-9).sum())
         assert scn.trusted_cells == cells + 2 < scn.grid.n
         assert traj.z.shape[1] == traj.w.shape[1] == scn.trusted_cells
         for family in (1, 2):
