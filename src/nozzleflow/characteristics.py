@@ -172,18 +172,16 @@ def _walk(history: Trajectory, launches: tuple) -> tuple:
     x0, _, family, k0 = launches
     times = history.times
     # Samples are recorded only inside the trusted domain: past ``wall_band``
-    # and up to ``reach``, taken at every stored time at once.  Leftward paths
-    # terminate at the band; rightward launches start recording beyond it.
-    # A path is live from its own launch index until it exits.
+    # and up to ``reach``.  Leftward paths terminate at the band; rightward
+    # launches start recording beyond it.  A path is live from its own
+    # launch index until it exits.
     band = wall_band(history)
-    paths_idx = np.arange(x0.size)
-    recorded = np.zeros((len(times), x0.size), dtype=bool)
     xs = np.zeros((len(times), x0.size))
-    xs[k0, paths_idx] = x0
-    recorded[k0, paths_idx] = x0 >= band
+    xs[k0, np.arange(x0.size)] = x0
     reasons = np.full(x0.size, "end", dtype=object)
     running = np.ones(x0.size, dtype=bool)
     edge = history.scenario.reach(times)
+    joins = set(k0.tolist())
     # The three RK4 stage times of every step, located in the run at once.
     first = int(k0.min())
     t_start, t_end = times[first:-1], times[first + 1:]
@@ -199,36 +197,60 @@ def _walk(history: Trajectory, launches: tuple) -> tuple:
             break
         if not (running & (k0 < hi)).any():
             continue
-        r_lo = int(first_row[lo - first:hi - first].min())
-        r_hi = int(last_row[lo - first:hi - first].max()) + 1
+        part = slice(lo - first, hi - first)
+        r_lo, r_hi = int(first_row[part].min()), int(last_row[part].max()) + 1
         speeds = history.block(("lam",), r_lo, r_hi)
-        shift = (family - 1) * (r_hi - r_lo) - r_lo
-        for k in range(lo, hi):
-            live = np.flatnonzero(running & (k0 <= k))
-            if live.size == 0:
-                if not running.any():
-                    break
-                continue
-            h = times[k + 1] - times[k]
-            i, b = k - first, shift[live]
-            at_k, at_mid, at_k1 = ((ks[i] + b, k2s[i] + b, taus[i])
-                                   for ks, k2s, taus in stage_times)
-            xl = xs[k, live]
-            v1, = history.interpolate(xl, at_k, speeds)
-            v2, = history.interpolate(xl + 0.5 * h * v1, at_mid, speeds)
-            v3, = history.interpolate(xl + 0.5 * h * v2, at_mid, speeds)
-            v4, = history.interpolate(xl + h * v3, at_k1, speeds)
+        # Each path's flat offset into the block: its family's rows, less
+        # the block's first row.
+        offsets = ((family - 1) * (r_hi - r_lo) - r_lo) * speeds[0].shape[1]
+        # The block's steps as Python numbers, by step from ``lo``: its size,
+        # the reach at its end, and (k, k2, tau) of its first stage, its two
+        # middle ones and its last.
+        steps = np.diff(times[lo:hi + 1]).tolist()
+        reach = edge[lo + 1:hi + 1].tolist()
+        at_start, at_mid, at_end = (list(zip(*(a[part].tolist() for a in stage)))
+                                    for stage in stage_times)
+        # The first and last stage sit on stored times (weight 0), where
+        # ``interpolate`` reads one row: the same values while the speeds
+        # are finite.  Otherwise the weight goes in as an array.
+        if not np.isfinite(speeds[0]).all():
+            at_start, at_end = ([(r, r2, np.asarray(tau)) for r, r2, tau in stage]
+                                for stage in (at_start, at_end))
+        live = np.empty(0, dtype=np.intp)
+        for j, k in enumerate(range(lo, hi)):
+            # The live set, their positions and offsets change only where a
+            # path joins or leaves.
+            if live.size == 0 or k in joins:
+                live = np.flatnonzero(running & (k0 <= k))
+                if live.size == 0:
+                    if not running.any():
+                        break
+                    continue
+                xl, offset = xs[k][live], offsets[live]
+            h = steps[j]
+            v1, = history.interpolate(xl, at_start[j], speeds, offset)
+            v2, = history.interpolate(xl + 0.5 * h * v1, at_mid[j], speeds, offset)
+            v3, = history.interpolate(xl + 0.5 * h * v2, at_mid[j], speeds, offset)
+            v4, = history.interpolate(xl + h * v3, at_end[j], speeds, offset)
             x_new = xl + h / 6.0 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-            left = (x_new < band) & (v1 < 0.0)
-            cone = ~left & (x_new > edge[k + 1])
-            reasons[live[left]] = "left"
-            reasons[live[cone]] = "cone"
-            stays = ~(left | cone)
-            running[live[~stays]] = False
-            live, x_new = live[stays], x_new[stays]
-            xs[k + 1, live] = x_new
-            recorded[k + 1, live] = x_new >= band
-    # A path with no sample keeps one at its launch, outside the band.
+            # One min and one max tell whether any path may leave (a NaN
+            # fails both tests, as it fails every comparison below).
+            if not (band <= x_new.min() and x_new.max() <= reach[j]):
+                left = (x_new < band) & (v1 < 0.0)
+                cone = ~left & (x_new > reach[j])
+                leaves = left | cone
+                if leaves.any():
+                    reasons[live[left]] = "left"
+                    reasons[live[cone]] = "cone"
+                    running[live[leaves]] = False
+                    stays = ~leaves
+                    live, x_new, offset = live[stays], x_new[stays], offset[stays]
+            xs[k + 1][live] = x_new
+            xl = x_new
+    # A position is a sample where it lies past the band: every position not
+    # walked is 0, short of it.  A path with no sample keeps one at its
+    # launch, outside the band.
+    recorded = xs >= band
     empty = np.flatnonzero(~recorded.any(axis=0))
     xs[k0[empty], empty] = np.maximum(x0[empty], band)
     recorded[k0[empty], empty] = True

@@ -41,12 +41,18 @@ STRICT_MARGIN = 1e-9
 # ---------------------------------------------------------------------------
 
 def f_eval(r, law: GasLaw):
-    """The quotient (2/(gamma-1)) (gamma+1+(3-gamma) r) / |r^2-1|."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r == 1.0) or np.any(r == -1.0):
+    """The quotient (2/(gamma-1)) (gamma+1+(3-gamma) r) / |r^2-1|: a float
+    at a float r (the bisections of ``critical_constants`` stay in Python
+    floats), else an array."""
+    if isinstance(r, float):
+        pole = abs(r) == 1.0
+    else:
+        r = np.asarray(r, dtype=float)
+        pole = (abs(r) == 1.0).any()
+    if pole:
         raise PoleError("f has poles at r = +-1")
     g = law.gamma
-    return (2.0 / (g - 1.0)) * (g + 1.0 + (3.0 - g) * r) / np.abs(r * r - 1.0)
+    return (2.0 / (g - 1.0)) * (g + 1.0 + (3.0 - g) * r) / abs(r * r - 1.0)
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,7 @@ def critical_constants(law: GasLaw) -> CriticalConstants:
     l = float(f_eval(r_star, law))
 
     def shifted(r):
-        return float(f_eval(r, law)) - l
+        return f_eval(r, law) - l
 
     eps = 1e-9
     sigma1 = -_bisect(shifted, -2.0 + eps, -1.0 - eps)

@@ -599,7 +599,7 @@ class Trajectory:
         ``.npz`` or any mapping of its arrays).  Keys, shapes, one snapshot
         per step and the step times of ``scenario`` are checked; snapshots
         wider than the trusted columns, as written before storage was
-        trimmed, are trimmed."""
+        trimmed, are trimmed.  Every value kept must be finite."""
         missing = [name for name in _STORED if name not in data]
         if missing:
             raise TrajectoryFileError(f"missing arrays: {', '.join(missing)}")
@@ -636,6 +636,12 @@ class Trajectory:
         for name in ("z", "w"):
             arrays[name] = arrays[name][:, :m]
         rows = {name: np.ascontiguousarray(arr, dtype=float) for name, arr in arrays.items()}
+        # A NaN or inf would reach the checks as a position or a value; the
+        # columns past the trusted ones are never read, so they may hold any.
+        broken = [name for name, arr in rows.items()
+                  if not all(np.isfinite(arr[lo:hi]).all() for lo, hi in blocks(0, len(arr)))]
+        if broken:
+            raise TrajectoryFileError(f"{', '.join(broken)} hold values that are not finite")
         return cls(scenario, rows, blow_up)
 
     @property
@@ -675,7 +681,7 @@ class Trajectory:
         tau = np.where(moving, np.clip((t - times[k]) / span, 0.0, 1.0), 0.0)
         return k, k2, tau
 
-    def interpolate(self, x, when, stacks) -> list:
+    def interpolate(self, x, when, stacks, offset=0) -> list:
         """Bilinear space-time interpolation of ``stacks``, rows of the
         stored stacks as ``block`` gives them, at positions ``x`` and at the
         rows ``when = (k, k2, tau)``: the bracketing snapshots and the weight
@@ -683,25 +689,46 @@ class Trajectory:
         the block's first snapshot.  ``t`` has the shape of ``x``, or is one
         time shared by every point.  Positions past the stored columns take
         their outermost pair.  A ``lam`` block holds lambda1 of its rows
-        above lambda2: add its row count to read lambda2."""
+        above lambda2: add its row count to read lambda2.  ``offset`` (one
+        number, or one per point) is added to each point's index into the
+        flat stacks, where entry (r, c) is entry r*m + c: an offset of j*m
+        reads the rows j further down.
+
+        Two shortcuts leave every value as the general formula gives it.
+        Where every floor(x/dx - 0.5) has a stored pair, the position is not
+        clamped.  A weight ``tau`` that is one float, exactly 0, reads row k
+        alone: 1.0*lo + 0.0*hi equals lo wherever row k2 is finite, so the
+        caller passes such a weight only for finite stacks."""
         k, k2, tau = when
-        # np.minimum(np.maximum(...)) is np.clip without its per-call cost,
-        # which dominates at the few dozen points of one RK4 stage.
         xi = np.asarray(x, dtype=float) / self.grid.dx - 0.5
-        i = np.minimum(np.maximum(np.floor(xi), 0), self.scenario.trusted_cells - 2)
-        frac = np.minimum(np.maximum(xi - i, 0.0), 1.0)
-        i = i.astype(np.intp)
-        rest, stay = 1.0 - frac, 1.0 - tau
+        cell = np.floor(xi)
+        last = self.scenario.trusted_cells - 2
+        if cell.size and 0.0 <= cell.min() and cell.max() <= last:
+            # xi - cell is exact here, and already in [0, 1).
+            frac = xi - cell
+        else:
+            # np.minimum(np.maximum(...)) is np.clip without its per-call
+            # cost, which dominates at the few dozen points of one RK4 stage.
+            cell = np.minimum(np.maximum(cell, 0), last)
+            frac = np.minimum(np.maximum(xi - cell, 0.0), 1.0)
+        rest = 1.0 - frac
         # The stacks are C-contiguous: entry (k, i) is entry k*m + i of the
         # flat stack, and entry (k, i + 1) that of the flat stack from 1 on.
         # A 1-D gather costs less than a 2-D one.
         m = stacks[0].shape[1]
-        at_k, at_k2 = k * m + i, k2 * m + i
+        at = cell.astype(np.intp) + offset
+        at_k = at + k * m
+        one_row = isinstance(tau, float) and tau == 0.0
+        if not one_row:
+            at_k2, stay = at + k2 * m, 1.0 - tau
         out = []
         for stack in stacks:
             flat = stack.reshape(-1)
             after = flat[1:]
             lo = rest * flat[at_k] + frac * after[at_k]
+            if one_row:
+                out.append(lo)
+                continue
             hi = rest * flat[at_k2] + frac * after[at_k2]
             out.append(stay * lo + tau * hi)
         return out

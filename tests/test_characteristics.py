@@ -13,7 +13,8 @@ from nozzleflow.harness import load_trajectory
 from nozzleflow.model import speeds_zw
 from nozzleflow.region import RegionSpec
 from nozzleflow.riccati import coeffs_zw, phi_psi_zw
-from nozzleflow.solver import WALL_MARGIN_FRAC, run
+from nozzleflow import solver
+from nozzleflow.solver import WALL_MARGIN_FRAC, Trajectory, run
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +99,54 @@ class TestInterpolate:
                                     p1_run.block(("lam",)))
         block, = p1_run.interpolate(x, when, p1_run.block(("lam",), lo, hi))
         assert whole.tobytes() == block.tobytes()
+
+
+    def test_positions_with_stored_pairs_are_not_clamped(self, p1_run):
+        # Every floor(x/dx - 0.5) in [0, m - 2], the edges of that range too.
+        dx, last = p1_run.grid.dx, p1_run.scenario.trusted_cells - 2
+        rng = np.random.default_rng(11)
+        xi = np.concatenate([[0.0, 1e-12, last, last + 0.999999], rng.uniform(0.0, last + 1.0, 50)])
+        x = (xi + 0.5) * dx
+        assert np.floor(x / dx - 0.5).min() == 0.0 and np.floor(x / dx - 0.5).max() == last
+        t = rng.uniform(0.0, p1_run.times[-1], x.size)
+        self._assert_same(p1_run, x, p1_run.time_weights(t), p1_run.block(("z", "w", "zx")))
+
+    def test_one_position_past_the_columns_clamps_them_all(self, p1_run):
+        dx, m = p1_run.grid.dx, p1_run.scenario.trusted_cells
+        x = np.linspace(0.6 * dx, (m - 1.2) * dx, 30)
+        when = p1_run.time_weights(0.4 * p1_run.times[-1])
+        for outside in (0.2 * dx, (m - 0.5) * dx, 3.0 * m * dx, -dx):
+            self._assert_same(p1_run, np.append(x, outside), when, p1_run.block(("z", "w")))
+
+    @pytest.mark.parametrize("row", [0, 40, -1])
+    def test_a_shared_weight_of_zero_reads_one_row(self, p1_run, row):
+        k = row % len(p1_run.times)
+        k2 = min(k + 1, len(p1_run.times) - 1)
+        x = np.linspace(-0.05, 1.1, 37)
+        stacks = p1_run.block(("z", "w", "zx", "wx"))
+        self._assert_same(p1_run, x, (k, k2, 0.0), stacks)
+        lam = p1_run.block(("lam",), k, k2 + 1)
+        for family in (1, 2):
+            # A family's rows of a lam block, by row index or by flat offset.
+            rows = (family - 1) * (k2 + 1 - k)
+            self._assert_same(p1_run, x, (rows, rows + k2 - k, 0.0), lam)
+            by_offset, = p1_run.interpolate(x, (0, k2 - k, 0.0), lam,
+                                            rows * p1_run.scenario.trusted_cells)
+            by_row, = p1_run.interpolate(x, (rows, rows + k2 - k, 0.0), lam)
+            assert by_offset.tobytes() == by_row.tobytes()
+
+    def test_a_zero_weight_array_reads_both_rows(self, p1_run):
+        # One row is read only for a float weight: its blend with a row that
+        # is not finite is NaN, which the tracer keeps for such stacks.
+        z = p1_run.z[:2].copy()
+        z[1] = np.inf
+        x = np.linspace(0.1, 0.9, 9)
+        alone, = p1_run.interpolate(x, (0, 1, 0.0), [z])
+        assert alone.tobytes() == p1_run.interpolate(x, (0, 0, 0.5), [z])[0].tobytes()
+        with np.errstate(invalid="ignore"):
+            blend, = p1_run.interpolate(x, (0, 1, np.asarray(0.0)), [z])
+            self._assert_same(p1_run, x, (0, 1, np.asarray(0.0)), [z])
+        assert np.isfinite(alone).all() and np.isnan(blend).all()
 
 
 class TestTrace:
@@ -460,3 +509,26 @@ class TestLockstepMatchesScalarReference:
         assert_same_paths(mixed, [trace(traj, x, f, t) for x, f, t in zip(x0, family, t0)])
         assert_same_paths(mixed, [reference_trace(traj, float(x), int(f), float(t))
                                   for x, f, t in zip(x0, family, t0)])
+
+
+def test_a_block_of_speeds_not_finite_is_walked_by_the_blend(p2_run, monkeypatch):
+    # A NaN in the last row's outermost column, which no path reads: the
+    # walk stops reading one row at stored times in the block that holds it,
+    # and every path stays as it was.
+    rows = {name: getattr(p2_run, name).copy() for name in solver._STORED}
+    rows["z"][-1, -1] = np.nan
+    planted = Trajectory(p2_run.scenario, rows)
+    weights = []
+    interpolate = Trajectory.interpolate
+
+    def spy(history, x, when, stacks, offset=0):
+        if np.ndim(offset):  # an RK4 stage of the walk
+            weights.append(type(when[2]))
+        return interpolate(history, x, when, stacks, offset)
+
+    monkeypatch.setattr(Trajectory, "interpolate", spy)
+    got = launch_fan(planted, (1, 2), boundary=True)
+    assert set(weights) == {float, np.ndarray}
+    want = launch_fan(p2_run, (1, 2), boundary=True)
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert [p.exit_reason for p in got] == [p.exit_reason for p in want]

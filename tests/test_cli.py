@@ -341,6 +341,36 @@ class TestStoredTrajectoryFiles:
                          "--family", "1", "--x0", "0.9"]) == 0
 
 
+@pytest.fixture(scope="module")
+def p2_npz(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("p2")
+    cfg = small_config("p2_desk", tmp, {"n = 2000": "n = 150"})
+    out = tmp / "artifacts"
+    assert main(["--quiet", "--out", str(out), "simulate", str(cfg)]) == 0
+    return out / "trajectory.npz"
+
+
+def _planted(value, row, col):
+    def plant(arrays):
+        arrays["z"] = arrays["z"].copy()
+        arrays["z"][row, col] = value
+    return plant
+
+
+class TestValuesNotFinite:
+    # A NaN or inf mid-run once reached the tracer as a position (an
+    # IndexError); a NaN near the start made verify fail its checks (exit 3).
+    @pytest.mark.parametrize("plant", [_planted(np.nan, 50, 10), _planted(np.inf, 50, 10),
+                                       _planted(np.nan, 3, 2)],
+                             ids=["nan_mid_run", "inf_mid_run", "nan_early"])
+    def test_stored_value_not_finite_is_a_data_error(self, p2_npz, tmp_path, capsys, plant):
+        bad = _damaged(p2_npz, plant, tmp_path / "bad.npz")
+        assert main(["--out", str(tmp_path / "v"), "verify", str(bad)]) == 65
+        err = capsys.readouterr().err
+        assert "bad.npz" in err and "not finite" in err and "Traceback" not in err
+        assert not (tmp_path / "v").exists()
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 64

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nozzleflow.errors import CertificateFailure, DomainError, PoleError
+from nozzleflow import region
 from nozzleflow.model import GasLaw
 from nozzleflow.region import (CriticalConstants, NozzleProfile, PchipCurve,
                                RegionSpec, _normalized_min_slack, check_h1,
@@ -97,6 +98,51 @@ class TestCriticalConstants:
             assert got.l == pytest.approx(l, rel=1e-8)
             assert got.sigma1 == pytest.approx(s1, rel=1e-8)
             assert got.sigma2 == pytest.approx(s2, rel=1e-8)
+
+
+def _f_eval_reference(r, law):
+    """``f_eval`` as it was before it kept Python floats: every r, a float
+    too, goes through numpy.  Kept as the reference ``f_eval`` and
+    ``critical_constants`` must match bitwise."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r == 1.0) or np.any(r == -1.0):
+        raise PoleError("f has poles at r = +-1")
+    g = law.gamma
+    return (2.0 / (g - 1.0)) * (g + 1.0 + (3.0 - g) * r) / np.abs(r * r - 1.0)
+
+
+class TestFloatBisection:
+    GAMMAS = np.concatenate([np.linspace(1.0 + 1e-3, 5.0 / 3.0 - 1e-4, 300),
+                             [1.0005, 1.05, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6,
+                              5.0 / 3.0 - 2e-6]])
+
+    @staticmethod
+    def _laws():
+        yield GasLaw.from_gamma("5/3")
+        for gamma in TestFloatBisection.GAMMAS:
+            yield GasLaw.from_gamma(float(gamma))
+
+    def test_critical_constants_equal_the_numpy_scalar_ones(self, monkeypatch):
+        laws = list(self._laws())
+        assert len(laws) == 310
+        got = [critical_constants(law) for law in laws]
+        monkeypatch.setattr(region, "f_eval", _f_eval_reference)
+        want = [critical_constants(law) for law in laws]
+        for law, g, w in zip(laws, got, want):
+            assert np.array([g.l, g.sigma1, g.sigma2]).tobytes() == \
+                np.array([w.l, w.sigma1, w.sigma2]).tobytes(), law.gamma
+
+    def test_f_eval_of_floats_and_arrays(self, law53):
+        rng = np.random.default_rng(7)
+        r = np.concatenate([rng.uniform(-4.0, 4.0, 200), [0.0, -0.0, 2.0, -1.5, 1e9]])
+        for x in r.tolist():
+            got = f_eval(x, law53)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == _f_eval_reference(x, law53).tobytes()
+        assert f_eval(r, law53).tobytes() == _f_eval_reference(r, law53).tobytes()
+        for pole in (1.0, -1.0, np.array([0.5, -1.0]), [1, 0]):
+            with pytest.raises(PoleError):
+                f_eval(pole, law53)
 
 
 class TestDecayCertificate:
