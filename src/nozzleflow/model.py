@@ -21,6 +21,19 @@ VACUUM_GAP = 1e-12
 
 _LOG_GAMMA = 5.0 / 3.0
 
+#: Least gamma whose root -sigma1 of f(r) = l lies in the bracket
+#: (-2 + 1e-9, -1 - 1e-9) of ``region.critical_constants``: sigma1 - 1 is
+#: about (gamma - 1)/2, and below this gamma it is less than the bracket's
+#: 1e-9.  Here the bisection's 1e-13 finds sigma1 - 1 to about 1e-4 of itself.
+GAMMA_MIN = 1.0000000020000637
+
+
+def _check_gamma(g: float) -> None:
+    if not GAMMA_MIN <= g <= _LOG_GAMMA:
+        raise DomainError(f"adiabatic exponent {g!r} is too close to 1 to resolve sigma1 "
+                          f"(least {GAMMA_MIN!r})" if 1.0 < g < GAMMA_MIN else
+                          f"adiabatic exponent must lie in (1, 5/3], got {g}")
+
 
 @dataclass(frozen=True)
 class GasLaw:
@@ -49,8 +62,7 @@ class GasLaw:
         else:
             exact_log = float(gamma) == _LOG_GAMMA
         g = float(gamma)
-        if not 1.0 < g <= _LOG_GAMMA:
-            raise DomainError(f"adiabatic exponent must lie in (1, 5/3], got {g}")
+        _check_gamma(g)
         is_log = exact_log or g == _LOG_GAMMA
         if not is_log and abs(g - _LOG_GAMMA) < 1e-6:
             warnings.warn(
@@ -64,8 +76,7 @@ class GasLaw:
         return cls(g, theta, beta, is_log)
 
     def __post_init__(self):
-        if not 1.0 < self.gamma <= _LOG_GAMMA:
-            raise DomainError(f"adiabatic exponent must lie in (1, 5/3], got {self.gamma}")
+        _check_gamma(self.gamma)
 
 
 def pressure(rho, law: GasLaw):

@@ -46,8 +46,9 @@ from the start, and a cell that a step leaves out keeps its last value, so
 the two cells after the active ones are their right ghosts, and the whole
 grid needs no other case.  The active cells with their ghosts are one
 contiguous block, and a shift by one cell is a shift by two entries of its
-flat view, so each operation of the upwind gradient covers both rows on
-contiguous memory (on two strided rows numpy takes about twice as long).
+flat view, so where both rows read from one side, each operation of the
+upwind gradient covers both on contiguous memory (on two strided rows numpy
+takes about twice as long).
 
 ``run`` allocates two state arrays and alternates them: each step reads one
 and writes the other.  The array it writes holds the state of one step
@@ -63,18 +64,19 @@ value at a time, never over an array of times: numpy's power over an array
 is not bitwise its value at each time (``1.4 + 0.01*(1 + t)^1.5`` differs
 at 5 of 5000 random t).
 
-A stage forms the speeds of all its cells at once from ``w - z`` and
-``w + z``, which the source then reuses.  The invariant region fixes the
-sign of both speeds on P2 (>= 0) and P3 (< 0), so there every face mean has
-that sign too, and the stage forms only the upwind face values: the limited
-slope on the faces it reads, with no face-mean speeds and no per-face
-choice.  The choice is made from the stage's own speeds, testing first for
-the sign the region fixes, so P1 (mixed signs), NaN and a state that has
-left the region take the general gradient.  The stages write into arrays
-allocated once per run (``_Stages``), through views of the step's active
-width that both stages share (``_Width``).  Every cell takes the same
-operations as it would row by row, so at the same dt and on the same cells
-the result is bitwise that of two separate row updates.
+The upwind side is certified too: the region fixes each speed's sign
+(``speed_bounds.sign1``, ``sign2``), so each row reads from one side all
+run, and a stage forms only those limited face values, with no face-mean
+speeds and no per-face choice.  On P2 (>= 0) and P3 (< 0) both rows share a
+side and take one gradient of the flat block; on P1 z reads from the right
+and w from the left, one gradient each.  In the region every face mean has
+the certified sign, so the side is the one it would choose; a state that
+leaves the region (past the certified cfl, say) keeps the sides, and the
+monitors flag it or it blows up.  The stages write into arrays allocated
+once per run (``_Stages``), through views of the step's active width that
+both share (``_Width``).  Every cell takes the same operations as it would
+row by row, so at the same dt and on the same cells the result is bitwise
+that of two separate row updates.
 """
 from __future__ import annotations
 
@@ -352,21 +354,30 @@ class _Stages:
         self.coef = scn.runtime_arrays["coef"]
         self.half_theta = 0.5 * scn.law.theta
         self.dx, self.order = scn.grid.dx, scn.order
-        # The sign the region fixes is tested first: >= 0 on P2, < 0 on P3.
+        # A stage makes one gradient call on the flat block of both rows when
+        # they read from the same side, else one a row: the side each call
+        # reads from (right if its speeds are < 0), and a cell's entries.
         bounds = scn.speed_bounds
-        self.rightward = min(bounds.sign1, bounds.sign2) > 0
+        sides = (bounds.sign1 < 0, bounds.sign2 < 0)
+        self.leftward = sides[:1] if sides[0] == sides[1] else sides
+        self.entries = 2 // len(self.leftward)
         self.mid = np.empty((n + 4, 2))  # the second stage's state
-        self.lam = np.empty((n + 4, 2))
-        self.gap, self.total, self.v, self.c = (np.empty(n + 4) for _ in range(4))
+        self.lam = np.empty((n, 2))
+        self.gap, self.total, self.v, self.c = (np.empty(n) for _ in range(4))
         self.d = np.empty(2 * (n + 2))
         self.prod, self.den, self.slope, self.face = (np.empty(2 * (n + 1)) for _ in range(4))
         self.pos = np.empty(2 * (n + 1), dtype=bool)
-        self.grad = np.empty(2 * n)
+        self.grad = np.empty((n, 2))
         self.f1, self.f2, self.inc = (np.empty((n, 2)) for _ in range(3))
         # The last time the P2 ghosts were formed for, and (ghost rows, edge
         # traces) then (``_write_ghosts``).
         self.inflow_t, self.inflow = None, None
         self.width = None
+
+    def calls(self, a: np.ndarray) -> tuple:
+        """The views of the two-row ``a`` that the gradient calls read or
+        write, one for each entry of ``leftward``."""
+        return (a.reshape(-1),) if self.entries == 2 else (a[:, 0], a[:, 1])
 
     def at(self, m: int) -> "_Width":
         if self.width is None or self.width.m != m:
@@ -376,24 +387,25 @@ class _Stages:
 
 class _Width:
     """The views of the ``_Stages`` arrays that both stages of a step on the
-    first m cells write into, made once for each width."""
+    first m cells write into, made once for each width.  The gradient's
+    temporaries hold ``work.entries`` entries a cell: both rows, or one."""
 
     def __init__(self, work: _Stages, m: int):
-        self.m = m
-        cells, faces = m + 4, 2 * m + 2  # with the ghosts; of both rows
-        self.gap, self.total = work.gap[:cells], work.total[:cells]
-        self.v, self.c, self.lam = work.v[:cells], work.c[:cells], work.lam[:cells]
-        self.lam1, self.lam2, self.lam_cells = self.lam[:, 0], self.lam[:, 1], self.lam[2:-2]
-        self.gap_cells, self.total_cells = self.gap[2:-2], self.total[2:-2]
+        self.m, e = m, work.entries
+        self.gap, self.total, self.v, self.c = (a[:m] for a in (work.gap, work.total,
+                                                                 work.v, work.c))
+        self.lam = work.lam[:m]
+        self.lam1, self.lam2 = self.lam[:, 0], self.lam[:, 1]
         self.coef = work.coef[:m]
-        self.d = work.d[:faces + 2]
-        self.d_lo, self.d_hi = self.d[:-2], self.d[2:]
+        faces = e * (m + 1)
+        self.d = work.d[:faces + e]
+        self.d_lo, self.d_hi = self.d[:-e], self.d[e:]
         self.prod, self.den, self.pos = work.prod[:faces], work.den[:faces], work.pos[:faces]
         self.slope, self.face = work.slope[:faces], work.face[:faces]
-        self.face_lo, self.face_hi = self.face[:-2], self.face[2:]
-        self.grad = work.grad[:2 * m]
-        self.grad_cells = self.grad.reshape(m, 2)
-        self.mid = work.mid[:cells]
+        self.face_lo, self.face_hi = self.face[:-e], self.face[e:]
+        self.grad = work.grad[:m]
+        self.grads = work.calls(self.grad)
+        self.mid = work.mid[:m + 4]
         self.mid_cells = self.mid[2:-2]
         self.inc = work.inc[:m]
         # Each stage's derivative, with its z and w columns.
@@ -401,20 +413,17 @@ class _Width:
         self.f1, self.f2 = (f1, f1[:, 0], f1[:, 1]), (f2, f2[:, 0], f2[:, 1])
 
 
-def _limited_slope(a, b, work=None):
+def _limited_slope(a, b, work):
     """van Leer harmonic slope 2ab/(a+b) where ab > 0, else 0: TVD, and smooth
     in the slope ratio (minmod's branch switching staircases smooth profiles,
-    which wrecks the convergence of derivative diagnostics).  With ``work``,
-    for 1-D ``a`` and ``b``, its arrays ``prod``, ``den``, ``pos`` and
-    ``slope`` of their size hold the temporaries and the result."""
-    if work is None:
-        prod, den, pos, slope = None, None, None, np.zeros(np.shape(a))
-    else:
-        prod, den, pos, slope = work.prod, work.den, work.pos, work.slope
-        slope.fill(0.0)
-    prod = np.multiply(a, b, out=prod)
-    pos = np.greater(prod, 0.0, out=pos)
-    den = np.add(a, b, out=den)
+    which wrecks the convergence of derivative diagnostics).  The arrays
+    ``prod``, ``den``, ``pos`` and ``slope`` of ``work``, of the size of the
+    1-D ``a`` and ``b``, hold the temporaries and the result."""
+    prod, den, pos, slope = work.prod, work.den, work.pos, work.slope
+    slope.fill(0.0)
+    np.multiply(a, b, out=prod)
+    np.greater(prod, 0.0, out=pos)
+    np.add(a, b, out=den)
     # Masked: on a run's own slopes, ab > 0 at 98% of the faces (p3, n = 1000
     # and 2000), and the masked divide into zeros costs less than an unmasked
     # one plus the select and the errstate it needs (15 against 19 us a call
@@ -422,53 +431,34 @@ def _limited_slope(a, b, work=None):
     return np.divide(np.multiply(prod, 2.0, out=prod), den, out=slope, where=pos)
 
 
-def _upwind_gradient(u_ext, lam_ext, dx: float, order: int):
-    """Upwind-biased gradient at the n interior cells from the extended array
-    (two ghosts each side); upwind side chosen by the face-mean speed.  Rows
-    of a 2-D ``u_ext`` are independent fields, each with its own speeds."""
-    n = u_ext.shape[-1] - 4
-    lam_face = 0.5 * (lam_ext[..., 1:n + 2] + lam_ext[..., 2:n + 3])
-    if order == 1:
-        u_face = np.where(lam_face >= 0.0, u_ext[..., 1:n + 2], u_ext[..., 2:n + 3])
-    else:
-        d = u_ext[..., 1:] - u_ext[..., :-1]
-        slope = _limited_slope(d[..., :-1], d[..., 1:])
-        u_face = np.where(lam_face >= 0.0,
-                          u_ext[..., 1:n + 2] + 0.5 * slope[..., 0:n + 1],
-                          u_ext[..., 2:n + 3] - 0.5 * slope[..., 1:n + 2])
-    return (u_face[..., 1:] - u_face[..., :-1]) / dx
-
-
-def _one_sided_gradient(flat, leftward: bool, work: _Stages, width: _Width):
-    """``_upwind_gradient`` of both rows when every face-mean speed has one
-    sign: each face takes its right cell (``leftward``, all speeds < 0) or
-    its left cell (all speeds >= 0), and only the slopes those cells need
-    are formed.  ``flat`` is the block of m cells and their ghosts as one
-    1-D array, z and w of each cell side by side, so a shift of one cell is
-    a shift of two entries and each operation covers both rows."""
-    m = width.m
-    s = 2 * int(leftward)
+def _one_sided_gradient(u, out, leftward: bool, work: _Stages, width: _Width):
+    """Upwind gradient at the m cells of ``u`` (with two ghosts each side),
+    written into ``out``: each face takes the limited value of its right
+    cell (``leftward``, the certified speeds < 0) or its left cell (>= 0),
+    and only the slopes those cells need are formed.  ``u`` is one row, or
+    the flat block of both with z and w of each cell side by side (a cell
+    is ``work.entries`` entries), so that each operation covers both."""
+    m, e = width.m, work.entries
+    s = e * int(leftward)
     if work.order == 1:
-        face_lo, face_hi = flat[2 + s:2 * m + 2 + s], flat[4 + s:2 * m + 4 + s]
+        face_lo, face_hi = u[e + s:e * (m + 1) + s], u[2 * e + s:e * (m + 2) + s]
     else:
-        np.subtract(flat[2 + s:2 * m + 6 + s], flat[s:2 * m + 4 + s], out=width.d)
+        np.subtract(u[e + s:e * (m + 3) + s], u[s:e * (m + 2) + s], out=width.d)
         half = _limited_slope(width.d_lo, width.d_hi, width)
         np.multiply(half, 0.5, out=half)
-        (np.subtract if leftward else np.add)(flat[2 + s:2 * m + 4 + s], half, out=width.face)
+        (np.subtract if leftward else np.add)(u[e + s:e * (m + 2) + s], half, out=width.face)
         face_lo, face_hi = width.face_lo, width.face_hi
-    np.subtract(face_hi, face_lo, out=width.grad)
-    np.divide(width.grad, work.dx, out=width.grad)
-    return width.grad_cells
+    np.subtract(face_hi, face_lo, out=out)
+    np.divide(out, work.dx, out=out)
 
 
 def _stage_rhs(ext, rhs, work: _Stages, width: _Width):
     """Time derivative of the state in the interior of ``ext`` (m cells and
     two ghosts each side, laid out as the state), written into ``rhs``, one
-    of ``width.f1`` and ``width.f2``: each row advected with its own speed,
-    plus the source.  When every speed of the stage is < 0 or every one is
-    >= 0, so is every face mean, and the upwind side is known without
-    comparing them."""
-    z, w = ext[:, 0], ext[:, 1]
+    of ``width.f1`` and ``width.f2``: each row advected with its own speed
+    from the upwind side the region certifies, plus the source."""
+    cells = ext[2:-2]
+    z, w = cells[:, 0], cells[:, 1]
     gap = np.subtract(w, z, out=width.gap)
     total = np.add(w, z, out=width.total)
     # lambda1, lambda2 = v -+ c with v = (w + z)/2 and c = (theta/2)(w - z).
@@ -476,18 +466,11 @@ def _stage_rhs(ext, rhs, work: _Stages, width: _Width):
     c = np.multiply(gap, work.half_theta, out=width.c)
     np.subtract(v, c, out=width.lam1)
     np.add(v, c, out=width.lam2)
-    lam = width.lam
-    if work.rightward:
-        leftward = False if lam.min() >= 0.0 else True if lam.max() < 0.0 else None
-    else:
-        leftward = True if lam.max() < 0.0 else False if lam.min() >= 0.0 else None
-    if leftward is None:  # mixed signs (P1), NaN, or a state that left the region
-        grad = _upwind_gradient(ext.T, lam.T, work.dx, work.order).T
-    else:
-        grad = _one_sided_gradient(ext.reshape(-1), leftward, work, width)
-    sz, sw = source_pair(width.gap_cells, width.total_cells, width.coef)
+    for u, out, leftward in zip(work.calls(ext), width.grads, work.leftward):
+        _one_sided_gradient(u, out, leftward, work, width)
+    sz, sw = source_pair(gap, total, width.coef)
     out, out_z, out_w = rhs
-    np.multiply(width.lam_cells, grad, out=out)
+    np.multiply(width.lam, width.grad, out=out)
     np.subtract(sz, out_z, out=out_z)
     np.subtract(sw, out_w, out=out_w)
     return out

@@ -27,6 +27,19 @@ class TestConstants:
     def test_bad_gamma_is_usage_error(self, capsys):
         assert main(["constants", "2.5"]) == 64
 
+    def test_least_gamma_resolves_sigma1(self, capsys):
+        assert main(["--format", "json", "constants", "1.0000000020000637"]) == 0
+        sigma1 = json.loads(capsys.readouterr().out)["sigma1"]
+        assert (sigma1 - 1.0) / 1.0000000020000637e-9 == pytest.approx(1.0, rel=1e-3)
+
+    @pytest.mark.parametrize("gamma", ["1.000000001", "1.0000000020000634",
+                                       "1.0000000000000002"])
+    def test_gamma_too_close_to_1_is_usage_error(self, gamma, capsys):
+        # 1.000000001 once exited 65: sigma1 lay within the bracket's 1e-9
+        # of 1, so its bisection found no sign change.
+        assert main(["constants", gamma]) == 64
+        assert "too close to 1 to resolve sigma1" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_desk_config_passes(self, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import riemann_from_rho_v
 from nozzleflow.errors import DomainError
-from nozzleflow.model import (GasLaw, pressure, rho_zw, source_coef, source_pair_zw,
-                              speeds_zw)
+from nozzleflow.model import (GAMMA_MIN, GasLaw, pressure, rho_zw, source_coef,
+                              source_pair_zw, speeds_zw)
 
 GAMMA_MAX = 5.0 / 3.0
 
@@ -30,6 +32,16 @@ class TestGasLaw:
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(DomainError):
             GasLaw.from_gamma(bad)
+
+    def test_gamma_too_close_to_1_rejected(self):
+        # Below GAMMA_MIN sigma1 lies within the 1e-9 that the bracket of
+        # ``region.critical_constants`` leaves short of 1.
+        assert GasLaw.from_gamma(GAMMA_MIN).gamma == GAMMA_MIN
+        for gamma in (math.nextafter(1.0, 2.0), 1.000000001, math.nextafter(GAMMA_MIN, 1.0)):
+            with pytest.raises(DomainError, match="too close to 1 to resolve sigma1"):
+                GasLaw.from_gamma(gamma)
+            with pytest.raises(DomainError, match="too close to 1 to resolve sigma1"):
+                GasLaw(gamma, 0.0, 0.0, False)
 
     def test_near_log_branch_warns(self):
         with pytest.warns(UserWarning):

@@ -1,13 +1,14 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nozzleflow.errors import CertificateFailure, DomainError, PoleError
+from nozzleflow.errors import CertificateFailure, DomainError, PoleError, SearchError
 from nozzleflow import region
-from nozzleflow.model import GasLaw
+from nozzleflow.model import GAMMA_MIN, GasLaw
 from nozzleflow.region import (CriticalConstants, NozzleProfile, PchipCurve,
                                RegionSpec, _normalized_min_slack, check_h1,
                                check_hypothesis, critical_constants, envelopes,
@@ -131,6 +132,21 @@ class TestFloatBisection:
         for law, g, w in zip(laws, got, want):
             assert np.array([g.l, g.sigma1, g.sigma2]).tobytes() == \
                 np.array([w.l, w.sigma1, w.sigma2]).tobytes(), law.gamma
+
+    def test_least_gamma_is_the_edge_of_the_bracket(self):
+        # ``GasLaw`` refuses the float below GAMMA_MIN, so a bare stand-in
+        # (critical_constants reads only gamma) shows why: the bisection of
+        # -sigma1 finds no sign change there.
+        assert critical_constants(SimpleNamespace(gamma=GAMMA_MIN)).sigma1 > 1.0
+        with pytest.raises(SearchError, match="no sign change"):
+            critical_constants(SimpleNamespace(gamma=math.nextafter(GAMMA_MIN, 1.0)))
+
+    @pytest.mark.parametrize("gamma", [GAMMA_MIN, 1.000000003, 1.00000001, 1.000001])
+    def test_sigma1_near_gamma_1(self, gamma):
+        # sigma1 - 1 is about (gamma - 1)/2 near 1; the bisection's absolute
+        # 1e-13 resolves it to about 1e-4 of itself at GAMMA_MIN.
+        c = critical_constants(GasLaw.from_gamma(gamma))
+        assert (c.sigma1 - 1.0) / (0.5 * (gamma - 1.0)) == pytest.approx(1.0, rel=2e-3)
 
     def test_f_eval_of_floats_and_arrays(self, law53):
         rng = np.random.default_rng(7)

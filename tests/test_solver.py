@@ -14,8 +14,7 @@ from nozzleflow import solver
 from nozzleflow.config import parse_config_text
 from nozzleflow.model import GasLaw, speeds_zw
 from nozzleflow.region import RegionSpec, zero_profile
-from nozzleflow.solver import (Field, Grid, Scenario, _upwind_gradient, run,
-                               step)
+from nozzleflow.solver import Field, Grid, Scenario, run, step
 
 
 def uniform_field(z_val, w_val, n=100, dx=0.01, x_interest=None):
@@ -95,14 +94,36 @@ def _reference_boundary(z, w, t, scn):
     return np.array(gl), z_edge, w_edge
 
 
-def _reference_step(z, w, t, dt, m, scn, gl=None):
+def _upwind_gradient(u_ext, lam_ext, dx, order):
+    """Upwind-biased gradient at the n interior cells of ``u_ext`` (two
+    ghosts each side), the side of each face chosen by the mean of its two
+    cells' speeds ``lam_ext``: the solver's general gradient before the
+    region fixed the side, kept as the reference.  Where every face mean has
+    the sign the region certifies, the solver must match it bitwise."""
+    n = u_ext.size - 4
+    lam_face = 0.5 * (lam_ext[1:n + 2] + lam_ext[2:n + 3])
+    if order == 1:
+        u_face = np.where(lam_face >= 0.0, u_ext[1:n + 2], u_ext[2:n + 3])
+    else:
+        d = u_ext[1:] - u_ext[:-1]
+        slope = _masked_slope(d[:-1], d[1:])
+        u_face = np.where(lam_face >= 0.0, u_ext[1:n + 2] + 0.5 * slope[0:n + 1],
+                          u_ext[2:n + 3] - 0.5 * slope[1:n + 2])
+    return (u_face[1:] - u_face[:-1]) / dx
+
+
+def _reference_step(z, w, t, dt, m, scn, gl=None, certified=False):
     """One step of the first ``m`` cells of ``z``, ``w`` (the grid's cells
     and its two far-field ghosts), whose next two cells are their right
     ghosts, with z and w advanced as two separate arrays: the step as it was
     before the two-row kernel, kept as the reference the kernel must match
     bitwise.  ``gl`` are the left ghosts at t when the caller has them.
-    Returns the new z, w; the cells past the first m keep their values."""
+    Each face takes its upwind side by the mean of the stage's own speeds,
+    or, if ``certified``, by the constant speeds ``speed_bounds.sign1`` and
+    ``sign2``: the sides the region certifies.  Returns the new z, w; the
+    cells past the first m keep their values."""
     coef = scn.runtime_arrays["coef"][:m]
+    bounds = scn.speed_bounds
 
     def stage_rhs(z, w, t, gl):
         if gl is None:
@@ -110,8 +131,10 @@ def _reference_step(z, w, t, dt, m, scn, gl=None):
         z_ext = np.concatenate([gl[0], z[:m + 2]])
         w_ext = np.concatenate([gl[1], w[:m + 2]])
         lam1e, lam2e = speeds_zw(z_ext, w_ext, scn.law)
-        z_x = _upwind_gradient(z_ext, lam1e, scn.grid.dx, scn.order)
-        w_x = _upwind_gradient(w_ext, lam2e, scn.grid.dx, scn.order)
+        side1, side2 = ((np.full(m + 4, float(bounds.sign1)), np.full(m + 4, float(bounds.sign2)))
+                        if certified else (lam1e, lam2e))
+        z_x = _upwind_gradient(z_ext, side1, scn.grid.dx, scn.order)
+        w_x = _upwind_gradient(w_ext, side2, scn.grid.dx, scn.order)
         sz, sw = solver.source_pair(w[:m] - z[:m], w[:m] + z[:m], coef)
         return -lam1e[2:-2] * z_x + sz, -lam2e[2:-2] * w_x + sw
 
@@ -132,11 +155,12 @@ def _reference_step(z, w, t, dt, m, scn, gl=None):
     return np.concatenate([new_z, z[m:]]), np.concatenate([new_w, w[m:]])
 
 
-def _reference_run(scn):
+def _reference_run(scn, certified=False):
     """``solver.run`` as it was before the two reused state arrays: a new
     state each step, the boundary values formed after every step, and each
-    snapshot appended name by name.  Returns the stored arrays by name, the
-    final (z, w, t) or None, and the ``blow_up`` details or None."""
+    snapshot appended name by name, with the upwind sides ``certified`` or
+    not (``_reference_step``).  Returns the stored arrays by name, the final
+    (z, w, t) or None, and the ``blow_up`` details or None."""
     fld = scn.initial_field()
     gr = scn.runtime_arrays["gr"]
     z, w = np.concatenate([fld.z, gr[0]]), np.concatenate([fld.w, gr[1]])
@@ -152,7 +176,7 @@ def _reference_run(scn):
     final, blow_up = None, None
     try:
         for k, m in enumerate(scn.active_cells(times[:-1]).tolist()):
-            z, w = _reference_step(z, w, times[k], dt, m, scn, gl)
+            z, w = _reference_step(z, w, times[k], dt, m, scn, gl, certified)
             gl, *edges = _reference_boundary(z, w, times[k + 1], scn)
             append(times[k + 1], dt, edges)
         final = (z[:n], w[:n], times[-1])
@@ -161,11 +185,11 @@ def _reference_run(scn):
     return {name: np.array(vals) for name, vals in stored.items()}, final, blow_up
 
 
-def _row_by_row_step(fld, dt, scn):
+def _row_by_row_step(fld, dt, scn, certified=False):
     """``_reference_step`` of the whole grid of ``fld``."""
     gr = scn.runtime_arrays["gr"]
     z, w = _reference_step(np.concatenate([fld.z, gr[0]]), np.concatenate([fld.w, gr[1]]),
-                           fld.t, dt, scn.grid.n, scn)
+                           fld.t, dt, scn.grid.n, scn, certified=certified)
     return Field(z[:-2], w[:-2], fld.t + dt, fld.grid)
 
 
@@ -176,7 +200,8 @@ def _bitwise(a, b):
 def _masked_slope(a, b):
     """The van Leer slope by its formula: 2ab over a + b, divided only where
     ab > 0, into zeros.  Kept as the reference that ``solver._limited_slope``
-    and any rewrite of it (an unmasked divide, say) must match bitwise."""
+    and any rewrite of it (an unmasked divide, say) must match bitwise, and
+    that ``_upwind_gradient`` uses."""
     prod = a * b
     return np.divide(2.0 * prod, a + b, out=np.zeros(np.shape(a)), where=prod > 0.0)
 
@@ -206,12 +231,10 @@ class TestLimitedSlope:
                             rng.uniform(1.0, 3.0, 200)])
         with np.errstate(all="ignore"):
             want = _masked_slope(a, b)
-            got = solver._limited_slope(a, b)
-            got_work = solver._limited_slope(a, b, self._work(a.size))
-            got_rows = solver._limited_slope(a[:-2].reshape(2, -1), b[:-2].reshape(2, -1))
+            work = self._work(a.size)
+            work.slope.fill(math.nan)  # what an earlier call may leave there
+            got = solver._limited_slope(a, b, work)
         assert _bitwise(got, want)
-        assert _bitwise(got_work, want)
-        assert _bitwise(got_rows, want[:-2].reshape(2, -1))
 
     def test_no_warning_where_ab_is_not_positive(self):
         # a = -b (x/0) and a = b = 0 (0/0, flat data) must not warn.  (An
@@ -219,7 +242,6 @@ class TestLimitedSlope:
         a, b = self._pairs([v for v in self.SPECIAL if not math.isinf(v)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            solver._limited_slope(a, b)
             solver._limited_slope(a, b, self._work(a.size))
 
 
@@ -276,11 +298,13 @@ class TestLeanLoop:
     """``run`` steps into two reused state arrays and writes the ghosts and
     the snapshots in place; every stored array, the final field and the
     failure details are bitwise those of the run before it
-    (``_reference_run``)."""
+    (``_reference_run``).  A run past the certified cfl leaves the region,
+    where the face-mean side is not the certified one, so its reference
+    takes the certified sides."""
 
     @staticmethod
-    def _assert_matches_reference(scn):
-        want, want_final, want_blow_up = _reference_run(scn)
+    def _assert_matches_reference(scn, certified=False):
+        want, want_final, want_blow_up = _reference_run(scn, certified)
         try:
             traj, final = run(scn)
         except RunAbortedError as err:
@@ -304,11 +328,13 @@ class TestLeanLoop:
         assert not self._assert_matches_reference(scn).blown_up
 
     def test_blow_up(self):
-        traj = self._assert_matches_reference(desk_scenario("p1_desk", n=300, cfl=1.44))
+        traj = self._assert_matches_reference(desk_scenario("p1_desk", n=300, cfl=1.44),
+                                              certified=True)
         assert traj.blow_up["message"].startswith("solution left the finite range")
 
     def test_wall_turns_sonic(self):
-        traj = self._assert_matches_reference(desk_scenario("p1_desk", n=60, cfl=5.0))
+        traj = self._assert_matches_reference(desk_scenario("p1_desk", n=100, cfl=5.0),
+                                              certified=True)
         assert traj.blow_up["message"].startswith("wall boundary needs")
 
     @pytest.mark.parametrize("order", [1, 2])
@@ -339,18 +365,67 @@ class TestLeanLoop:
 
 
 class TestSignResolvedStage:
-    """A stage whose speeds all have one sign skips the face-mean speeds and
-    the per-face choice; any other stage takes ``_upwind_gradient``."""
+    """Each row takes the upwind side its certified speed sign fixes: the
+    stage compares no speeds, and a state that leaves the region keeps the
+    sides."""
+
+    #: The kernel calls of one stage, (row, leftward): "zw" is the flat
+    #: block of both rows.
+    CALLS = {"p1_desk": [("z", True), ("w", False)], "p2_desk": [("zw", False)],
+             "p3_desk": [("zw", True)]}
+
+    @pytest.mark.parametrize("name", ["p1_desk", "p2_desk", "p3_desk"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_kernel_calls_of_each_stage(self, name, order, monkeypatch):
+        stages = []
+        plain_rhs, plain_kernel = solver._stage_rhs, solver._one_sided_gradient
+
+        def stage(ext, *rest):
+            stages.append((ext, []))
+            return plain_rhs(ext, *rest)
+
+        def kernel(u, out, leftward, *rest):
+            ext, calls = stages[-1]
+            if u.size == ext.size:
+                row = "zw"
+            else:
+                assert u.size == len(ext) and out.size == len(ext) - 4
+                row = "zw"[(u.ctypes.data - ext.ctypes.data) // ext.itemsize]
+            calls.append((row, leftward))
+            return plain_kernel(u, out, leftward, *rest)
+
+        monkeypatch.setattr(solver, "_stage_rhs", stage)
+        monkeypatch.setattr(solver, "_one_sided_gradient", kernel)
+        scn = desk_scenario(name, n=100, T=0.05, order=order)
+        run(scn)
+        assert len(stages) == order * scn.steps
+        assert all(calls == self.CALLS[name] for _, calls in stages)
+
+    @pytest.mark.parametrize("name, n", [("p1_desk", 300), ("p2_desk", 150),
+                                         ("p3_desk", 250)])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_desk_stages_read_the_certified_signs(self, name, n, order, monkeypatch):
+        # Every cell a stage reads, ghosts included, has the speed signs the
+        # region certifies, so every face mean has them too, and the
+        # certified side is the face-mean side.
+        scn = desk_scenario(name, n=n, order=order)
+        bounds = scn.speed_bounds
+        plain = solver._stage_rhs
+        stages = []
+
+        def checked(ext, *rest):
+            for lam, sign in zip(speeds_zw(ext[:, 0], ext[:, 1], scn.law),
+                                 (bounds.sign1, bounds.sign2)):
+                assert np.all(lam < 0.0) if sign < 0 else np.all(lam >= 0.0)
+            stages.append(len(ext))
+            return plain(ext, *rest)
+
+        monkeypatch.setattr(solver, "_stage_rhs", checked)
+        _, final = run(scn)
+        assert final.t == scn.T and len(stages) == order * scn.steps
 
     @pytest.mark.parametrize("order", [1, 2])
-    def test_one_rightward_cell_takes_the_general_path(self, order, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args[-1])
-            return _upwind_gradient(*args)
-
-        monkeypatch.setattr(solver, "_upwind_gradient", counted)
+    def test_one_rightward_cell_takes_the_certified_side(self, order):
         scn = desk_scenario("p3_desk", n=200, T=0.3, order=order)
         fld = scn.initial_field()
         fld.z[30], fld.w[30] = -1.2, 2.0
@@ -358,9 +433,25 @@ class TestSignResolvedStage:
         assert lam1.max() < 0.0 < lam2[30] and int((lam2 > 0.0).sum()) == 1
         dt = field_dt(fld, scn.law, scn.cfl)
         new = step(fld, dt, scn)
-        ref = _row_by_row_step(fld, dt, scn)
+        ref = _row_by_row_step(fld, dt, scn, certified=True)
         assert _bitwise(new.z, ref.z) and _bitwise(new.w, ref.w)
-        assert len(calls) == order
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_a_positive_face_mean_keeps_the_certified_side(self, order):
+        # Two rightward cells side by side: the face between them has a
+        # positive mean lambda2, so there the face-mean side is the left
+        # one, and the step still reads from the right.
+        scn = desk_scenario("p3_desk", n=200, T=0.3, order=order)
+        fld = scn.initial_field()
+        fld.z[30:32], fld.w[30:32] = -1.2, (2.0, 1.8)
+        lam2 = speeds_zw(fld.z, fld.w, scn.law)[1]
+        assert 0.5 * (lam2[30] + lam2[31]) > 0.0
+        dt = field_dt(fld, scn.law, scn.cfl)
+        new = step(fld, dt, scn)
+        ref = _row_by_row_step(fld, dt, scn, certified=True)
+        assert _bitwise(new.z, ref.z) and _bitwise(new.w, ref.w)
+        mean = _row_by_row_step(fld, dt, scn)
+        assert not _bitwise(new.w, mean.w)
 
     @pytest.mark.parametrize("name", ["p1_desk", "p2_desk", "p3_desk"])
     def test_run_takes_the_certified_step(self, name, monkeypatch):
@@ -379,22 +470,6 @@ class TestSignResolvedStage:
             fld.t = traj.times[k]
             assert _bitwise(fld.z[:scn.trusted_cells], traj.z[k]), k
             assert _bitwise(fld.w[:scn.trusted_cells], traj.w[k]), k
-
-    @pytest.mark.parametrize("name,general", [("p1_desk", True), ("p2_desk", False),
-                                              ("p3_desk", False)])
-    def test_which_problems_reach_the_general_gradient(self, name, general,
-                                                        monkeypatch):
-        def refuse(*args):
-            raise AssertionError("general gradient reached")
-
-        monkeypatch.setattr(solver, "_upwind_gradient", refuse)
-        scn = desk_scenario(name, n=100, T=0.05)
-        if general:
-            with pytest.raises(AssertionError, match="general gradient reached"):
-                run(scn)
-        else:
-            traj, final = run(scn)
-            assert len(traj.times) > 3 and final.t == scn.T
 
 
 class TestActiveCells:
@@ -510,10 +585,14 @@ class TestAdvectionAccuracy:
         lam = 0.7
         dx, dt = 0.01, 0.9 * 0.01 / 0.7
         lo, hi = u.min(), u.max()
+        # The solver's kernel at order 1 on one row, read from the left.
+        work = types.SimpleNamespace(entries=1, order=1, dx=dx)
+        width = types.SimpleNamespace(m=u.size)
+        grad = np.empty(u.size)
         for _ in range(50):
             u_ext = np.concatenate([u[:1], u[:1], u, u[-1:], u[-1:]])
-            lam_ext = np.full(u_ext.size, lam)
-            u = u - dt * lam * _upwind_gradient(u_ext, lam_ext, dx, 1)
+            solver._one_sided_gradient(u_ext, grad, False, work, width)
+            u = u - dt * lam * grad
             assert u.max() <= hi + 1e-14
             assert u.min() >= lo - 1e-14
 
