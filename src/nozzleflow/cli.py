@@ -2,7 +2,8 @@
 
 Subcommands: constants, check, feasible, simulate, trace, verify.
 Exit codes: 0 ok, 2 certification failed, 3 monitor violation, 4 blow-up,
-64 usage, 65 malformed config or trajectory file, 66 cannot open input.
+64 usage, 65 malformed config or trajectory file (or an s(x) table that
+misses its tolerance), 66 cannot open input.
 """
 from __future__ import annotations
 
@@ -151,6 +152,14 @@ def _cmd_trace(args) -> int:
     return EXIT_OK
 
 
+def _write_report(payload: dict, out: Path, fmt: str) -> None:
+    """Write ``verify_report.json``; with ``--format json``, print the same
+    text to standard output."""
+    text = harness._write_json(payload, out / "verify_report.json")
+    if fmt == "json":
+        print(text, end="")
+
+
 def _cmd_verify(args) -> int:
     traj = harness.load_trajectory(args.trajectory)
     out = Path(args.out)
@@ -158,10 +167,7 @@ def _cmd_verify(args) -> int:
     if traj.blown_up:  # as in ``simulate``, a run that ended early has no post-pass
         payload = {"blow_up": dict(traj.blow_up, t_last_stored=float(traj.times[-1]),
                                    steps=len(traj.times) - 1), "ok": False}
-        (out / "verify_report.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        if args.format == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True))
+        _write_report(payload, out, args.format)
         print(f"blow-up: the stored run ended early, after t = {traj.times[-1]:.6g}; "
               "it has no post-pass", file=sys.stderr)
         return EXIT_BLOWUP
@@ -169,11 +175,8 @@ def _cmd_verify(args) -> int:
     payload = {"characteristics": post,
                "conservative_residual": harness.conservative_residual(traj).to_dict(),
                "ok": post["ok"]}
-    (out / "verify_report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif not args.quiet:
+    _write_report(payload, out, args.format)
+    if args.format != "json" and not args.quiet:
         for family, stats in post["families"].items():
             print(f"family {family}: checked={stats['checked']}/{stats['paths']} "
                   f"residual_max={stats['residual_max']:.6g} "

@@ -30,7 +30,8 @@ class ContractViolationError(NozzleflowError):
 
 
 class SearchError(NozzleflowError):
-    """Internal root/feasibility search failed to bracket or converge."""
+    """Internal root, feasibility or quadrature search failed to bracket or
+    converge."""
 
 
 class RunAbortedError(NozzleflowError):

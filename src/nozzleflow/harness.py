@@ -622,8 +622,11 @@ def load_trajectory(path) -> Trajectory:
 # scenario driver
 # ---------------------------------------------------------------------------
 
-def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_json(payload: dict, path: Path) -> str:
+    """Write ``payload`` as indented, key-sorted JSON; return the text."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    path.write_text(text)
+    return text
 
 
 def _write_monitors(mrep: MonitorReport, out: Path) -> dict:
@@ -657,8 +660,9 @@ def run_scenario(config, out_dir, force: bool = False, quiet: bool = True) -> in
 
     bundle = certify(scn)
     (out / "certificates.txt").write_text(bundle.render_text() + "\n")
-    _write_json(bundle.to_dict(), out / "certificates.json")
-    report = {"certification": bundle.to_dict(),
+    certification = bundle.to_dict()
+    _write_json(certification, out / "certificates.json")
+    report = {"certification": certification,
               "scenario": {"problem": scn.problem, "n": scn.n, "T": scn.T,
                            "order": scn.order, "cfl": scn.cfl,
                            "x_interest": scn.x_interest,

@@ -35,6 +35,9 @@ ROUNDOFF = 32.0 * float(np.finfo(float).eps)
 #: Relative margin of the STRICT rule.
 STRICT_MARGIN = 1e-9
 
+#: The most intervals ``NozzleProfile.quadrature_table`` takes.
+QUADRATURE_MAX_INTERVALS = 1 << 21
+
 
 # ---------------------------------------------------------------------------
 # critical constants of f
@@ -210,54 +213,85 @@ class NozzleProfile:
     # -- cumulative quadrature of abar --------------------------------------
 
     def quadrature_table(self, x_hi: float) -> tuple:
-        """Nodes and cumulative trapezoid sums of abar on [0, max(x_hi, 1)]:
-        the node count doubles from 4096 until the Richardson estimate of the
-        total's error is below 1e-10 (1 + I_total), or 2^21.  A doubled level
-        reuses the samples of the level before at its even nodes (the even
-        nodes of ``linspace(0, x, 2n + 1)`` are bitwise ``linspace(0, x,
-        n + 1)``), and its coarse sum is that level's total, so each abar
-        value is computed once."""
+        """Nodes, s and abar on [0, max(x_hi, 1)], read back by ``cum_abar``
+        with the abar samples as the slopes of its cubic Hermite interpolant.
+
+        s at the nodes is ``_cumulative_simpson`` of abar.  The interval
+        count doubles from 4096 until the previous level's interpolant
+        matches the new level at every new node within 1e-10 (1 + I_total);
+        a level reuses the samples of the level before at its even nodes
+        (the even nodes of ``linspace(0, x, 2n + 1)`` are bitwise
+        ``linspace(0, x, n + 1)``), so each abar value is computed once.
+        The table returned is the new level with one Richardson step (the
+        Simpson sums of both levels at every other coarse node give Boole's
+        rule there, and the nodes up to the next one take the same shift),
+        so the Hermite read-back's own h^4 error is what is left.  A level
+        of ``QUADRATURE_MAX_INTERVALS`` that still misses the tolerance
+        raises SearchError."""
         x_hi = max(x_hi, 1.0)
         tol = 1e-10 * (1.0 + self.I_total if math.isfinite(self.I_total) else 1.0)
         n = 2048
-        xs = np.linspace(0.0, x_hi, n + 1)
-        ys = np.asarray(self.abar(xs), dtype=float)
-        seg = _trapezoids(xs, ys)
-        total = float(seg.sum())
+        ys = np.asarray(self.abar(np.linspace(0.0, x_hi, n + 1)), dtype=float)
+        cum = _cumulative_simpson(ys, x_hi / n)
         while True:
-            coarse, n = total, 2 * n
+            h, n = x_hi / n, 2 * n
             xs = np.linspace(0.0, x_hi, n + 1)
             fine = np.empty(n + 1)
             fine[::2] = ys
             fine[1::2] = self.abar(xs[1::2])
-            ys = fine
-            seg = _trapezoids(xs, ys)
-            total = float(seg.sum())
-            if abs(total - coarse) / 3.0 < tol or n >= 1 << 21:
+            fine_cum = _cumulative_simpson(fine, x_hi / n)
+            # The coarse interpolant is its own s at the even nodes and the
+            # Hermite cubic's mid-interval value at the odd ones.
+            mid = 0.5 * (cum[:-1] + cum[1:]) + 0.125 * h * (ys[:-1] - ys[1:])
+            err = max(float(np.abs(fine_cum[::2] - cum).max()),
+                      float(np.abs(fine_cum[1::2] - mid).max()))
+            if err < tol:
                 break
-        cum = np.empty(n + 1)
-        cum[0] = 0.0
-        np.cumsum(seg, out=cum[1:])
-        return xs, cum
+            if n >= QUADRATURE_MAX_INTERVALS:
+                raise SearchError(
+                    f"s(x) of the {self.label} profile on [0, {x_hi:.6g}] misses its "
+                    f"tolerance {tol:.3g} at {n} intervals (levels differ by {err:.3g})")
+            ys, cum = fine, fine_cum
+        fine_cum += np.repeat((fine_cum[::4] - cum[::2]) / 15.0, 4)[:n + 1]
+        np.maximum.accumulate(fine_cum, out=fine_cum)
+        return xs, fine_cum, fine
 
     def cum_abar(self, x, table: tuple):
-        """Integral of abar from 0 to x (monotone, capped by I_total),
-        interpolated in ``table``, a ``quadrature_table`` that covers x."""
+        """Integral of abar from 0 to x (monotone, capped by I_total): the
+        Hermite cubic of ``table``, a ``quadrature_table`` that covers x,
+        clamped to the s of its interval's ends."""
         x = np.asarray(x, dtype=float)
         if np.any(x < 0.0):
             raise DomainError("cumulative majorant integral needs x >= 0")
-        val = np.interp(x, *table)
+        xs, cum, slope = table
+        i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+        h = xs[i + 1] - xs[i]
+        t = (x - xs[i]) / h
+        s0, s1 = cum[i], cum[i + 1]
+        val = (s0 + t * t * (3.0 - 2.0 * t) * (s1 - s0)
+               + h * t * (1.0 - t) * ((1.0 - t) * slope[i] - t * slope[i + 1]))
+        val = np.clip(val, s0, s1)
         if math.isfinite(self.I_total):
             val = np.minimum(val, self.I_total)
         return float(val) if val.ndim == 0 else val
 
 
-def _trapezoids(xs, ys) -> np.ndarray:
-    """The trapezoid areas 0.5 (y[i+1] + y[i]) (x[i+1] - x[i])."""
-    seg = np.add(ys[1:], ys[:-1])
-    seg *= 0.5
-    seg *= np.subtract(xs[1:], xs[:-1])
-    return seg
+def _cumulative_simpson(ys, h: float) -> np.ndarray:
+    """Integrals from the first node to each node of the samples ``ys`` at
+    spacing h over an even number of intervals: Simpson sums at the even
+    nodes; an odd node adds to the node before it the four-point rule over
+    its half-panel, h/24 (-y[i-1] + 13 y[i] + 13 y[i+1] - y[i+2]), or
+    h/24 (9 y0 + 19 y1 - 5 y2 + y3) on the first, which are fourth order
+    like Simpson's."""
+    cum = np.empty(ys.size)
+    cum[0] = 0.0
+    np.cumsum(ys[:-2:2] + 4.0 * ys[1::2] + ys[2::2], out=cum[2::2])
+    cum[2::2] *= h / 3.0
+    half = np.empty(ys.size // 2)
+    half[0] = 9.0 * ys[0] + 19.0 * ys[1] - 5.0 * ys[2] + ys[3]
+    half[1:] = 13.0 * (ys[2:-2:2] + ys[3:-1:2]) - ys[1:-3:2] - ys[4::2]
+    cum[1::2] = cum[:-1:2] + half * (h / 24.0)
+    return cum
 
 
 def power_profile(amp: float, rate: float, decay: float, law: GasLaw, *,

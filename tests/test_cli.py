@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR, small_config
+from nozzleflow import region
 from nozzleflow.cli import main
 from nozzleflow.config import parse_config_text
 from nozzleflow.solver import STORED_BYTES_MAX
@@ -154,6 +155,19 @@ class TestMalformedValues:
         assert "n = 2: the P3 outflow ghosts" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_majorant_table_at_its_node_cap_is_a_data_error(self, command, tmp_path,
+                                                             capsys, monkeypatch):
+        # p3_desk's s(x) table (x_max = 17.5833) needs 16384 intervals; at
+        # a cap of 4096 it once returned its last level whatever its accuracy.
+        monkeypatch.setattr(region, "QUADRATURE_MAX_INTERVALS", 4096)
+        cfg = small_config("p3_desk", tmp_path, {"n = 2000": "n = 250"})
+        assert main(["--out", str(tmp_path / "out"), command, str(cfg)]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("s(x) of the power profile on [0, 17.5833] misses its "
+                              "tolerance")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("name,n", [("p3_desk", 27), ("p2_desk", 4), ("p1_desk", 3)])
     def test_coarsest_grid_that_fits_the_window_runs(self, name, n, tmp_path):
         # The grid runs, but no traced path gets the samples a check needs.
@@ -258,6 +272,12 @@ class TestSimulateTraceVerify:
         assert payload["ok"]
         assert payload["conservative_residual"] is not None
         assert "family 1: checked=20/20 " in capsys.readouterr().out
+
+    def test_verify_json_format_prints_the_report(self, sim_out, tmp_path, capsys):
+        code = main(["--format", "json", "--out", str(tmp_path), "verify",
+                     str(sim_out / "trajectory.npz")])
+        assert code == 0
+        assert capsys.readouterr().out == (tmp_path / "verify_report.json").read_text()
 
     def test_simulate_missing_input(self):
         assert main(["simulate", "missing.cfg"]) == 66

@@ -368,14 +368,16 @@ class TestCumulativeMajorant:
             prof.cum_abar(-0.5, prof.quadrature_table(1.0))
 
 
-def _doubling_reference(profile, x_hi):
-    """The quadrature table as it was built before a level reused the
-    samples of the level before: every level samples abar at all its nodes
-    and forms its coarse sum from its even nodes.  Kept as the reference
-    ``NozzleProfile.quadrature_table`` must match bitwise."""
+def _doubling_reference(profile, x_hi, n=4096):
+    """s(x) as it was tabulated before the fourth-order table: cumulative
+    trapezoid sums, every level sampling abar at all its nodes and forming
+    its coarse sum from its even nodes, doubling from ``n`` intervals until
+    the Richardson estimate of the total's error is below 1e-10 (1 +
+    I_total).  Read back linearly and capped at I_total, it is the
+    independent reference for the tabulated family, which has no closed
+    form."""
     x_hi = max(x_hi, 1.0)
     tol = 1e-10 * (1.0 + profile.I_total if math.isfinite(profile.I_total) else 1.0)
-    n = 4096
     while True:
         xs = np.linspace(0.0, x_hi, n + 1)
         ys = np.asarray(profile.abar(xs), dtype=float)
@@ -399,23 +401,72 @@ def _table_profiles(law):
     }
 
 
-class TestQuadratureTable:
-    @pytest.mark.parametrize("name", ["power", "exp", "zero", "table"])
-    @pytest.mark.parametrize("x_hi", [0.25, 1.0, 7.3, 31.0])
-    def test_equals_the_doubling_loop(self, law53, name, x_hi):
-        profile = _table_profiles(law53)[name]
-        got, want = profile.quadrature_table(x_hi), _doubling_reference(profile, x_hi)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape
-            assert g.tobytes() == w.tobytes()
+#: x_max of p3_desk (T = 5), and ten times it.
+DESK_X_MAX, LONG_X_MAX = 17.58, 166.8
 
-    def test_cum_abar_interpolates_its_table_capped_at_the_total(self, law53):
-        profile = _table_profiles(law53)["power"]
-        x = np.linspace(0.0, 2.0, 9)
-        table = profile.quadrature_table(8.0)
-        profile.quadrature_table(50.0)  # builds a table, changes nothing
-        assert profile.cum_abar(x, table).tobytes() == \
-            np.minimum(np.interp(x, *table), profile.I_total).tobytes()
+
+def _desk_power(law):
+    """The duct profile of p3_desk."""
+    return power_profile(0.05, 10.0, 2.0, law, k1=0.0025, k2=1.0, alpha=1.0, M=10.0)
+
+
+def _probe_points(x_hi):
+    """An even grid of [0, x_hi] and a fine one near 0, where the third
+    derivative of abar, and with it the read-back's error, is largest."""
+    return np.unique(np.r_[np.linspace(0.0, x_hi, 20001), np.linspace(0.0, 0.05, 2001)])
+
+
+class TestQuadratureTable:
+    # The power profile's s is I_total (1 - 1/(1 + rate x)), the exp
+    # profile's I_total (1 - exp(-rate x)).  At x_hi = 166.8 the table has
+    # 131073 nodes (h = 1.27e-3), and the desk power profile varies on a
+    # scale of 0.1 near x = 0: there the cubic Hermite read-back's own
+    # error, h^4 |abar'''(0)| / 384, is 1.15e-12, and the nodes' local rule
+    # errors, about h^5 |abar''''(0)| / 50, add up to 0.7e-12; the largest
+    # error, 1.54e-12, is at x = 0.0019.
+    @pytest.mark.parametrize("family, x_hi, bound", [
+        ("power", DESK_X_MAX, 1e-12), ("power", LONG_X_MAX, 2e-12),
+        ("exp", DESK_X_MAX, 1e-12), ("exp", LONG_X_MAX, 1e-12)])
+    def test_matches_the_closed_form(self, law53, family, x_hi, bound):
+        if family == "power":
+            profile = _desk_power(law53)
+            exact = lambda x: profile.I_total * (1.0 - 1.0 / (1.0 + 10.0 * x))
+        else:
+            profile = exp_profile(0.05, 3.0, law53, k1=1.0, k2=1.0, alpha=1.0, M=1.0)
+            exact = lambda x: -profile.I_total * np.expm1(-3.0 * x)
+        x = _probe_points(x_hi)
+        got = profile.cum_abar(x, profile.quadrature_table(x_hi))
+        assert np.abs(got - exact(x)).max() <= bound
+
+    @pytest.mark.parametrize("x_hi", [1.0, 7.3, 31.0])
+    def test_tabulated_family_matches_the_fine_trapezoid_table(self, law53, x_hi):
+        profile = _table_profiles(law53)["table"]
+        x = _probe_points(x_hi)
+        want = np.minimum(np.interp(x, *_doubling_reference(profile, x_hi, n=1 << 20)),
+                          profile.I_total)
+        got = profile.cum_abar(x, profile.quadrature_table(x_hi))
+        assert np.abs(got - want).max() <= 1e-10 * (1.0 + profile.I_total)
+
+    @pytest.mark.parametrize("name", ["power", "exp", "zero", "table"])
+    @pytest.mark.parametrize("x_hi", [0.25, 1.0, 7.3, 31.0, LONG_X_MAX])
+    def test_nondecreasing_and_capped_at_the_total(self, law53, name, x_hi):
+        profile = _table_profiles(law53)[name]
+        _, cum, _ = table = profile.quadrature_table(x_hi)
+        assert cum[0] == 0.0 and np.all(np.diff(cum) >= 0.0)
+        s = profile.cum_abar(_probe_points(max(x_hi, 1.0)), table)
+        assert s[0] == 0.0 and s.max() <= profile.I_total
+        # Between two nodes the cubic is evaluated in floating point: a
+        # read may fall one rounding below the read before it.
+        assert np.diff(s).min() >= -np.spacing(max(profile.I_total, 1e-300))
+
+    def test_desk_table_is_small(self, law53):
+        xs, _, _ = _desk_power(law53).quadrature_table(DESK_X_MAX)
+        assert xs.size <= (1 << 15) + 1
+
+    def test_node_cap_raises(self, law53, monkeypatch):
+        monkeypatch.setattr(region, "QUADRATURE_MAX_INTERVALS", 4096)
+        with pytest.raises(SearchError, match=r"power profile on \[0, 17\.58\]"):
+            _desk_power(law53).quadrature_table(DESK_X_MAX)
 
 
 class TestFindConstants:
