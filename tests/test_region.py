@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -458,6 +459,24 @@ class TestQuadratureTable:
         # Between two nodes the cubic is evaluated in floating point: a
         # read may fall one rounding below the read before it.
         assert np.diff(s).min() >= -np.spacing(max(profile.I_total, 1e-300))
+
+    def test_cum_abar_interpolates_its_table_capped_at_the_total(self, law53):
+        profile = _table_profiles(law53)["power"]
+        table = profile.quadrature_table(8.0)
+        profile.quadrature_table(50.0)  # builds a table, changes nothing
+        xs, cum, _ = table
+        # At a node the Hermite cubic is the node's s; between two nodes it
+        # stays within their s.
+        assert profile.cum_abar(xs[:-1], table).tobytes() == \
+            np.minimum(cum[:-1], profile.I_total).tobytes()
+        s = profile.cum_abar(0.5 * (xs[:-1] + xs[1:]), table)
+        assert np.all(s >= cum[:-1]) and np.all(s <= cum[1:])
+        # A smaller total caps every read past the node where s reaches it.
+        k = xs.size // 3
+        capped = dataclasses.replace(profile, I_total=float(cum[k]))
+        s = capped.cum_abar(xs, table)
+        assert s.max() == cum[k] and np.all(s[k:] == cum[k])
+        assert s[:k].tobytes() == cum[:k].tobytes()
 
     def test_desk_table_is_small(self, law53):
         xs, _, _ = _desk_power(law53).quadrature_table(DESK_X_MAX)
