@@ -123,7 +123,7 @@ class ScenarioConfig:
                                        integer=True),
                 config_text=self.text,
             )
-            cells = int(scn.grid.window().sum())
+            cells = scn.window_cells
         except DomainError as exc:
             raise ConfigError(str(exc), self.source) from None
         # The launch fan starts past the wall band, 1.5 cells from the wall,

@@ -73,4 +73,5 @@ class ConfigError(NozzleflowError):
 
 
 class TrajectoryFileError(NozzleflowError):
-    """Stored trajectory file lacks an array or holds one of the wrong shape."""
+    """Stored trajectory file cannot be read, lacks an array, holds one of
+    the wrong shape, or is not the run of its config."""

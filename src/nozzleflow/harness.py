@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 import math
 import time
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from .region import (EXACT, Certificate, check_h1, check_hypothesis,
                      membership_margins, worst_item)
 from .riccati import (check_compatibility, check_data_conditions,
                       _one_sided_derivative, phi_psi_zw)
-from .solver import STORED_BYTES_MAX, Scenario, Trajectory, blocks, run
+from .solver import _STORED, STORED_BYTES_MAX, Scenario, Trajectory, blocks, run
 
 EXIT_OK = 0
 EXIT_CERT = 2
@@ -251,13 +253,11 @@ def monitor_report(traj: Trajectory) -> MonitorReport:
     that holds a vacuum state, whose Phi and Psi are left out: the vacuum
     fails the ``vacuum`` flag (``MonitorReport.reached_vacuum``)."""
     scn = traj.scenario
-    arrays = scn.runtime_arrays
-    # The window is a leading run of cells (x increases along the grid), and
-    # the central gradient at its last cell reads the next one.
-    cells = int(arrays["window"].sum())
+    arrays, cells = scn.runtime_arrays, scn.window_cells
+    # The central gradient at the window's last cell reads the next one.
     cols = min(cells + 1, traj.z.shape[1])
     faces = envelopes(scn.region, scn.majorant_integral(arrays["x"][:cells]))
-    a_win, dx, dts = arrays["a"][:cells], scn.grid.dx, traj.dts
+    a_win, dx, dt = arrays["a"][:cells], scn.grid.dx, scn.dt
     parts = {key: [] for key in ("gap", "zx", "wx", "zt", "wt", "phi_min", "phi_max",
                                  "psi_min", "psi_max", "edge")}
     margin = {face: [] for face in _FACES}
@@ -280,10 +280,9 @@ def monitor_report(traj: Trajectory) -> MonitorReport:
         parts["zx"].append(np.abs(zx).max(axis=1))
         parts["wx"].append(np.abs(wx).max(axis=1))
         k = max(lo, 1)
-        moved = dts[k:hi] > 0.0
         for name, u in (("zt", traj.z), ("wt", traj.w)):
-            change = np.abs(u[k:hi, :cells] - u[k - 1:hi - 1, :cells])[moved].max(axis=1)
-            parts[name].append(change / dts[k:hi][moved])
+            change = np.abs(u[k:hi, :cells] - u[k - 1:hi - 1, :cells]).max(axis=1)
+            parts[name].append(change / dt)
         vacuum = np.flatnonzero((gap < VACUUM_GAP).any(axis=1))
         sound = int(vacuum[0]) if vacuum.size else hi - lo
         phi, psi = phi_psi_zw(z[:sound], w[:sound], zx[:sound], wx[:sound], a_win, scn.law)
@@ -305,13 +304,6 @@ def monitor_report(traj: Trajectory) -> MonitorReport:
 # ---------------------------------------------------------------------------
 # independent conservative-form residual
 # ---------------------------------------------------------------------------
-
-def _stored_columns(scn: Scenario) -> dict:
-    """The grid arrays of ``scn`` cut to the columns a stored snapshot keeps
-    (``Scenario.trusted_cells``)."""
-    arrays, m = scn.runtime_arrays, scn.trusted_cells
-    return {key: arrays[key][:m] for key in ("x", "a", "window")}
-
 
 @dataclass
 class ConservativeResidual:
@@ -368,7 +360,7 @@ def conservative_residual(traj: Trajectory) -> ConservativeResidual:
     times = traj.times
     if len(times) < 3:
         return ConservativeResidual(times, *(np.zeros(0),) * 4)
-    cells = int(_stored_columns(scn)["window"].sum())
+    cells = scn.window_cells
     cols = min(cells + 1, traj.z.shape[1])
     a = scn.runtime_arrays["a"][:cols]
     dx = traj.grid.dx
@@ -478,7 +470,7 @@ def _run_extremes(traj: Trajectory) -> dict:
     largest |z|, |w|, |z_x| and |w_x| and the least and largest w - z."""
     m = traj.scenario.trusted_cells
     cols = m if m == traj.grid.n else m - 1
-    cells = int(_stored_columns(traj.scenario)["window"].sum())
+    cells = traj.scenario.window_cells
     parts = {key: [] for key in ("zx_lip", "wx_lip", "z", "w", "zx", "wx", "gap_min", "gap_max")}
     for lo, hi in blocks(0, len(traj.times)):
         z, w, zx, wx = traj.block(("z", "w", "zx", "wx"), lo, hi)
@@ -502,9 +494,7 @@ def derivative_bound_estimate(traj: Trajectory, growth: float, extremes: dict) -
     families), compared against the measured extremes (``_run_extremes``)."""
     scn = traj.scenario
     law, delta1 = scn.law, scn.delta1
-    arrays = _stored_columns(scn)
-    window = arrays["window"]
-    a_abs = float(np.abs(arrays["a"][window]).max(initial=0.0))
+    a_abs = float(np.abs(scn.runtime_arrays["a"][:scn.window_cells]).max(initial=0.0))
     z_abs, w_abs = extremes["z"], extremes["w"]
     gap_min, gap_max = extremes["gap_min"], extremes["gap_max"]
 
@@ -557,22 +547,20 @@ def _write_rows(fh, row_format: str, cols) -> None:
 
 def write_fields_csv(traj: Trajectory, path) -> None:
     scn = traj.scenario
-    arrays = _stored_columns(scn)
-    window = arrays["window"]
-    x = arrays["x"][window]
-    a = arrays["a"][window]
+    arrays, cells = scn.runtime_arrays, scn.window_cells
+    x, a = arrays["x"][:cells], arrays["a"][:cells]
     s = scn.majorant_integral(x)
     law = scn.law
     dx = traj.grid.dx
-    rows = range(0, len(traj.times), max(1, scn.csv_stride))
+    rows = range(0, len(traj.times), scn.csv_stride)
     fmt = _row_format(_CSV_HEADER)
     with open(path, "w", newline="\n") as fh:
         fh.write(_CSV_HEADER + "\n")
         for k in rows:
             z_full, w_full = traj.z[k], traj.w[k]
-            z, w = z_full[window], w_full[window]
-            zx = np.gradient(z_full, dx)[window]
-            wx = np.gradient(w_full, dx)[window]
+            z, w = z_full[:cells], w_full[:cells]
+            zx = np.gradient(z_full, dx)[:cells]
+            wx = np.gradient(w_full, dx)[:cells]
             rho = rho_zw(z, w, law)
             v = 0.5 * (w + z)
             phi, psi = phi_psi_zw(z, w, zx, wx, a, law)
@@ -598,24 +586,35 @@ def write_path_csv(path_obj, delta1, M, alpha, out_path) -> None:
 
 def load_trajectory(path) -> Trajectory:
     """Rebuild a saved trajectory (the scenario is reconstructed from the
-    embedded configuration text).  A file with a missing or misshapen array,
-    or one that skipped steps, raises TrajectoryFileError."""
-    with np.load(path, allow_pickle=False) as data:
-        try:
-            meta = json.loads(str(data["meta"]))
-            text = meta["config_text"]
-            # A file of a run that ended early holds the failure's details;
-            # one written before they were stored holds only the flag.
-            blow_up = dict(meta.get("blow_up", {})) if meta.get("blown_up") else None
-        except (KeyError, TypeError, ValueError):
-            raise TrajectoryFileError(f"{path}: no readable meta record") from None
-        if not isinstance(text, str):
-            raise TrajectoryFileError(f"{path}: meta record holds no config text")
-        scn = parse_config_text(text, source=f"{path}:config").to_scenario()
-        try:
-            return Trajectory.from_npz(scn, data, blow_up)
-        except TrajectoryFileError as exc:
-            raise TrajectoryFileError(f"{path}: {exc}") from None
+    embedded configuration text).  A file that is not a readable archive of
+    arrays, or one with a missing or misshapen array, or that is not the run
+    of its config, raises TrajectoryFileError."""
+    try:
+        with open(path, "rb") as fh:
+            # np.load would take any other file for a pickle or one array.
+            if not zipfile.is_zipfile(fh):
+                raise TrajectoryFileError(f"{path}: not a .npz archive")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as data:
+                stored = {name: data[name] for name in ("meta", *_STORED) if name in data}
+    except (EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        # A garbled archive or entry, or an entry of objects.
+        raise TrajectoryFileError(f"{path}: unreadable: {exc}") from None
+    try:
+        meta = json.loads(str(stored["meta"]))
+        text = meta["config_text"]
+        # A file of a run that ended early holds the failure's details;
+        # one written before they were stored holds only the flag.
+        blow_up = dict(meta.get("blow_up", {})) if meta.get("blown_up") else None
+    except (KeyError, TypeError, ValueError):
+        raise TrajectoryFileError(f"{path}: no readable meta record") from None
+    if not isinstance(text, str):
+        raise TrajectoryFileError(f"{path}: meta record holds no config text")
+    scn = parse_config_text(text, source=f"{path}:config").to_scenario()
+    try:
+        return Trajectory.from_npz(scn, stored, blow_up)
+    except TrajectoryFileError as exc:
+        raise TrajectoryFileError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

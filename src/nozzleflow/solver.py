@@ -144,10 +144,6 @@ class Grid:
     def cells(self) -> np.ndarray:
         return (np.arange(self.n) + 0.5) * self.dx
 
-    def window(self) -> np.ndarray:
-        """Mask of the cells in the reporting window, a leading run of cells."""
-        return self.cells() <= self.x_interest + 1e-12
-
 
 @dataclass
 class Field:
@@ -207,6 +203,8 @@ class Scenario:
             raise DomainError("final time must be nonnegative")
         if self.n < 1:
             raise DomainError(f"n must be at least 1, got {self.n}")
+        if self.csv_stride < 1:
+            raise DomainError(f"csv_stride must be at least 1, got {self.csv_stride}")
         if self.problem == "P2" and (self.zB is None or self.wB is None):
             raise DomainError("P2 needs boundary data zB(t), wB(t)")
 
@@ -245,6 +243,12 @@ class Scenario:
         return np.minimum(self.x_interest + c_right * t, self.grid.x_max - lam * t)
 
     @cached_property
+    def window_cells(self) -> int:
+        """Cells of the reporting window [0, x_interest], a leading run of
+        the grid's cells."""
+        return int((self.grid.cells() <= self.x_interest + 1e-12).sum())
+
+    @cached_property
     def trusted_cells(self) -> int:
         """Leading cells of the grid that a stored snapshot keeps: those up
         to the highest ``reach`` on [0, T], plus two (see the module
@@ -279,7 +283,7 @@ class Scenario:
         x = grid.cells()
         ghost_x = np.array([grid.x_max + 0.5 * grid.dx, grid.x_max + 1.5 * grid.dx])
         a = np.asarray(self.profile.a(x), dtype=float)
-        return {"x": x, "a": a, "coef": source_coef(a, self.law), "window": grid.window(),
+        return {"x": x, "a": a, "coef": source_coef(a, self.law),
                 # Far-field ghosts, rows z and w: the initial data past x_max.
                 "gr": np.array([np.broadcast_to(fn(ghost_x), 2) for fn in (self.z0, self.w0)],
                                dtype=float)}
@@ -529,10 +533,6 @@ def step(fld: Field, dt: float, scn: Scenario, new: Optional[np.ndarray] = None,
     return Field(out[:, 0], out[:, 1], t + dt, fld.grid, new)
 
 
-#: Relative tolerance of a stored run's time gaps against its steps ``dts``:
-#: round-off is at most 1e-13 on the desk configs, a skipped step about 1.
-STEP_MATCH = 1e-9
-
 #: Ceiling on the bytes a run stores (``Scenario.stored_bytes``): the run and
 #: its post-pass hold every stored row at once, so a config past it would end
 #: in an allocation failure after its certificates, not in a report.  The
@@ -554,9 +554,9 @@ def blocks(start: int, stop: int):
         yield lo, min(lo + _BLOCK, stop)
 
 
-#: What a trajectory stores per snapshot: time, step, the trusted columns of
-#: z and w, and the x = 0 edge traces.
-_STORED = ("times", "dts", "z", "w", "z_edge", "w_edge")
+#: What a trajectory stores per snapshot: time, the trusted columns of z and
+#: w, and the x = 0 edge traces.  The step is the config's ``Scenario.dt``.
+_STORED = ("times", "z", "w", "z_edge", "w_edge")
 
 
 class Trajectory:
@@ -579,10 +579,10 @@ class Trajectory:
     def from_npz(cls, scenario: Scenario, data,
                  blow_up: Optional[dict] = None) -> "Trajectory":
         """The run of ``scenario`` that ``save`` stored in ``data`` (an open
-        ``.npz`` or any mapping of its arrays).  Keys, shapes, one snapshot
-        per step and the step times of ``scenario`` are checked; snapshots
-        wider than the trusted columns, as written before storage was
-        trimmed, are trimmed.  Every value kept must be finite."""
+        ``.npz`` or any mapping of its arrays).  Keys and shapes are checked:
+        the times must be the step times of ``scenario`` (so no step is
+        skipped), and z and w must hold its ``trusted_cells`` columns.
+        Every value must be finite."""
         missing = [name for name in _STORED if name not in data]
         if missing:
             raise TrajectoryFileError(f"missing arrays: {', '.join(missing)}")
@@ -593,13 +593,6 @@ class Trajectory:
         snaps = arrays["times"].shape
         if len(snaps) != 1 or snaps[0] < 1:
             raise TrajectoryFileError(f"times must be a nonempty 1-D array, has shape {snaps}")
-        for name in ("dts", "z_edge", "w_edge"):
-            if arrays[name].shape != snaps:
-                raise TrajectoryFileError(
-                    f"{name} has shape {arrays[name].shape}, times {snaps}")
-        gaps, dts = np.diff(arrays["times"]), arrays["dts"][1:]
-        if not np.all(np.abs(gaps - dts) <= STEP_MATCH * np.abs(dts)):
-            raise TrajectoryFileError("time gaps differ from dts: snapshots skip steps")
         # All K + 1 step times of the config, or the first of them if the
         # run blew up; no run is stored past the storage ceiling.
         want = scenario.steps + 1
@@ -609,18 +602,12 @@ class Trajectory:
             raise TrajectoryFileError(
                 f"the times of its {snaps[0]} snapshots are not those of its config's "
                 f"run (K + 1 = {want}): the file holds another run")
-        shape = arrays["z"].shape
-        if arrays["w"].shape != shape:
-            raise TrajectoryFileError(f"z has shape {shape}, w {arrays['w'].shape}")
-        m, n = scenario.trusted_cells, scenario.grid.n
-        if len(shape) != 2 or shape[0] != snaps[0] or not m <= shape[1] <= n:
-            raise TrajectoryFileError(
-                f"z and w have shape {shape}, need ({snaps[0]}, m) with {m} <= m <= {n}")
-        for name in ("z", "w"):
-            arrays[name] = arrays[name][:, :m]
+        snapshot = snaps + (scenario.trusted_cells,)
+        for name, shape in (("z_edge", snaps), ("w_edge", snaps), ("z", snapshot), ("w", snapshot)):
+            if arrays[name].shape != shape:
+                raise TrajectoryFileError(f"{name} has shape {arrays[name].shape}, need {shape}")
         rows = {name: np.ascontiguousarray(arr, dtype=float) for name, arr in arrays.items()}
-        # A NaN or inf would reach the checks as a position or a value; the
-        # columns past the trusted ones are never read, so they may hold any.
+        # A NaN or inf would reach the checks as a position or a value.
         broken = [name for name, arr in rows.items()
                   if not all(np.isfinite(arr[lo:hi]).all() for lo, hi in blocks(0, len(arr)))]
         if broken:
@@ -742,11 +729,9 @@ def run(scn: Scenario):
     run with the partial trajectory attached to the error."""
     times, dt, grid = scn.step_times, scn.dt, scn.grid
     snaps, kept = len(times), scn.trusted_cells
-    dts = np.full(snaps, dt)
-    dts[0] = 0.0
     z, w = np.empty((snaps, kept)), np.empty((snaps, kept))
     z_edge, w_edge = np.empty(snaps), np.empty(snaps)
-    rows = dict(zip(_STORED, (times, dts, z, w, z_edge, w_edge)))
+    rows = dict(zip(_STORED, (times, z, w, z_edge, w_edge)))
     state = _state_of(scn.initial_field(), scn)
     # Two states that the steps alternate between (see the module docstring).
     buffers, work = (state, state.copy()), _Stages(scn)

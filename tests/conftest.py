@@ -74,16 +74,25 @@ def small_config(name, tmp_path, substitutions=None, filename=None):
     return path
 
 
+def older_steps(traj):
+    """The ``dts`` entry of the files that older writers stored beside the
+    arrays of ``traj``: 0, then the run's step at each later snapshot."""
+    dts = np.full(len(traj.times), traj.scenario.dt)
+    dts[0] = 0.0
+    return dts
+
+
 def thinned_run_file(tmp_path, stride=2):
     """A small stored p1 run that keeps only every ``stride``-th snapshot,
-    as a run with a snapshot stride was written; returns its path."""
+    as a run with a snapshot stride was written (with its ``dts``); returns
+    its path."""
     cfg = small_config("p1_desk", tmp_path, {"n = 2000": "n = 100", "T = 5.0": "T = 0.5"})
     traj, _ = run(load_config(cfg).to_scenario())
     meta = {"config_text": traj.scenario.config_text, "blown_up": False}
     path = tmp_path / "thinned.npz"
-    np.savez_compressed(path, meta=np.array(json.dumps(meta)),
-                        **{name: getattr(traj, name)[::stride] for name in
-                           ("times", "dts", "z", "w", "z_edge", "w_edge")})
+    arrays = {name: getattr(traj, name) for name in ("times", "z", "w", "z_edge", "w_edge")}
+    np.savez_compressed(path, meta=np.array(json.dumps(meta)), dts=older_steps(traj)[::stride],
+                        **{name: arr[::stride] for name, arr in arrays.items()})
     return path
 
 

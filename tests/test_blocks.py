@@ -32,7 +32,7 @@ def whole_array_residual(traj):
     dx = traj.grid.dx
     res_rho = np.gradient(rho, times, axis=0) + np.gradient(m, dx, axis=1) + a * m
     res_mom = np.gradient(m, times, axis=0) + np.gradient(flux, dx, axis=1) + a * m * v
-    window = scn.runtime_arrays["window"][:m_cols].copy()
+    window = scn.runtime_arrays["x"][:m_cols] <= scn.x_interest + 1e-12
     window[0] = False
     inner = (slice(1, -1), window)
     rr, rm = res_rho[inner], res_mom[inner]
@@ -47,7 +47,7 @@ def whole_array_extremes(traj):
     scn = traj.scenario
     m = scn.trusted_cells
     cols = slice(0, m if m == traj.grid.n else m - 1)
-    window = scn.runtime_arrays["window"][:m]
+    window = scn.runtime_arrays["x"][:m] <= scn.x_interest + 1e-12
     zx = np.gradient(traj.z, traj.grid.dx, axis=1)
     wx = np.gradient(traj.w, traj.grid.dx, axis=1)
     z, w = traj.z[:, window], traj.w[:, window]

@@ -184,9 +184,10 @@ class TestTrace:
         assert float(np.abs(rate - lam_mid).max()) < 5e-7
 
     def test_resolution_guard(self, tmp_path):
-        # A run that stored every second step is refused, not traced coarsely.
+        # A run that stored every second step is refused, not traced coarsely:
+        # its times are not the step times of its config.
         thinned = thinned_run_file(tmp_path)
-        with pytest.raises(TrajectoryFileError, match="skip steps"):
+        with pytest.raises(TrajectoryFileError, match="not those of its config's run"):
             load_trajectory(thinned)
         assert main(["--out", str(tmp_path / "out"), "trace", str(thinned),
                      "--family", "1", "--x0", "0.5"]) == 65

@@ -112,6 +112,16 @@ class TestMalformedValues:
         assert new.split(" = ")[0] in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("stride", [0, -3])
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_csv_stride_below_one_is_refused(self, command, stride, tmp_path, capsys):
+        # Both once exited 0, and simulate wrote every snapshot, as stride 1.
+        cfg = small_config("p3_desk", tmp_path, {"csv_stride = 50": f"csv_stride = {stride}"})
+        assert main(["--out", str(tmp_path / "out"), command, str(cfg)]) == 65
+        err = capsys.readouterr().err
+        assert err == f"{cfg}: csv_stride must be at least 1, got {stride}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name,n,cells", [
         ("p3_desk", 1, 0), ("p3_desk", 2, 0), ("p3_desk", 3, 0), ("p3_desk", 8, 0),
         ("p3_desk", 12, 1), ("p3_desk", 20, 1), ("p3_desk", 26, 1),
@@ -341,6 +351,57 @@ def _config_sets_fan(arrays):
     meta = json.loads(str(arrays["meta"]))
     meta["config_text"] += "fan = 20\n"  # the last section is [monitors]
     arrays["meta"] = np.array(json.dumps(meta))
+
+
+def _half(path, dest):
+    raw = path.read_bytes()
+    dest.write_bytes(raw[:len(raw) // 2])
+
+
+def _zeroed(path, dest):
+    raw = path.read_bytes()
+    mid = len(raw) // 2
+    dest.write_bytes(raw[:mid] + bytes(64) + raw[mid + 64:])
+
+
+def _text(path, dest):
+    dest.write_text("times, z, w\n0.0, 1.0, 2.0\n")
+
+
+def _objects(path, dest):
+    def objects(arrays):
+        arrays["z"] = arrays["z"].astype(object)
+    _damaged(path, objects, dest)
+
+
+def _one_array(path, dest):
+    with np.load(path) as data, open(dest, "wb") as fh:
+        np.save(fh, data["z"])
+
+
+class TestUnreadableTrajectoryFiles:
+    # Each once ended in a traceback (exit 1): a zip without its directory,
+    # a bad CRC, a pickle numpy refused, an entry of objects, and one .npy
+    # array, which np.load returns in place of an archive.
+    @pytest.mark.parametrize("spoil", [_half, _zeroed, _text, _objects, _one_array],
+                             ids=["half", "zeroed", "text", "objects", "npy"])
+    @pytest.mark.parametrize("command", [["verify"], ["trace", "--family", "1", "--x0", "0.5"]],
+                             ids=["verify", "trace"])
+    def test_unreadable_file_is_a_data_error(self, p3_npz, tmp_path, capsys, spoil, command):
+        bad = tmp_path / "bad.npz"
+        spoil(p3_npz, bad)
+        argv = [command[0], str(bad), *command[1:]]
+        assert main(["--out", str(tmp_path / "out"), *argv]) == 65
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"{bad}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["verify"], ["trace", "--family", "1", "--x0", "0.5"]],
+                             ids=["verify", "trace"])
+    def test_missing_file_cannot_be_opened(self, tmp_path, capsys, command):
+        argv = [command[0], str(tmp_path / "none.npz"), *command[1:]]
+        assert main(["--out", str(tmp_path / "out"), *argv]) == 66
+        assert capsys.readouterr().err.startswith("cannot open input")
 
 
 class TestStoredTrajectoryFiles:

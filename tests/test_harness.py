@@ -1,13 +1,14 @@
 import contextlib
 import dataclasses
 import json
+import re
 import zipfile
 
 import numpy as np
 import pytest
 
-from conftest import (desk_config_text, desk_scenario, region_l, small_config,
-                      thinned_run_file, uniform_scenario)
+from conftest import (desk_config_text, desk_scenario, older_steps, region_l,
+                      small_config, thinned_run_file, uniform_scenario)
 from nozzleflow import characteristics as chars
 from nozzleflow import harness, solver
 from nozzleflow.characteristics import FAN, launch_fan
@@ -67,10 +68,11 @@ class TestConservativeResidual:
         assert rep.max_linf < 1e-12
 
     def test_needs_full_stride(self, tmp_path, capsys):
-        # A file that stored every second step has no residual to check.
+        # A file that stored every second step has no residual to check: its
+        # times are not the step times of its config.
         thinned = thinned_run_file(tmp_path)
         assert main(["--out", str(tmp_path / "out"), "verify", str(thinned)]) == EXIT_DATAERR
-        assert "skip steps" in capsys.readouterr().err
+        assert "not those of its config's run" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_refinement_shrinks_residual(self):
@@ -137,7 +139,7 @@ def _per_step_report(scn, zs, ws) -> MonitorReport:
     differences over the whole grid.  Kept as the reference the block
     evaluation must match bitwise; a vacuum state raises VacuumStateError."""
     arrays, work = scn.runtime_arrays, solver._Stages(scn)
-    window = arrays["window"]
+    window = arrays["x"] <= scn.x_interest + 1e-12
     s_win, a_win = scn.majorant_integral(arrays["x"][window]), arrays["a"][window]
     dx, dt, times = scn.grid.dx, scn.dt, scn.step_times
     series = {key: [] for key in ("gap", "zx", "wx", "zt", "wt", "phi_min", "phi_max",
@@ -291,8 +293,7 @@ class TestCharacteristicPass:
         scn, traj, _ = p1_small_run
         weak = dataclasses.replace(
             scn, profile=dataclasses.replace(scn.profile, M=scn.profile.M / 100.0))
-        stored = {name: getattr(traj, name) for name in
-                  ("times", "dts", "z", "w", "z_edge", "w_edge")}
+        stored = {name: getattr(traj, name) for name in solver._STORED}
         result = characteristic_pass(Trajectory.from_npz(weak, stored))
         assert not result["ok"]
 
@@ -622,16 +623,16 @@ class TestTrajectoryRoundTrip:
         traj, _ = run(scn)
         write_fields_csv(traj, tmp_path / "f.csv")
         lines = (tmp_path / "f.csv").read_text().splitlines()
-        window_cells = int(scn.runtime_arrays["window"].sum())
-        assert len(lines) - 1 == len(range(0, len(traj.times), 7)) * window_cells
+        assert len(lines) - 1 == len(range(0, len(traj.times), 7)) * scn.window_cells
 
 
 def _savez_compressed(traj, path, z=None, w=None):
     """Save ``traj`` the way files were written before the level-1 writer,
-    optionally with other snapshots ``z``, ``w``."""
+    with the ``dts`` entry they held, optionally with other snapshots ``z``,
+    ``w``."""
     meta = {"config_text": traj.scenario.config_text, "blown_up": traj.blown_up}
     np.savez_compressed(path, meta=np.array(json.dumps(meta)), times=traj.times,
-                        dts=traj.dts, z=traj.z if z is None else z,
+                        dts=older_steps(traj), z=traj.z if z is None else z,
                         w=traj.w if w is None else w,
                         z_edge=traj.z_edge, w_edge=traj.w_edge)
 
@@ -650,11 +651,11 @@ class TestTrajectoryWriter:
         with zipfile.ZipFile(tmp / "new.npz") as npz:
             assert sorted(info.filename for info in npz.infolist()) == sorted(
                 name + ".npy" for name in
-                ("meta", "times", "dts", "z", "w", "z_edge", "w_edge"))
+                ("meta", *solver._STORED))
             assert all(info.compress_type == zipfile.ZIP_DEFLATED
                        for info in npz.infolist())
         with np.load(tmp / "new.npz", allow_pickle=False) as data:
-            for name in ("times", "dts", "z", "w", "z_edge", "w_edge"):
+            for name in solver._STORED:
                 stored = getattr(traj, name)
                 assert data[name].dtype == stored.dtype, name
                 assert data[name].tobytes() == stored.tobytes(), name
@@ -680,14 +681,14 @@ class TestTrajectoryWriter:
         partial.save(tmp_path / "partial.npz")
         back = load_trajectory(tmp_path / "partial.npz")
         assert back.blown_up
-        for name in ("times", "dts", "z", "w", "z_edge", "w_edge"):
+        for name in solver._STORED:
             assert np.array_equal(getattr(back, name), getattr(partial, name)), name
 
 
 def _recorded(tmp_path_factory, name, n):
     """A run of the desk config ``name`` at ``n`` cells, the full-width z
     and w of its states, and a file of them as written before snapshots
-    were trimmed: with every column."""
+    were trimmed: with every column, which a load refuses."""
     tmp = tmp_path_factory.mktemp(name)
     scn = load_config(small_config(name, tmp, {"n = 2000": f"n = {n}"})).to_scenario()
     with _recording_steps(scn) as (z, w):
@@ -713,8 +714,8 @@ class TestTrustedColumns:
     def test_p3_stores_the_window_plus_two_cells(self, p3_recorded):
         traj, (z, w), _ = p3_recorded
         scn = traj.scenario
-        window_cells = int(scn.runtime_arrays["window"].sum())
-        assert scn.trusted_cells == window_cells + 2 < scn.grid.n
+        window_cells = int((scn.runtime_arrays["x"] <= scn.x_interest + 1e-12).sum())
+        assert scn.trusted_cells == scn.window_cells + 2 == window_cells + 2 < scn.grid.n
         assert traj.z.shape == (len(z), scn.trusted_cells)
         assert np.array_equal(traj.z, z[:, :scn.trusted_cells])
         assert np.array_equal(traj.w, w[:, :scn.trusted_cells])
@@ -739,25 +740,31 @@ class TestTrustedColumns:
 
     @pytest.mark.parametrize("name", ["p1_desk", "p2_desk"])
     def test_columns_past_the_rule_are_never_read(self, tmp_path_factory, name):
+        # The run's full-width states, NaN past the trusted columns, checked
+        # in memory: no file holds columns past them.
         traj, (z, w), _ = _recorded(tmp_path_factory, name, 120)
         m = traj.scenario.trusted_cells
         assert m < z.shape[1]
         z[:, m:] = np.nan
         w[:, m:] = np.nan
-        path = tmp_path_factory.mktemp(name) / "nan_tail.npz"
-        _savez_compressed(traj, path, z=z, w=w)
-        _same_checks(load_trajectory(path), traj)
+        rows = {name: getattr(traj, name) for name in solver._STORED}
+        _same_checks(Trajectory(traj.scenario, dict(rows, z=z, w=w)), traj)
 
-    def test_full_width_file_is_trimmed_on_load(self, p3_recorded):
+    def test_full_width_file_is_refused(self, p3_recorded, capsys):
         traj, _, full = p3_recorded
-        back = load_trajectory(full)
-        assert np.array_equal(back.z, traj.z)
-        assert np.array_equal(back.w, traj.w)
-        _same_checks(back, traj)
+        snaps, scn = len(traj.times), traj.scenario
+        refusal = f"z has shape {(snaps, scn.grid.n)}, need {(snaps, scn.trusted_cells)}"
+        with pytest.raises(TrajectoryFileError, match=re.escape(refusal)):
+            load_trajectory(full)
+        assert main(["--out", str(full.parent / "v"), "verify", str(full)]) == EXIT_DATAERR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "full.npz" in err and "Traceback" not in err
+        assert not (full.parent / "v").exists()
 
     def test_each_snapshot_is_held_once(self, p3_recorded):
         traj, _, full = p3_recorded
-        back = load_trajectory(full)
+        traj.save(full.with_name("run.npz"))
+        back = load_trajectory(full.with_name("run.npz"))
         for held in (traj, back):
             # No container of further snapshots beside the stacks.
             assert set(vars(held)) == {"scenario", "grid", "blow_up", *solver._STORED}

@@ -1,6 +1,7 @@
-"""Source hygiene: no module-level import that the module never uses, and
-no top-level function or class in the package, nor public method or property
-of a public package class, that only tests call."""
+"""Source hygiene: no module-level import that the module never uses, no
+top-level function or class in the package, nor public method or property
+of a public package class, that only tests call, and no module-level
+constant of the package that only tests read."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -56,10 +57,29 @@ def _names(node) -> Counter:
     return found
 
 
-def unreferenced_definitions(package: dict, others: dict = None) -> list:
-    """Top-level functions and classes of the ``package`` modules (name ->
-    source) that no other module of ``package`` or ``others`` refers to, and
-    that their own module refers to only inside their own definition."""
+def _defined(node) -> list:
+    """The name a top-level function or class statement defines."""
+    return [node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else []
+
+
+def _assigned(node) -> list:
+    """The names a top-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name)]
+
+
+def unreferenced_definitions(package: dict, others: dict = None, bound=_defined) -> list:
+    """Names that top-level statements of the ``package`` modules (name ->
+    source) bind, by default as functions and classes (``bound`` gives the
+    names a statement binds), that no other module of ``package`` or
+    ``others`` refers to, and that their own module refers to only inside
+    the statement that binds them."""
     trees = {name: ast.parse(text) for name, text in {**package, **(others or {})}.items()}
     refs = {name: _names(tree) for name, tree in trees.items()}
     found = []
@@ -69,11 +89,10 @@ def unreferenced_definitions(package: dict, others: dict = None) -> list:
             if name != module:
                 elsewhere.update(counts)
         for node in trees[module].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            own = refs[module][node.name] - _names(node)[node.name]
-            if own <= 0 and not elsewhere[node.name]:
-                found.append(f"{module}.{node.name}")
+            for name in bound(node):
+                own = refs[module][name] - _names(node)[name]
+                if own <= 0 and not elsewhere[name]:
+                    found.append(f"{module}.{name}")
     return sorted(found)
 
 
@@ -96,6 +115,27 @@ def test_definition_detector_flags_test_only_code():
     assert unreferenced_definitions(package, others) == ["a.Lonely", "a.only_itself"]
     assert unreferenced_definitions(package) == ["a.Lonely", "a.only_itself",
                                                  "b.uses_script"]
+
+
+def test_no_test_only_constants_in_the_package():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    scripts = {f"scripts/{p.stem}": p.read_text() for p in SOURCES if p not in PACKAGE}
+    assert unreferenced_definitions(package, scripts, _assigned) == []
+
+
+def test_constant_detector_flags_unread_constants():
+    package = {
+        "a": ("LIMIT = 1e-9\n"
+              "#: read by b\nSHARED: float = 2.0\n"
+              "_BLOCK = 64\n"
+              "LEFT, RIGHT = 0, 1\n"
+              "def blocks(n):\n    return range(0, n, _BLOCK)\n"),
+        "b": "from .a import SHARED, blocks\n\ndef f():\n    return blocks(SHARED)\n",
+    }
+    others = {"scripts/run": "import a\nprint(a.LEFT)\n"}
+    assert unreferenced_definitions(package, others, _assigned) == ["a.LIMIT", "a.RIGHT"]
+    assert unreferenced_definitions(package, bound=_assigned) == [
+        "a.LEFT", "a.LIMIT", "a.RIGHT"]
 
 
 def unreferenced_members(package: dict, others: dict = None) -> list:

@@ -167,18 +167,18 @@ def _reference_run(scn, certified=False):
     times, dt, kept, n = scn.step_times, scn.dt, scn.trusted_cells, scn.grid.n
     stored = {name: [] for name in solver._STORED}
 
-    def append(t, step_dt, edges):
-        for name, value in zip(solver._STORED, (t, step_dt, z[:kept], w[:kept], *edges)):
+    def append(t, edges):
+        for name, value in zip(solver._STORED, (t, z[:kept], w[:kept], *edges)):
             stored[name].append(value)
 
     gl, *edges = _reference_boundary(z, w, 0.0, scn)
-    append(0.0, 0.0, edges)
+    append(0.0, edges)
     final, blow_up = None, None
     try:
         for k, m in enumerate(scn.active_cells(times[:-1]).tolist()):
             z, w = _reference_step(z, w, times[k], dt, m, scn, gl, certified)
             gl, *edges = _reference_boundary(z, w, times[k + 1], scn)
-            append(times[k + 1], dt, edges)
+            append(times[k + 1], edges)
         final = (z[:n], w[:n], times[-1])
     except RunAbortedError as err:
         blow_up = {"t": err.t, "cell": err.cell, "message": str(err)}
@@ -257,14 +257,14 @@ class TestTwoRowKernel:
         assert np.all(scn.active_cells(traj.times[:-1]) == scn.grid.n)
         m = scn.trusted_cells
         fld = scn.initial_field()
-        for k, dt in enumerate(traj.dts[1:], start=1):
+        for k in range(1, len(traj.times)):
             fld.t = traj.times[k - 1]  # the run's step times, as P2 reads them
-            fld = _row_by_row_step(fld, dt, scn)
+            fld = _row_by_row_step(fld, scn.dt, scn)
             assert _bitwise(fld.z[:m], traj.z[k]), k
             assert _bitwise(fld.w[:m], traj.w[k]), k
         assert _bitwise(fld.z, final.z) and _bitwise(fld.w, final.w)
         assert final.t == traj.times[-1] == scn.T
-        direct = step(scn.initial_field(), traj.dts[1], scn)
+        direct = step(scn.initial_field(), scn.dt, scn)
         assert _bitwise(direct.z[:m], traj.z[1]) and _bitwise(direct.w[:m], traj.w[1])
 
     @pytest.mark.parametrize("z_bump, w_bump, first_row", [(50, 37, "w"), (20, 37, "z")])
@@ -461,7 +461,7 @@ class TestSignResolvedStage:
         K, lam = scn.steps, scn.speed_bounds.lambda_abs_max
         assert K == math.ceil(scn.T * lam / (scn.cfl * scn.grid.dx))
         assert lam * scn.T / K <= scn.cfl * scn.grid.dx
-        assert len(traj.dts) == K + 1 and np.all(traj.dts[1:] == scn.T / K)
+        assert scn.dt == scn.T / K
         assert np.array_equal(traj.times, np.linspace(0.0, scn.T, K + 1))
         assert traj.times[-1] == scn.T
         fld = scn.initial_field()
@@ -493,7 +493,7 @@ class TestActiveCells:
         traj, _ = run(scn)
         monkeypatch.setattr(solver, "ACTIVE_PAD_SIGMAS", 10 ** 6)
         full, _ = run(desk_scenario(name, n=n))
-        assert np.array_equal(traj.times, full.times) and np.array_equal(traj.dts, full.dts)
+        assert np.array_equal(traj.times, full.times)
         for key in ("z", "w", "z_edge", "w_edge"):
             a, b = getattr(traj, key), getattr(full, key)
             assert a.shape == b.shape and float(np.abs(a - b).max()) <= 1e-13, key
@@ -514,7 +514,7 @@ class TestActiveCells:
         monkeypatch.setattr(solver, "step", garbling)
         garbled, final = run(desk_scenario(name, n=n))
         assert np.isnan(final.z).any()  # the control did plant garbage
-        for key in ("times", "dts", "z", "w", "z_edge", "w_edge"):
+        for key in solver._STORED:
             assert _bitwise(getattr(traj, key), getattr(garbled, key)), key
 
 
