@@ -20,6 +20,16 @@ samples, are formed from one block of stored rows at a time
 (``solver.blocks``); each row is a function of its own snapshot, so a path
 does not depend on the block size either.
 
+Each RK4 step decides once whether any of its four stage positions can need
+clamping (a position whose cell has no stored pair).  The live positions'
+min and max, which the exit test forms, and the block's speed bounds (one
+min and one max, widened by ``BLEND_ULPS`` for the blend's rounding) bound
+every stage position; rounding is monotone, so the bounds hold for the
+positions as computed.  Where they keep every position inside the stored
+pairs, the step tells ``Trajectory.interpolate`` so, and it skips its own
+per-call min and max.  Both ways give the same values wherever nothing is
+clamped, so the paths are bitwise those of the per-call check.
+
 A trace is a walk (``_walk``: the positions, which of them are samples, and
 the exit reasons) followed by an assembly (``_assemble``: the fields,
 functionals and coefficients at the samples, one ``CharPath`` per launch).
@@ -35,6 +45,7 @@ extremes by ``reduceat``, and the running upper bound by a row-wise cumsum
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,6 +64,12 @@ FAN = 20
 
 #: A path with fewer samples has no centered difference to check.
 MIN_SAMPLES = 3
+
+#: Ulps of a block's largest |speed| S by which ``_walk`` widens the
+#: block's speed bounds: a bilinear blend of values in [lo, hi] lies within
+#: 6u*S of it (u = 2**-53, the unit of rounding), and an ulp of S is more
+#: than u*S.
+BLEND_ULPS = 8
 
 
 @dataclass
@@ -192,6 +209,7 @@ def _walk(history: Trajectory, launches: tuple) -> tuple:
     # path reads the block's lambda2 rows, below its lambda1 rows.
     first_row = np.minimum.reduce([ks for ks, _, _ in stage_times])
     last_row = np.maximum.reduce([k2s for _, k2s, _ in stage_times])
+    dx, last = history.grid.dx, history.scenario.trusted_cells - 2
     for lo, hi in blocks(first, len(times) - 1):
         if not running.any():
             break
@@ -200,22 +218,37 @@ def _walk(history: Trajectory, launches: tuple) -> tuple:
         part = slice(lo - first, hi - first)
         r_lo, r_hi = int(first_row[part].min()), int(last_row[part].max()) + 1
         speeds = history.block(("lam",), r_lo, r_hi)
+        width = speeds[0].shape[1]
         # Each path's flat offset into the block: its family's rows, less
-        # the block's first row.
-        offsets = ((family - 1) * (r_hi - r_lo) - r_lo) * speeds[0].shape[1]
+        # the block's first row.  A step adds the row it starts from, and
+        # its stages read the rows from there (0, 1 or 2).
+        offsets = ((family - 1) * (r_hi - r_lo) - r_lo) * width
+        start = stage_times[0][0][part]
         # The block's steps as Python numbers, by step from ``lo``: its size,
-        # the reach at its end, and (k, k2, tau) of its first stage, its two
-        # middle ones and its last.
+        # the reach at its end, the flat offset of its first row, and (k,
+        # k2, tau) of its first stage, its two middle ones and its last,
+        # with k and k2 counted from that row.
         steps = np.diff(times[lo:hi + 1]).tolist()
         reach = edge[lo + 1:hi + 1].tolist()
-        at_start, at_mid, at_end = (list(zip(*(a[part].tolist() for a in stage)))
-                                    for stage in stage_times)
+        shift = (start * width).tolist()
+        at_start, at_mid, at_end = (list(zip((ks[part] - start).tolist(),
+                                             (k2s[part] - start).tolist(), taus[part].tolist()))
+                                    for ks, k2s, taus in stage_times)
         # The first and last stage sit on stored times (weight 0), where
         # ``interpolate`` reads one row: the same values while the speeds
         # are finite.  Otherwise the weight goes in as an array.
-        if not np.isfinite(speeds[0]).all():
+        finite = np.isfinite(speeds[0]).all()
+        if not finite:
             at_start, at_end = ([(r, r2, np.asarray(tau)) for r, r2, tau in stage]
                                 for stage in (at_start, at_end))
+        rows, told = (at_start, at_mid, at_end), None
+        if finite:
+            # Every stage speed is a blend of the block's: one min and one
+            # max bound them, widened by the blend's rounding.
+            v_lo, v_hi = float(speeds[0].min()), float(speeds[0].max())
+            pad = BLEND_ULPS * math.ulp(max(-v_lo, v_hi))
+            v_lo, v_hi = v_lo - pad, v_hi + pad
+            told = tuple([when + (True,) for when in stage] for stage in rows)
         live = np.empty(0, dtype=np.intp)
         for j, k in enumerate(range(lo, hi)):
             # The live set, their positions and offsets change only where a
@@ -227,15 +260,29 @@ def _walk(history: Trajectory, launches: tuple) -> tuple:
                         break
                     continue
                 xl, offset = xs[k][live], offsets[live]
+                x_lo, x_hi = float(xl.min()), float(xl.max())
             h = steps[j]
-            v1, = history.interpolate(xl, at_start[j], speeds, offset)
-            v2, = history.interpolate(xl + 0.5 * h * v1, at_mid[j], speeds, offset)
-            v3, = history.interpolate(xl + 0.5 * h * v2, at_mid[j], speeds, offset)
-            v4, = history.interpolate(xl + h * v3, at_end[j], speeds, offset)
+            half = 0.5 * h
+            stages = rows
+            if told is not None:
+                # The stage positions are xl, xl + half*v and xl + h*v, each
+                # rounded monotonically: the ends of the positions and of the
+                # speeds bound them.
+                low = min(x_lo, x_lo + half * v_lo, x_lo + h * v_lo)
+                high = max(x_hi, x_hi + half * v_hi, x_hi + h * v_hi)
+                if low / dx - 0.5 >= 0.0 and high / dx - 0.5 < last + 1:
+                    stages = told
+            at = offset + shift[j]
+            v1, = history.interpolate(xl, stages[0][j], speeds, at)
+            v2, = history.interpolate(xl + half * v1, stages[1][j], speeds, at)
+            v3, = history.interpolate(xl + half * v2, stages[1][j], speeds, at)
+            v4, = history.interpolate(xl + h * v3, stages[2][j], speeds, at)
             x_new = xl + h / 6.0 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
             # One min and one max tell whether any path may leave (a NaN
-            # fails both tests, as it fails every comparison below).
-            if not (band <= x_new.min() and x_new.max() <= reach[j]):
+            # fails both tests, as it fails every comparison below), and
+            # bound the positions that stay.
+            x_lo, x_hi = float(x_new.min()), float(x_new.max())
+            if not (band <= x_lo and x_hi <= reach[j]):
                 left = (x_new < band) & (v1 < 0.0)
                 cone = ~left & (x_new > reach[j])
                 leaves = left | cone

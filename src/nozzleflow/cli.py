@@ -3,7 +3,8 @@
 Subcommands: constants, check, feasible, simulate, trace, verify.
 Exit codes: 0 ok, 2 certification failed, 3 monitor violation, 4 blow-up,
 64 usage, 65 malformed config or trajectory file (or an s(x) table that
-misses its tolerance), 66 cannot open input.
+misses its tolerance), 66 cannot open input (missing, a directory, or not
+readable), 73 cannot create the output directory.
 """
 from __future__ import annotations
 
@@ -14,9 +15,9 @@ from pathlib import Path
 
 from . import harness
 from .config import load_config
-from .errors import ConfigError, DomainError, NozzleflowError
-from .harness import (EXIT_BLOWUP, EXIT_CERT, EXIT_DATAERR, EXIT_MONITOR,
-                      EXIT_NOINPUT, EXIT_OK, EXIT_USAGE)
+from .errors import ConfigError, DomainError, NozzleflowError, OutputError
+from .harness import (EXIT_BLOWUP, EXIT_CANTCREAT, EXIT_CERT, EXIT_DATAERR,
+                      EXIT_MONITOR, EXIT_NOINPUT, EXIT_OK, EXIT_USAGE)
 from .model import GasLaw
 from .region import critical_constants, find_constants
 
@@ -86,6 +87,8 @@ def _cmd_check(args) -> int:
     cfg = load_config(args.config)
     scn = cfg.to_scenario()
     harness.check_storage(scn, args.config)
+    if not args.quiet:
+        harness.warn_past_courant(scn, args.config)
     bundle = harness.certify(scn)
     if args.format == "json":
         print(json.dumps(bundle.to_dict(), indent=2, sort_keys=True))
@@ -142,8 +145,7 @@ def _cmd_trace(args) -> int:
 
     traj = harness.load_trajectory(args.trajectory)
     path = chars.trace(traj, args.x0, args.family, t0=args.t0)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = harness.output_dir(args.out)
     scn = traj.scenario
     dest = out / f"path_f{args.family}_x{args.x0:g}_t{args.t0:g}.csv"
     harness.write_path_csv(path, scn.delta1, scn.profile.M, scn.profile.alpha, dest)
@@ -162,8 +164,7 @@ def _write_report(payload: dict, out: Path, fmt: str) -> None:
 
 def _cmd_verify(args) -> int:
     traj = harness.load_trajectory(args.trajectory)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = harness.output_dir(args.out)
     if traj.blown_up:  # as in ``simulate``, a run that ended early has no post-pass
         payload = {"blow_up": dict(traj.blow_up, t_last_stored=float(traj.times[-1]),
                                    steps=len(traj.times) - 1), "ok": False}
@@ -203,9 +204,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"cannot open input: {exc}", file=sys.stderr)
         return EXIT_NOINPUT
+    except OutputError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_CANTCREAT
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DATAERR

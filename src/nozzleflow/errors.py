@@ -75,3 +75,7 @@ class ConfigError(NozzleflowError):
 class TrajectoryFileError(NozzleflowError):
     """Stored trajectory file cannot be read, lacks an array, holds one of
     the wrong shape, or is not the run of its config."""
+
+
+class OutputError(NozzleflowError):
+    """An output directory cannot be created."""

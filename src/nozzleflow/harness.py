@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 import zipfile
 import zlib
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import characteristics as chars
 from .config import load_config, parse_config_text
-from .errors import ConfigError, RunAbortedError, TrajectoryFileError
+from .errors import ConfigError, OutputError, RunAbortedError, TrajectoryFileError
 from .model import VACUUM_GAP, pressure, rho_zw, speeds_zw
 from .region import (EXACT, Certificate, check_h1, check_hypothesis,
                      critical_constants, envelopes, face_margins,
@@ -42,6 +43,7 @@ EXIT_BLOWUP = 4
 EXIT_USAGE = 64
 EXIT_DATAERR = 65
 EXIT_NOINPUT = 66
+EXIT_CANTCREAT = 73
 
 _FACES = ("z_lo", "z_hi", "w_lo", "w_hi", "gap")
 
@@ -644,13 +646,36 @@ def check_storage(scn: Scenario, source) -> None:
                           f"ceiling of {STORED_BYTES_MAX} bytes", source=str(source))
 
 
+def warn_past_courant(scn: Scenario, source) -> None:
+    """Warn on standard error, in one line, of a config past cfl = 1: the
+    certified step then lets a speed the region allows cross more than a
+    cell per step, so the run is unstable by construction."""
+    if scn.cfl > 1.0:
+        print(f"warning: {source}: cfl = {scn.cfl:g} > 1, the certified step is unstable "
+              "by construction", file=sys.stderr)
+
+
+def output_dir(path) -> Path:
+    """The directory ``path``, made with its parents where missing; an
+    OutputError (exit 73) if it cannot be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot create output directory {out}: "
+                          f"{exc.strerror}") from None
+    return out
+
+
 def run_scenario(config, out_dir, force: bool = False, quiet: bool = True) -> int:
     """Certify, run, verify and write all artifacts of the config file
-    ``config``; returns the exit code."""
+    ``config``; returns the exit code.  Unless ``quiet``, a config past
+    cfl = 1 is warned of (``warn_past_courant``)."""
     scn = load_config(config).to_scenario()
     check_storage(scn, config)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if not quiet:
+        warn_past_courant(scn, config)
+    out = output_dir(out_dir)
     started = time.perf_counter()
 
     def say(msg):

@@ -73,10 +73,18 @@ and w from the left, one gradient each.  In the region every face mean has
 the certified sign, so the side is the one it would choose; a state that
 leaves the region (past the certified cfl, say) keeps the sides, and the
 monitors flag it or it blows up.  The stages write into arrays allocated
-once per run (``_Stages``), through views of the step's active width that
-both share (``_Width``).  Every cell takes the same operations as it would
+once per run (``_Stages``), through views that both share (``_Width``): of
+the work arrays, and of the arrays the stages read (the two states and the
+second stage's ``mid``).  The views are cut once per ``_QUANTUM`` = 16
+cells of width: a cut lasts until the active width has shrunk by 16 cells,
+so a step on m cells computes the W >= m cells of its cut.  Before the
+second stage, the cells of ``mid`` from m on take the state's values, so
+cells m and m + 1 are still its right ghosts; only the m cells are written
+into the new state and checked for a blow-up, and the others keep the
+state's values.  Each of the m cells takes the same operations as it would
 row by row, so at the same dt and on the same cells the result is bitwise
-that of two separate row updates.
+that of two separate row updates.  ``report.json``'s ``cell_steps`` counts
+the m cells of each step, not the W of its cut.
 """
 from __future__ import annotations
 
@@ -122,6 +130,12 @@ BLOW_LIMIT = 1e6
 #: gives up to 3.1e-13 (p3, n = 1000); 3*sqrt(K) at most 1.2e-14 (p3, n = 250
 #: to 4000; p1 and p2 0).  A test sets it as high as n to evolve every cell.
 ACTIVE_PAD_SIGMAS = 3
+
+#: Cells by which the active width shrinks before ``_Stages.at`` cuts the
+#: work views anew: a step computes the cells of the last cut, up to
+#: ``_QUANTUM`` - 1 more than its active ones.  At 16, p3_desk at n = 1000
+#: cuts 53 times in 1048 steps, against 844 cuts at one a width.
+_QUANTUM = 16
 
 
 @dataclass(frozen=True)
@@ -349,15 +363,18 @@ def _write_ghosts(state: np.ndarray, t: float, scn: Scenario, work: _Stages) -> 
 
 class _Stages:
     """Arrays the evolve stages write into, allocated once per run for the
-    whole grid; a step on the first m cells uses the views of their
-    leading part that ``at(m)`` gives.  Two-row arrays are laid out as the
-    state is, cell by cell."""
+    whole grid; a step on the first m cells computes on the views of the
+    cut that ``at(m)`` gives.  Two-row arrays are laid out as the state is,
+    cell by cell.  ``buffers`` are the state arrays that ``run`` alternates,
+    whose views each cut keeps too."""
 
-    def __init__(self, scn: Scenario):
+    def __init__(self, scn: Scenario, buffers: tuple = ()):
         n = scn.grid.n
         self.coef = scn.runtime_arrays["coef"]
-        self.half_theta = 0.5 * scn.law.theta
-        self.dx, self.order = scn.grid.dx, scn.order
+        # The stages' scalar factors as 0-d arrays: a ufunc converts a Python
+        # float anew at each call, which costs a third of a call on 1000 cells.
+        self.half, self.half_theta = np.array(0.5), np.array(0.5 * scn.law.theta)
+        self.dx, self.order = np.array(scn.grid.dx), scn.order
         # A stage makes one gradient call on the flat block of both rows when
         # they read from the same side, else one a row: the side each call
         # reads from (right if its speeds are < 0), and a cell's entries.
@@ -366,6 +383,7 @@ class _Stages:
         self.leftward = sides[:1] if sides[0] == sides[1] else sides
         self.entries = 2 // len(self.leftward)
         self.mid = np.empty((n + 4, 2))  # the second stage's state
+        self.buffers = buffers
         self.lam = np.empty((n, 2))
         self.gap, self.total, self.v, self.c = (np.empty(n) for _ in range(4))
         self.d = np.empty(2 * (n + 2))
@@ -384,15 +402,46 @@ class _Stages:
         return (a.reshape(-1),) if self.entries == 2 else (a[:, 0], a[:, 1])
 
     def at(self, m: int) -> "_Width":
-        if self.width is None or self.width.m != m:
-            self.width = _Width(self, m)
-        return self.width
+        """The cut for a step on the first m cells: the last one while it
+        is at most ``_QUANTUM`` - 1 cells wider, else a new one of m cells."""
+        width = self.width
+        if width is None or not m <= width.m < m + _QUANTUM:
+            width = self.width = _Width(self, m)
+        return width
+
+
+class _Operand:
+    """The views of one array laid out as the state, of the W cells of a
+    cut: ``ext`` (the cells and two ghosts each side), its ``cells`` and
+    their ``z`` and ``w`` columns, and for each gradient call its input
+    ``u`` and the slices of ``u`` that the faces read (``_cuts``)."""
+
+    def __init__(self, a: np.ndarray, work: _Stages, m: int):
+        self.ext = a[:m + 4]
+        self.cells = self.ext[2:-2]
+        self.z, self.w = self.cells[:, 0], self.cells[:, 1]
+        self.calls = [(u, _cuts(u, leftward, work, m))
+                      for u, leftward in zip(work.calls(self.ext), work.leftward)]
+
+
+def _cuts(u, leftward: bool, work: _Stages, m: int) -> tuple:
+    """The slices of ``u`` (m cells and two ghosts each side) that the upwind
+    faces read from (``_one_sided_gradient``): the lower and upper faces'
+    cells at order 1; at order 2 the two ends of each difference and the
+    faces' cells."""
+    e = work.entries
+    s = e * int(leftward)
+    if work.order == 1:
+        return u[e + s:e * (m + 1) + s], u[2 * e + s:e * (m + 2) + s]
+    return u[e + s:e * (m + 3) + s], u[s:e * (m + 2) + s], u[e + s:e * (m + 2) + s]
 
 
 class _Width:
-    """The views of the ``_Stages`` arrays that both stages of a step on the
-    first m cells write into, made once for each width.  The gradient's
-    temporaries hold ``work.entries`` entries a cell: both rows, or one."""
+    """One cut: the views of the ``_Stages`` arrays that both stages of a
+    step on its first W = ``m`` cells write into, and the ``_Operand`` of
+    each array the steps read (``mid`` and the ``buffers``), made once per
+    cut.  The gradient's temporaries hold ``work.entries`` entries a cell:
+    both rows, or one."""
 
     def __init__(self, work: _Stages, m: int):
         self.m, e = m, work.entries
@@ -409,12 +458,24 @@ class _Width:
         self.face_lo, self.face_hi = self.face[:-e], self.face[e:]
         self.grad = work.grad[:m]
         self.grads = work.calls(self.grad)
-        self.mid = work.mid[:m + 4]
-        self.mid_cells = self.mid[2:-2]
         self.inc = work.inc[:m]
         # Each stage's derivative, with its z and w columns.
         f1, f2 = work.f1[:m], work.f2[:m]
         self.f1, self.f2 = (f1, f1[:, 0], f1[:, 1]), (f2, f2[:, 0], f2[:, 1])
+        self.mid = _Operand(work.mid, work, m)
+        # The operands by the id of their array and of their ``ext``: the
+        # stages are handed ``ext``, and each key's object is kept alive by
+        # its operand, so no other array has its id.
+        self.kept = {}
+        for a in (*work.buffers, work.mid):
+            operand = self.mid if a is work.mid else _Operand(a, work, m)
+            self.kept[id(a)] = self.kept[id(operand.ext)] = operand
+
+    def operand(self, a: np.ndarray, work: _Stages) -> _Operand:
+        """The views of ``a`` (an array of this cut, or its ``ext``), or of
+        any other array laid out as the state."""
+        kept = self.kept.get(id(a))
+        return kept if kept is not None else _Operand(a, work, self.m)
 
 
 def _limited_slope(a, b, work):
@@ -435,43 +496,47 @@ def _limited_slope(a, b, work):
     return np.divide(np.multiply(prod, 2.0, out=prod), den, out=slope, where=pos)
 
 
-def _one_sided_gradient(u, out, leftward: bool, work: _Stages, width: _Width):
-    """Upwind gradient at the m cells of ``u`` (with two ghosts each side),
-    written into ``out``: each face takes the limited value of its right
-    cell (``leftward``, the certified speeds < 0) or its left cell (>= 0),
-    and only the slopes those cells need are formed.  ``u`` is one row, or
-    the flat block of both with z and w of each cell side by side (a cell
-    is ``work.entries`` entries), so that each operation covers both."""
-    m, e = width.m, work.entries
-    s = e * int(leftward)
+def _one_sided_gradient(u, out, leftward: bool, work: _Stages, width: _Width,
+                        cuts: Optional[tuple] = None):
+    """Upwind gradient at the ``width.m`` cells of ``u`` (with two ghosts
+    each side), written into ``out``: each face takes the limited value of
+    its right cell (``leftward``, the certified speeds < 0) or its left cell
+    (>= 0), and only the slopes those cells need are formed.  ``u`` is one
+    row, or the flat block of both with z and w of each cell side by side
+    (a cell is ``work.entries`` entries), so that each operation covers
+    both.  ``cuts`` are the slices of ``u`` that the faces read, as
+    ``_cuts`` gives them; a cut keeps them (``_Operand``)."""
+    if cuts is None:
+        cuts = _cuts(u, leftward, work, width.m)
     if work.order == 1:
-        face_lo, face_hi = u[e + s:e * (m + 1) + s], u[2 * e + s:e * (m + 2) + s]
+        face_lo, face_hi = cuts
     else:
-        np.subtract(u[e + s:e * (m + 3) + s], u[s:e * (m + 2) + s], out=width.d)
+        ahead, behind, centre = cuts
+        np.subtract(ahead, behind, out=width.d)
         half = _limited_slope(width.d_lo, width.d_hi, width)
-        np.multiply(half, 0.5, out=half)
-        (np.subtract if leftward else np.add)(u[e + s:e * (m + 2) + s], half, out=width.face)
+        np.multiply(half, work.half, out=half)
+        (np.subtract if leftward else np.add)(centre, half, out=width.face)
         face_lo, face_hi = width.face_lo, width.face_hi
     np.subtract(face_hi, face_lo, out=out)
     np.divide(out, work.dx, out=out)
 
 
 def _stage_rhs(ext, rhs, work: _Stages, width: _Width):
-    """Time derivative of the state in the interior of ``ext`` (m cells and
-    two ghosts each side, laid out as the state), written into ``rhs``, one
-    of ``width.f1`` and ``width.f2``: each row advected with its own speed
-    from the upwind side the region certifies, plus the source."""
-    cells = ext[2:-2]
-    z, w = cells[:, 0], cells[:, 1]
-    gap = np.subtract(w, z, out=width.gap)
-    total = np.add(w, z, out=width.total)
+    """Time derivative of the state in the interior of ``ext`` (the W cells
+    of the cut ``width`` and two ghosts each side, laid out as the state),
+    written into ``rhs``, one of ``width.f1`` and ``width.f2``: each row
+    advected with its own speed from the upwind side the region certifies,
+    plus the source."""
+    views = width.operand(ext, work)
+    gap = np.subtract(views.w, views.z, out=width.gap)
+    total = np.add(views.w, views.z, out=width.total)
     # lambda1, lambda2 = v -+ c with v = (w + z)/2 and c = (theta/2)(w - z).
-    v = np.multiply(total, 0.5, out=width.v)
+    v = np.multiply(total, work.half, out=width.v)
     c = np.multiply(gap, work.half_theta, out=width.c)
     np.subtract(v, c, out=width.lam1)
     np.add(v, c, out=width.lam2)
-    for u, out, leftward in zip(work.calls(ext), width.grads, work.leftward):
-        _one_sided_gradient(u, out, leftward, work, width)
+    for (u, cuts), out, leftward in zip(views.calls, width.grads, work.leftward):
+        _one_sided_gradient(u, out, leftward, work, width, cuts)
     sz, sw = source_pair(gap, total, width.coef)
     out, out_z, out_w = rhs
     np.multiply(width.lam, width.grad, out=out)
@@ -501,7 +566,9 @@ def step(fld: Field, dt: float, scn: Scenario, new: Optional[np.ndarray] = None,
     cells at t + dt in the state array ``new``, or in a new one whose other
     cells keep their values.  ``run`` passes ``new``, with the other cells
     in place and the left ghosts of ``fld``'s state written, and its
-    workspace ``work``; a step called on its own does both itself."""
+    workspace ``work``; a step called on its own does both itself.  The
+    stages compute the W >= m cells of the cut (``_Stages.at``), and only
+    the m cells of ``fld`` are written into ``new``."""
     t, m = fld.t, fld.z.size
     state = _state_of(fld, scn)
     if work is None:
@@ -511,21 +578,25 @@ def step(fld: Field, dt: float, scn: Scenario, new: Optional[np.ndarray] = None,
         new = np.empty_like(state)
         new[m + 2:] = state[m + 2:]
     width = work.at(m)
-    u, out = state[2:m + 2], new[2:m + 2]
-    f1 = _stage_rhs(state[:m + 4], width.f1, work, width)
+    src = width.operand(state, work)
+    f1 = _stage_rhs(src.ext, width.f1, work, width)
     inc = np.multiply(f1, dt, out=width.inc)
-    if work.order == 1:
-        np.add(u, inc, out=out)
-    else:
+    if work.order == 2:
         mid = width.mid
-        np.add(u, inc, out=width.mid_cells)
-        mid[-2:] = state[m + 2:m + 4]
-        _write_ghosts(mid, t + dt, scn, work)
-        f2 = _stage_rhs(mid, width.f2, work, width)
+        np.add(src.cells, inc, out=mid.cells)
+        # Cells m and m + 1 are the right ghosts; the rest of the cut reads
+        # the state's values, never the first stage's.
+        mid.ext[m + 2:] = src.ext[m + 2:]
+        _write_ghosts(mid.ext, t + dt, scn, work)
+        f2 = _stage_rhs(mid.ext, width.f2, work, width)
         np.multiply(np.add(f1, f2, out=inc), 0.5 * dt, out=inc)
-        np.add(u, inc, out=out)
-    if not (out.max() <= BLOW_LIMIT and out.min() >= -BLOW_LIMIT):  # NaN fails too
-        bad = ~(np.abs(out) <= BLOW_LIMIT)
+    # Only the m cells of ``fld`` are written: past them ``new`` holds the
+    # state's values already (``run`` copies them across).
+    out, inc = new[2:m + 2], inc[:m]
+    np.add(state[2:m + 2], inc, out=out)
+    size = np.abs(out, out=inc)
+    if not size.max() <= BLOW_LIMIT:  # NaN fails too
+        bad = ~(size <= BLOW_LIMIT)
         cell = int(np.argmax(bad.any(axis=1)))
         raise BlowUpError(
             f"solution left the finite range at t={t + dt:.6g}, cell {cell} "
@@ -664,16 +735,20 @@ class Trajectory:
         flat stacks, where entry (r, c) is entry r*m + c: an offset of j*m
         reads the rows j further down.
 
-        Two shortcuts leave every value as the general formula gives it.
+        Three shortcuts leave every value as the general formula gives it.
         Where every floor(x/dx - 0.5) has a stored pair, the position is not
-        clamped.  A weight ``tau`` that is one float, exactly 0, reads row k
-        alone: 1.0*lo + 0.0*hi equals lo wherever row k2 is finite, so the
-        caller passes such a weight only for finite stacks."""
-        k, k2, tau = when
+        clamped; a fourth entry of ``when``, True, says the caller has
+        bounded every position so, and the check is skipped.  A weight
+        ``tau`` that is one float, exactly 0, reads row k alone: 1.0*lo +
+        0.0*hi equals lo wherever row k2 is finite, so the caller passes such
+        a weight only for finite stacks.  A row k that is the int 0 adds
+        nothing to the indices."""
+        k, k2, tau = when[:3]
         xi = np.asarray(x, dtype=float) / self.grid.dx - 0.5
         cell = np.floor(xi)
         last = self.scenario.trusted_cells - 2
-        if cell.size and 0.0 <= cell.min() and cell.max() <= last:
+        if (len(when) > 3 and when[3]) or (cell.size and 0.0 <= cell.min()
+                                             and cell.max() <= last):
             # xi - cell is exact here, and already in [0, 1).
             frac = xi - cell
         else:
@@ -687,7 +762,7 @@ class Trajectory:
         # A 1-D gather costs less than a 2-D one.
         m = stacks[0].shape[1]
         at = cell.astype(np.intp) + offset
-        at_k = at + k * m
+        at_k = at if isinstance(k, int) and k == 0 else at + k * m
         one_row = isinstance(tau, float) and tau == 0.0
         if not one_row:
             at_k2, stay = at + k2 * m, 1.0 - tau
@@ -734,9 +809,12 @@ def run(scn: Scenario):
     rows = dict(zip(_STORED, (times, z, w, z_edge, w_edge)))
     state = _state_of(scn.initial_field(), scn)
     # Two states that the steps alternate between (see the module docstring).
-    buffers, work = (state, state.copy()), _Stages(scn)
+    buffers = (state, state.copy())
+    work = _Stages(scn, buffers)
     z_edge[0], w_edge[0] = _write_ghosts(state, 0.0, scn, work)
-    z[0], w[0] = state[2:kept + 2, 0], state[2:kept + 2, 1]
+    # Each state's stored columns of z and w.
+    stored = [(b[2:kept + 2, 0], b[2:kept + 2, 1]) for b in buffers]
+    z[0], w[0] = stored[0]
     count, last = 1, grid.n
     try:
         for k, m in enumerate(scn.active_cells(times[:-1]).tolist()):
@@ -747,7 +825,7 @@ def run(scn: Scenario):
             step(Field(state[2:m + 2, 0], state[2:m + 2, 1], times[k], grid, state), dt, scn,
                  new, work)
             z_edge[k + 1], w_edge[k + 1] = _write_ghosts(new, times[k + 1], scn, work)
-            z[k + 1], w[k + 1] = new[2:kept + 2, 0], new[2:kept + 2, 1]
+            z[k + 1], w[k + 1] = stored[1 - k % 2]
             count = k + 2
     except RunAbortedError as err:
         err.trajectory = Trajectory(scn, {name: arr[:count] for name, arr in rows.items()},

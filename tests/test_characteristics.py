@@ -533,3 +533,40 @@ def test_a_block_of_speeds_not_finite_is_walked_by_the_blend(p2_run, monkeypatch
     want = launch_fan(p2_run, (1, 2), boundary=True)
     assert got.samples.tobytes() == want.samples.tobytes()
     assert [p.exit_reason for p in got] == [p.exit_reason for p in want]
+
+
+@pytest.mark.parametrize("name", ["p1_run", "p2_run", "p3_run"])
+def test_clamping_decided_once_per_step_is_the_per_call_check(name, request, monkeypatch):
+    # The walk tells ``interpolate`` (a fourth entry of ``when``) that no
+    # stage position of a step needs clamping where the block's speed bounds
+    # show it.  Every position of a told call has its stored pair, and the
+    # fans are bitwise those of the per-call check, forced here by dropping
+    # the fourth entry.  P2's boundary launches start at 0.5 dx, on the edge.
+    traj = request.getfixturevalue(name)
+    boundary = traj.scenario.problem == "P2"
+    dx, last = traj.grid.dx, traj.scenario.trusted_cells - 2
+    plain = Trajectory.interpolate
+    calls, told = [], []
+
+    def checked(history, x, when, stacks, offset=0):
+        if np.ndim(offset):  # an RK4 stage of the walk
+            calls.append(len(when) > 3)
+            if len(when) > 3:
+                cell = np.floor(x / dx - 0.5)
+                assert 0.0 <= cell.min() and cell.max() <= last
+                told.append(float(x.min()))
+        return plain(history, x, when, stacks, offset)
+
+    def per_call(history, x, when, stacks, offset=0):
+        assert len(when) == 3 or when[3] is True
+        return plain(history, x, when[:3], stacks, offset)
+
+    monkeypatch.setattr(Trajectory, "interpolate", checked)
+    once = launch_fan(traj, (1, 2), boundary=boundary)
+    monkeypatch.setattr(Trajectory, "interpolate", per_call)
+    each = launch_fan(traj, (1, 2), boundary=boundary)
+    assert once.samples.tobytes() == each.samples.tobytes()
+    assert [p.exit_reason for p in once] == [p.exit_reason for p in each]
+    assert sum(calls) > 0.5 * len(calls)  # every stage, on these runs
+    if boundary:
+        assert min(told) == 0.5 * dx

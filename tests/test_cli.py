@@ -1,3 +1,6 @@
+import builtins
+import errno
+import io
 import json
 
 import numpy as np
@@ -402,6 +405,86 @@ class TestUnreadableTrajectoryFiles:
         argv = [command[0], str(tmp_path / "none.npz"), *command[1:]]
         assert main(["--out", str(tmp_path / "out"), *argv]) == 66
         assert capsys.readouterr().err.startswith("cannot open input")
+
+
+#: The commands that read one input file, with the arguments after it.
+_READERS = {"verify": [], "trace": ["--family", "1", "--x0", "0.5"], "check": []}
+
+
+class TestInputsAndOutputsThatCannotBeOpened:
+    # Each once ended in a traceback (exit 1): IsADirectoryError,
+    # PermissionError and FileExistsError.
+    @staticmethod
+    def _one_line(capsys, start, path):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(start) and str(path) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", list(_READERS))
+    def test_directory_is_an_input_that_cannot_be_opened(self, tmp_path, capsys, command):
+        assert main(["--out", str(tmp_path / "out"), command, str(tmp_path),
+                     *_READERS[command]]) == 66
+        self._one_line(capsys, "cannot open input", tmp_path)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", list(_READERS))
+    def test_unreadable_file_is_an_input_that_cannot_be_opened(self, p3_npz, tmp_path,
+                                                                capsys, monkeypatch, command):
+        # Run as root, chmod cannot make a file unreadable: the open call
+        # refuses it instead, for the builtin open and pathlib's io.open.
+        target = str(CONFIG_DIR / "p3_desk.cfg" if command == "check" else p3_npz)
+        plain = io.open
+
+        def denied(file, *args, **kwargs):
+            if str(file) == target:
+                raise PermissionError(errno.EACCES, "Permission denied", target)
+            return plain(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", denied)
+        monkeypatch.setattr(io, "open", denied)
+        assert main(["--out", str(tmp_path / "out"), command, target, *_READERS[command]]) == 66
+        self._one_line(capsys, "cannot open input", target)
+
+    def test_out_naming_a_file_cannot_be_created(self, p3_npz, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = small_config("p3_desk", tmp_path, {"n = 2000": "n = 250"})
+        assert main(["--quiet", "--out", str(taken), "simulate", str(cfg)]) == 73
+        self._one_line(capsys, "cannot create output directory", taken)
+        for command in ("verify", "trace"):
+            assert main(["--out", str(taken / "sub"), command, str(p3_npz),
+                         *_READERS[command]]) == 73
+            self._one_line(capsys, "cannot create output directory", taken / "sub")
+        assert taken.read_text() == ""
+
+
+class TestCourantNumberPastOne:
+    """With the certified step, cfl > 1 lets a speed the region allows cross
+    more than a cell per step: ``check`` and ``simulate`` warn on one line,
+    and nothing else changes."""
+
+    def test_warns_and_still_blows_up(self, tmp_path, capsys):
+        cfg = small_config("p1_desk", tmp_path, {"n = 2000": "n = 100",
+                                                 "cfl = 0.9": "cfl = 2.0"})
+        assert main(["--out", str(tmp_path / "loud"), "simulate", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cfl = 2 > 1" in err and str(cfg) in err
+        assert main(["check", str(cfg)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cfl = 2 > 1" in err
+        # The files are those of a quiet run, which prints nothing.
+        assert main(["--quiet", "--out", str(tmp_path / "quiet"), "simulate", str(cfg)]) == 4
+        assert capsys.readouterr().err == ""
+        for name in ("certificates.txt", "report.json", "monitor_report.json",
+                     "trajectory.npz"):
+            assert ((tmp_path / "loud" / name).read_bytes()
+                    == (tmp_path / "quiet" / name).read_bytes()), name
+
+    def test_desk_config_prints_nothing(self, tmp_path, capsys):
+        assert main(["check", str(CONFIG_DIR / "p3_desk.cfg")]) == 0
+        cfg = small_config("p3_desk", tmp_path, {"n = 2000": "n = 250"})
+        assert main(["--out", str(tmp_path / "out"), "simulate", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestStoredTrajectoryFiles:

@@ -476,6 +476,29 @@ class TestActiveCells:
     """A step evolves only the cells the stored columns can depend on, plus
     a pad against the scheme's numerical diffusion."""
 
+    @pytest.mark.parametrize("name, n, most", [("p3_desk", 1000, 60), ("p2_desk", 150, 1),
+                                               ("p1_desk", 2000, 30)])
+    def test_work_views_are_cut_once_per_quantum(self, name, n, most, monkeypatch):
+        # A cut lasts until the active width has shrunk by _QUANTUM cells:
+        # at p3 n = 1000 the width takes 844 values and the run cuts 53
+        # times; P2 keeps one width and one cut.
+        cuts = []
+
+        class Counted(solver._Width):
+            def __init__(self, work, m):
+                cuts.append(m)
+                super().__init__(work, m)
+
+        monkeypatch.setattr(solver, "_Width", Counted)
+        scn = desk_scenario(name, n=n)
+        run(scn)
+        active = scn.active_cells(scn.step_times[:-1])
+        assert cuts[0] == active[0] and len(cuts) <= most
+        assert len(cuts) == 1 if name == "p2_desk" else len(cuts) < np.unique(active).size
+        # Each step's width lies in the cut it computes on.
+        cut = np.array(cuts)[np.searchsorted(-np.array(cuts), -active, side="right") - 1]
+        assert np.all((active <= cut) & (cut < active + solver._QUANTUM))
+
     @pytest.mark.parametrize("name", ["p1_desk", "p2_desk", "p3_desk"])
     @pytest.mark.parametrize("n", [100, 2000])
     def test_active_cells_cover_the_stored_columns(self, name, n):
