@@ -134,13 +134,18 @@ def _launches(history: Trajectory, x0, t0, family) -> tuple:
     """The launches (x0, t0, family, k0) of ``trace_fan``'s arguments, one
     entry per launch: x0 moved off the wall to the first cell center, the
     innermost point the stored fields can interpolate without clamping, and
-    k0 the snapshot of each launch time.  A launch outside the trusted
-    domain raises DomainError."""
+    k0 the snapshot of each launch time.  A launch time outside the stored
+    run (past T, or past the last snapshot of a run that blew up), or a
+    launch point outside the trusted domain, raises DomainError."""
     if not np.isin(family, (1, 2)).all():
         raise DomainError("family must be 1 or 2")
     x0, t0, family = (a.ravel() for a in np.broadcast_arrays(
         np.asarray(x0, dtype=float), np.asarray(t0, dtype=float),
         np.asarray(family, dtype=np.intp)))
+    end = float(history.times[-1])
+    late = np.flatnonzero(~((0.0 <= t0) & (t0 <= end)))
+    if late.size:
+        raise DomainError(f"launch time {t0[late[0]]} outside the stored run's [0, {end}]")
     extent = history.scenario.reach(t0)
     outside = ~((0.0 <= x0) & (x0 <= extent))
     if outside.any():

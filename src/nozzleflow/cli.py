@@ -35,7 +35,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--out", default="nozzleflow_out", help="output directory")
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed recorded for randomized suites")
+                        help="accepted and unused: the pipeline is deterministic")
     parser.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -9,8 +9,9 @@ and the conservative residual follow.  Both early ends write the monitor
 report and skip the post-pass.
 
 Exit codes: 0 clean, 2 certification failed, 3 a runtime monitor or bound
-check failed, 4 numerical blow-up; the CLI adds 64 (usage), 65 (bad config)
-and 66 (cannot open input).
+check failed, 4 numerical blow-up; the CLI adds 64 (usage), 65 (bad config
+or trajectory file), 66 (cannot open input) and 73 (cannot create the output
+directory).
 """
 from __future__ import annotations
 
@@ -146,7 +147,6 @@ class MonitorReport:
     phi_max: np.ndarray
     psi_min: np.ndarray
     psi_max: np.ndarray
-    edge_defect: np.ndarray
     lip_estimate: float
     margin_tol: float
     C3: float
@@ -154,14 +154,13 @@ class MonitorReport:
     containment_ok: bool
     vacuum_ok: bool
     finite_ok: bool
-    edge_ok: bool
     first_violation: dict | None
 
     @classmethod
     def from_series(cls, scn: Scenario, series: dict, finite_ok: bool) -> "MonitorReport":
         """The report of the per-step ``series`` of a run of ``scn``: 1-D
         arrays by name (``t``, ``gap``, ``zx``, ``wx``, ``zt``, ``wt``,
-        ``phi_min``, ``phi_max``, ``psi_min``, ``psi_max``, ``edge``), and
+        ``phi_min``, ``phi_max``, ``psi_min``, ``psi_max``), and
         the window cell and value of each face's least margin as dicts by
         face (``argmin``, ``margin``)."""
         times, margins = series["t"], series["margin"]
@@ -191,11 +190,10 @@ class MonitorReport:
             max_abs_zt=series["zt"], max_abs_wt=series["wt"],
             phi_min=series["phi_min"], phi_max=series["phi_max"],
             psi_min=series["psi_min"], psi_max=series["psi_max"],
-            edge_defect=series["edge"], lip_estimate=lip, margin_tol=tol, C3=C3,
+            lip_estimate=lip, margin_tol=tol, C3=C3,
             containment_ok_raw=worst_val >= 0.0, containment_ok=first is None,
             vacuum_ok=gap_min >= C3 - tol and gap_min >= VACUUM_GAP,
-            finite_ok=finite_ok, edge_ok=bool(series["edge"].max(initial=0.0) <= 1e-12),
-            first_violation=first)
+            finite_ok=finite_ok, first_violation=first)
 
     @property
     def reached_vacuum(self) -> bool:
@@ -204,7 +202,7 @@ class MonitorReport:
 
     @property
     def ok(self) -> bool:
-        return self.containment_ok and self.vacuum_ok and self.finite_ok and self.edge_ok
+        return self.containment_ok and self.vacuum_ok and self.finite_ok
 
     def to_dict(self) -> dict:
         def arr(a):
@@ -223,13 +221,11 @@ class MonitorReport:
             "max_abs_wt": float(np.max(self.max_abs_wt)) if len(self.max_abs_wt) else 0.0,
             "phi_range": [float(np.min(self.phi_min)), float(np.max(self.phi_max))],
             "psi_range": [float(np.min(self.psi_min)), float(np.max(self.psi_max))],
-            "edge_defect_max": float(np.max(self.edge_defect)) if len(self.edge_defect) else 0.0,
             "flags": {
                 "containment_raw": self.containment_ok_raw,
                 "containment": self.containment_ok,
                 "vacuum": self.vacuum_ok,
                 "finite": self.finite_ok,
-                "edge": self.edge_ok,
                 "ok": self.ok,
             },
             "first_violation": self.first_violation,
@@ -244,7 +240,7 @@ class MonitorReport:
 def monitor_report(traj: Trajectory) -> MonitorReport:
     """Runtime monitors of a stored run, one series entry per step:
     containment margins over the reporting window, vacuum gap, derivative
-    extremes, functional extremes, edge defect.
+    extremes, functional extremes.
 
     The steps are evaluated a block at a time (``solver.blocks``), as
     (step, cell) views of ``traj.z`` and ``traj.w``; the time rates compare
@@ -261,7 +257,7 @@ def monitor_report(traj: Trajectory) -> MonitorReport:
     faces = envelopes(scn.region, scn.majorant_integral(arrays["x"][:cells]))
     a_win, dx, dt = arrays["a"][:cells], scn.grid.dx, scn.dt
     parts = {key: [] for key in ("gap", "zx", "wx", "zt", "wt", "phi_min", "phi_max",
-                                 "psi_min", "psi_max", "edge")}
+                                 "psi_min", "psi_max")}
     margin = {face: [] for face in _FACES}
     argmin = {face: [] for face in _FACES}
     finite_ok = True
@@ -292,8 +288,6 @@ def monitor_report(traj: Trajectory) -> MonitorReport:
         parts["phi_max"].append(phi.max(axis=1))
         parts["psi_min"].append(psi.min(axis=1))
         parts["psi_max"].append(psi.max(axis=1))
-        parts["edge"].append(np.abs(traj.z_edge[lo:hi] + traj.w_edge[lo:hi])
-                             if scn.problem == "P1" else np.zeros(hi - lo))
         if vacuum.size:
             break
     series = {key: np.concatenate(vals) for key, vals in parts.items()}

@@ -729,51 +729,52 @@ def find_constants(law: GasLaw, I: float, kind: str,
                    grid: int = 21, rounds: int = 4) -> FeasibilityResult:
     """Grid search over the scale-free ratio space, refined around the best
     point toward maximal minimum slack; the winner is re-certified."""
-    if I < 0.0:
-        raise DomainError("total majorant integral must be nonnegative")
+    if not 0.0 <= I < math.inf:
+        raise DomainError(f"total majorant integral must be finite and nonnegative, got {I}")
     if kind not in ("m", "r", "l"):
         raise DomainError(f"region kind must be m, r or l, got {kind!r}")
     consts = critical_constants(law)
     g = law.gamma
-    E = math.exp(2.0 * I)
     s1, s2 = consts.sigma1, consts.sigma2
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            E = math.exp(2.0 * I)
+            if kind == "m":
+                lo1 = max((3.0 - g) / (g + 1.0), 1.0 / s1) * (1.0 + 1e-9)
+                box = [(min(lo1, 1.0), 1.0),
+                       (1.0, max(min(s1, (g + 1.0) / (3.0 - g)) * (1.0 - 1e-9), 1.0)),
+                       (min(E, s1), s1)]
+            elif kind == "r":
+                box = [(1.0, 1.5 * s2), (1.0, 1.2 * s2), (0.25, 1.0)]
+            else:
+                box = [(0.05, 1.0), (0.05, 1.0), (min(E, s2 * E), s2 * E)]
 
-    if kind == "m":
-        lo1 = max((3.0 - g) / (g + 1.0), 1.0 / s1) * (1.0 + 1e-9)
-        box = [(min(lo1, 1.0), 1.0),
-               (1.0, max(min(s1, (g + 1.0) / (3.0 - g)) * (1.0 - 1e-9), 1.0)),
-               (min(E, s1), s1)]
+            def to_constants(u1, u2, u3):
+                # L1, L2, U1, U2 with U1 = 1; band m searches the ratio L2/L1.
+                return u3, u1 * u3 if kind == "m" else u1, np.ones_like(u3), u2
 
-        def to_constants(u1, u2, u3):
-            return u3, u1 * u3, np.ones_like(u3), u2
-    elif kind == "r":
-        box = [(1.0, 1.5 * s2), (1.0, 1.2 * s2), (0.25, 1.0)]
-
-        def to_constants(u1, u2, u3):
-            return u3, u1, np.ones_like(u3), u2
-    else:
-        box = [(0.05, 1.0), (0.05, 1.0), (min(E, s2 * E), s2 * E)]
-
-        def to_constants(u1, u2, u3):
-            return u3, u1, np.ones_like(u3), u2
-
-    best_score = -math.inf
-    best_u = [0.5 * (lo + hi) for lo, hi in box]
-    current = [list(b) for b in box]
-    for _ in range(rounds):
-        axes = [np.linspace(lo, hi, grid) for lo, hi in current]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        L1, L2, U1, U2 = to_constants(*mesh)
-        score = _normalized_min_slack(kind, law, consts, I, L1, L2, U1, U2,
-                                      STRICT_MARGIN)
-        idx = np.unravel_index(int(np.argmax(score)), score.shape)
-        best_score = float(score[idx])
-        best_u = [float(ax[i]) for ax, i in zip(axes, idx)]
-        nxt = []
-        for (lo, hi), (olo, ohi), u in zip(current, box, best_u):
-            h = 1.5 * (hi - lo) / (grid - 1)
-            nxt.append([max(olo, u - h), min(ohi, u + h)])
-        current = nxt
+            best_score = -math.inf
+            best_u = [0.5 * (lo + hi) for lo, hi in box]
+            current = [list(b) for b in box]
+            for _ in range(rounds):
+                axes = [np.linspace(lo, hi, grid) for lo, hi in current]
+                mesh = np.meshgrid(*axes, indexing="ij")
+                L1, L2, U1, U2 = to_constants(*mesh)
+                score = _normalized_min_slack(kind, law, consts, I, L1, L2, U1, U2,
+                                              STRICT_MARGIN)
+                idx = np.unravel_index(int(np.argmax(score)), score.shape)
+                best_score = float(score[idx])
+                best_u = [float(ax[i]) for ax, i in zip(axes, idx)]
+                nxt = []
+                for (lo, hi), (olo, ohi), u in zip(current, box, best_u):
+                    h = 1.5 * (hi - lo) / (grid - 1)
+                    nxt.append([max(olo, u - h), min(ohi, u + h)])
+                current = nxt
+    except (OverflowError, FloatingPointError):
+        # Only exp(2I) can overflow.  Each band's inequalities bound it by
+        # sigma1 (m), sqrt(sigma2) (r) or sigma2 (l), so no constants are
+        # admissible; -1 is the limit of U1*exp(2I) <= L1's normalized slack.
+        return FeasibilityResult(False, None, None, -1.0, {}, [], kind, I)
 
     L1, L2, U1, U2 = to_constants(*[np.asarray(u) for u in best_u])
     point = {"L1": float(L1), "L2": float(L2), "U1": float(U1), "U2": float(U2)}

@@ -55,8 +55,8 @@ and writes the other.  The array it writes holds the state of one step
 earlier, so its cells past the active ones are up to date except where the
 last step evolved more cells; ``run`` copies those before the step.  The
 left ghosts are written straight into a state's first two rows
-(``_write_ghosts``), which also gives the x = 0 edge traces, and each
-snapshot goes straight into the trajectory's rows, allocated for the run.
+(``_write_ghosts``), and each snapshot goes straight into the trajectory's
+rows, allocated for the run.
 The P2 inflow ghosts depend on t alone: the ghosts after a second-order
 step are those of its second stage, reused, when ``t_k + dt == t_{k+1}``
 exactly (70-89% of the desk steps).  The inflow data are evaluated one time
@@ -320,22 +320,21 @@ class Scenario:
         return Field(z, w, 0.0, self.grid)
 
 
-def _write_ghosts(state: np.ndarray, t: float, scn: Scenario, work: _Stages) -> tuple:
+def _write_ghosts(state: np.ndarray, t: float, scn: Scenario, work: _Stages) -> None:
     """Write the left ghost cells of ``state`` (its rows 0 and 1, cells -2
-    and -1) for time t, and return the x = 0 edge traces (z_edge, w_edge)."""
+    and -1) for time t."""
     if scn.problem == "P1":
         (z0, w0), (z1, w1) = state[2:4].tolist()
+        # The wall state at x = 0, extrapolated z and w = -z, must be subsonic.
         z_edge = 1.5 * z0 - 0.5 * z1
-        w_edge = -z_edge
-        lam1, lam2 = speeds_zw(z_edge, w_edge, scn.law)
+        lam1, lam2 = speeds_zw(z_edge, -z_edge, scn.law)
         if not (lam1 < 0.0 < lam2):
             raise SonicBoundaryError(
                 f"wall boundary needs lambda1 < 0 < lambda2, got "
                 f"({float(lam1):.6g}, {float(lam2):.6g}) at t={t:.6g}", t=t)
         # Mirrored: the ghosts of each row are the other row's cells, negated.
         state[0, 0], state[0, 1], state[1, 0], state[1, 1] = -w1, -z1, -w0, -z0
-        return z_edge, w_edge
-    if scn.problem == "P2":
+    elif scn.problem == "P2":
         # The inflow ghosts depend on t alone, so those of the last time are
         # kept in ``work``: after a second-order step they are its second
         # stage's when t_k + dt == t_{k+1} exactly.
@@ -343,22 +342,18 @@ def _write_ghosts(state: np.ndarray, t: float, scn: Scenario, work: _Stages) -> 
             # Characteristic-shifted ghosts: the state at x < 0 is the
             # boundary value that will arrive at the wall a travel time
             # later.  Constant ghosts would plant an O(dx) inflow layer.
-            zb, wb = float(scn.zB(t)), float(scn.wB(t))
-            lam1, lam2 = speeds_zw(zb, wb, scn.law)
+            lam1, lam2 = speeds_zw(float(scn.zB(t)), float(scn.wB(t)), scn.law)
             dx = scn.grid.dx
-            ghosts = np.array([[float(fn(t + h * dx / float(lam)))
-                                for fn, lam in ((scn.zB, lam1), (scn.wB, lam2))]
-                               for h in (1.5, 0.5)])
-            work.inflow_t, work.inflow = t, (ghosts, (zb, wb))
-        ghosts, edges = work.inflow
-        state[:2] = ghosts
-        return edges
-    (z0, w0), (z1, w1), (z2, w2) = state[2:5].tolist()
-    # Quadratic continuation at the pure-outflow wall: lower-order ghosts
-    # plant a boundary layer whose gradients do not converge.
-    state[0, 0], state[0, 1] = 6.0 * z0 - 8.0 * z1 + 3.0 * z2, 6.0 * w0 - 8.0 * w1 + 3.0 * w2
-    state[1, 0], state[1, 1] = 3.0 * z0 - 3.0 * z1 + z2, 3.0 * w0 - 3.0 * w1 + w2
-    return 1.5 * z0 - 0.5 * z1, 1.5 * w0 - 0.5 * w1
+            work.inflow_t, work.inflow = t, np.array(
+                [[float(fn(t + h * dx / float(lam)))
+                  for fn, lam in ((scn.zB, lam1), (scn.wB, lam2))] for h in (1.5, 0.5)])
+        state[:2] = work.inflow
+    else:
+        (z0, w0), (z1, w1), (z2, w2) = state[2:5].tolist()
+        # Quadratic continuation at the pure-outflow wall: lower-order ghosts
+        # plant a boundary layer whose gradients do not converge.
+        state[0, 0], state[0, 1] = 6.0 * z0 - 8.0 * z1 + 3.0 * z2, 6.0 * w0 - 8.0 * w1 + 3.0 * w2
+        state[1, 0], state[1, 1] = 3.0 * z0 - 3.0 * z1 + z2, 3.0 * w0 - 3.0 * w1 + w2
 
 
 class _Stages:
@@ -391,8 +386,7 @@ class _Stages:
         self.pos = np.empty(2 * (n + 1), dtype=bool)
         self.grad = np.empty((n, 2))
         self.f1, self.f2, self.inc = (np.empty((n, 2)) for _ in range(3))
-        # The last time the P2 ghosts were formed for, and (ghost rows, edge
-        # traces) then (``_write_ghosts``).
+        # The last time the P2 ghosts were formed for, and their rows.
         self.inflow_t, self.inflow = None, None
         self.width = None
 
@@ -625,9 +619,9 @@ def blocks(start: int, stop: int):
         yield lo, min(lo + _BLOCK, stop)
 
 
-#: What a trajectory stores per snapshot: time, the trusted columns of z and
-#: w, and the x = 0 edge traces.  The step is the config's ``Scenario.dt``.
-_STORED = ("times", "z", "w", "z_edge", "w_edge")
+#: What a trajectory stores per snapshot: time and the trusted columns of z
+#: and w.  The step is the config's ``Scenario.dt``.
+_STORED = ("times", "z", "w")
 
 
 class Trajectory:
@@ -674,9 +668,9 @@ class Trajectory:
                 f"the times of its {snaps[0]} snapshots are not those of its config's "
                 f"run (K + 1 = {want}): the file holds another run")
         snapshot = snaps + (scenario.trusted_cells,)
-        for name, shape in (("z_edge", snaps), ("w_edge", snaps), ("z", snapshot), ("w", snapshot)):
-            if arrays[name].shape != shape:
-                raise TrajectoryFileError(f"{name} has shape {arrays[name].shape}, need {shape}")
+        for name in ("z", "w"):
+            if arrays[name].shape != snapshot:
+                raise TrajectoryFileError(f"{name} has shape {arrays[name].shape}, need {snapshot}")
         rows = {name: np.ascontiguousarray(arr, dtype=float) for name, arr in arrays.items()}
         # A NaN or inf would reach the checks as a position or a value.
         broken = [name for name, arr in rows.items()
@@ -805,13 +799,12 @@ def run(scn: Scenario):
     times, dt, grid = scn.step_times, scn.dt, scn.grid
     snaps, kept = len(times), scn.trusted_cells
     z, w = np.empty((snaps, kept)), np.empty((snaps, kept))
-    z_edge, w_edge = np.empty(snaps), np.empty(snaps)
-    rows = dict(zip(_STORED, (times, z, w, z_edge, w_edge)))
+    rows = dict(zip(_STORED, (times, z, w)))
     state = _state_of(scn.initial_field(), scn)
     # Two states that the steps alternate between (see the module docstring).
     buffers = (state, state.copy())
     work = _Stages(scn, buffers)
-    z_edge[0], w_edge[0] = _write_ghosts(state, 0.0, scn, work)
+    _write_ghosts(state, 0.0, scn, work)
     # Each state's stored columns of z and w.
     stored = [(b[2:kept + 2, 0], b[2:kept + 2, 1]) for b in buffers]
     z[0], w[0] = stored[0]
@@ -824,7 +817,7 @@ def run(scn: Scenario):
                 last = m
             step(Field(state[2:m + 2, 0], state[2:m + 2, 1], times[k], grid, state), dt, scn,
                  new, work)
-            z_edge[k + 1], w_edge[k + 1] = _write_ghosts(new, times[k + 1], scn, work)
+            _write_ghosts(new, times[k + 1], scn, work)
             z[k + 1], w[k + 1] = stored[1 - k % 2]
             count = k + 2
     except RunAbortedError as err:

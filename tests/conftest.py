@@ -82,15 +82,31 @@ def older_steps(traj):
     return dts
 
 
+def older_edges(traj):
+    """The ``z_edge``, ``w_edge`` entries of the files that older writers
+    stored beside the arrays of ``traj``: the state at x = 0 of each
+    snapshot, the boundary data on P2, else extrapolated from the first two
+    cells, with w = -z at the P1 wall."""
+    scn = traj.scenario
+    if scn.problem == "P2":
+        return tuple(np.array([float(fn(t)) for t in traj.times.tolist()])
+                     for fn in (scn.zB, scn.wB))
+    z_edge = 1.5 * traj.z[:, 0] - 0.5 * traj.z[:, 1]
+    if scn.problem == "P1":
+        return z_edge, -z_edge
+    return z_edge, 1.5 * traj.w[:, 0] - 0.5 * traj.w[:, 1]
+
+
 def thinned_run_file(tmp_path, stride=2):
     """A small stored p1 run that keeps only every ``stride``-th snapshot,
-    as a run with a snapshot stride was written (with its ``dts``); returns
-    its path."""
+    as a run with a snapshot stride was written (with its ``dts`` and edge
+    traces); returns its path."""
     cfg = small_config("p1_desk", tmp_path, {"n = 2000": "n = 100", "T = 5.0": "T = 0.5"})
     traj, _ = run(load_config(cfg).to_scenario())
     meta = {"config_text": traj.scenario.config_text, "blown_up": False}
     path = tmp_path / "thinned.npz"
-    arrays = {name: getattr(traj, name) for name in ("times", "z", "w", "z_edge", "w_edge")}
+    arrays = dict(zip(("times", "z", "w", "z_edge", "w_edge"),
+                      (traj.times, traj.z, traj.w, *older_edges(traj))))
     np.savez_compressed(path, meta=np.array(json.dumps(meta)), dts=older_steps(traj)[::stride],
                         **{name: arr[::stride] for name, arr in arrays.items()})
     return path

@@ -2,13 +2,16 @@ import builtins
 import errno
 import io
 import json
+import warnings
+import zipfile
 
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, small_config
+from conftest import CONFIG_DIR, older_edges, small_config
 from nozzleflow import region
 from nozzleflow.cli import main
+from nozzleflow.harness import load_trajectory
 from nozzleflow.config import parse_config_text
 from nozzleflow.solver import STORED_BYTES_MAX
 
@@ -252,6 +255,26 @@ class TestFeasible:
         assert main(["feasible", "5/3", "0.12", "m"]) == 0
         assert "INFEASIBLE" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind", ["m", "r", "l"])
+    @pytest.mark.parametrize("integral", ["354", "354.8", "400", "1e308"])
+    def test_integral_past_the_float_range_is_infeasible(self, integral, kind, capsys):
+        # From about I = 354.89 exp(2I) overflows; at 354 only kind r's search
+        # overflows, and m and l search as for any I.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["feasible", "5/3", integral, kind]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(f"INFEASIBLE kind={kind} ") and "slack -1 " in out
+        assert out.count("\n") == 1 and err == ""
+
+    @pytest.mark.parametrize("kind", ["m", "r", "l"])
+    @pytest.mark.parametrize("integral", ["nan", "inf", "-inf"])
+    def test_integral_not_finite_is_a_usage_error(self, integral, kind, capsys):
+        assert main(["feasible", "5/3", "--", integral, kind]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"total majorant integral must be finite and "
+                                     f"nonnegative, got {integral}\n")
+
 
 @pytest.fixture(scope="module")
 def sim_out(tmp_path_factory):
@@ -291,6 +314,35 @@ class TestSimulateTraceVerify:
                      str(sim_out / "trajectory.npz")])
         assert code == 0
         assert capsys.readouterr().out == (tmp_path / "verify_report.json").read_text()
+
+    @pytest.mark.parametrize("t0", ["-0.5", "1.2"])
+    def test_launch_time_outside_the_run_is_a_usage_error(self, sim_out, tmp_path, capsys, t0):
+        # The run's T is 1.
+        assert main(["--out", str(tmp_path), "trace", str(sim_out / "trajectory.npz"),
+                     "--family", "2", "--x0", "0.3", "--t0", t0]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"launch time {float(t0)} outside the stored run's [0, 1.0]\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("t0", [0.0, 1.0])
+    def test_launch_at_either_end_of_the_run_traces(self, sim_out, tmp_path, t0):
+        assert main(["--quiet", "--out", str(tmp_path), "trace",
+                     str(sim_out / "trajectory.npz"), "--family", "2", "--x0", "0.3",
+                     "--t0", str(t0)]) == 0
+        rows = (tmp_path / f"path_f2_x0.3_t{t0:g}.csv").read_text().splitlines()
+        assert len(rows) >= 2 and float(rows[1].split(",")[0]) == t0
+
+    def test_launch_past_the_end_of_a_blown_up_run_is_a_usage_error(self, tmp_path, capsys):
+        cfg = small_config("p1_desk", tmp_path, {"n = 2000": "n = 100",
+                                                 "cfl = 0.9": "cfl = 2.0"})
+        assert main(["--quiet", "--out", str(tmp_path / "run"), "simulate", str(cfg)]) == 4
+        npz = tmp_path / "run" / "trajectory.npz"
+        end = float(load_trajectory(npz).times[-1])
+        assert end < 4.0  # T is 5
+        assert main(["--out", str(tmp_path / "path"), "trace", str(npz),
+                     "--family", "1", "--x0", "0.3", "--t0", "4"]) == 64
+        assert capsys.readouterr().err == f"launch time 4.0 outside the stored run's [0, {end}]\n"
+        assert not (tmp_path / "path").exists()
 
     def test_simulate_missing_input(self):
         assert main(["simulate", "missing.cfg"]) == 66
@@ -516,6 +568,30 @@ class TestStoredTrajectoryFiles:
             assert "trusted extent" in capsys.readouterr().err
             assert main(["--out", str(tmp_path), "trace", str(npz),
                          "--family", "1", "--x0", "0.9"]) == 0
+
+
+class TestFilesWithEdgeTraces:
+    @pytest.mark.parametrize("name", ["p1", "p3"])
+    def test_edge_trace_entries_are_not_read(self, name, sim_out, p3_npz, tmp_path):
+        # Files written before the stored run was times, z and w also held
+        # the x = 0 edge traces.  They load and verify as the run does.
+        new = sim_out / "trajectory.npz" if name == "p1" else p3_npz
+        old = tmp_path / "old.npz"
+        old.write_bytes(new.read_bytes())
+        with zipfile.ZipFile(old, "a", zipfile.ZIP_DEFLATED) as npz:
+            for entry, values in zip(("z_edge", "w_edge"), older_edges(load_trajectory(new))):
+                with npz.open(entry + ".npy", "w") as out:
+                    np.lib.format.write_array(out, values, allow_pickle=False)
+        with np.load(old) as data:
+            assert sorted(data.files) == ["meta", "times", "w", "w_edge", "z", "z_edge"]
+        back, plain = load_trajectory(old), load_trajectory(new)
+        assert all(getattr(back, key).tobytes() == getattr(plain, key).tobytes()
+                   for key in ("times", "z", "w"))
+        codes = [main(["--quiet", "--out", str(tmp_path / path.stem), "verify", str(path)])
+                 for path in (new, old)]
+        assert codes == [0, 0]
+        assert (tmp_path / "old" / "verify_report.json").read_bytes() == \
+            (tmp_path / new.stem / "verify_report.json").read_bytes()
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from conftest import (desk_config_text, desk_scenario, older_steps, region_l,
+from conftest import (desk_config_text, desk_scenario, older_edges, older_steps, region_l,
                       small_config, thinned_run_file, uniform_scenario)
 from nozzleflow import characteristics as chars
 from nozzleflow import harness, solver
@@ -138,12 +138,12 @@ def _per_step_report(scn, zs, ws) -> MonitorReport:
     full-width fields ``zs``, ``ws`` on its own, gradients and time
     differences over the whole grid.  Kept as the reference the block
     evaluation must match bitwise; a vacuum state raises VacuumStateError."""
-    arrays, work = scn.runtime_arrays, solver._Stages(scn)
+    arrays = scn.runtime_arrays
     window = arrays["x"] <= scn.x_interest + 1e-12
     s_win, a_win = scn.majorant_integral(arrays["x"][window]), arrays["a"][window]
     dx, dt, times = scn.grid.dx, scn.dt, scn.step_times
     series = {key: [] for key in ("gap", "zx", "wx", "zt", "wt", "phi_min", "phi_max",
-                                  "psi_min", "psi_max", "edge")}
+                                  "psi_min", "psi_max")}
     margin = {face: [] for face in _FACES}
     argmin = {face: [] for face in _FACES}
     finite_ok = True
@@ -170,12 +170,6 @@ def _per_step_report(scn, zs, ws) -> MonitorReport:
         series["phi_max"].append(float(phi.max()))
         series["psi_min"].append(float(psi.min()))
         series["psi_max"].append(float(psi.max()))
-        if scn.problem == "P1":
-            state = solver._state_of(solver.Field(z_full, w_full, times[k], scn.grid), scn)
-            z_edge, w_edge = solver._write_ghosts(state, times[k], scn, work)
-            series["edge"].append(abs(z_edge + w_edge))
-        else:
-            series["edge"].append(0.0)
     series = {key: np.asarray(vals) for key, vals in series.items()}
     series["t"] = np.asarray(times[:len(zs)])
     series["margin"] = {face: np.asarray(vals) for face, vals in margin.items()}
@@ -184,9 +178,9 @@ def _per_step_report(scn, zs, ws) -> MonitorReport:
 
 
 _SERIES = ("times", "min_gap", "max_abs_zx", "max_abs_wx", "max_abs_zt",
-           "max_abs_wt", "phi_min", "phi_max", "psi_min", "psi_max", "edge_defect")
+           "max_abs_wt", "phi_min", "phi_max", "psi_min", "psi_max")
 _SCALARS = ("lip_estimate", "margin_tol", "C3", "containment_ok_raw",
-            "containment_ok", "vacuum_ok", "finite_ok", "edge_ok", "first_violation")
+            "containment_ok", "vacuum_ok", "finite_ok", "first_violation")
 
 
 def _assert_block_matches_per_step(traj, fields):
@@ -628,13 +622,13 @@ class TestTrajectoryRoundTrip:
 
 def _savez_compressed(traj, path, z=None, w=None):
     """Save ``traj`` the way files were written before the level-1 writer,
-    with the ``dts`` entry they held, optionally with other snapshots ``z``,
-    ``w``."""
+    with the ``dts`` and edge trace entries they held, optionally with other
+    snapshots ``z``, ``w``."""
     meta = {"config_text": traj.scenario.config_text, "blown_up": traj.blown_up}
+    z_edge, w_edge = older_edges(traj)
     np.savez_compressed(path, meta=np.array(json.dumps(meta)), times=traj.times,
                         dts=older_steps(traj), z=traj.z if z is None else z,
-                        w=traj.w if w is None else w,
-                        z_edge=traj.z_edge, w_edge=traj.w_edge)
+                        w=traj.w if w is None else w, z_edge=z_edge, w_edge=w_edge)
 
 
 class TestTrajectoryWriter:

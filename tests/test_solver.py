@@ -65,33 +65,28 @@ class TestConstantPreservation:
 
 
 def _reference_boundary(z, w, t, scn):
-    """The left ghosts ``gl`` (rows z and w, cells [-2, -1]) and the x = 0
-    edge traces at time t of the leading cells ``z``, ``w``: the solver's
-    ``boundary_update`` as it was before the ghosts were written into the
-    state, kept as the reference."""
+    """The left ghosts ``gl`` (rows z and w, cells [-2, -1]) at time t of
+    the leading cells ``z``, ``w``: the solver's ``boundary_update`` as it
+    was before the ghosts were written into the state, kept as the
+    reference."""
     if scn.problem == "P1":
         (z0, z1), (w0, w1) = z[:2].tolist(), w[:2].tolist()
         z_edge = 1.5 * z0 - 0.5 * z1
-        w_edge = -z_edge
-        lam1, lam2 = speeds_zw(z_edge, w_edge, scn.law)
+        lam1, lam2 = speeds_zw(z_edge, -z_edge, scn.law)
         if not (lam1 < 0.0 < lam2):
             raise SonicBoundaryError(
                 f"wall boundary needs lambda1 < 0 < lambda2, got "
                 f"({float(lam1):.6g}, {float(lam2):.6g}) at t={t:.6g}", t=t)
         gl = [[-other[1], -other[0]] for other in ((w0, w1), (z0, z1))]
     elif scn.problem == "P2":
-        zb, wb = float(scn.zB(t)), float(scn.wB(t))
-        z_edge, w_edge = zb, wb
-        lam1, lam2 = speeds_zw(zb, wb, scn.law)
+        lam1, lam2 = speeds_zw(float(scn.zB(t)), float(scn.wB(t)), scn.law)
         dx = scn.grid.dx
         gl = [[float(fn(t + 1.5 * dx / float(lam))), float(fn(t + 0.5 * dx / float(lam)))]
               for fn, lam in ((scn.zB, lam1), (scn.wB, lam2))]
     else:
-        rows = (z[:3].tolist(), w[:3].tolist())
-        z_edge, w_edge = (1.5 * u0 - 0.5 * u1 for u0, u1, _ in rows)
         gl = [[6.0 * u0 - 8.0 * u1 + 3.0 * u2, 3.0 * u0 - 3.0 * u1 + u2]
-              for u0, u1, u2 in rows]
-    return np.array(gl), z_edge, w_edge
+              for u0, u1, u2 in (z[:3].tolist(), w[:3].tolist())]
+    return np.array(gl)
 
 
 def _upwind_gradient(u_ext, lam_ext, dx, order):
@@ -127,7 +122,7 @@ def _reference_step(z, w, t, dt, m, scn, gl=None, certified=False):
 
     def stage_rhs(z, w, t, gl):
         if gl is None:
-            gl = _reference_boundary(z, w, t, scn)[0]
+            gl = _reference_boundary(z, w, t, scn)
         z_ext = np.concatenate([gl[0], z[:m + 2]])
         w_ext = np.concatenate([gl[1], w[:m + 2]])
         lam1e, lam2e = speeds_zw(z_ext, w_ext, scn.law)
@@ -167,18 +162,18 @@ def _reference_run(scn, certified=False):
     times, dt, kept, n = scn.step_times, scn.dt, scn.trusted_cells, scn.grid.n
     stored = {name: [] for name in solver._STORED}
 
-    def append(t, edges):
-        for name, value in zip(solver._STORED, (t, z[:kept], w[:kept], *edges)):
+    def append(t):
+        for name, value in zip(solver._STORED, (t, z[:kept], w[:kept])):
             stored[name].append(value)
 
-    gl, *edges = _reference_boundary(z, w, 0.0, scn)
-    append(0.0, edges)
+    gl = _reference_boundary(z, w, 0.0, scn)
+    append(0.0)
     final, blow_up = None, None
     try:
         for k, m in enumerate(scn.active_cells(times[:-1]).tolist()):
             z, w = _reference_step(z, w, times[k], dt, m, scn, gl, certified)
-            gl, *edges = _reference_boundary(z, w, times[k + 1], scn)
-            append(times[k + 1], edges)
+            gl = _reference_boundary(z, w, times[k + 1], scn)
+            append(times[k + 1])
         final = (z[:n], w[:n], times[-1])
     except RunAbortedError as err:
         blow_up = {"t": err.t, "cell": err.cell, "message": str(err)}
@@ -517,7 +512,7 @@ class TestActiveCells:
         monkeypatch.setattr(solver, "ACTIVE_PAD_SIGMAS", 10 ** 6)
         full, _ = run(desk_scenario(name, n=n))
         assert np.array_equal(traj.times, full.times)
-        for key in ("z", "w", "z_edge", "w_edge"):
+        for key in ("z", "w"):
             a, b = getattr(traj, key), getattr(full, key)
             assert a.shape == b.shape and float(np.abs(a - b).max()) <= 1e-13, key
 
@@ -625,8 +620,7 @@ class TestBoundaries:
         scn = desk_scenario("p1_desk", n=200, T=0.5)
         fld = scn.initial_field()
         state = solver._state_of(fld, scn)
-        z_edge, w_edge = solver._write_ghosts(state, 0.0, scn, solver._Stages(scn))
-        assert w_edge == pytest.approx(-z_edge, abs=0.0)
+        solver._write_ghosts(state, 0.0, scn, solver._Stages(scn))
         # Row 1 is the ghost cell -1, with z and w side by side.
         assert state[1, 1] == pytest.approx(-fld.z[0])
         assert state[1, 0] == pytest.approx(-fld.w[0])
@@ -651,10 +645,24 @@ class TestBoundaries:
         assert float(np.abs(final.z + 3.6).max()) < 1e-13
         assert float(np.abs(final.w + 2.6).max()) < 1e-13
 
-    def test_wall_edge_defect_is_zero_all_run(self):
-        scn = desk_scenario("p1_desk", n=200, T=0.5)
-        traj, _ = run(scn)
-        assert float(np.abs(traj.z_edge + traj.w_edge).max()) == 0.0
+    def test_unnegated_wall_ghosts_raise_the_conservative_residual(self, monkeypatch):
+        # Negative control: the P1 wall's mirrored z ghosts left un-negated
+        # (gl_z = +w) break z + w = 0 at the wall, and the independent
+        # conservative-form residual must see it.
+        from nozzleflow.harness import conservative_residual
+
+        def residual():
+            return conservative_residual(run(desk_scenario("p1_desk", n=200, T=0.5))[0]).max_linf
+
+        clean = residual()
+        plain = solver._write_ghosts
+
+        def unnegated(state, t, scn, work):
+            plain(state, t, scn, work)
+            state[:2, 0] = state[2:4, 1][::-1]
+
+        monkeypatch.setattr(solver, "_write_ghosts", unnegated)
+        assert residual() >= 5.0 * clean
 
 
 class TestRun:
