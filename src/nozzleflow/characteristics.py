@@ -28,7 +28,8 @@ every stage position; rounding is monotone, so the bounds hold for the
 positions as computed.  Where they keep every position inside the stored
 pairs, the step tells ``Trajectory.interpolate`` so, and it skips its own
 per-call min and max.  Both ways give the same values wherever nothing is
-clamped, so the paths are bitwise those of the per-call check.
+clamped, so the paths are bitwise those of the per-call check.  The walk
+trusts the stored rows to be finite, as every stored run is.
 
 A trace is a walk (``_walk``: the positions, which of them are samples, and
 the exit reasons) followed by an assembly (``_assemble``: the fields,
@@ -190,7 +191,8 @@ def _walk(history: Trajectory, launches: tuple) -> tuple:
     """The RK4 steps of the paths of ``launches`` (as ``_launches`` gives
     them): the positions ``xs`` (row k at stored time k, one column per
     path), the mask ``recorded`` of the positions that are samples (every
-    path has one), and each path's exit reason."""
+    path has one), and each path's exit reason.  The stored rows must be
+    finite, as every stored run's are: at a stored time it reads one row."""
     x0, _, family, k0 = launches
     times = history.times
     # Samples are recorded only inside the trusted domain: past ``wall_band``
@@ -236,24 +238,16 @@ def _walk(history: Trajectory, launches: tuple) -> tuple:
         steps = np.diff(times[lo:hi + 1]).tolist()
         reach = edge[lo + 1:hi + 1].tolist()
         shift = (start * width).tolist()
-        at_start, at_mid, at_end = (list(zip((ks[part] - start).tolist(),
-                                             (k2s[part] - start).tolist(), taus[part].tolist()))
-                                    for ks, k2s, taus in stage_times)
+        rows = [list(zip((ks[part] - start).tolist(), (k2s[part] - start).tolist(),
+                         taus[part].tolist())) for ks, k2s, taus in stage_times]
+        told = [[when + (True,) for when in stage] for stage in rows]
         # The first and last stage sit on stored times (weight 0), where
-        # ``interpolate`` reads one row: the same values while the speeds
-        # are finite.  Otherwise the weight goes in as an array.
-        finite = np.isfinite(speeds[0]).all()
-        if not finite:
-            at_start, at_end = ([(r, r2, np.asarray(tau)) for r, r2, tau in stage]
-                                for stage in (at_start, at_end))
-        rows, told = (at_start, at_mid, at_end), None
-        if finite:
-            # Every stage speed is a blend of the block's: one min and one
-            # max bound them, widened by the blend's rounding.
-            v_lo, v_hi = float(speeds[0].min()), float(speeds[0].max())
-            pad = BLEND_ULPS * math.ulp(max(-v_lo, v_hi))
-            v_lo, v_hi = v_lo - pad, v_hi + pad
-            told = tuple([when + (True,) for when in stage] for stage in rows)
+        # ``interpolate`` reads one row.  Every stage speed is a blend of the
+        # block's: one min and one max bound them, widened by the blend's
+        # rounding.
+        v_lo, v_hi = float(speeds[0].min()), float(speeds[0].max())
+        pad = BLEND_ULPS * math.ulp(max(-v_lo, v_hi))
+        v_lo, v_hi = v_lo - pad, v_hi + pad
         live = np.empty(0, dtype=np.intp)
         for j, k in enumerate(range(lo, hi)):
             # The live set, their positions and offsets change only where a
@@ -268,15 +262,13 @@ def _walk(history: Trajectory, launches: tuple) -> tuple:
                 x_lo, x_hi = float(xl.min()), float(xl.max())
             h = steps[j]
             half = 0.5 * h
-            stages = rows
-            if told is not None:
-                # The stage positions are xl, xl + half*v and xl + h*v, each
-                # rounded monotonically: the ends of the positions and of the
-                # speeds bound them.
-                low = min(x_lo, x_lo + half * v_lo, x_lo + h * v_lo)
-                high = max(x_hi, x_hi + half * v_hi, x_hi + h * v_hi)
-                if low / dx - 0.5 >= 0.0 and high / dx - 0.5 < last + 1:
-                    stages = told
+            # The stage positions are xl, xl + half*v and xl + h*v, each
+            # rounded monotonically: the ends of the positions and of the
+            # speeds bound them.
+            low = min(x_lo, x_lo + half * v_lo, x_lo + h * v_lo)
+            high = max(x_hi, x_hi + half * v_hi, x_hi + h * v_hi)
+            inside = low / dx - 0.5 >= 0.0 and high / dx - 0.5 < last + 1
+            stages = told if inside else rows
             at = offset + shift[j]
             v1, = history.interpolate(xl, stages[0][j], speeds, at)
             v2, = history.interpolate(xl + half * v1, stages[1][j], speeds, at)

@@ -4,12 +4,15 @@ Subcommands: constants, check, feasible, simulate, trace, verify.
 Exit codes: 0 ok, 2 certification failed, 3 monitor violation, 4 blow-up,
 64 usage, 65 malformed config or trajectory file (or an s(x) table that
 misses its tolerance), 66 cannot open input (missing, a directory, or not
-readable), 73 cannot create the output directory.
+readable), 73 cannot create the output directory.  A sweep (``simulate``
+of a directory) gives each config the code it exits with alone and exits
+with the largest.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -23,6 +26,13 @@ from .region import critical_constants, find_constants
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A "-" before a digit, a point and a digit, inf or nan starts a
+        # negative number, not an option: argparse's own pattern misses
+        # -1e3 and -inf.  No option of this parser starts so.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -123,12 +133,16 @@ def _cmd_feasible(args) -> int:
 def _cmd_simulate(args) -> int:
     target = Path(args.config)
     if target.is_dir():
-        # sweep: every config in the directory runs independently; the merged
+        # sweep: every config in the directory runs independently, and one
+        # that raises takes the exit code ``main`` would give it; the merged
         # summary is ordered by config name so it never depends on scheduling
         codes = {}
         for cfg in sorted(target.glob("*.cfg")):
-            codes[cfg.name] = harness.run_scenario(
-                cfg, Path(args.out) / cfg.stem, force=args.force, quiet=True)
+            try:
+                codes[cfg.name] = harness.run_scenario(
+                    cfg, Path(args.out) / cfg.stem, force=args.force, quiet=True)
+            except Exception as exc:
+                codes[cfg.name] = _failure(exc, f"{cfg.name}: ")
         if not codes:
             print(f"no .cfg files in {target}", file=sys.stderr)
             return EXIT_NOINPUT
@@ -196,6 +210,29 @@ _COMMANDS = {
 }
 
 
+#: The exit code of each error class a command may raise; an error takes
+#: that of the first of its classes (``__mro__``) listed here.
+_EXIT_CODES = {
+    FileNotFoundError: EXIT_NOINPUT, IsADirectoryError: EXIT_NOINPUT,
+    NotADirectoryError: EXIT_NOINPUT, PermissionError: EXIT_NOINPUT,
+    OutputError: EXIT_CANTCREAT, ConfigError: EXIT_DATAERR, DomainError: EXIT_USAGE,
+    NozzleflowError: EXIT_DATAERR,
+}
+
+
+def _failure(exc: Exception, lead: str = "") -> int:
+    """Print the one standard-error line of the error ``exc``, after
+    ``lead``, and return its exit code (``_EXIT_CODES``); an error of no
+    class listed there is raised again."""
+    code = next((_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES), None)
+    if code is None:
+        raise exc
+    if code == EXIT_NOINPUT:
+        lead += "cannot open input: "
+    print(f"{lead}{exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -204,21 +241,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
-        print(f"cannot open input: {exc}", file=sys.stderr)
-        return EXIT_NOINPUT
-    except OutputError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CANTCREAT
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DATAERR
-    except DomainError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except NozzleflowError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DATAERR
+    except Exception as exc:
+        return _failure(exc)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -32,13 +33,16 @@ _SCHEMA = {
 
 @dataclass
 class ScenarioConfig:
-    """Parsed key/value table with line anchors and the original text."""
+    """Parsed key/value table with line anchors and the original text.
+    ``table`` holds the (x, a) rows of a ``family = table`` duct when they
+    come with the text (from a stored run), not from the file it names."""
 
     entries: dict
     lines: dict
     text: str
     source: str = "<config>"
     base_dir: Path = field(default_factory=Path)
+    table: Optional[np.ndarray] = None
 
     def _line(self, section, key):
         return self.lines.get((section, key))
@@ -161,11 +165,18 @@ class ScenarioConfig:
             if family == "zero":
                 return zero_profile(**common)
             if family == "table":
-                rel = self.raw("profile", "table", required=True)
-                path = self.base_dir / rel
-                if not path.exists():
-                    self._fail("profile", "table", f"table file not found: {path}")
-                data = np.loadtxt(path)
+                data = self.table
+                if data is None:
+                    path = self.base_dir / self.raw("profile", "table", required=True)
+                    if not path.exists():
+                        self._fail("profile", "table", f"table file not found: {path}")
+                    try:
+                        data = np.loadtxt(path)
+                    except ValueError as exc:
+                        self._fail("profile", "table", f"table {path}: {exc}")
+                if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] < 2:
+                    self._fail("profile", "table", "the table needs at least two rows "
+                                                   "of x and a(x)")
                 return tabulated_profile(
                     data[:, 0], data[:, 1], law, margin=margin,
                     tail_bound=self.number("profile", "tail_bound"), **common)

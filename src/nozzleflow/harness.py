@@ -602,11 +602,20 @@ def load_trajectory(path) -> Trajectory:
         # A file of a run that ended early holds the failure's details;
         # one written before they were stored holds only the flag.
         blow_up = dict(meta.get("blow_up", {})) if meta.get("blown_up") else None
+        table = None if meta.get("table") is None else np.array(meta["table"], dtype=float)
     except (KeyError, TypeError, ValueError):
         raise TrajectoryFileError(f"{path}: no readable meta record") from None
     if not isinstance(text, str):
         raise TrajectoryFileError(f"{path}: meta record holds no config text")
-    scn = parse_config_text(text, source=f"{path}:config").to_scenario()
+    cfg = parse_config_text(text, source=f"{path}:config")
+    if cfg.raw("profile", "family") == "table":
+        # Only the rows the run was made with will do, never a file found
+        # from wherever the file is read.
+        if table is None:
+            raise TrajectoryFileError(f"{path}: meta record holds no (x, a) rows "
+                                      "of the config's duct table")
+        cfg.table = table
+    scn = cfg.to_scenario()
     try:
         return Trajectory.from_npz(scn, stored, blow_up)
     except TrajectoryFileError as exc:

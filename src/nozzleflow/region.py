@@ -191,7 +191,8 @@ class NozzleProfile:
     ``abar`` must dominate |a|/l pointwise (re-checked by certificates, not
     assumed).  ``I_total`` is the full integral of abar on [0, inf); for
     tabulated ducts without a user tail bound it only covers the table and the
-    certificates carrying it are marked conditional.
+    certificates carrying it are marked conditional.  ``table`` holds the
+    (x, a) rows a tabulated duct was built from, which its stored runs carry.
     """
 
     a: Callable
@@ -204,6 +205,7 @@ class NozzleProfile:
     I_total: float
     conditional: bool = False
     label: str = "custom"
+    table: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("k1", "k2", "alpha", "M"):
@@ -389,7 +391,8 @@ def tabulated_profile(xs, values, law: GasLaw, *, k1: float, k2: float,
     conditional = tail_bound is None
     I = table_I + (0.0 if conditional else float(tail_bound))
     return NozzleProfile(curve, curve.derivative, abar, k1, k2, alpha, M, I,
-                         conditional=conditional, label="table")
+                         conditional=conditional, label="table",
+                         table=np.column_stack((xs, values)))
 
 
 # ---------------------------------------------------------------------------

@@ -74,8 +74,10 @@ the certified sign, so the side is the one it would choose; a state that
 leaves the region (past the certified cfl, say) keeps the sides, and the
 monitors flag it or it blows up.  The stages write into arrays allocated
 once per run (``_Stages``), through views that both share (``_Width``): of
-the work arrays, and of the arrays the stages read (the two states and the
-second stage's ``mid``).  The views are cut once per ``_QUANTUM`` = 16
+the work arrays, and of the arrays the stages read: an ``_Operand`` for
+each of the two states and for the second stage's ``mid``, handed to the
+stage that reads it.  A step called alone builds the same workspace as
+``run``.  The views are cut once per ``_QUANTUM`` = 16
 cells of width: a cut lasts until the active width has shrunk by 16 cells,
 so a step on m cells computes the W >= m cells of its cut.  Before the
 second stage, the cells of ``mid`` from m on take the state's values, so
@@ -360,8 +362,8 @@ class _Stages:
     """Arrays the evolve stages write into, allocated once per run for the
     whole grid; a step on the first m cells computes on the views of the
     cut that ``at(m)`` gives.  Two-row arrays are laid out as the state is,
-    cell by cell.  ``buffers`` are the state arrays that ``run`` alternates,
-    whose views each cut keeps too."""
+    cell by cell.  ``buffers`` are the two state arrays that the steps
+    alternate (``step``), whose views each cut keeps too."""
 
     def __init__(self, scn: Scenario, buffers: tuple = ()):
         n = scn.grid.n
@@ -407,15 +409,15 @@ class _Stages:
 class _Operand:
     """The views of one array laid out as the state, of the W cells of a
     cut: ``ext`` (the cells and two ghosts each side), its ``cells`` and
-    their ``z`` and ``w`` columns, and for each gradient call its input
-    ``u`` and the slices of ``u`` that the faces read (``_cuts``)."""
+    their ``z`` and ``w`` columns, and for each gradient call the slices of
+    its input that the faces read (``_cuts``)."""
 
     def __init__(self, a: np.ndarray, work: _Stages, m: int):
         self.ext = a[:m + 4]
         self.cells = self.ext[2:-2]
         self.z, self.w = self.cells[:, 0], self.cells[:, 1]
-        self.calls = [(u, _cuts(u, leftward, work, m))
-                      for u, leftward in zip(work.calls(self.ext), work.leftward)]
+        self.cuts = [_cuts(u, leftward, work, m)
+                     for u, leftward in zip(work.calls(self.ext), work.leftward)]
 
 
 def _cuts(u, leftward: bool, work: _Stages, m: int) -> tuple:
@@ -433,9 +435,9 @@ def _cuts(u, leftward: bool, work: _Stages, m: int) -> tuple:
 class _Width:
     """One cut: the views of the ``_Stages`` arrays that both stages of a
     step on its first W = ``m`` cells write into, and the ``_Operand`` of
-    each array the steps read (``mid`` and the ``buffers``), made once per
-    cut.  The gradient's temporaries hold ``work.entries`` entries a cell:
-    both rows, or one."""
+    each array the stages read: ``mid``, and ``states``, one for each of the
+    ``buffers`` in their order.  Made once per cut.  The gradient's
+    temporaries hold ``work.entries`` entries a cell: both rows, or one."""
 
     def __init__(self, work: _Stages, m: int):
         self.m, e = m, work.entries
@@ -457,19 +459,7 @@ class _Width:
         f1, f2 = work.f1[:m], work.f2[:m]
         self.f1, self.f2 = (f1, f1[:, 0], f1[:, 1]), (f2, f2[:, 0], f2[:, 1])
         self.mid = _Operand(work.mid, work, m)
-        # The operands by the id of their array and of their ``ext``: the
-        # stages are handed ``ext``, and each key's object is kept alive by
-        # its operand, so no other array has its id.
-        self.kept = {}
-        for a in (*work.buffers, work.mid):
-            operand = self.mid if a is work.mid else _Operand(a, work, m)
-            self.kept[id(a)] = self.kept[id(operand.ext)] = operand
-
-    def operand(self, a: np.ndarray, work: _Stages) -> _Operand:
-        """The views of ``a`` (an array of this cut, or its ``ext``), or of
-        any other array laid out as the state."""
-        kept = self.kept.get(id(a))
-        return kept if kept is not None else _Operand(a, work, self.m)
+        self.states = [_Operand(a, work, m) for a in work.buffers]
 
 
 def _limited_slope(a, b, work):
@@ -490,18 +480,15 @@ def _limited_slope(a, b, work):
     return np.divide(np.multiply(prod, 2.0, out=prod), den, out=slope, where=pos)
 
 
-def _one_sided_gradient(u, out, leftward: bool, work: _Stages, width: _Width,
-                        cuts: Optional[tuple] = None):
-    """Upwind gradient at the ``width.m`` cells of ``u`` (with two ghosts
-    each side), written into ``out``: each face takes the limited value of
-    its right cell (``leftward``, the certified speeds < 0) or its left cell
-    (>= 0), and only the slopes those cells need are formed.  ``u`` is one
-    row, or the flat block of both with z and w of each cell side by side
-    (a cell is ``work.entries`` entries), so that each operation covers
-    both.  ``cuts`` are the slices of ``u`` that the faces read, as
-    ``_cuts`` gives them; a cut keeps them (``_Operand``)."""
-    if cuts is None:
-        cuts = _cuts(u, leftward, work, width.m)
+def _one_sided_gradient(cuts: tuple, out, leftward: bool, work: _Stages, width: _Width):
+    """Upwind gradient at the ``width.m`` cells of an input ``u`` (with two
+    ghosts each side), written into ``out``: each face takes the limited
+    value of its right cell (``leftward``, the certified speeds < 0) or its
+    left cell (>= 0), and only the slopes those cells need are formed.
+    ``cuts`` are the slices of ``u`` that the faces read, as ``_cuts`` gives
+    them (a cut keeps them, ``_Operand``).  ``u`` is one row, or the flat
+    block of both with z and w of each cell side by side (a cell is
+    ``work.entries`` entries), so that each operation covers both."""
     if work.order == 1:
         face_lo, face_hi = cuts
     else:
@@ -515,13 +502,12 @@ def _one_sided_gradient(u, out, leftward: bool, work: _Stages, width: _Width,
     np.divide(out, work.dx, out=out)
 
 
-def _stage_rhs(ext, rhs, work: _Stages, width: _Width):
-    """Time derivative of the state in the interior of ``ext`` (the W cells
-    of the cut ``width`` and two ghosts each side, laid out as the state),
+def _stage_rhs(views: _Operand, rhs, work: _Stages, width: _Width):
+    """Time derivative of the state at the W cells of the cut ``width``
+    that ``views`` holds (one of ``width.states``, or ``width.mid``),
     written into ``rhs``, one of ``width.f1`` and ``width.f2``: each row
     advected with its own speed from the upwind side the region certifies,
     plus the source."""
-    views = width.operand(ext, work)
     gap = np.subtract(views.w, views.z, out=width.gap)
     total = np.add(views.w, views.z, out=width.total)
     # lambda1, lambda2 = v -+ c with v = (w + z)/2 and c = (theta/2)(w - z).
@@ -529,8 +515,8 @@ def _stage_rhs(ext, rhs, work: _Stages, width: _Width):
     c = np.multiply(gap, work.half_theta, out=width.c)
     np.subtract(v, c, out=width.lam1)
     np.add(v, c, out=width.lam2)
-    for (u, cuts), out, leftward in zip(views.calls, width.grads, work.leftward):
-        _one_sided_gradient(u, out, leftward, work, width, cuts)
+    for cuts, out, leftward in zip(views.cuts, width.grads, work.leftward):
+        _one_sided_gradient(cuts, out, leftward, work, width)
     sz, sw = source_pair(gap, total, width.coef)
     out, out_z, out_w = rhs
     np.multiply(width.lam, width.grad, out=out)
@@ -552,28 +538,26 @@ def _state_of(fld: Field, scn: Scenario) -> np.ndarray:
     return state
 
 
-def step(fld: Field, dt: float, scn: Scenario, new: Optional[np.ndarray] = None,
-         work: Optional[_Stages] = None) -> Field:
+def step(fld: Field, dt: float, scn: Scenario, work: Optional[_Stages] = None) -> Field:
     """One explicit step (forward Euler or two-stage second order) of the
     cells of ``fld``: the whole grid, or the leading cells of a field whose
-    state array holds the next two, its right ghosts.  Returns the same
-    cells at t + dt in the state array ``new``, or in a new one whose other
-    cells keep their values.  ``run`` passes ``new``, with the other cells
-    in place and the left ghosts of ``fld``'s state written, and its
-    workspace ``work``; a step called on its own does both itself.  The
-    stages compute the W >= m cells of the cut (``_Stages.at``), and only
-    the m cells of ``fld`` are written into ``new``."""
+    state array holds the next two, its right ghosts.  ``fld``'s state is
+    one of the two ``buffers`` of the workspace ``work``, with its left
+    ghosts written, and the step returns the same cells at t + dt in the
+    other, whose remaining cells hold their values already.  ``run`` passes
+    its workspace; a step called on its own builds one as ``run`` does, from
+    the state of ``fld`` and a copy.  The stages compute the W >= m cells of
+    the cut (``_Stages.at``), and only the m cells of ``fld`` are written."""
     t, m = fld.t, fld.z.size
-    state = _state_of(fld, scn)
     if work is None:
-        work = _Stages(scn)
-    if new is None:
+        state = _state_of(fld, scn)
+        work = _Stages(scn, (state, state.copy()))
         _write_ghosts(state, t, scn, work)
-        new = np.empty_like(state)
-        new[m + 2:] = state[m + 2:]
+    side = int(fld.state is work.buffers[1])
+    state, new = work.buffers[side], work.buffers[1 - side]
     width = work.at(m)
-    src = width.operand(state, work)
-    f1 = _stage_rhs(src.ext, width.f1, work, width)
+    src = width.states[side]
+    f1 = _stage_rhs(src, width.f1, work, width)
     inc = np.multiply(f1, dt, out=width.inc)
     if work.order == 2:
         mid = width.mid
@@ -582,10 +566,10 @@ def step(fld: Field, dt: float, scn: Scenario, new: Optional[np.ndarray] = None,
         # the state's values, never the first stage's.
         mid.ext[m + 2:] = src.ext[m + 2:]
         _write_ghosts(mid.ext, t + dt, scn, work)
-        f2 = _stage_rhs(mid.ext, width.f2, work, width)
+        f2 = _stage_rhs(mid, width.f2, work, width)
         np.multiply(np.add(f1, f2, out=inc), 0.5 * dt, out=inc)
     # Only the m cells of ``fld`` are written: past them ``new`` holds the
-    # state's values already (``run`` copies them across).
+    # state's values already.
     out, inc = new[2:m + 2], inc[:m]
     np.add(state[2:m + 2], inc, out=out)
     size = np.abs(out, out=inc)
@@ -734,9 +718,10 @@ class Trajectory:
         clamped; a fourth entry of ``when``, True, says the caller has
         bounded every position so, and the check is skipped.  A weight
         ``tau`` that is one float, exactly 0, reads row k alone: 1.0*lo +
-        0.0*hi equals lo wherever row k2 is finite, so the caller passes such
-        a weight only for finite stacks.  A row k that is the int 0 adds
-        nothing to the indices."""
+        0.0*hi equals lo wherever row k2 is finite, and a stored run is
+        finite (``run`` stores no step that left the finite range, and
+        ``from_npz`` refuses a file that is not).  A row k that is the int
+        0 adds nothing to the indices."""
         k, k2, tau = when[:3]
         xi = np.asarray(x, dtype=float) / self.grid.dx - 0.5
         cell = np.floor(xi)
@@ -778,6 +763,8 @@ class Trajectory:
         meta = {"config_text": self.scenario.config_text, "blown_up": self.blown_up}
         if self.blow_up:
             meta["blow_up"] = self.blow_up
+        if self.scenario.profile.table is not None:  # a tabulated duct's rows
+            meta["table"] = self.scenario.profile.table.tolist()
         with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as npz:
             # The config text compresses well only at a high level, and it
             # is small enough that the level costs nothing.
@@ -816,7 +803,7 @@ def run(scn: Scenario):
                 new[m + 2:last + 2] = state[m + 2:last + 2]
                 last = m
             step(Field(state[2:m + 2, 0], state[2:m + 2, 1], times[k], grid, state), dt, scn,
-                 new, work)
+                 work)
             _write_ghosts(new, times[k + 1], scn, work)
             z[k + 1], w[k + 1] = stored[1 - k % 2]
             count = k + 2

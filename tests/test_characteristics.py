@@ -13,7 +13,6 @@ from nozzleflow.harness import load_trajectory
 from nozzleflow.model import speeds_zw
 from nozzleflow.region import RegionSpec
 from nozzleflow.riccati import coeffs_zw, phi_psi_zw
-from nozzleflow import solver
 from nozzleflow.solver import WALL_MARGIN_FRAC, Trajectory, run
 
 
@@ -137,7 +136,7 @@ class TestInterpolate:
 
     def test_a_zero_weight_array_reads_both_rows(self, p1_run):
         # One row is read only for a float weight: its blend with a row that
-        # is not finite is NaN, which the tracer keeps for such stacks.
+        # is not finite is NaN.  The tracer reads only finite stored runs.
         z = p1_run.z[:2].copy()
         z[1] = np.inf
         x = np.linspace(0.1, 0.9, 9)
@@ -510,29 +509,6 @@ class TestLockstepMatchesScalarReference:
         assert_same_paths(mixed, [trace(traj, x, f, t) for x, f, t in zip(x0, family, t0)])
         assert_same_paths(mixed, [reference_trace(traj, float(x), int(f), float(t))
                                   for x, f, t in zip(x0, family, t0)])
-
-
-def test_a_block_of_speeds_not_finite_is_walked_by_the_blend(p2_run, monkeypatch):
-    # A NaN in the last row's outermost column, which no path reads: the
-    # walk stops reading one row at stored times in the block that holds it,
-    # and every path stays as it was.
-    rows = {name: getattr(p2_run, name).copy() for name in solver._STORED}
-    rows["z"][-1, -1] = np.nan
-    planted = Trajectory(p2_run.scenario, rows)
-    weights = []
-    interpolate = Trajectory.interpolate
-
-    def spy(history, x, when, stacks, offset=0):
-        if np.ndim(offset):  # an RK4 stage of the walk
-            weights.append(type(when[2]))
-        return interpolate(history, x, when, stacks, offset)
-
-    monkeypatch.setattr(Trajectory, "interpolate", spy)
-    got = launch_fan(planted, (1, 2), boundary=True)
-    assert set(weights) == {float, np.ndarray}
-    want = launch_fan(p2_run, (1, 2), boundary=True)
-    assert got.samples.tobytes() == want.samples.tobytes()
-    assert [p.exit_reason for p in got] == [p.exit_reason for p in want]
 
 
 @pytest.mark.parametrize("name", ["p1_run", "p2_run", "p3_run"])

@@ -267,6 +267,14 @@ class TestFeasible:
         assert out.startswith(f"INFEASIBLE kind={kind} ") and "slack -1 " in out
         assert out.count("\n") == 1 and err == ""
 
+    @pytest.mark.parametrize("integral", ["-1e3", "-inf", "-2.5E-1"])
+    def test_negative_integral_needs_no_separator(self, integral, capsys):
+        # argparse's own pattern reads -1e3 and -inf as options.
+        assert main(["feasible", "5/3", integral, "m"]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"total majorant integral must be finite and "
+                                     f"nonnegative, got {float(integral)}\n")
+
     @pytest.mark.parametrize("kind", ["m", "r", "l"])
     @pytest.mark.parametrize("integral", ["nan", "inf", "-inf"])
     def test_integral_not_finite_is_a_usage_error(self, integral, kind, capsys):
@@ -358,6 +366,78 @@ class TestSimulateTraceVerify:
         assert (out / "b" / "report.json").exists()
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["a.cfg: exit 0", "b.cfg: exit 0"]
+
+    def test_sweep_runs_the_configs_after_one_that_fails(self, tmp_path, capsys):
+        # A config that raises takes the exit code it takes alone, prints
+        # one stderr line that names it, and the sweep goes on.
+        sweep = tmp_path / "sweep"
+        sweep.mkdir()
+        bad = small_config("p1_desk", sweep, {"kind = P1": "kind = P9"}, filename="a_bad.cfg")
+        small_config("p1_desk", sweep, SMALL, filename="b_good.cfg")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "simulate", str(sweep)]) == 65
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["a_bad.cfg: exit 65", "b_good.cfg: exit 0"]
+        assert (out / "b_good" / "report.json").exists() and not (out / "a_bad").exists()
+        assert main(["--out", str(tmp_path / "alone"), "simulate", str(bad)]) == 65
+        alone = capsys.readouterr().err
+        assert "kind must be P1, P2 or P3, got 'P9'" in alone and alone.count("\n") == 1
+        assert captured.err == "a_bad.cfg: " + alone
+
+
+def _duct_table(path, amp):
+    """A duct table of a(x) = amp*(1 + 10x)^-2 on [0, 8] at ``path``."""
+    x = np.linspace(0.0, 8.0, 161)
+    np.savetxt(path, np.column_stack((x, amp * (1.0 + 10.0 * x) ** -2.0)))
+
+
+@pytest.fixture(scope="module")
+def table_npz(tmp_path_factory):
+    """A stored p3 run of a tabulated duct, ``duct.txt`` beside its config."""
+    tmp = tmp_path_factory.mktemp("table")
+    _duct_table(tmp / "duct.txt", 0.05)
+    cfg = small_config("p3_desk", tmp, {
+        "n = 2000": "n = 250",
+        "family = power\namp = 0.05\nrate = 10\ndecay = 2\n":
+            "family = table\ntable = duct.txt\ntail_bound = 0.001\n"})
+    # The table's slope misses the |a'| certificate next to the wall.
+    assert main(["--quiet", "--out", str(tmp / "out"), "simulate", "--force", str(cfg)]) == 0
+    return tmp / "out" / "trajectory.npz"
+
+
+class TestTabulatedDuct:
+    """A stored run of a ``family = table`` duct carries the table's rows,
+    so it is verified against its own duct from any directory."""
+
+    @pytest.mark.parametrize("other", [None, 0.06])
+    def test_verifies_the_same_from_any_directory(self, table_npz, other, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.chdir(table_npz.parent.parent)
+        assert main(["--out", str(tmp_path / "home"), "verify", str(table_npz)]) == 0
+        # Elsewhere: no table, or another one of the same name.
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        if other is not None:
+            _duct_table(elsewhere / "duct.txt", other)
+        monkeypatch.chdir(elsewhere)
+        assert main(["--out", "v", "verify", str(table_npz)]) == 0
+        want = (tmp_path / "home" / "verify_report.json").read_text()
+        assert (elsewhere / "v" / "verify_report.json").read_text() == want
+        assert main(["--out", "t", "trace", str(table_npz), "--family", "1", "--x0", "0.5"]) == 0
+
+    def test_file_without_the_rows_is_refused_beside_its_table(self, table_npz, tmp_path,
+                                                                monkeypatch, capsys):
+        with np.load(table_npz) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(str(arrays["meta"]))
+        assert len(meta.pop("table")) == 161
+        arrays["meta"] = np.array(json.dumps(meta))
+        bare = tmp_path / "bare.npz"
+        np.savez(bare, **arrays)
+        monkeypatch.chdir(table_npz.parent.parent)
+        assert main(["--out", str(tmp_path / "v"), "verify", str(bare)]) == 65
+        assert capsys.readouterr().err == (f"{bare}: meta record holds no (x, a) rows of "
+                                           "the config's duct table\n")
 
 
 @pytest.fixture(scope="module")

@@ -148,3 +148,16 @@ class TestConfigParsing:
         scn = parse_config_text(text).to_scenario()
         assert scn.cfl == 0.9
         assert scn.order == 2
+
+    @pytest.mark.parametrize("rows, why", [("0 0.05\n", "at least two rows"),
+                                           ("x a\n0 0.05\n1 0.01\n", "could not convert")])
+    def test_malformed_duct_table_is_anchored(self, rows, why, tmp_path):
+        # One row once reached ``tabulated_profile`` as a 1-D array (an
+        # IndexError), and a header line as numpy's own ValueError.
+        (tmp_path / "duct.txt").write_text(rows)
+        text = desk_config_text("p3_desk", {
+            "family = power\namp = 0.05\nrate = 10\ndecay = 2\n":
+                "family = table\ntable = duct.txt\n"})
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text, source="duct.cfg", base_dir=tmp_path).to_scenario()
+        assert str(err.value).startswith("duct.cfg:11: ") and why in str(err.value)

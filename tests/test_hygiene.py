@@ -1,12 +1,16 @@
 """Source hygiene: no module-level import that the module never uses, no
 top-level function or class in the package, nor public method or property
-of a public package class, that only tests call, and no module-level
-constant of the package that only tests read."""
+of a public package class, that only tests call, no module-level constant
+of the package that only tests read, and no exit code left out of the
+documents that list them."""
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from nozzleflow import harness
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
@@ -178,3 +182,20 @@ def test_member_detector_flags_test_only_methods():
     others = {"scripts/run": "import a\na.Shape().drawn()\n"}
     assert unreferenced_members(package, others) == ["a.Shape.grow"]
     assert unreferenced_members(package) == ["a.Shape.drawn", "a.Shape.grow"]
+
+
+def _exit_code_paragraph(text: str) -> str:
+    """``text`` from "Exit codes:" to the end of that paragraph."""
+    return text[text.index("Exit codes:"):].split("\n\n")[0]
+
+
+@pytest.mark.parametrize("document", ["cli docstring", "README"])
+def test_every_exit_code_is_documented(document):
+    codes = {name: value for name, value in vars(harness).items() if name.startswith("EXIT_")}
+    if document == "README":
+        text = (ROOT / "README.md").read_text()
+    else:
+        text = ast.get_docstring(ast.parse((ROOT / "src" / "nozzleflow" / "cli.py").read_text()))
+    listed = {int(number) for number in re.findall(r"\d+", _exit_code_paragraph(text))}
+    assert codes
+    assert sorted(name for name, value in codes.items() if value not in listed) == []

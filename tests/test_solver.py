@@ -375,19 +375,23 @@ class TestSignResolvedStage:
         stages = []
         plain_rhs, plain_kernel = solver._stage_rhs, solver._one_sided_gradient
 
-        def stage(ext, *rest):
-            stages.append((ext, []))
-            return plain_rhs(ext, *rest)
+        def stage(views, *rest):
+            stages.append((views.ext, []))
+            return plain_rhs(views, *rest)
 
-        def kernel(u, out, leftward, *rest):
+        def kernel(cuts, out, leftward, *rest):
+            # The faces read from the flat block of both rows (a stride of
+            # one entry), or from one column (two entries), z or w by the
+            # parity of the first entry they read.
             ext, calls = stages[-1]
-            if u.size == ext.size:
+            stride = cuts[0].strides[0] // ext.itemsize
+            if stride == 1:
                 row = "zw"
             else:
-                assert u.size == len(ext) and out.size == len(ext) - 4
-                row = "zw"[(u.ctypes.data - ext.ctypes.data) // ext.itemsize]
+                assert stride == 2 and out.size == len(ext) - 4
+                row = "zw"[(cuts[0].ctypes.data - ext.ctypes.data) // ext.itemsize % 2]
             calls.append((row, leftward))
-            return plain_kernel(u, out, leftward, *rest)
+            return plain_kernel(cuts, out, leftward, *rest)
 
         monkeypatch.setattr(solver, "_stage_rhs", stage)
         monkeypatch.setattr(solver, "_one_sided_gradient", kernel)
@@ -408,12 +412,13 @@ class TestSignResolvedStage:
         plain = solver._stage_rhs
         stages = []
 
-        def checked(ext, *rest):
+        def checked(views, *rest):
+            ext = views.ext
             for lam, sign in zip(speeds_zw(ext[:, 0], ext[:, 1], scn.law),
                                  (bounds.sign1, bounds.sign2)):
                 assert np.all(lam < 0.0) if sign < 0 else np.all(lam >= 0.0)
             stages.append(len(ext))
-            return plain(ext, *rest)
+            return plain(views, *rest)
 
         monkeypatch.setattr(solver, "_stage_rhs", checked)
         _, final = run(scn)
@@ -605,11 +610,11 @@ class TestAdvectionAccuracy:
         lo, hi = u.min(), u.max()
         # The solver's kernel at order 1 on one row, read from the left.
         work = types.SimpleNamespace(entries=1, order=1, dx=dx)
-        width = types.SimpleNamespace(m=u.size)
         grad = np.empty(u.size)
         for _ in range(50):
             u_ext = np.concatenate([u[:1], u[:1], u, u[-1:], u[-1:]])
-            solver._one_sided_gradient(u_ext, grad, False, work, width)
+            cuts = solver._cuts(u_ext, False, work, u.size)
+            solver._one_sided_gradient(cuts, grad, False, work, None)
             u = u - dt * lam * grad
             assert u.max() <= hi + 1e-14
             assert u.min() >= lo - 1e-14
