@@ -11,14 +11,17 @@ must lie inside that domain too.
 Every path the post-pass checks is traced in one lockstep loop
 (``_walk``): the positions of all live paths form one array, and each
 stored time step takes one RK4 step for all of them, each stage one call of
-``Trajectory.interpolate``.  Each launch has its own family: a family-2 path
-reads the lambda2 rows of the speed stack, below the lambda1 rows.  A path
-joins at its own launch time and leaves the live set when it exits.  The
-arithmetic is the single-path tracer's, elementwise, so a path does not
-depend on the fan it was traced in.  The speeds, and the fields at the
-samples, are formed from one block of stored rows at a time
-(``solver.blocks``); each row is a function of its own snapshot, so a path
-does not depend on the block size either.
+``Trajectory.interpolate``: the step from stored row k reads row k, twice
+the blend of rows k and k + 1 at the step's midpoint time, then row k + 1.
+Each launch has its own family: a family-2 path reads the lambda2 rows of
+the speed stack, below the lambda1 rows.  A path joins at the stored time
+of its launch and leaves the live set when it exits, so it has positions
+only at stored times, and each sample reads its own row.  The arithmetic
+is the single-path tracer's, elementwise, so a path does not depend on the
+fan it was traced in.  The speeds, and the fields at the samples, are
+formed from one block of stored rows at a time (``solver.blocks``); each
+row is a function of its own snapshot, so a path does not depend on the
+block size either.
 
 Each RK4 step decides once whether any of its four stage positions can need
 clamping (a position whose cell has no stored pair).  The live positions'
@@ -26,8 +29,8 @@ min and max, which the exit test forms, and the block's speed bounds (one
 min and one max, widened by ``BLEND_ULPS`` for the blend's rounding) bound
 every stage position; rounding is monotone, so the bounds hold for the
 positions as computed.  Where they keep every position inside the stored
-pairs, the step tells ``Trajectory.interpolate`` so, and it skips its own
-per-call min and max.  Both ways give the same values wherever nothing is
+pairs, the step tells ``Trajectory.interpolate`` so (``inside=True``), and
+it skips its own per-call min and max.  Both ways give the same values wherever nothing is
 clamped, so the paths are bitwise those of the per-call check.  The walk
 trusts the stored rows to be finite, as every stored run is.
 
@@ -179,8 +182,8 @@ def _assemble(history: Trajectory, launches: tuple, walked: tuple) -> Fan:
             continue
         at = seen[path_of] + np.cumsum(marks, axis=0)[row, path_of] - 1
         seen += marks.sum(axis=0)
-        for col, values in zip(cols, _samples(history, xs[lo + row, path_of],
-                                              times[lo + row], family[path_of])):
+        for col, values in zip(cols, _samples(history, xs[lo + row, path_of], lo + row,
+                                              family[path_of])):
             col[at] = values
     return Fan([CharPath(int(family[j]), float(x0[j]), float(t0[j]), *cols[:, s:e], reasons[j])
                 for j, (s, e) in enumerate(zip(starts.tolist(), ends.tolist()))],
@@ -206,45 +209,32 @@ def _walk(history: Trajectory, launches: tuple) -> tuple:
     running = np.ones(x0.size, dtype=bool)
     edge = history.scenario.reach(times)
     joins = set(k0.tolist())
-    # The three RK4 stage times of every step, located in the run at once.
     first = int(k0.min())
-    t_start, t_end = times[first:-1], times[first + 1:]
-    stage_times = [history.time_weights(tq) for tq in
-                   (t_start, t_start + 0.5 * (t_end - t_start), t_end)]
-    # The steps take their speeds from a block of rows at a time: the rows
-    # the block's stages locate (k to k + 2 for the step from k).  A family-2
-    # path reads the block's lambda2 rows, below its lambda1 rows.
-    first_row = np.minimum.reduce([ks for ks, _, _ in stage_times])
-    last_row = np.maximum.reduce([k2s for _, k2s, _ in stage_times])
     dx, last = history.grid.dx, history.scenario.trusted_cells - 2
     for lo, hi in blocks(first, len(times) - 1):
         if not running.any():
             break
         if not (running & (k0 < hi)).any():
             continue
-        part = slice(lo - first, hi - first)
-        r_lo, r_hi = int(first_row[part].min()), int(last_row[part].max()) + 1
-        speeds = history.block(("lam",), r_lo, r_hi)
+        # The step from row k reads row k at its first stage, row k + 1 at
+        # its last, and their blend at its two middle ones: the block's
+        # speeds are rows lo to hi.  A family-2 path reads the block's
+        # lambda2 rows, below its lambda1 rows.
+        speeds = history.block(("lam",), lo, hi + 1)
         width = speeds[0].shape[1]
         # Each path's flat offset into the block: its family's rows, less
-        # the block's first row.  A step adds the row it starts from, and
-        # its stages read the rows from there (0, 1 or 2).
-        offsets = ((family - 1) * (r_hi - r_lo) - r_lo) * width
-        start = stage_times[0][0][part]
-        # The block's steps as Python numbers, by step from ``lo``: its size,
-        # the reach at its end, the flat offset of its first row, and (k,
-        # k2, tau) of its first stage, its two middle ones and its last,
-        # with k and k2 counted from that row.
-        steps = np.diff(times[lo:hi + 1]).tolist()
+        # the block's first row.  A step adds the row it starts from.
+        offsets = ((family - 1) * (hi + 1 - lo) - lo) * width
+        # The block's steps as Python numbers, by step from ``lo``: its
+        # size, the reach at its end, and the weight of row k + 1 at the
+        # step's midpoint time.
+        t_k, t_next = times[lo:hi], times[lo + 1:hi + 1]
+        size = t_next - t_k
+        weights = np.clip((t_k + 0.5 * size - t_k) / size, 0.0, 1.0).tolist()
+        steps = size.tolist()
         reach = edge[lo + 1:hi + 1].tolist()
-        shift = (start * width).tolist()
-        rows = [list(zip((ks[part] - start).tolist(), (k2s[part] - start).tolist(),
-                         taus[part].tolist())) for ks, k2s, taus in stage_times]
-        told = [[when + (True,) for when in stage] for stage in rows]
-        # The first and last stage sit on stored times (weight 0), where
-        # ``interpolate`` reads one row.  Every stage speed is a blend of the
-        # block's: one min and one max bound them, widened by the blend's
-        # rounding.
+        # Every stage speed is a blend of the block's: one min and one max
+        # bound them, widened by the blend's rounding.
         v_lo, v_hi = float(speeds[0].min()), float(speeds[0].max())
         pad = BLEND_ULPS * math.ulp(max(-v_lo, v_hi))
         v_lo, v_hi = v_lo - pad, v_hi + pad
@@ -268,12 +258,11 @@ def _walk(history: Trajectory, launches: tuple) -> tuple:
             low = min(x_lo, x_lo + half * v_lo, x_lo + h * v_lo)
             high = max(x_hi, x_hi + half * v_hi, x_hi + h * v_hi)
             inside = low / dx - 0.5 >= 0.0 and high / dx - 0.5 < last + 1
-            stages = told if inside else rows
-            at = offset + shift[j]
-            v1, = history.interpolate(xl, stages[0][j], speeds, at)
-            v2, = history.interpolate(xl + half * v1, stages[1][j], speeds, at)
-            v3, = history.interpolate(xl + half * v2, stages[1][j], speeds, at)
-            v4, = history.interpolate(xl + h * v3, stages[2][j], speeds, at)
+            at, tau = offset + k * width, weights[j]
+            v1, = history.interpolate(xl, 0, speeds, 0.0, at, inside=inside)
+            v2, = history.interpolate(xl + half * v1, 0, speeds, tau, at, inside=inside)
+            v3, = history.interpolate(xl + half * v2, 0, speeds, tau, at, inside=inside)
+            v4, = history.interpolate(xl + h * v3, 1, speeds, 0.0, at, inside=inside)
             x_new = xl + h / 6.0 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
             # One min and one max tell whether any path may leave (a NaN
             # fails both tests, as it fails every comparison below), and
@@ -306,24 +295,24 @@ _SAMPLED = ("t", "x", "z", "w", "lam", "zx", "wx", "a", "ax", "value", "other",
             "A", "B", "C")
 
 
-def _samples(history: Trajectory, x, t, family) -> tuple:
-    """The ``_SAMPLED`` arrays at the points (x, t) of paths of ``family``
-    (per point), interpolated from the stored rows that their times read."""
+def _samples(history: Trajectory, x, rows, family) -> tuple:
+    """The ``_SAMPLED`` arrays at the points x of paths of ``family`` (per
+    point) at the stored ``rows`` (per point): a walk records positions
+    only at stored times, so each sample reads its own row."""
     scn = history.scenario
-    k, k2, tau = history.time_weights(t)
-    r_lo, r_hi = int(k.min()), int(k2.max()) + 1
-    fields = history.block(("z", "w", "zx", "wx"), r_lo, r_hi)
-    z, w, zx, wx = history.interpolate(x, (k - r_lo, k2 - r_lo, tau), fields)
-    b = (family - 1) * (r_hi - r_lo) - r_lo
-    speed, = history.interpolate(x, (k + b, k2 + b, tau), history.block(("lam",), r_lo, r_hi))
+    r_lo, r_hi = int(rows.min()), int(rows.max()) + 1
+    *fields, lam = history.block(("z", "w", "zx", "wx", "lam"), r_lo, r_hi)
+    z, w, zx, wx = history.interpolate(x, rows - r_lo, fields)
+    speed, = history.interpolate(x, rows - r_lo + (family - 1) * (r_hi - r_lo), [lam])
     a = np.asarray(scn.profile.a(x), dtype=float)
     ax = np.asarray(scn.profile.a_prime(x), dtype=float)
     phi, psi = phi_psi_zw(z, w, zx, wx, a, scn.law)
     A, B, C, Ah, Bh, Ch = coeffs_zw(z, w, a, ax, scn.law)
     # Phi and the first coefficient set are family 1's, Psi and the hatted set family 2's.
     one = family == 1
-    return (t, x, z, w, speed, zx, wx, a, ax, np.where(one, phi, psi), np.where(one, psi, phi),
-            np.where(one, A, Ah), np.where(one, B, Bh), np.where(one, C, Ch))
+    return (history.times[rows], x, z, w, speed, zx, wx, a, ax, np.where(one, phi, psi),
+            np.where(one, psi, phi), np.where(one, A, Ah), np.where(one, B, Bh),
+            np.where(one, C, Ch))
 
 
 def trace(history: Trajectory, x0: float, family: int, t0: float = 0.0) -> CharPath:

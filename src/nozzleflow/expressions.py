@@ -4,6 +4,11 @@ Numbers, the variables x and t, the four arithmetic operators, ^ for powers
 (right associative), parentheses, unary sign, and exp/log/sin/tanh.  Parsed
 by recursive descent into closures that evaluate with numpy, so compiled
 expressions broadcast over arrays.  No external expression engine, no eval.
+
+A part made of numbers alone is evaluated once, when it is parsed, in Python
+floats, which raise or turn complex where numpy would give a value that is
+not finite (1/0, 0^-1, 10^400, (-8)^(1/3)): such a part is an
+``ExpressionError`` naming the expression.
 """
 from __future__ import annotations
 
@@ -67,9 +72,17 @@ def _tokenize(src: str):
     return tokens
 
 
+def _constant(value):
+    """A node that gives ``value``, kept on it as ``value`` for folding."""
+    node = lambda env: value
+    node.value = value
+    return node
+
+
 class _Parser:
-    def __init__(self, tokens):
+    def __init__(self, tokens, source):
         self.tokens = tokens
+        self.source = source
         self.pos = 0
         self.depth = 0
         self.uses = set()
@@ -84,6 +97,20 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def fold(self, op, *nodes):
+        """The node of ``op`` applied to ``nodes``, evaluated now if every
+        one of them is a constant; None if one is not."""
+        if not all(hasattr(node, "value") for node in nodes):
+            return None
+        try:
+            value = op(*(node.value for node in nodes))
+        except (ZeroDivisionError, OverflowError) as exc:
+            why = "division by zero" if isinstance(exc, ZeroDivisionError) else "overflow"
+            raise ExpressionError(f"{self.source!r} cannot be evaluated: {why}") from None
+        if isinstance(value, complex):
+            raise ExpressionError(f"{self.source!r} cannot be evaluated: its value is complex")
+        return _constant(value)
+
     def expression(self):
         return self._chain(self.term, ("+", "-"))
 
@@ -96,7 +123,13 @@ class _Parser:
         rest = []
         while self.peek()[0] in ops:
             op = _BINARY[self.take()[0]]
-            rest.append((op, operand()))
+            rhs = operand()
+            # A run of constants from the left is one constant.
+            folded = not rest and self.fold(op, node, rhs)
+            if folded:
+                node = folded
+            else:
+                rest.append((op, rhs))
         if not rest:
             return node
 
@@ -122,7 +155,7 @@ class _Parser:
         elif tok[0] == "-":
             self.take()
             inner = self.factor()
-            node = lambda env, a=inner: -a(env)
+            node = self.fold(operator.neg, inner) or (lambda env, a=inner: -a(env))
         else:
             node = self.power()
         self.depth -= 1
@@ -133,14 +166,14 @@ class _Parser:
         if self.peek()[0] == "^":
             self.take()
             exponent = self.factor()  # right associative, unary signs allowed
-            return lambda env, a=base, b=exponent: a(env) ** b(env)
+            return (self.fold(operator.pow, base, exponent)
+                    or (lambda env, a=base, b=exponent: a(env) ** b(env)))
         return base
 
     def atom(self):
         tok = self.take()
         if tok[0] == "num":
-            value = tok[1]
-            return lambda env, v=value: v
+            return _constant(tok[1])
         if tok[0] == "name":
             name = tok[1]
             if name in _FUNCTIONS:
@@ -188,7 +221,7 @@ class Expr:
 def parse_expression(src: str) -> Expr:
     if not src.strip():
         raise ExpressionError("empty expression")
-    parser = _Parser(_tokenize(src))
+    parser = _Parser(_tokenize(src), src)
     fn = parser.expression()
     end = parser.peek()
     if end[0] != "end":

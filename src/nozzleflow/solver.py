@@ -686,48 +686,29 @@ class Trajectory:
                 out.append({"z": z, "w": w}[name])
         return out
 
-    def time_weights(self, t):
-        """Locate the times ``t`` in the stored run: the bracketing snapshot
-        indices ``k`` <= ``k2`` and the weight ``tau`` of the later one.
-        Times past the run take its first or last snapshot."""
-        times = self.times
-        last = len(times) - 1
-        t = np.asarray(t, dtype=float)
-        k = np.clip(np.searchsorted(times, t, side="right") - 1, 0, last)
-        k2 = np.minimum(k + 1, last)
-        moving = k2 != k
-        span = np.where(moving, times[k2] - times[k], 1.0)
-        tau = np.where(moving, np.clip((t - times[k]) / span, 0.0, 1.0), 0.0)
-        return k, k2, tau
-
-    def interpolate(self, x, when, stacks, offset=0) -> list:
-        """Bilinear space-time interpolation of ``stacks``, rows of the
-        stored stacks as ``block`` gives them, at positions ``x`` and at the
-        rows ``when = (k, k2, tau)``: the bracketing snapshots and the weight
-        of the later one, as ``time_weights`` locates them, less the index of
-        the block's first snapshot.  ``t`` has the shape of ``x``, or is one
-        time shared by every point.  Positions past the stored columns take
-        their outermost pair.  A ``lam`` block holds lambda1 of its rows
-        above lambda2: add its row count to read lambda2.  ``offset`` (one
-        number, or one per point) is added to each point's index into the
-        flat stacks, where entry (r, c) is entry r*m + c: an offset of j*m
-        reads the rows j further down.
+    def interpolate(self, x, row, stacks, weight=0.0, offset=0, *, inside=False) -> list:
+        """Bilinear space-time interpolation of ``stacks`` (rows of the
+        stored stacks, as ``block`` gives them) at positions ``x``: row
+        ``row`` (one, or one per point, counted from the block's first)
+        blended with the row after it by the float ``weight`` of that one.
+        Positions past the stored columns take their outermost pair.  A
+        ``lam`` block holds lambda1 of its rows above lambda2: add its row
+        count to read lambda2.  ``offset`` (one number, or one per point) is
+        added to each point's index into the flat stacks, where entry (r, c)
+        is entry r*m + c: an offset of j*m reads the rows j further down.
 
         Three shortcuts leave every value as the general formula gives it.
         Where every floor(x/dx - 0.5) has a stored pair, the position is not
-        clamped; a fourth entry of ``when``, True, says the caller has
-        bounded every position so, and the check is skipped.  A weight
-        ``tau`` that is one float, exactly 0, reads row k alone: 1.0*lo +
-        0.0*hi equals lo wherever row k2 is finite, and a stored run is
-        finite (``run`` stores no step that left the finite range, and
-        ``from_npz`` refuses a file that is not).  A row k that is the int
-        0 adds nothing to the indices."""
-        k, k2, tau = when[:3]
+        clamped; ``inside=True`` says the caller has bounded every position
+        so, and the check is skipped.  A weight of 0 reads the row alone, so
+        the last row needs no next one: 1.0*lo + 0.0*hi equals lo wherever
+        hi is finite, and a stored run is finite (``run`` stores no step
+        that left the finite range, and ``from_npz`` refuses a file that is
+        not).  A row that is the int 0 adds nothing to the indices."""
         xi = np.asarray(x, dtype=float) / self.grid.dx - 0.5
         cell = np.floor(xi)
         last = self.scenario.trusted_cells - 2
-        if (len(when) > 3 and when[3]) or (cell.size and 0.0 <= cell.min()
-                                             and cell.max() <= last):
+        if inside or (cell.size and 0.0 <= cell.min() and cell.max() <= last):
             # xi - cell is exact here, and already in [0, 1).
             frac = xi - cell
         else:
@@ -741,20 +722,18 @@ class Trajectory:
         # A 1-D gather costs less than a 2-D one.
         m = stacks[0].shape[1]
         at = cell.astype(np.intp) + offset
-        at_k = at if isinstance(k, int) and k == 0 else at + k * m
-        one_row = isinstance(tau, float) and tau == 0.0
-        if not one_row:
-            at_k2, stay = at + k2 * m, 1.0 - tau
+        if not (isinstance(row, int) and row == 0):
+            at = at + row * m
+        if weight:
+            at_next, stay = at + m, 1.0 - weight
         out = []
         for stack in stacks:
             flat = stack.reshape(-1)
             after = flat[1:]
-            lo = rest * flat[at_k] + frac * after[at_k]
-            if one_row:
-                out.append(lo)
-                continue
-            hi = rest * flat[at_k2] + frac * after[at_k2]
-            out.append(stay * lo + tau * hi)
+            value = rest * flat[at] + frac * after[at]
+            if weight:
+                value = stay * value + weight * (rest * flat[at_next] + frac * after[at_next])
+            out.append(value)
         return out
 
     def save(self, path):

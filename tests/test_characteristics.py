@@ -6,7 +6,8 @@ import pytest
 from conftest import desk_scenario, region_m, thinned_run_file, uniform_scenario
 from nozzleflow.characteristics import (FAN, WALL_BAND_CELLS, CharPath,
                                         bound_check, launch_fan,
-                                        riccati_residual, trace, trace_fan)
+                                        riccati_residual, trace, trace_fan,
+                                        wall_band)
 from nozzleflow.cli import main
 from nozzleflow.errors import DomainError, InvalidStateError, TrajectoryFileError
 from nozzleflow.harness import load_trajectory
@@ -33,21 +34,22 @@ def synthetic_path(t, x, value, lam, A=None, B=None, C=None, family=1):
                     C=C if C is not None else zeros, exit_reason="end")
 
 
-def _fancy_interpolate(history, x, when, stacks):
+def _fancy_interpolate(history, x, row, stacks, weight=0.0):
     """``Trajectory.interpolate`` as it was before it gathered through flat
-    indices: 2-D fancy indexing of each stack.  Kept as the reference the
-    flat gather must match bitwise."""
-    k, k2, tau = when
+    indices: 2-D fancy indexing of each stack, and every row blended with
+    the next one (the last row with itself), also at a weight of 0.  Kept
+    as the reference the flat gather must match bitwise."""
     xi = np.asarray(x, dtype=float) / history.grid.dx - 0.5
     i = np.minimum(np.maximum(np.floor(xi), 0), history.scenario.trusted_cells - 2)
     frac = np.minimum(np.maximum(xi - i, 0.0), 1.0)
     i = i.astype(np.intp)
-    i1, rest, stay = i + 1, 1.0 - frac, 1.0 - tau
+    i1, rest, stay = i + 1, 1.0 - frac, 1.0 - weight
     out = []
     for stack in stacks:
-        lo = rest * stack[k, i] + frac * stack[k, i1]
-        hi = rest * stack[k2, i] + frac * stack[k2, i1]
-        out.append(stay * lo + tau * hi)
+        after = np.minimum(np.asarray(row) + 1, stack.shape[0] - 1)
+        lo = rest * stack[row, i] + frac * stack[row, i1]
+        hi = rest * stack[after, i] + frac * stack[after, i1]
+        out.append(stay * lo + weight * hi)
     return out
 
 
@@ -56,49 +58,44 @@ class TestInterpolate:
     fancy-index one, bitwise."""
 
     @staticmethod
-    def _assert_same(history, x, when, stacks):
-        got = history.interpolate(x, when, stacks)
-        want = _fancy_interpolate(history, x, when, stacks)
+    def _assert_same(history, x, row, stacks, weight=0.0):
+        got = history.interpolate(x, row, stacks, weight)
+        want = _fancy_interpolate(history, x, row, stacks, weight)
         assert len(got) == len(want) == len(stacks)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    def test_positions_and_times_past_the_stored_ones(self, p1_run):
+    def test_positions_past_the_stored_columns_at_rows_per_point(self, p1_run):
         rng = np.random.default_rng(5)
         edge = p1_run.scenario.trusted_cells * p1_run.grid.dx
         x = np.concatenate([[-0.3, -1e-9, 0.0, 0.5 * p1_run.grid.dx, edge, 2.0 * edge],
                             rng.uniform(-0.1, 1.1 * edge, 60)])
-        last = p1_run.times[-1]
-        t = np.concatenate([[0.0, -1.0, last, last + 1.0],
-                            rng.uniform(0.0, last, x.size - 4)])
-        when = p1_run.time_weights(t)
-        k, k2, _ = when
-        assert np.any((k == k2) & (k == len(p1_run.times) - 1))  # the last row
-        self._assert_same(p1_run, x, when, p1_run.block(("z", "w", "zx", "wx")))
+        last = len(p1_run.times) - 1
+        rows = np.concatenate([[0, last, last, 0], rng.integers(0, last + 1, x.size - 4)])
+        stacks = p1_run.block(("z", "w", "zx", "wx"))
+        self._assert_same(p1_run, x, rows, stacks)  # the last row too
+        self._assert_same(p1_run, x, np.minimum(rows, last - 1), stacks, 0.37)
 
     def test_one_time_shared_by_every_point(self, p1_run):
         x = np.linspace(-0.05, 1.2, 41)
-        for t in (0.0, 0.3 * p1_run.times[-1], p1_run.times[-1]):
-            self._assert_same(p1_run, x, p1_run.time_weights(t), p1_run.block(("z", "w")))
+        last = len(p1_run.times) - 1
+        for row, weight in ((0, 0.0), (0, 0.5), (last // 3, 0.5), (last, 0.0)):
+            self._assert_same(p1_run, x, row, p1_run.block(("z", "w")), weight)
 
     @pytest.mark.parametrize("family", [1, 2])
     def test_lam_block_from_its_first_row(self, p1_run, family):
         rng = np.random.default_rng(family)
         lo, hi = 17, 57
-        t = rng.uniform(p1_run.times[lo], p1_run.times[hi - 2], 40)
-        k, k2, tau = p1_run.time_weights(t)
-        assert k.min() >= lo and k2.max() < hi
+        rows = rng.integers(lo, hi - 1, 40)
         # A family-2 point reads the block's lambda2 rows, below its lambda1 rows.
-        shift = (family - 1) * (hi - lo) - lo
-        when = (k + shift, k2 + shift, tau)
+        in_block = rows - lo + (family - 1) * (hi - lo)
         x = rng.uniform(0.0, 1.0, 40)
-        self._assert_same(p1_run, x, when, p1_run.block(("lam",), lo, hi))
-        whole, = p1_run.interpolate(x, (k + (family - 1) * len(p1_run.times), k2
-                                        + (family - 1) * len(p1_run.times), tau),
-                                    p1_run.block(("lam",)))
-        block, = p1_run.interpolate(x, when, p1_run.block(("lam",), lo, hi))
-        assert whole.tobytes() == block.tobytes()
-
+        for weight in (0.0, 0.5):
+            self._assert_same(p1_run, x, in_block, p1_run.block(("lam",), lo, hi), weight)
+            whole, = p1_run.interpolate(x, rows + (family - 1) * len(p1_run.times),
+                                        p1_run.block(("lam",)), weight)
+            block, = p1_run.interpolate(x, in_block, p1_run.block(("lam",), lo, hi), weight)
+            assert whole.tobytes() == block.tobytes()
 
     def test_positions_with_stored_pairs_are_not_clamped(self, p1_run):
         # Every floor(x/dx - 0.5) in [0, m - 2], the edges of that range too.
@@ -107,45 +104,38 @@ class TestInterpolate:
         xi = np.concatenate([[0.0, 1e-12, last, last + 0.999999], rng.uniform(0.0, last + 1.0, 50)])
         x = (xi + 0.5) * dx
         assert np.floor(x / dx - 0.5).min() == 0.0 and np.floor(x / dx - 0.5).max() == last
-        t = rng.uniform(0.0, p1_run.times[-1], x.size)
-        self._assert_same(p1_run, x, p1_run.time_weights(t), p1_run.block(("z", "w", "zx")))
+        rows = rng.integers(0, len(p1_run.times) - 1, x.size)
+        stacks = p1_run.block(("z", "w", "zx"))
+        self._assert_same(p1_run, x, rows, stacks, 0.25)
+        # The caller's promise that no position needs clamping skips the
+        # check, and gives the same values.
+        for a, b in zip(p1_run.interpolate(x, rows, stacks, 0.25, inside=True),
+                        p1_run.interpolate(x, rows, stacks, 0.25)):
+            assert a.tobytes() == b.tobytes()
 
     def test_one_position_past_the_columns_clamps_them_all(self, p1_run):
         dx, m = p1_run.grid.dx, p1_run.scenario.trusted_cells
         x = np.linspace(0.6 * dx, (m - 1.2) * dx, 30)
-        when = p1_run.time_weights(0.4 * p1_run.times[-1])
+        row = int(0.4 * (len(p1_run.times) - 1))
         for outside in (0.2 * dx, (m - 0.5) * dx, 3.0 * m * dx, -dx):
-            self._assert_same(p1_run, np.append(x, outside), when, p1_run.block(("z", "w")))
+            self._assert_same(p1_run, np.append(x, outside), row, p1_run.block(("z", "w")), 0.5)
 
     @pytest.mark.parametrize("row", [0, 40, -1])
     def test_a_shared_weight_of_zero_reads_one_row(self, p1_run, row):
+        # The reference blends the next row in at weight 0; the last row
+        # has none, and is read alone.
         k = row % len(p1_run.times)
         k2 = min(k + 1, len(p1_run.times) - 1)
         x = np.linspace(-0.05, 1.1, 37)
-        stacks = p1_run.block(("z", "w", "zx", "wx"))
-        self._assert_same(p1_run, x, (k, k2, 0.0), stacks)
+        self._assert_same(p1_run, x, k, p1_run.block(("z", "w", "zx", "wx")))
         lam = p1_run.block(("lam",), k, k2 + 1)
         for family in (1, 2):
             # A family's rows of a lam block, by row index or by flat offset.
             rows = (family - 1) * (k2 + 1 - k)
-            self._assert_same(p1_run, x, (rows, rows + k2 - k, 0.0), lam)
-            by_offset, = p1_run.interpolate(x, (0, k2 - k, 0.0), lam,
-                                            rows * p1_run.scenario.trusted_cells)
-            by_row, = p1_run.interpolate(x, (rows, rows + k2 - k, 0.0), lam)
+            self._assert_same(p1_run, x, rows, lam)
+            by_offset, = p1_run.interpolate(x, 0, lam, 0.0, rows * p1_run.scenario.trusted_cells)
+            by_row, = p1_run.interpolate(x, rows, lam)
             assert by_offset.tobytes() == by_row.tobytes()
-
-    def test_a_zero_weight_array_reads_both_rows(self, p1_run):
-        # One row is read only for a float weight: its blend with a row that
-        # is not finite is NaN.  The tracer reads only finite stored runs.
-        z = p1_run.z[:2].copy()
-        z[1] = np.inf
-        x = np.linspace(0.1, 0.9, 9)
-        alone, = p1_run.interpolate(x, (0, 1, 0.0), [z])
-        assert alone.tobytes() == p1_run.interpolate(x, (0, 0, 0.5), [z])[0].tobytes()
-        with np.errstate(invalid="ignore"):
-            blend, = p1_run.interpolate(x, (0, 1, np.asarray(0.0)), [z])
-            self._assert_same(p1_run, x, (0, 1, np.asarray(0.0)), [z])
-        assert np.isfinite(alone).all() and np.isnan(blend).all()
 
 
 class TestTrace:
@@ -176,10 +166,11 @@ class TestTrace:
         mid_x = 0.5 * (path.x[1:] + path.x[:-1])
         mid_t = 0.5 * (path.t[1:] + path.t[:-1])
         rate = np.diff(path.x) / np.diff(path.t)
-        k, k2, tau = p1_run.time_weights(mid_t)
+        # The samples sit on consecutive stored rows; a midpoint blends two.
+        rows = np.searchsorted(p1_run.times, path.t)
+        assert np.array_equal(p1_run.times[rows], path.t) and (np.diff(rows) == 1).all()
         below = len(p1_run.times)  # lambda2 rows follow lambda1's
-        lam_mid, = p1_run.interpolate(mid_x, (k + below, k2 + below, tau),
-                                      p1_run.block(("lam",)))
+        lam_mid, = p1_run.interpolate(mid_x, rows[:-1] + below, p1_run.block(("lam",)), 0.5)
         assert float(np.abs(rate - lam_mid).max()) < 5e-7
 
     def test_resolution_guard(self, tmp_path):
@@ -513,29 +504,28 @@ class TestLockstepMatchesScalarReference:
 
 @pytest.mark.parametrize("name", ["p1_run", "p2_run", "p3_run"])
 def test_clamping_decided_once_per_step_is_the_per_call_check(name, request, monkeypatch):
-    # The walk tells ``interpolate`` (a fourth entry of ``when``) that no
-    # stage position of a step needs clamping where the block's speed bounds
-    # show it.  Every position of a told call has its stored pair, and the
-    # fans are bitwise those of the per-call check, forced here by dropping
-    # the fourth entry.  P2's boundary launches start at 0.5 dx, on the edge.
+    # The walk tells ``interpolate`` (``inside=True``) that no stage
+    # position of a step needs clamping where the block's speed bounds show
+    # it.  Every position of a told call has its stored pair, and the fans
+    # are bitwise those of the per-call check, forced here by dropping the
+    # promise.  P2's boundary launches start at 0.5 dx, on the edge.
     traj = request.getfixturevalue(name)
     boundary = traj.scenario.problem == "P2"
     dx, last = traj.grid.dx, traj.scenario.trusted_cells - 2
     plain = Trajectory.interpolate
     calls, told = [], []
 
-    def checked(history, x, when, stacks, offset=0):
+    def checked(history, x, row, stacks, weight=0.0, offset=0, *, inside=False):
         if np.ndim(offset):  # an RK4 stage of the walk
-            calls.append(len(when) > 3)
-            if len(when) > 3:
+            calls.append(inside)
+            if inside:
                 cell = np.floor(x / dx - 0.5)
                 assert 0.0 <= cell.min() and cell.max() <= last
                 told.append(float(x.min()))
-        return plain(history, x, when, stacks, offset)
+        return plain(history, x, row, stacks, weight, offset, inside=inside)
 
-    def per_call(history, x, when, stacks, offset=0):
-        assert len(when) == 3 or when[3] is True
-        return plain(history, x, when[:3], stacks, offset)
+    def per_call(history, x, row, stacks, weight=0.0, offset=0, *, inside=False):
+        return plain(history, x, row, stacks, weight, offset)
 
     monkeypatch.setattr(Trajectory, "interpolate", checked)
     once = launch_fan(traj, (1, 2), boundary=boundary)
@@ -546,3 +536,27 @@ def test_clamping_decided_once_per_step_is_the_per_call_check(name, request, mon
     assert sum(calls) > 0.5 * len(calls)  # every stage, on these runs
     if boundary:
         assert min(told) == 0.5 * dx
+
+
+@pytest.mark.parametrize("name", ["p2_run", "p3_run"])
+def test_every_sample_lies_on_a_stored_time(name, request):
+    # ``_samples`` reads each sample's own stored row: a walk records
+    # positions only at stored times, also for a launch between two of them
+    # (P2's boundary launches at (j + 1/2) T/20) and for a launch that a
+    # relaunch round moved.
+    traj = request.getfixturevalue(name)
+    scn = traj.scenario
+    boundary = scn.problem == "P2"
+    fan = launch_fan(traj, (1, 2), boundary=boundary)
+    assert np.isin(fan.column("t"), traj.times).all()
+    assert all(np.isin(path.t, traj.times).all() for path in fan)
+    # The launches of the first round, as ``launch_fan`` places them.
+    band = wall_band(traj)
+    mid = np.arange(FAN) + 0.5
+    first = [(band + mid * (scn.x_interest - band) / FAN, np.zeros(FAN))]
+    if boundary:
+        first.append((np.full(FAN, 0.5 * traj.grid.dx), mid / FAN * scn.T))
+    x0, t0 = (np.tile(np.concatenate(col), 2) for col in zip(*first))
+    launched = np.array([(path.x0, path.t0) for path in fan]).T
+    assert ((launched[0] != x0) | (launched[1] != t0)).any()  # a relaunch round
+    assert np.isin(launched[1], traj.times).all() != boundary

@@ -99,6 +99,19 @@ class TestMalformedValues:
         assert "nested deeper" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("z0", ["1/0 + 0*x", "0^-1 + 0*x", "2 * 1/0 * x", "10^400 + 0*x",
+                                    "(-8)^(1/3)", "(-8)^(1/3) + 0*x", "x + (-8)^(1/3)"])
+    def test_constant_part_that_cannot_be_evaluated(self, z0, tmp_path, capsys):
+        # Each once exited 1 with a traceback, or warned and evaluated to the
+        # real part of the complex value.
+        cfg = small_config("p3_desk", tmp_path, {"z0 = -3.6 + 0*x": f"z0 = {z0}",
+                                                 "n = 2000": "n = 100"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", str(cfg)]) == 65
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and repr(z0) in err
+
     def test_long_flat_expression_checks(self, tmp_path, capsys):
         cfg = small_config("p3_desk", tmp_path,
                            {"z0 = -3.6 + 0*x": "z0 = -3.6" + " + 0*x" * 3000})
@@ -339,6 +352,15 @@ class TestSimulateTraceVerify:
                      "--t0", str(t0)]) == 0
         rows = (tmp_path / f"path_f2_x0.3_t{t0:g}.csv").read_text().splitlines()
         assert len(rows) >= 2 and float(rows[1].split(",")[0]) == t0
+
+    def test_launch_between_stored_times_samples_stored_times(self, sim_out, tmp_path):
+        traj = load_trajectory(sim_out / "trajectory.npz")
+        t0 = 0.5 * float(traj.times[40] + traj.times[41])
+        assert main(["--quiet", "--out", str(tmp_path), "trace", str(sim_out / "trajectory.npz"),
+                     "--family", "2", "--x0", "0.3", "--t0", repr(t0)]) == 0
+        path_csv, = tmp_path.glob("path_f2_*.csv")
+        t = np.loadtxt(path_csv, delimiter=",", skiprows=1, usecols=0)
+        assert t[0] == traj.times[41] and t.size > 3 and np.isin(t, traj.times).all()
 
     def test_launch_past_the_end_of_a_blown_up_run_is_a_usage_error(self, tmp_path, capsys):
         cfg = small_config("p1_desk", tmp_path, {"n = 2000": "n = 100",

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR, desk_config_text
 from nozzleflow.config import load_config, parse_config_text
@@ -77,6 +81,47 @@ class TestExpressions:
     def test_missing_variable_at_call(self):
         with pytest.raises(DomainError):
             parse_expression("x + 1")(t=0.0)
+
+
+def _compound(inner):
+    """Expressions of the grammar built from the expressions ``inner``."""
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map(" ".join),
+        inner.map(lambda e: f"({e})"),
+        inner.map(lambda e: f"-{e}"),
+        st.tuples(st.sampled_from(["exp", "log", "sin", "tanh"]), inner).map(
+            lambda call: f"{call[0]}({call[1]})"))
+
+
+_NUMBERS = st.one_of(st.sampled_from(["0", "1", "2", "8", "0.5", "10", "400", "1e400"]),
+                     st.floats(min_value=0.0, max_value=1e6).map(repr))
+_GRAMMAR = st.recursive(st.one_of(_NUMBERS, st.sampled_from(["x", "t"])), _compound,
+                        max_leaves=12)
+
+
+class TestConstantParts:
+    """A part made of numbers alone is evaluated at parse time, in Python
+    floats, which raise or turn complex where numpy would not."""
+
+    def test_parts_that_read_a_variable_evaluate_with_numpy(self):
+        # Non-finite values stay: the certificates judge them.
+        x = np.array([0.5, 1.0])
+        with np.errstate(all="ignore"):
+            assert np.isinf(parse_expression("x * 1/0")(x=x)).all()
+            assert np.isnan(parse_expression("(-x)^(1/3)")(x=x)).all()
+        assert parse_expression("2 * 3 - 1 + x")(x=x).tolist() == [5.5, 6.0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_GRAMMAR)
+    def test_every_expression_is_real_or_rejected(self, src):
+        x = np.linspace(-2.0, 2.0, 5)
+        try:
+            with np.errstate(all="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = parse_expression(src)(x=x, t=0.5)
+        except ExpressionError:
+            return
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == x.shape
 
 
 class TestConfigParsing:

@@ -1,9 +1,10 @@
 """Source hygiene: no module-level import that the module never uses, no
 top-level function or class in the package, nor public method or property
 of a public package class, that only tests call, no module-level constant
-of the package that only tests read, and no exit code left out of the
-documents that list them."""
+of the package that only tests read, no exit code left out of the
+documents that list them, and no name in README that the package lacks."""
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -199,3 +200,41 @@ def test_every_exit_code_is_documented(document):
     listed = {int(number) for number in re.findall(r"\d+", _exit_code_paragraph(text))}
     assert codes
     assert sorted(name for name, value in codes.items() if value not in listed) == []
+
+
+def _package_namespace() -> dict:
+    """The package's modules by name, and every class they define."""
+    modules = {p.stem: importlib.import_module(f"nozzleflow.{p.stem}") for p in PACKAGE}
+    classes = {name: obj for module in modules.values() for name, obj in vars(module).items()
+               if isinstance(obj, type) and obj.__module__.startswith("nozzleflow.")}
+    return {**classes, **modules}
+
+
+def stale_references(text: str, namespace: dict) -> list:
+    """The backticked ``module.name`` and ``Class.member`` spans of the
+    markdown ``text`` (outside fenced blocks) whose first part is a module or
+    class of ``namespace`` and whose second part is neither an attribute of
+    it nor a dataclass field."""
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    found = set()
+    for span in re.findall(r"`([^`]+)`", text):
+        named = re.match(r"([A-Za-z_]\w*)\.([A-Za-z_]\w*)", span)
+        if named is None or named[1] not in namespace:
+            continue
+        owner = namespace[named[1]]
+        if not (hasattr(owner, named[2])
+                or named[2] in getattr(owner, "__dataclass_fields__", {})):
+            found.add(named[0])
+    return sorted(found)
+
+
+def test_readme_names_resolve():
+    assert stale_references((ROOT / "README.md").read_text(), _package_namespace()) == []
+
+
+def test_reference_detector_flags_stale_names():
+    text = ("`solver.blocks`, `solver.step(fld, dt, scn)` and `solver.no_such_name(x)`;\n"
+            "`Trajectory.interpolate`, `Trajectory.time_weights`, `Scenario.n`,\n"
+            "`report.json` and `np.gradient`.\n```\nsolver.gone\n```\n")
+    assert stale_references(text, _package_namespace()) == [
+        "Trajectory.time_weights", "solver.no_such_name"]
