@@ -18,7 +18,7 @@ from .expressions import parse_expression
 from .model import GasLaw
 from .region import (RegionSpec, exp_profile, find_constants, power_profile,
                      tabulated_profile, zero_profile)
-from .solver import KIND_FOR, Scenario
+from .solver import KIND_FOR, STORED_BYTES_MAX, Scenario
 
 _SCHEMA = {
     "problem": {"kind", "gamma", "T", "x_interest"},
@@ -127,6 +127,13 @@ class ScenarioConfig:
                                        integer=True),
                 config_text=self.text,
             )
+            # Refused from arithmetic alone, since the window's cells are
+            # counted on an array of the grid's n cells.
+            snapshots, least = scn.steps + 1, scn.least_trusted_cells
+            if snapshots * least * 16 > STORED_BYTES_MAX:
+                raise ConfigError(f"the run stores K + 1 = {snapshots} snapshots of at least "
+                                  f"{least} cells, over the ceiling of {STORED_BYTES_MAX} "
+                                  "bytes", self.source)
             cells = scn.window_cells
         except DomainError as exc:
             raise ConfigError(str(exc), self.source) from None

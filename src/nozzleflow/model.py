@@ -52,18 +52,19 @@ class GasLaw:
 
     @classmethod
     def from_gamma(cls, gamma) -> "GasLaw":
+        given = gamma
         if isinstance(gamma, str):
             try:
                 gamma = Fraction(gamma)
             except (ValueError, ZeroDivisionError) as exc:
                 raise DomainError(f"cannot parse adiabatic exponent {gamma!r}") from exc
-        if isinstance(gamma, Fraction):
-            exact_log = gamma == Fraction(5, 3)
-        else:
-            exact_log = float(gamma) == _LOG_GAMMA
-        g = float(gamma)
+        try:
+            g = float(gamma)
+        except OverflowError:  # past the float range, as "1e400" is
+            raise DomainError(f"adiabatic exponent must lie in (1, 5/3], got {given}") from None
         _check_gamma(g)
-        is_log = exact_log or g == _LOG_GAMMA
+        # 5/3 as a Fraction rounds to the same float.
+        is_log = g == _LOG_GAMMA
         if not is_log and abs(g - _LOG_GAMMA) < 1e-6:
             warnings.warn(
                 "gamma is within 1e-6 of 5/3 but not equal: the general-branch "
@@ -113,5 +114,6 @@ def source_pair_zw(gap, total, coef):
     s = ((gamma-1)/8) a (w^2 - z^2), formed as coef * gap * total from
     gap = w - z, total = w + z and coef = ``source_coef(a, law)``, which an
     evolve stage has at hand.  Antisymmetric by construction."""
-    s = coef * gap * total
+    s = np.multiply(coef, gap)
+    s *= total
     return s, -s

@@ -669,7 +669,11 @@ def region_speed_bounds(spec: RegionSpec, law: GasLaw) -> SpeedBounds:
     I = spec.total_abar()
     if not math.isfinite(I):
         raise DomainError("speed bounds need a finite majorant integral")
-    eI = math.exp(I)
+    try:
+        eI = math.exp(I)
+    except OverflowError:  # the rectangles at x_max would reach past the floats
+        raise CertificateFailure(f"region {spec.kind!r} grows by exp(I) past the float "
+                                 f"range (majorant integral I={I:.6g})") from None
     L1, L2, U1, U2 = spec.L1, spec.L2, spec.U1, spec.U2
     if spec.kind == "m":
         d1 = 0.5 * ((1 + th) * U1 - (1 - th) * U2)

@@ -238,7 +238,12 @@ class Scenario:
         """K, the fewest steps of one size dt = T/K over which no speed the
         region allows crosses more than ``cfl`` cells."""
         lam = self.speed_bounds.lambda_abs_max
-        return math.ceil(self.T * lam / (self.cfl * self.grid.dx))
+        try:
+            return math.ceil(self.T * lam / (self.cfl * self.grid.dx))
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError(f"the step count T*lambda_max/(cfl*dx) = {self.T:g}*{lam:g}/"
+                              f"({self.cfl:g}*{self.grid.dx:g}) is past the float "
+                              "range") from None
 
     @property
     def dt(self) -> float:
@@ -274,6 +279,14 @@ class Scenario:
         top = float(self.reach(np.linspace(0.0, self.T, 3)).max())
         count = int((self.runtime_arrays["x"] <= top + 1e-12).sum()) + 2
         return min(self.grid.n, count)
+
+    @property
+    def least_trusted_cells(self) -> int:
+        """A floor on ``trusted_cells`` from ``grid.dx`` alone, which builds
+        no n-cell array: the stored columns take in the reporting window, at
+        least floor(x_interest/dx) - 1 cells, and two more, up to n."""
+        window = max(0, math.floor(self.x_interest / self.grid.dx) - 1)
+        return min(self.n, window + 2)
 
     @property
     def stored_bytes(self) -> int:
@@ -368,9 +381,11 @@ class _Stages:
     def __init__(self, scn: Scenario, buffers: tuple = ()):
         n = scn.grid.n
         self.coef = scn.runtime_arrays["coef"]
-        # The stages' scalar factors as 0-d arrays: a ufunc converts a Python
-        # float anew at each call, which costs a third of a call on 1000 cells.
+        # The stages' scalar factors, and the limiter's 0 and 2 (reached
+        # through ``_Width``), as 0-d arrays: a ufunc converts a Python float
+        # anew at each call, which costs a third of a call on 1000 cells.
         self.half, self.half_theta = np.array(0.5), np.array(0.5 * scn.law.theta)
+        self.zero, self.two = np.array(0.0), np.array(2.0)
         self.dx, self.order = np.array(scn.grid.dx), scn.order
         # A stage makes one gradient call on the flat block of both rows when
         # they read from the same side, else one a row: the side each call
@@ -454,6 +469,7 @@ class _Width:
         self.face_lo, self.face_hi = self.face[:-e], self.face[e:]
         self.grad = work.grad[:m]
         self.grads = work.calls(self.grad)
+        self.zero, self.two = work.zero, work.two
         self.inc = work.inc[:m]
         # Each stage's derivative, with its z and w columns.
         f1, f2 = work.f1[:m], work.f2[:m]
@@ -467,17 +483,18 @@ def _limited_slope(a, b, work):
     in the slope ratio (minmod's branch switching staircases smooth profiles,
     which wrecks the convergence of derivative diagnostics).  The arrays
     ``prod``, ``den``, ``pos`` and ``slope`` of ``work``, of the size of the
-    1-D ``a`` and ``b``, hold the temporaries and the result."""
+    1-D ``a`` and ``b``, hold the temporaries and the result; its ``zero``
+    and ``two`` are 0-d arrays of 0.0 and 2.0."""
     prod, den, pos, slope = work.prod, work.den, work.pos, work.slope
     slope.fill(0.0)
     np.multiply(a, b, out=prod)
-    np.greater(prod, 0.0, out=pos)
+    np.greater(prod, work.zero, out=pos)
     np.add(a, b, out=den)
     # Masked: on a run's own slopes, ab > 0 at 98% of the faces (p3, n = 1000
     # and 2000), and the masked divide into zeros costs less than an unmasked
     # one plus the select and the errstate it needs (15 against 19 us a call
     # on a 2-core x86-64 VM, numpy 2.4).
-    return np.divide(np.multiply(prod, 2.0, out=prod), den, out=slope, where=pos)
+    return np.divide(np.multiply(prod, work.two, out=prod), den, out=slope, where=pos)
 
 
 def _one_sided_gradient(cuts: tuple, out, leftward: bool, work: _Stages, width: _Width):

@@ -8,8 +8,8 @@ import zipfile
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, older_edges, small_config
-from nozzleflow import region
+from conftest import CONFIG_DIR, desk_scenario, older_edges, small_config
+from nozzleflow import region, solver
 from nozzleflow.cli import main
 from nozzleflow.harness import load_trajectory
 from nozzleflow.config import parse_config_text
@@ -67,12 +67,15 @@ class TestCheck:
         assert "FAIL" in capsys.readouterr().out
         out = tmp_path / "out"
         assert main(["--quiet", "--out", str(out), "simulate", str(cfg)]) == 2
-        bundle = json.loads((out / "certificates.json").read_text())
+        bundle = json.loads((out / "report.json").read_text())["certification"]
         certs = {c["name"]: c for c in bundle["certificates"]}
         assert not certs["initial-membership"]["passed"]
         data = certs["data-conditions"]
         assert not data["passed"]
         assert [i["name"] for i in data["items"]] == ["w0(x) - z0(x) >= vacuum gap"]
+        # The certificates a run records are those `check` prints.
+        assert main(["--format", "json", "check", str(cfg)]) == 2
+        assert json.loads(capsys.readouterr().out) == bundle
 
     def test_missing_file(self, capsys):
         assert main(["check", "no_such_file.cfg"]) == 66
@@ -176,6 +179,31 @@ class TestMalformedValues:
             "n = 2000", f"n = {n}")).to_scenario()
         assert scn.stored_bytes <= STORED_BYTES_MAX
 
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_huge_grid_is_refused_before_any_cell_array(self, command, tmp_path, capsys,
+                                                        monkeypatch):
+        # n = 10**9 once built the grid's 8 GB of cell centres for its window
+        # count before the storage ceiling could refuse it.
+        def no_cells(grid):
+            raise AssertionError(f"an array of {grid.n} cells was built")
+
+        monkeypatch.setattr(solver.Grid, "cells", no_cells)
+        cfg = small_config("p3_desk", tmp_path, {"n = 2000": f"n = {10 ** 12}"})
+        out = tmp_path / "out"
+        assert main(["--out", str(out), command, str(cfg)]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert "over the ceiling of 1073741824 bytes" in captured.err
+
+    @pytest.mark.parametrize("name", ["p1_desk", "p2_desk", "p3_desk"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 27, 300, 2000, 8000])
+    @pytest.mark.parametrize("T", [None, 0.0])
+    def test_least_trusted_cells_is_a_floor(self, name, n, T):
+        # So the arithmetic refusal refuses no run the storage ceiling lets by.
+        scn = desk_scenario(name, n=n, **({} if T is None else {"T": T}))
+        assert scn.least_trusted_cells <= scn.trusted_cells
+
     def test_p3_grid_too_coarse_for_the_outflow_ghosts(self, tmp_path, capsys):
         # At T = 0 the grid is the window, so two cells fit the launch fan.
         cfg = small_config("p3_desk", tmp_path, {"n = 2000": "n = 2", "T = 5.0": "T = 0.0"})
@@ -257,6 +285,48 @@ class TestMalformedValues:
         example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
         scn = parse_config_text(example, source="README.md").to_scenario()
         assert scn.config_text == example
+
+
+class TestValuesPastTheFloatRange:
+    """Each once ended in an ``OverflowError`` traceback (exit 1)."""
+
+    @staticmethod
+    def _one_line(capsys, *expected):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        for text in expected:
+            assert text in captured.err
+
+    @pytest.mark.parametrize("argv", [["constants", "1e400"], ["constants", "-1e400"],
+                                      ["feasible", "1e400", "0.1", "m"]],
+                             ids=["constants", "constants-negative", "feasible"])
+    def test_adiabatic_exponent_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 64
+        self._one_line(capsys, f"got {argv[1]}")
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_adiabatic_exponent_in_a_config_is_a_data_error(self, command, tmp_path, capsys):
+        cfg = small_config("p3_desk", tmp_path, {"gamma = 5/3": "gamma = 1e400"})
+        assert main(["--out", str(tmp_path / "out"), command, str(cfg)]) == 65
+        self._one_line(capsys, f"{cfg}:5: adiabatic exponent", "got 1e400")
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    @pytest.mark.parametrize("old,new", [("amp = 0.05", "amp = 1e300"),
+                                         ("rate = 10", "rate = 1e-300")])
+    def test_region_grown_past_the_floats_is_refused(self, command, old, new, tmp_path,
+                                                     capsys):
+        # exp(I) of the majorant integral overflows in the speed bounds.
+        cfg = small_config("p3_desk", tmp_path, {old: new})
+        assert main(["--out", str(tmp_path / "out"), command, str(cfg)]) == 65
+        self._one_line(capsys, "region 'l' grows by exp(I) past the float range")
+
+    @pytest.mark.parametrize("cfl", ["1e-320", "5e-324"])
+    def test_step_count_past_the_floats_is_a_data_error(self, cfl, tmp_path, capsys):
+        # T*lambda/(cfl*dx) overflows, or cfl*dx underflows to 0.
+        cfg = small_config("p3_desk", tmp_path, {"cfl = 0.9": f"cfl = {cfl}"})
+        assert main(["check", str(cfg)]) == 65
+        self._one_line(capsys, f"({float(cfl):g}*", "is past the float range")
 
 
 class TestFeasible:

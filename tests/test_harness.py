@@ -418,9 +418,9 @@ class TestRunScenario:
         cfg = small_config("p1_desk", tmp_path, SMALL)
         out = tmp_path / "out"
         assert run_scenario(cfg, out) == EXIT_OK
-        for name in ("certificates.txt", "certificates.json", "report.json",
-                     "monitor_report.json", "fields.csv", "trajectory.npz"):
-            assert (out / name).exists(), name
+        assert sorted(p.name for p in out.iterdir()) == [
+            "certificates.txt", "fields.csv", "monitor_report.json", "report.json",
+            "trajectory.npz"]
         header = (out / "fields.csv").read_text().splitlines()[0]
         assert header == ("t,x,rho,v,z,w,z_x,w_x,Phi,Psi,margin_z_lo,"
                           "margin_z_hi,margin_w_lo,margin_w_hi,gap,lambda1,lambda2")

@@ -2,7 +2,9 @@
 top-level function or class in the package, nor public method or property
 of a public package class, that only tests call, no module-level constant
 of the package that only tests read, no exit code left out of the
-documents that list them, and no name in README that the package lacks."""
+documents that list them, no name in README that the package lacks, and
+no file that README's lists of ``simulate`` outputs miss or that
+``simulate`` does not write."""
 import ast
 import importlib
 import re
@@ -11,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import small_config
 from nozzleflow import harness
+from nozzleflow.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
@@ -238,3 +242,42 @@ def test_reference_detector_flags_stale_names():
             "`report.json` and `np.gradient`.\n```\nsolver.gone\n```\n")
     assert stale_references(text, _package_namespace()) == [
         "Trajectory.time_weights", "solver.no_such_name"]
+
+
+#: The leads of README's sentences that list what ``simulate`` writes: on
+#: exit 0, and on exit 4 (a blow-up).
+_WRITES = "`simulate` writes into the output directory:"
+_WRITES_ON_BLOW_UP = "ends in exit 4 with"
+
+
+def listed_outputs(text: str, lead: str) -> set:
+    """The backticked file names of the sentence of ``text`` that starts at
+    ``lead``; ``name.{a,b}`` stands for ``name.a`` and ``name.b``."""
+    sentence = re.search(re.escape(lead) + r"(.*?)\.\s", text, re.S)[1]
+    found = set()
+    for stem, ext in re.findall(r"`(\w+)\.(\w+|\{[\w,]+\})`", sentence):
+        found.update(f"{stem}.{e}" for e in ext.strip("{}").split(","))
+    return found
+
+
+@pytest.mark.parametrize("lead, subs, code", [
+    (_WRITES, {"n = 2000": "n = 300", "T = 5.0": "T = 1.0"}, harness.EXIT_OK),
+    (_WRITES_ON_BLOW_UP, {"n = 2000": "n = 100", "cfl = 0.9": "cfl = 2.0"},
+     harness.EXIT_BLOWUP),
+], ids=["exit-0", "exit-4"])
+def test_readme_lists_what_simulate_writes(lead, subs, code, tmp_path):
+    out = tmp_path / "out"
+    cfg = small_config("p1_desk", tmp_path, subs)
+    assert main(["--quiet", "--out", str(out), "simulate", str(cfg)]) == code
+    assert listed_outputs((ROOT / "README.md").read_text(), lead) == {
+        p.name for p in out.iterdir()}
+
+
+def test_output_list_detector_reads_one_sentence():
+    text = ("Before: `old.csv`.\n`simulate` writes into the output directory:\n"
+            "`certificates.{txt,json}`, `report.json` (`check --format json`), `run`\n"
+            "and `t.npz`.  After: `later.json`.\n")
+    listed = listed_outputs(text, _WRITES)
+    assert listed == {"certificates.txt", "certificates.json", "report.json", "t.npz"}
+    # A list that still names a file no longer written fails the check.
+    assert listed != {"certificates.txt", "report.json", "t.npz"}

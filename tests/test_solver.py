@@ -213,7 +213,8 @@ class TestLimitedSlope:
     @staticmethod
     def _work(k):
         return types.SimpleNamespace(prod=np.empty(k), den=np.empty(k),
-                                     pos=np.empty(k, dtype=bool), slope=np.empty(k))
+                                     pos=np.empty(k, dtype=bool), slope=np.empty(k),
+                                     zero=np.array(0.0), two=np.array(2.0))
 
     def test_matches_the_masked_divide(self):
         a, b = self._pairs(self.SPECIAL)
