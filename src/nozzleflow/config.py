@@ -7,7 +7,7 @@ schema-checked and every rejection carries the offending line.  Analytic data
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -140,9 +140,16 @@ class ScenarioConfig:
         # The launch fan starts past the wall band, 1.5 cells from the wall,
         # and ends inside the reporting window.
         if cells < 2:
-            self._fail("solver", "n",
-                       f"n = {scn.n} leaves {cells} cell(s) in the reporting window "
-                       f"[0, {scn.x_interest:g}]; the launch fan needs at least 2")
+            narrow = (f"leaves {cells} cell(s) in the reporting window "
+                      f"[0, {scn.x_interest:g}]")
+            if _window_past_storage(scn):
+                raise ConfigError(
+                    f"x_max = x_interest + lambda_abs_max*T = {scn.grid.x_max:.6g} "
+                    f"(lambda_abs_max = {scn.speed_bounds.lambda_abs_max:.6g}) {narrow} "
+                    f"at n = {scn.n}, and every n that gives it the 2 cells the launch "
+                    f"fan needs stores past the ceiling of {STORED_BYTES_MAX} bytes",
+                    self.source)
+            self._fail("solver", "n", f"n = {scn.n} {narrow}; the launch fan needs at least 2")
         if problem == "P3" and scn.n < 3:
             self._fail("solver", "n", f"n = {scn.n}: the P3 outflow ghosts "
                                       "extrapolate from the first 3 cells")
@@ -215,6 +222,22 @@ class ScenarioConfig:
                 profile=profile)
         except DomainError as exc:
             raise ConfigError(str(exc), self.source, self._line("region", "L1")) from None
+
+
+def _window_past_storage(scn: Scenario) -> bool:
+    """Whether every grid of ``scn`` whose reporting window holds 2 cells
+    stores past ``STORED_BYTES_MAX``: the truncation point x_max is then too
+    far out for the window, whatever n.  The fewest cells that give the
+    window 2 are ceil(1.5 x_max/x_interest), and K and the stored cells grow
+    with n."""
+    if scn.x_interest <= 0.0:
+        return False
+    try:
+        fewest = replace(
+            scn, n=math.ceil(1.5 * scn.grid.x_max / scn.x_interest))
+        return (fewest.steps + 1) * fewest.least_trusted_cells * 16 > STORED_BYTES_MAX
+    except (OverflowError, DomainError):
+        return True
 
 
 def parse_config_text(text: str, source: str = "<config>",

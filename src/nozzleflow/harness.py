@@ -95,37 +95,41 @@ def _membership_certificate(name, z, w, s, spec, where, where_label):
 def certify(scn: Scenario) -> CertBundle:
     """Decay certificate, admissibility certificate, initial (and boundary)
     membership, data conditions and compatibility for one scenario."""
-    grid = scn.grid
-    x = np.unique(np.concatenate([
-        grid.cells(), np.linspace(0.0, grid.x_max, CERT_SAMPLES)]))
-    consts = critical_constants(scn.law)
-    certs = [check_h1(scn.profile, x), check_hypothesis(scn.region, scn.law, consts, x)]
+    # Data past the float range (1 + M*x overflowing, or 1e-300/x at
+    # x = 0) sample as inf or nan, for the certificates to refuse
+    # without a warning.
+    with np.errstate(all="ignore"):
+        grid = scn.grid
+        x = np.unique(np.concatenate([
+            grid.cells(), np.linspace(0.0, grid.x_max, CERT_SAMPLES)]))
+        consts = critical_constants(scn.law)
+        certs = [check_h1(scn.profile, x), check_hypothesis(scn.region, scn.law, consts, x)]
 
-    z0 = np.asarray(scn.z0(x), dtype=float)
-    w0 = np.asarray(scn.w0(x), dtype=float)
-    s = scn.majorant_integral(x)
-    certs.append(_membership_certificate("initial-membership", z0, w0, s,
-                                         scn.region, x, "x"))
+        z0 = np.asarray(scn.z0(x), dtype=float)
+        w0 = np.asarray(scn.w0(x), dtype=float)
+        s = scn.majorant_integral(x)
+        certs.append(_membership_certificate("initial-membership", z0, w0, s,
+                                             scn.region, x, "x"))
 
-    boundary = rates = None
-    if scn.problem == "P2":
-        # At T = 0 the boundary is one instant, with one-sided rates.
-        t = np.linspace(0.0, scn.T, CERT_SAMPLES if scn.T > 0.0 else 1)
-        zB = np.asarray(scn.zB(t), dtype=float)
-        wB = np.asarray(scn.wB(t), dtype=float)
-        certs.append(_membership_certificate("boundary-membership", zB, wB,
-                                             np.zeros_like(t), scn.region, t, "t"))
-        boundary = (t, zB, wB, float(scn.profile.a(0.0)))
-        if scn.T == 0.0:
-            rates = tuple(np.array([_one_sided_derivative(fn)]) for fn in (scn.zB, scn.wB))
+        boundary = rates = None
+        if scn.problem == "P2":
+            # At T = 0 the boundary is one instant, with one-sided rates.
+            t = np.linspace(0.0, scn.T, CERT_SAMPLES if scn.T > 0.0 else 1)
+            zB = np.asarray(scn.zB(t), dtype=float)
+            wB = np.asarray(scn.wB(t), dtype=float)
+            certs.append(_membership_certificate("boundary-membership", zB, wB,
+                                                 np.zeros_like(t), scn.region, t, "t"))
+            boundary = (t, zB, wB, float(scn.profile.a(0.0)))
+            if scn.T == 0.0:
+                rates = tuple(np.array([_one_sided_derivative(fn)]) for fn in (scn.zB, scn.wB))
 
-    certs.append(check_data_conditions(
-        scn.problem, x, z0, w0, np.asarray(scn.profile.a(x), dtype=float),
-        scn.delta1, scn.delta2, scn.profile.M, scn.profile.alpha, scn.law,
-        boundary=boundary, boundary_rates=rates))
-    certs.append(check_compatibility(
-        scn.problem, scn.z0, scn.w0, scn.zB, scn.wB,
-        float(scn.profile.a(0.0)), scn.law))
+        certs.append(check_data_conditions(
+            scn.problem, x, z0, w0, np.asarray(scn.profile.a(x), dtype=float),
+            scn.delta1, scn.delta2, scn.profile.M, scn.profile.alpha, scn.law,
+            boundary=boundary, boundary_rates=rates))
+        certs.append(check_compatibility(
+            scn.problem, scn.z0, scn.w0, scn.zB, scn.wB,
+            float(scn.profile.a(0.0)), scn.law))
     return CertBundle(certs)
 
 
@@ -138,7 +142,6 @@ class MonitorReport:
     times: np.ndarray
     min_margins: dict
     margin_argmin: dict
-    min_gap: np.ndarray
     max_abs_zx: np.ndarray
     max_abs_wx: np.ndarray
     max_abs_zt: np.ndarray
@@ -159,10 +162,11 @@ class MonitorReport:
     @classmethod
     def from_series(cls, scn: Scenario, series: dict, finite_ok: bool) -> "MonitorReport":
         """The report of the per-step ``series`` of a run of ``scn``: 1-D
-        arrays by name (``t``, ``gap``, ``zx``, ``wx``, ``zt``, ``wt``,
-        ``phi_min``, ``phi_max``, ``psi_min``, ``psi_max``), and
-        the window cell and value of each face's least margin as dicts by
-        face (``argmin``, ``margin``)."""
+        arrays by name (``t``, ``zx``, ``wx``, ``zt``, ``wt``, ``phi_min``,
+        ``phi_max``, ``psi_min``, ``psi_max``), and the window cell and
+        value of each face's least margin as dicts by face (``argmin``,
+        ``margin``).  The ``gap`` face's margin is w - z itself, so its
+        least margin is the step's least gap."""
         times, margins = series["t"], series["margin"]
         # Causal tolerance: each step is judged with the Lipschitz estimate
         # accumulated so far, so bad data cannot launder its own violation by
@@ -183,10 +187,10 @@ class MonitorReport:
                          "margin": float(vals[k]),
                          "inequality": f"margin {face} >= -tol"}
             worst_val = min(worst_val, float(vals.min()))
-        gap_min = float(series["gap"].min())
+        gap_min = float(margins["gap"].min())
         return cls(
             times=times, min_margins=margins, margin_argmin=series["argmin"],
-            min_gap=series["gap"], max_abs_zx=series["zx"], max_abs_wx=series["wx"],
+            max_abs_zx=series["zx"], max_abs_wx=series["wx"],
             max_abs_zt=series["zt"], max_abs_wt=series["wt"],
             phi_min=series["phi_min"], phi_max=series["phi_max"],
             psi_min=series["psi_min"], psi_max=series["psi_max"],
@@ -194,6 +198,11 @@ class MonitorReport:
             containment_ok_raw=worst_val >= 0.0, containment_ok=first is None,
             vacuum_ok=gap_min >= C3 - tol and gap_min >= VACUUM_GAP,
             finite_ok=finite_ok, first_violation=first)
+
+    @property
+    def min_gap(self) -> np.ndarray:
+        """The least w - z of each step in the window."""
+        return self.min_margins["gap"]
 
     @property
     def reached_vacuum(self) -> bool:
@@ -229,11 +238,10 @@ class MonitorReport:
                 "ok": self.ok,
             },
             "first_violation": self.first_violation,
-            "series": {
-                "times": arr(self.times),
-                **{f"min_margin_{k}": arr(v) for k, v in self.min_margins.items()},
-                "min_gap": arr(self.min_gap),
-            },
+            # One entry per step; the steps' times are the run's, and the
+            # gap face's least margin is the least gap.
+            "series": {("min_gap" if k == "gap" else f"min_margin_{k}"): arr(v)
+                       for k, v in self.min_margins.items()},
         }
 
 
@@ -256,7 +264,7 @@ def monitor_report(traj: Trajectory) -> MonitorReport:
     cols = min(cells + 1, traj.z.shape[1])
     faces = envelopes(scn.region, scn.majorant_integral(arrays["x"][:cells]))
     a_win, dx, dt = arrays["a"][:cells], scn.grid.dx, scn.dt
-    parts = {key: [] for key in ("gap", "zx", "wx", "zt", "wt", "phi_min", "phi_max",
+    parts = {key: [] for key in ("zx", "wx", "zt", "wt", "phi_min", "phi_max",
                                  "psi_min", "psi_max")}
     margin = {face: [] for face in _FACES}
     argmin = {face: [] for face in _FACES}
@@ -271,8 +279,6 @@ def monitor_report(traj: Trajectory) -> MonitorReport:
             i = np.argmin(margins[face], axis=1)
             margin[face].append(margins[face][rows, i])
             argmin[face].append(i)
-        gap = w - z
-        parts["gap"].append(gap.min(axis=1))
         zx = np.gradient(zc, dx, axis=1)[:, :cells]
         wx = np.gradient(wc, dx, axis=1)[:, :cells]
         parts["zx"].append(np.abs(zx).max(axis=1))
@@ -281,7 +287,7 @@ def monitor_report(traj: Trajectory) -> MonitorReport:
         for name, u in (("zt", traj.z), ("wt", traj.w)):
             change = np.abs(u[k:hi, :cells] - u[k - 1:hi - 1, :cells]).max(axis=1)
             parts[name].append(change / dt)
-        vacuum = np.flatnonzero((gap < VACUUM_GAP).any(axis=1))
+        vacuum = np.flatnonzero((margins["gap"] < VACUUM_GAP).any(axis=1))
         sound = int(vacuum[0]) if vacuum.size else hi - lo
         phi, psi = phi_psi_zw(z[:sound], w[:sound], zx[:sound], wx[:sound], a_win, scn.law)
         parts["phi_min"].append(phi.min(axis=1))

@@ -155,7 +155,7 @@ class TestMalformedValues:
         assert main(["--out", str(tmp_path / "out"), "simulate", str(cfg)]) == 65
         err = capsys.readouterr().err
         assert f"n = {n} leaves {cells} cell(s) in the reporting window" in err
-        assert "Traceback" not in err
+        assert "lambda_abs_max" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["check", "simulate"])
     def test_run_too_large_to_store_is_refused_before_any_output(self, command,
@@ -327,6 +327,50 @@ class TestValuesPastTheFloatRange:
         cfg = small_config("p3_desk", tmp_path, {"cfl = 0.9": f"cfl = {cfl}"})
         assert main(["check", str(cfg)]) == 65
         self._one_line(capsys, f"({float(cfl):g}*", "is past the float range")
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    @pytest.mark.parametrize("amp, lam", [(30000, "6.14262e+183"), (40000, "7.62084e+244")])
+    def test_speed_bound_too_wide_for_the_window_is_blamed(self, command, amp, lam,
+                                                            tmp_path, capsys):
+        # The speed bound is finite, but x_max leaves the window no cell at
+        # any n the storage ceiling allows; the refusal once blamed n.
+        cfg = small_config("p3_desk", tmp_path, {"amp = 0.05": f"amp = {amp}"})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--out", str(out), command, str(cfg)]) == 65
+        assert not out.exists()
+        self._one_line(capsys, "x_max = x_interest + lambda_abs_max*T = ",
+                       f"(lambda_abs_max = {lam}) leaves 0 cell(s) in the reporting "
+                       "window [0, 1] at n = 2000")
+
+    def test_empty_reporting_window_blames_n(self, tmp_path, capsys):
+        # No n gives [0, 0] a cell, at any speed bound; the message is kept.
+        cfg = small_config("p3_desk", tmp_path, {"x_interest = 1.0": "x_interest = 0.0"})
+        assert main(["check", str(cfg)]) == 65
+        self._one_line(capsys, f"{cfg}:33: n = 2000 leaves 0 cell(s) in the reporting "
+                               "window [0, 0]; the launch fan needs at least 2")
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    @pytest.mark.parametrize("old, new, failed", [
+        ("M = 10.0", "M = 1e308", "decay"),
+        ("z0 = -3.6 + 0*x", "z0 = -3.6 + 0*x + 1e-300/x", "initial-membership"),
+    ], ids=["M", "z0"])
+    def test_certificate_past_the_floats_fails_without_a_warning(self, command, old, new,
+                                                                  failed, tmp_path, capsys):
+        # (1 + M*x) overflows, and 1e-300/x divides by zero at x = 0: each
+        # once printed a numpy RuntimeWarning beside the failed certificate.
+        cfg = small_config("p3_desk", tmp_path, {old: new})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--quiet", "--out", str(out), "--format", "json",
+                         command, str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        bundle = (json.loads(captured.out) if command == "check"
+                  else json.loads((out / "report.json").read_text())["certification"])
+        assert [c["name"] for c in bundle["certificates"] if not c["passed"]][0] == failed
 
 
 class TestFeasible:

@@ -112,6 +112,31 @@ class TestMonitors:
         assert payload["flags"]["ok"]
         assert payload["steps"] > 0
 
+    def test_min_gap_is_the_least_gap_in_the_window(self, p1_small_run):
+        scn, traj, report = p1_small_run
+        gap = traj.w[:, :scn.window_cells] - traj.z[:, :scn.window_cells]
+        assert np.array_equal(report.min_gap, gap.min(axis=1))
+
+    def test_planted_negative_gap_fails_on_the_gap_face(self, p1_small_run):
+        scn, _, clean = p1_small_run
+        k, cell = 7, 3
+        margin = {face: vals.copy() for face, vals in clean.min_margins.items()}
+        argmin = {face: cells.copy() for face, cells in clean.margin_argmin.items()}
+        margin["gap"][k], argmin["gap"][k] = -0.5, cell
+        series = {"t": clean.times, "zx": clean.max_abs_zx, "wx": clean.max_abs_wx,
+                  "zt": clean.max_abs_zt, "wt": clean.max_abs_wt,
+                  "phi_min": clean.phi_min, "phi_max": clean.phi_max,
+                  "psi_min": clean.psi_min, "psi_max": clean.psi_max,
+                  "margin": margin, "argmin": argmin}
+        report = MonitorReport.from_series(scn, series, clean.finite_ok)
+        assert clean.containment_ok and clean.first_violation is None
+        assert not report.containment_ok and not report.containment_ok_raw
+        assert report.first_violation == {
+            "step": k, "t": float(clean.times[k]), "face": "gap", "cell": cell,
+            "margin": -0.5, "inequality": "margin gap >= -tol"}
+        assert report.reached_vacuum and not report.vacuum_ok and not report.ok
+        assert report.to_dict()["series"]["min_gap"][k] == -0.5
+
 
 @contextlib.contextmanager
 def _recording_steps(scn):
@@ -142,7 +167,7 @@ def _per_step_report(scn, zs, ws) -> MonitorReport:
     window = arrays["x"] <= scn.x_interest + 1e-12
     s_win, a_win = scn.majorant_integral(arrays["x"][window]), arrays["a"][window]
     dx, dt, times = scn.grid.dx, scn.dt, scn.step_times
-    series = {key: [] for key in ("gap", "zx", "wx", "zt", "wt", "phi_min", "phi_max",
+    series = {key: [] for key in ("zx", "wx", "zt", "wt", "phi_min", "phi_max",
                                   "psi_min", "psi_max")}
     margin = {face: [] for face in _FACES}
     argmin = {face: [] for face in _FACES}
@@ -157,7 +182,6 @@ def _per_step_report(scn, zs, ws) -> MonitorReport:
             i = int(np.argmin(arr))
             margin[face].append(float(arr[i]))
             argmin[face].append(i)
-        series["gap"].append(float((w - z).min()))
         zx = np.gradient(z_full, dx)[window]
         wx = np.gradient(w_full, dx)[window]
         series["zx"].append(float(np.abs(zx).max()))
@@ -413,6 +437,10 @@ class TestCsvWriters:
                                                            scn.profile.alpha, out), tmp_path)
 
 
+_MONITOR_SERIES = ("min_margin_z_lo", "min_margin_z_hi", "min_margin_w_lo",
+                   "min_margin_w_hi", "min_gap")
+
+
 class TestRunScenario:
     def test_small_p1_produces_artifacts(self, tmp_path):
         cfg = small_config("p1_desk", tmp_path, SMALL)
@@ -554,8 +582,12 @@ class TestRunScenario:
         assert run_scenario(cfg, out) == code
         summary = json.loads((out / "report.json").read_text())["monitors"]
         record = json.loads((out / "monitor_report.json").read_text())
-        assert "series" not in summary and record["series"]["times"]
+        assert "series" not in summary
         assert record == dict(summary, series=record["series"])
+        # The four envelope faces and the gap, one entry per step; the
+        # times are the run's, and the gap face's margin is the gap.
+        assert sorted(record["series"]) == sorted(_MONITOR_SERIES)
+        assert {len(v) for v in record["series"].values()} == {summary["steps"] + 1}
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = small_config("p1_desk", tmp_path, SMALL)

@@ -2,11 +2,13 @@
 top-level function or class in the package, nor public method or property
 of a public package class, that only tests call, no module-level constant
 of the package that only tests read, no exit code left out of the
-documents that list them, no name in README that the package lacks, and
-no file that README's lists of ``simulate`` outputs miss or that
-``simulate`` does not write."""
+documents that list them, no name in README that the package lacks, no
+file that README's lists of ``simulate`` outputs miss or that ``simulate``
+does not write, and no ``monitor_report.json`` series that README's list
+of them misses or that the file does not hold."""
 import ast
 import importlib
+import json
 import re
 from collections import Counter
 from pathlib import Path
@@ -250,12 +252,16 @@ _WRITES = "`simulate` writes into the output directory:"
 _WRITES_ON_BLOW_UP = "ends in exit 4 with"
 
 
+def _sentence(text: str, lead: str) -> str:
+    """The sentence of ``text`` that starts at ``lead``, after the lead."""
+    return re.search(re.escape(lead) + r"(.*?)\.\s", text, re.S)[1]
+
+
 def listed_outputs(text: str, lead: str) -> set:
     """The backticked file names of the sentence of ``text`` that starts at
     ``lead``; ``name.{a,b}`` stands for ``name.a`` and ``name.b``."""
-    sentence = re.search(re.escape(lead) + r"(.*?)\.\s", text, re.S)[1]
     found = set()
-    for stem, ext in re.findall(r"`(\w+)\.(\w+|\{[\w,]+\})`", sentence):
+    for stem, ext in re.findall(r"`(\w+)\.(\w+|\{[\w,]+\})`", _sentence(text, lead)):
         found.update(f"{stem}.{e}" for e in ext.strip("{}").split(","))
     return found
 
@@ -281,3 +287,36 @@ def test_output_list_detector_reads_one_sentence():
     assert listed == {"certificates.txt", "certificates.json", "report.json", "t.npz"}
     # A list that still names a file no longer written fails the check.
     assert listed != {"certificates.txt", "report.json", "t.npz"}
+
+
+#: The lead of README's sentence that lists the ``series`` keys of
+#: ``monitor_report.json``.
+_SERIES = "per-step minima over the reporting window:"
+
+
+def listed_series(text: str) -> set:
+    """The backticked names of the sentence of ``text`` that starts at
+    ``_SERIES``."""
+    return set(re.findall(r"`(\w+)`", _sentence(text, _SERIES)))
+
+
+@pytest.mark.parametrize("subs, code", [
+    ({"n = 2000": "n = 300", "T = 5.0": "T = 1.0"}, harness.EXIT_OK),
+    ({"n = 2000": "n = 100", "cfl = 0.9": "cfl = 2.0"}, harness.EXIT_BLOWUP),
+], ids=["exit-0", "exit-4"])
+def test_readme_lists_the_monitor_series(subs, code, tmp_path):
+    out = tmp_path / "out"
+    cfg = small_config("p1_desk", tmp_path, subs)
+    assert main(["--quiet", "--out", str(out), "simulate", str(cfg)]) == code
+    record = json.loads((out / "monitor_report.json").read_text())
+    assert listed_series((ROOT / "README.md").read_text()) == set(record["series"])
+
+
+def test_series_list_detector_reads_one_sentence():
+    text = ("Before: `times`.  Five per-step minima over the reporting window:\n"
+            "`min_gap` (the least w - z) and `min_margin_z_lo`.  After: `steps`.\n")
+    listed = listed_series(text)
+    assert listed == {"min_gap", "min_margin_z_lo"}
+    # A list that still names a series no longer written fails the check.
+    stale = listed_series(text.replace("`min_gap`", "`times`, `min_gap`"))
+    assert stale == listed | {"times"} != listed
