@@ -5,8 +5,9 @@ of the stored speeds, then carry the gradient functional of their family, its
 Riccati coefficients, the decaying barrier and the running a-priori upper
 bound.  Tracing stops where the stored solution stops being trustworthy: at
 the physical boundary, or past ``Scenario.reach(t)``, the one rule for the
-trusted domain that also sets which columns a snapshot stores.  Launches
-must lie inside that domain too.
+trusted domain that also sets which columns of each snapshot hold the run's
+values (``Scenario.stored_widths``).  Launches must lie inside that domain
+too.
 
 Every path the post-pass checks is traced in one lockstep loop
 (``_walk``): the positions of all live paths form one array, and each

@@ -467,18 +467,21 @@ def characteristic_pass(traj: Trajectory) -> dict:
 def _run_extremes(traj: Trajectory) -> dict:
     """Extremes of the stored run, taken a block of rows at a time (a max or
     min of block maxima or minima is exact): ``zx_lip`` and ``wx_lip``, the
-    largest |z_x| and |w_x| over the trusted columns (less the last one of a
-    trimmed snapshot, whose gradient is one-sided), and over the window the
-    largest |z|, |w|, |z_x| and |w_x| and the least and largest w - z."""
-    m = traj.scenario.trusted_cells
-    cols = m if m == traj.grid.n else m - 1
-    cells = traj.scenario.window_cells
+    largest |z_x| and |w_x| over each row's stored width
+    (``Scenario.stored_widths``) less its last column, whose gradient reads
+    the fill past it, unless the row holds the whole grid; and over the
+    window the largest |z|, |w|, |z_x| and |w_x| and the least and largest
+    w - z."""
+    scn = traj.scenario
+    cols = scn.stored_widths - (scn.stored_widths < traj.grid.n)
+    cells = scn.window_cells
     parts = {key: [] for key in ("zx_lip", "wx_lip", "z", "w", "zx", "wx", "gap_min", "gap_max")}
     for lo, hi in blocks(0, len(traj.times)):
         z, w, zx, wx = traj.block(("z", "w", "zx", "wx"), lo, hi)
+        kept = np.arange(zx.shape[1]) < cols[lo:hi, None]
         for name, grad in (("zx", zx), ("wx", wx)):
             grad = np.abs(grad)
-            parts[name + "_lip"].append(grad[:, :cols].max())
+            parts[name + "_lip"].append(grad.max(where=kept, initial=0.0))
             parts[name].append(grad[:, :cells].max())
         z, w = z[:, :cells], w[:, :cells]
         parts["z"].append(np.abs(z).max())

@@ -20,11 +20,23 @@ every speed by ``lambda_abs_max`` in advance, so nothing from the artificial
 right boundary passes ``x_max - lambda_abs_max*t``, and a path that starts in
 the reporting window (or at the inflow boundary) gets no further than
 ``x_interest + c_right*t``, with ``c_right = lambda_abs_max`` when a speed can
-be positive (P1, P2) and 0 when both are negative (P3).  A stored snapshot
-keeps the cells up to the highest reach on [0, T], plus two: one for the
-bilinear interpolation at ``i + 1``, one for the central gradient there
-(``Scenario.trusted_cells``).  The tracer launches and ends its paths by the
-same rule.
+be positive (P1, P2) and 0 when both are negative (P3).  The tracer
+launches and ends its paths by this rule, and the stored run keeps what it
+reads.  Each snapshot has ``Scenario.trusted_cells`` columns: the cells up
+to the highest reach on [0, T], plus two, one for the bilinear
+interpolation at ``i + 1`` and one for the central gradient there.  Row k
+holds the run's values in its first ``Scenario.stored_widths[k]`` columns
+and repeats its last stored value past them, which costs deflate almost
+nothing.  Those are the cells up to the highest reach over [t_{k-2}, t_k]
+plus ``lambda_abs_max*dt``, plus two, since a path reads row k in the steps
+on both sides of t_k, not only at reach(t_k).  A path stands at t_k no
+further out than the highest reach over (t_{k-1}, t_k], since a launch
+between two rows starts from the later one, and at t_{k-1} no further than
+the highest reach over (t_{k-2}, t_{k-1}].  The stages of the step from
+either point read no further than ``lambda_abs_max*dt`` past it for speeds
+inside the region, and the two cells past that leave more than a cell to
+spare.  The gradient at a row's last stored column reads the fill, so
+``lip`` stops one column short of it (``harness._run_extremes``).
 
 The evolve runs only where the stored columns can depend on the state.  A
 cell at x reads, by T, cells no further right than ``x + c_left*(T - t)``,
@@ -34,11 +46,12 @@ to the last stored column plus ``c_left*(T - t)``, plus a pad of
 ``ACTIVE_PAD_SIGMAS*sqrt(K)`` cells (``Scenario.active_cells``), and the set
 only shrinks.  On P3 that edge is the right-boundary term of ``reach``,
 ``x_max - lambda_abs_max*t``, moved right by the two stored cells past the
-window.  On P1 and P2 the highest reach lies at T/2, and a snapshot keeps
-that width at every step, so P1 drops cells only after T/2.  The scheme reads
-two cells to each side per stage, four per step, while the edge moves at most
-``cfl`` cells per step, so its numerical diffusion leaks past the edge: the
-pad keeps that leak at round-off (``tests/test_solver.py`` gates it).
+window.  On P1 and P2 the highest reach lies at T/2, and the edge starts
+from the last column of the widest row at every step, so P1 drops cells
+only after T/2.  The scheme reads two cells to each side per stage, four
+per step, while the edge moves at most ``cfl`` cells per step, so its
+numerical diffusion leaks past the edge: the pad keeps that leak at
+round-off (``tests/test_solver.py`` gates it).
 
 The state is an (n + 4, 2) array: cell by cell, with z and w side by side,
 and two ghost cells each side.  Its last two cells hold the far-field ghosts
@@ -256,7 +269,9 @@ class Scenario:
 
     def reach(self, t):
         """Right end of the trusted domain at the time(s) ``t`` (see the
-        module docstring)."""
+        module docstring).  It is concave in t, highest at T/2: x_max =
+        x_interest + lambda_abs_max*T puts the crossing of its two lines
+        there, and with ``c_right = 0`` it is x_interest throughout."""
         bounds = self.speed_bounds
         lam = bounds.lambda_abs_max
         c_right = lam if max(bounds.sign1, bounds.sign2) > 0 else 0.0
@@ -269,16 +284,30 @@ class Scenario:
         the grid's cells."""
         return int((self.grid.cells() <= self.x_interest + 1e-12).sum())
 
+    def _cells_up_to(self, top):
+        """The leading cells of the grid up to ``top`` (one, or an array),
+        plus two, at most n (see the module docstring)."""
+        count = np.searchsorted(self.runtime_arrays["x"], top + 1e-12, side="right") + 2
+        return np.minimum(count, self.grid.n)
+
     @cached_property
     def trusted_cells(self) -> int:
         """Leading cells of the grid that a stored snapshot keeps: those up
-        to the highest ``reach`` on [0, T], plus two (see the module
-        docstring)."""
-        # Since x_max = x_interest + lambda_abs_max*T, the two lines of
-        # reach cross at T/2 (P1, P2) or T (P3): its top is at 0, T/2 or T.
-        top = float(self.reach(np.linspace(0.0, self.T, 3)).max())
-        count = int((self.runtime_arrays["x"] <= top + 1e-12).sum()) + 2
-        return min(self.grid.n, count)
+        to the highest ``reach`` on [0, T], reach(T/2), plus two."""
+        return int(self._cells_up_to(self.reach(0.5 * self.T)))
+
+    @cached_property
+    def stored_widths(self) -> np.ndarray:
+        """The columns of each stored row that hold the run's values (see
+        the module docstring): row k keeps the cells up to the highest
+        ``reach`` over [t_{k-2}, t_k] plus ``lambda_abs_max*dt``, plus two,
+        at most ``trusted_cells``.  That highest reach is at T/2 clipped to
+        the interval."""
+        times = self.step_times
+        start = times[np.maximum(np.arange(times.size) - 2, 0)]
+        top = self.reach(np.clip(0.5 * self.T, start, times))
+        top += self.speed_bounds.lambda_abs_max * self.dt
+        return np.minimum(self._cells_up_to(top), self.trusted_cells)
 
     @property
     def least_trusted_cells(self) -> int:
@@ -629,10 +658,16 @@ class Trajectory:
     """Stored snapshots of one run plus their space-time interpolator.
 
     ``rows`` are the arrays of a stored run, by the names of ``_STORED``:
-    one snapshot per step, each keeping the first ``scenario.trusted_cells``
-    columns of z and w.  ``blow_up`` is None for a run that reached T, else
-    the failure's ``t``, ``cell`` and ``message`` (empty if a stored file
-    lacks them)."""
+    one snapshot per step, each of ``scenario.trusted_cells`` columns of z
+    and w.  Row k holds the run's values in its first
+    ``scenario.stored_widths[k]`` columns, those up to the highest reach
+    over [t_{k-2}, t_k] plus ``lambda_abs_max*dt``, plus two (a path reads
+    row k in the steps on both sides of t_k; see the module docstring), and
+    past them its last stored value.  Nothing reads those columns, so a
+    file that holds the run's values there, as older writers stored, checks
+    the same.  ``blow_up`` is None for a run that
+    reached T, else the failure's ``t``, ``cell`` and ``message`` (empty if
+    a stored file lacks them)."""
 
     def __init__(self, scenario: Scenario, rows: dict, blow_up: Optional[dict] = None):
         self.scenario = scenario
@@ -780,7 +815,7 @@ def run(scn: Scenario):
     A numerical blow-up, or a wall that turns sonic after t = 0, aborts the
     run with the partial trajectory attached to the error."""
     times, dt, grid = scn.step_times, scn.dt, scn.grid
-    snaps, kept = len(times), scn.trusted_cells
+    snaps, kept, widths = len(times), scn.trusted_cells, scn.stored_widths.tolist()
     z, w = np.empty((snaps, kept)), np.empty((snaps, kept))
     rows = dict(zip(_STORED, (times, z, w)))
     state = _state_of(scn.initial_field(), scn)
@@ -790,7 +825,15 @@ def run(scn: Scenario):
     _write_ghosts(state, 0.0, scn, work)
     # Each state's stored columns of z and w.
     stored = [(b[2:kept + 2, 0], b[2:kept + 2, 1]) for b in buffers]
-    z[0], w[0] = stored[0]
+
+    def store(k: int, side: int) -> None:
+        """Row k from the state ``buffers[side]``: its first ``widths[k]``
+        cells, then the last of them (``Scenario.stored_widths``)."""
+        (zc, wc), zr, wr, width = stored[side], z[k], w[k], widths[k]
+        zr[:width], wr[:width] = zc[:width], wc[:width]
+        zr[width:], wr[width:] = zc[width - 1], wc[width - 1]
+
+    store(0, 0)
     count, last = 1, grid.n
     try:
         for k, m in enumerate(scn.active_cells(times[:-1]).tolist()):
@@ -801,7 +844,7 @@ def run(scn: Scenario):
             step(Field(state[2:m + 2, 0], state[2:m + 2, 1], times[k], grid, state), dt, scn,
                  work)
             _write_ghosts(new, times[k + 1], scn, work)
-            z[k + 1], w[k + 1] = stored[1 - k % 2]
+            store(k + 1, 1 - k % 2)
             count = k + 2
     except RunAbortedError as err:
         err.trajectory = Trajectory(scn, {name: arr[:count] for name, arr in rows.items()},

@@ -14,7 +14,8 @@ from nozzleflow import harness, solver
 from nozzleflow.characteristics import FAN, launch_fan
 from nozzleflow.cli import main
 from nozzleflow.config import load_config, parse_config_text
-from nozzleflow.errors import BlowUpError, TrajectoryFileError, VacuumStateError
+from nozzleflow.errors import (BlowUpError, RunAbortedError, TrajectoryFileError,
+                               VacuumStateError)
 from nozzleflow.harness import (_FACES, EXIT_BLOWUP, EXIT_CERT,
                                 EXIT_DATAERR, EXIT_MONITOR, EXIT_OK,
                                 MonitorReport, certify, characteristic_pass,
@@ -795,3 +796,156 @@ class TestTrustedColumns:
             # No container of further snapshots beside the stacks.
             assert set(vars(held)) == {"scenario", "grid", "blow_up", *solver._STORED}
             assert held.z.shape == held.w.shape == (len(held.times), held.scenario.trusted_cells)
+
+
+def _junk_past_the_widths(traj, seed):
+    """The z and w of ``traj`` with random finite values in every column
+    past each row's stored width (``Scenario.stored_widths``)."""
+    widths = traj.scenario.stored_widths[:len(traj.times)]
+    past = np.arange(traj.z.shape[1]) >= widths[:, None]
+    rng = np.random.default_rng(seed)
+    junk = {}
+    for name in ("z", "w"):
+        junk[name] = getattr(traj, name).copy()
+        junk[name][past] = rng.uniform(-10.0, 10.0, int(past.sum()))
+    return junk
+
+
+@pytest.fixture(scope="module", params=[
+    ("p1_desk", {"n = 2000": "n = 300"}, EXIT_OK),
+    ("p2_desk", {"n = 2000": "n = 150"}, EXIT_OK),
+    ("p1_desk", {"n = 2000": "n = 300", "cfl = 0.9": "cfl = 0.99"}, EXIT_OK),
+    ("p1_desk", {"n = 2000": "n = 300", "cfl = 0.9": "cfl = 1.44"}, EXIT_BLOWUP),
+], ids=["p1", "p2", "p1-cfl-0.99", "p1-blow-up"])
+def junk_file(request, tmp_path_factory):
+    """A ``simulate`` of a desk config, its exit code, the run it stored,
+    and the same run with junk past each row's stored width, saved and
+    loaded again."""
+    name, subs, code = request.param
+    tmp = tmp_path_factory.mktemp(f"junk_{name}")
+    assert run_scenario(small_config(name, tmp, subs), tmp / "clean") == code
+    clean = load_trajectory(tmp / "clean" / "trajectory.npz")
+    rows = {key: getattr(clean, key) for key in solver._STORED}
+    junk = dict(rows, **_junk_past_the_widths(clean, len(clean.times)))
+    Trajectory(clean.scenario, junk, clean.blow_up).save(tmp / "junk.npz")
+    return clean, load_trajectory(tmp / "junk.npz"), tmp, code
+
+
+class TestFillPastTheStoredWidths:
+    """A stored row holds the run's values up to its stored width and its
+    last stored value past it; nothing reads a column past the width, so
+    what a file holds there changes no output (ROADMAP item 1's negative
+    control)."""
+
+    def test_junk_changes_a_whole_row_gradient_maximum(self, junk_file):
+        # The paired control: the junk is there, and a maximum over every
+        # stored column, as ``lip`` took it before, moves with it.
+        clean, junk, _, _ = junk_file
+        scn = clean.scenario
+        assert (scn.stored_widths[:len(clean.times)] < scn.trusted_cells).any()
+        for name in ("z", "w"):
+            whole = [float(np.abs(np.gradient(getattr(traj, name), scn.grid.dx, axis=1)).max())
+                     for traj in (clean, junk)]
+            assert whole[1] > 100.0 * whole[0], name
+
+    def test_verify_monitors_and_fields_do_not_move(self, junk_file):
+        clean, junk, tmp, code = junk_file
+        assert _verify_report(tmp / "junk.npz", tmp / "verify_junk", code) == \
+            _verify_report(tmp / "clean" / "trajectory.npz", tmp / "verify_clean", code)
+        for label, traj in (("clean_out", clean), ("junk_out", junk)):
+            (tmp / label).mkdir(exist_ok=True)
+            harness._write_monitors(monitor_report(traj), tmp / label)
+            write_fields_csv(traj, tmp / label / "fields.csv")
+        # ``simulate`` writes fields.csv only for a run that reached T.
+        written = ("monitor_report.json", "fields.csv")[:2 if code == EXIT_OK else 1]
+        for artifact in ("monitor_report.json", "fields.csv"):
+            assert (tmp / "junk_out" / artifact).read_bytes() == \
+                (tmp / "clean_out" / artifact).read_bytes(), artifact
+            if artifact in written:
+                assert (tmp / "clean_out" / artifact).read_bytes() == \
+                    (tmp / "clean" / artifact).read_bytes(), artifact
+
+    def test_traces_from_the_reach_do_not_move(self, junk_file):
+        clean, junk, _, _ = junk_file
+        _assert_traces_from_the_reach_match(clean, junk, (1, 2))
+
+    @pytest.mark.parametrize("name, n, cfl", [("p1_desk", 300, 0.9), ("p2_desk", 150, 0.9),
+                                              ("p1_desk", 300, 0.99), ("p1_desk", 300, 1.44)])
+    def test_paths_at_the_top_speed_read_nothing_past_the_widths(self, name, n, cfl):
+        # A run's own speeds stay well below ``lambda_abs_max``, so its
+        # paths fall short of what the widths allow.  Here each row holds,
+        # up to its width, one state whose lambda2 is ``lambda_abs_max``:
+        # a family-2 path launched at reach(t0) goes as far as the region
+        # allows.  After the top of the reach, a launch just past t_j starts
+        # from row j + 1 at about reach(t_j), and its last stage reads row
+        # j + 2 up to ``lambda_abs_max*dt`` further out.  Past the widths
+        # the junk is a state whose lambda2 is -100*``lambda_abs_max``,
+        # which would pull such a path back inside the reach if a stage read
+        # it.
+        scn = desk_scenario(name, n=n, cfl=cfl)
+        lam = scn.speed_bounds.lambda_abs_max
+        gap = 0.2 * lam
+        past = np.arange(scn.trusted_cells) >= scn.stored_widths[:, None]
+
+        def rows(outer):
+            # lambda2 = v + theta*gap/2: lam up to each width, ``outer`` past it.
+            v = np.where(past, outer, lam) - 0.5 * scn.law.theta * gap
+            return {"times": scn.step_times, "z": v - 0.5 * gap, "w": v + 0.5 * gap}
+
+        clean, junk = Trajectory(scn, rows(lam)), Trajectory(scn, rows(-100.0 * lam))
+        assert np.allclose(clean.block(("lam",))[0][len(scn.step_times):], lam, rtol=1e-12)
+        _assert_traces_from_the_reach_match(clean, junk, (2,))
+
+    @pytest.mark.parametrize("name, subs, code", [
+        ("p1_desk", {"n = 2000": "n = 300"}, EXIT_OK),
+        ("p2_desk", {"n = 2000": "n = 150"}, EXIT_OK),
+        ("p1_desk", {"n = 2000": "n = 300", "cfl = 0.9": "cfl = 1.44"}, EXIT_BLOWUP),
+    ], ids=["p1", "p2", "p1-blow-up"])
+    def test_file_of_unfilled_rows_verifies_the_same(self, name, subs, code, tmp_path):
+        # Files written before the fill hold the run's values past each
+        # row's stored width.  They load as they are and verify the same.
+        scn = load_config(small_config(name, tmp_path, subs)).to_scenario()
+        with _recording_steps(scn) as (z, w):
+            try:
+                traj, _ = run(scn)
+            except RunAbortedError as err:
+                traj = err.trajectory
+        snaps, m = len(traj.times), scn.trusted_cells
+        unfilled = {"times": traj.times, "z": np.array(z)[:snaps, :m],
+                    "w": np.array(w)[:snaps, :m]}
+        assert traj.blown_up == (code == EXIT_BLOWUP)
+        assert not np.array_equal(traj.z, unfilled["z"])
+        traj.save(tmp_path / "filled.npz")
+        Trajectory(scn, unfilled, traj.blow_up).save(tmp_path / "unfilled.npz")
+        back = load_trajectory(tmp_path / "unfilled.npz")
+        for key in solver._STORED:
+            assert getattr(back, key).tobytes() == unfilled[key].tobytes(), key
+        assert _verify_report(tmp_path / "unfilled.npz", tmp_path / "old", code) == \
+            _verify_report(tmp_path / "filled.npz", tmp_path / "new", code)
+
+
+def _assert_traces_from_the_reach_match(clean, junk, families):
+    """Paths launched at reach(t0), the farthest point the trust rule
+    allows, at every stored time of ``clean``, every mid-step time and just
+    past every stored time (where a launch starts from the next row at
+    about the reach of the row before it), are bitwise the same on
+    ``junk``, with the same exits.  A fan's paths are those of ``trace``
+    one launch at a time."""
+    scn, times = clean.scenario, clean.times
+    size = times[1:] - times[:-1]
+    t0 = np.concatenate((times, times[:-1] + 0.5 * size, times[:-1] + 1e-6 * size))
+    x0 = scn.reach(t0)
+    for family in families:
+        paths = [chars.trace_fan(traj, x0, family, t0) for traj in (clean, junk)]
+        assert len(paths[0]) == len(paths[1]) == t0.size
+        for got, want in zip(paths[1], paths[0]):
+            assert got.exit_reason == want.exit_reason
+            for key in chars._SAMPLED:
+                assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), key
+
+
+def _verify_report(npz, out, code=EXIT_OK) -> bytes:
+    """The ``verify_report.json`` that ``verify`` of ``npz`` writes into
+    ``out``; the command must exit with ``code``."""
+    assert main(["--quiet", "--out", str(out), "verify", str(npz)]) == code
+    return (out / "verify_report.json").read_bytes()

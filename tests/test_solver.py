@@ -192,6 +192,15 @@ def _bitwise(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _assert_stored_row(row, values, width, k):
+    """Stored row ``k`` (of z or w) holds ``values`` bitwise in its first
+    ``width`` columns (``Scenario.stored_widths``), and its last stored
+    value, bitwise, in every column past them."""
+    assert row.dtype == values.dtype, k
+    assert row[:width].tobytes() == values[:width].tobytes(), k
+    assert row[width:].tobytes() == np.full(row.size - width, row[width - 1]).tobytes(), k
+
+
 def _masked_slope(a, b):
     """The van Leer slope by its formula: 2ab over a + b, divided only where
     ab > 0, into zeros.  Kept as the reference that ``solver._limited_slope``
@@ -251,17 +260,18 @@ class TestTwoRowKernel:
         scn = desk_scenario(name, n=100, T=0.3, order=order)
         traj, final = run(scn)
         assert np.all(scn.active_cells(traj.times[:-1]) == scn.grid.n)
-        m = scn.trusted_cells
+        widths = scn.stored_widths.tolist()
         fld = scn.initial_field()
         for k in range(1, len(traj.times)):
             fld.t = traj.times[k - 1]  # the run's step times, as P2 reads them
             fld = _row_by_row_step(fld, scn.dt, scn)
-            assert _bitwise(fld.z[:m], traj.z[k]), k
-            assert _bitwise(fld.w[:m], traj.w[k]), k
+            _assert_stored_row(traj.z[k], fld.z, widths[k], k)
+            _assert_stored_row(traj.w[k], fld.w, widths[k], k)
         assert _bitwise(fld.z, final.z) and _bitwise(fld.w, final.w)
         assert final.t == traj.times[-1] == scn.T
         direct = step(scn.initial_field(), scn.dt, scn)
-        assert _bitwise(direct.z[:m], traj.z[1]) and _bitwise(direct.w[:m], traj.w[1])
+        _assert_stored_row(traj.z[1], direct.z, widths[1], 1)
+        _assert_stored_row(traj.w[1], direct.w, widths[1], 1)
 
     @pytest.mark.parametrize("z_bump, w_bump, first_row", [(50, 37, "w"), (20, 37, "z")])
     def test_blow_up_cell_is_the_first_bad_cell_of_either_row(self, law53, z_bump,
@@ -292,8 +302,9 @@ def _p2_scenario_with_curved_inflow(**overrides):
 
 class TestLeanLoop:
     """``run`` steps into two reused state arrays and writes the ghosts and
-    the snapshots in place; every stored array, the final field and the
-    failure details are bitwise those of the run before it
+    the snapshots in place; the stored times, each stored row over its
+    stored width (with its last stored value past it), the final field and
+    the failure details are bitwise those of the run before it
     (``_reference_run``).  A run past the certified cfl leaves the region,
     where the face-mean side is not the certified one, so its reference
     takes the certified sides."""
@@ -305,8 +316,13 @@ class TestLeanLoop:
             traj, final = run(scn)
         except RunAbortedError as err:
             traj, final = err.trajectory, None
-        for name in solver._STORED:
-            assert _bitwise(getattr(traj, name), want[name]), name
+        assert _bitwise(traj.times, want["times"])
+        widths = scn.stored_widths.tolist()
+        for name in ("z", "w"):
+            got = getattr(traj, name)
+            assert got.shape == want[name].shape, name
+            for k, row in enumerate(got):
+                _assert_stored_row(row, want[name][k], widths[k], (name, k))
         assert traj.blow_up == want_blow_up
         if want_final is None:
             assert final is None
@@ -321,6 +337,10 @@ class TestLeanLoop:
     def test_desk_runs(self, name, n, order):
         scn = desk_scenario(name, n=n, order=order)
         assert scn.active_cells(scn.step_times[:-1])[-1] < scn.grid.n  # it truncates
+        # P1 and P2 fill the rows past their stored widths; P3 stores every
+        # column of every row.
+        filled = scn.stored_widths < scn.trusted_cells
+        assert filled.any() if name != "p3_desk" else not filled.any()
         assert not self._assert_matches_reference(scn).blown_up
 
     def test_blow_up(self):
@@ -465,12 +485,46 @@ class TestSignResolvedStage:
         assert scn.dt == scn.T / K
         assert np.array_equal(traj.times, np.linspace(0.0, scn.T, K + 1))
         assert traj.times[-1] == scn.T
-        fld = scn.initial_field()
+        fld, widths = scn.initial_field(), scn.stored_widths.tolist()
         for k in range(1, K + 1):
             fld = _row_by_row_step(fld, scn.T / K, scn)
             fld.t = traj.times[k]
-            assert _bitwise(fld.z[:scn.trusted_cells], traj.z[k]), k
-            assert _bitwise(fld.w[:scn.trusted_cells], traj.w[k]), k
+            _assert_stored_row(traj.z[k], fld.z, widths[k], k)
+            _assert_stored_row(traj.w[k], fld.w, widths[k], k)
+
+
+class TestStoredWidths:
+    """Row k of a stored run holds the run's values in the cells up to the
+    highest reach over [t_{k-2}, t_k] plus ``lambda_abs_max*dt``, plus two,
+    at most ``trusted_cells`` (``Scenario.stored_widths``)."""
+
+    @pytest.mark.parametrize("name, n", [("p1_desk", 300), ("p2_desk", 150),
+                                         ("p3_desk", 250), ("p2_desk", 2000)])
+    def test_highest_reach_over_each_interval(self, name, n):
+        scn = desk_scenario(name, n=n)
+        times, x, widths = scn.step_times.tolist(), scn.runtime_arrays["x"], scn.stored_widths
+        assert widths.shape == (len(times),)
+        for k, width in enumerate(widths.tolist()):
+            lo, hi = times[max(k - 2, 0)], times[k]
+            # On [lo, hi] the concave reach is highest at an end or at its
+            # top, T/2.
+            top = max(float(scn.reach(t)) for t in (lo, hi, 0.5 * scn.T) if lo <= t <= hi)
+            top += scn.speed_bounds.lambda_abs_max * scn.dt
+            assert width == min(int((x <= top + 1e-12).sum()) + 2, scn.trusted_cells), k
+        # The widest rows have every stored column; the widths rise, then fall.
+        peak = int(np.argmax(widths))
+        assert widths[peak] == scn.trusted_cells
+        assert np.all(np.diff(widths[:peak + 1]) >= 0) and np.all(np.diff(widths[peak:]) <= 0)
+        if name == "p3_desk":
+            assert np.all(widths == scn.trusted_cells)
+        else:
+            assert widths[0] < scn.trusted_cells and widths[-1] < scn.trusted_cells
+
+    def test_a_run_of_no_steps_stores_one_full_row(self):
+        scn = desk_scenario("p1_desk", n=100, T=0.0)
+        assert scn.stored_widths.tolist() == [scn.trusted_cells]
+        traj, _ = run(scn)
+        assert traj.z.shape == (1, scn.trusted_cells)
 
 
 class TestActiveCells:
